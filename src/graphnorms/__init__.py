@@ -40,7 +40,9 @@ from .homs import (
 from .hessians import (
     HessianMatrix,
     PsdResult,
+    allones_hessian,
     allones_kernel_check,
+    annihilates_ones,
     hessian_matrix,
     principal_submatrix,
     psd_certify,

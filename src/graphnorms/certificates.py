@@ -83,6 +83,9 @@ class Certificate:
             )
         except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed certificate pairs: {exc}") from exc
+        direction = data.get("direction")
+        if direction and not isinstance(direction, list):
+            raise UsageError("malformed certificate direction: expected a list")
         return cls(
             kind=kind,
             graph=graph,
@@ -91,8 +94,8 @@ class Certificate:
             if data.get("witness")
             else None,
             pairs=pairs,
-            direction=tuple(parse_rational(x) for x in data["direction"])
-            if data.get("direction")
+            direction=tuple(parse_rational(x) for x in direction)
+            if direction
             else None,
             value=value,
             reason=reason,
@@ -400,7 +403,8 @@ def certify_kpm(
     eps, qq, ll, rr = chosen
     m2 = SymRationalMatrix.from_rows([[2 * qq, ll], [ll, 2 * rr]])
     res = psd_certify(m2)
-    assert not res.is_psd
+    if res.is_psd:
+        raise RuntimeError("negative determinant but the boundary Hessian is PSD")
     evidence["epsilon"] = format_rational(eps)
     return Certificate(
         kind="not_norming",

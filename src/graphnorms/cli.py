@@ -32,18 +32,16 @@ from .graphs import (
     structural_report,
     verify_bowtie_structure,
 )
-from .hessians import allones_kernel_check, hessian_matrix, psd_certify
+from .hessians import allones_hessian, annihilates_ones, hessian_matrix, psd_certify
 from .homs import (
     counting_lemma_check,
-    default_threads,
     density,
     eulerian_indicator_check,
     hatami_box_check,
     norm_powers,
     sidorenko_check,
-    weighted_hom_count,
 )
-from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, load_matrix_text
+from .matrices import SymRationalMatrix, cut_norm, load_matrix_text
 from .rationals import format_rational, kth_root_interval
 
 
@@ -127,7 +125,7 @@ def _root_interval_str(value: Fraction, k: int) -> list[str]:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=default_threads())
+    common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     common.add_argument("--max-vertices", type=int, default=16)
     common.add_argument("--plain", action="store_true")
 
@@ -223,13 +221,11 @@ def _cmd_construct(ns, state) -> tuple[int, dict]:
 def _cmd_density(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
-    count = weighted_hom_count(g, a, ns.threads, ns.max_vertices)
-    d = count / Fraction(a.n) ** g.n
     powers = norm_powers(g, a, ns.threads, ns.max_vertices)
     e = g.edge_count
     payload = {
-        "count": format_rational(count),
-        "density": format_rational(d),
+        "count": format_rational(powers["count"]),
+        "density": format_rational(powers["density"]),
         "norm_pow": format_rational(powers["norm_pow"]),
         "weak_norm_pow": format_rational(powers["weak_norm_pow"]),
     }
@@ -294,10 +290,9 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
             "eulerian": structural_report(g).eulerian,
         }
     if ns.what == "prop42":
-        holds = allones_kernel_check(g, ns.n, ns.threads)
-        verdict = psd_certify(
-            hessian_matrix(g, block_pm_ones(ns.n), threads=ns.threads).matrix
-        ).verdict
+        h = allones_hessian(g, ns.n)
+        holds = annihilates_ones(h)
+        verdict = psd_certify(h).verdict
         return (0 if holds else 1), {
             "check": "prop42",
             "kernel_annihilated": holds,

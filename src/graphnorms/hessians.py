@@ -187,7 +187,8 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
     def finish(direction):
         v = _primitive(direction)
         value = quadratic_form(m, v)
-        assert value < 0
+        if value >= 0:
+            raise RuntimeError(f"PSD witness does not re-check: value {value}")
         return PsdResult("not_psd", v, value)
 
     while active:
@@ -238,10 +239,9 @@ def two_var_hessian_at_origin(p: SparsePoly, x: str = "x", y: str = "y"):
     return [[xx, xy], [xy, yy]]
 
 
-def allones_kernel_check(g: Graph, half: int, threads: int = 1) -> bool:
-    """At the +/- block matrix, the Hessian must annihilate the all-ones
-    vector exactly (every row sums to zero). Requires an eulerian graph
-    with an even number of edges."""
+def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:
+    """The Hessian at the +/- block matrix with blocks of size ``half``.
+    Requires an eulerian graph with an even number of edges."""
     if g.n > KERNEL_CHECK_VERTEX_GUARD:
         raise SizeGuardError(
             f"kernel check guard: {g.n} vertices > {KERNEL_CHECK_VERTEX_GUARD}"
@@ -253,8 +253,16 @@ def allones_kernel_check(g: Graph, half: int, threads: int = 1) -> bool:
     report = structural_report(g)
     if not report.eulerian or g.edge_count % 2 != 0:
         raise UsageError("kernel check needs an eulerian graph with even edge count")
-    h = hessian_matrix(g, block_pm_ones(half), threads=threads)
-    dim = h.matrix.n
-    return all(
-        sum(h.matrix.at(r, s) for s in range(dim)) == 0 for r in range(dim)
-    )
+    return hessian_matrix(g, block_pm_ones(half)).matrix
+
+
+def annihilates_ones(m: SymRationalMatrix) -> bool:
+    """Whether M 1 = 0, i.e. every row sums to zero."""
+    return all(sum(row) == 0 for row in m.rows())
+
+
+def allones_kernel_check(g: Graph, half: int, threads: int = 1) -> bool:
+    """At the +/- block matrix, the Hessian must annihilate the all-ones
+    vector exactly (every row sums to zero). Requires an eulerian graph
+    with an even number of edges."""
+    return annihilates_ones(allones_hessian(g, half))

@@ -1,4 +1,4 @@
-"""Exhaustive weighted homomorphism enumeration over step-function kernels.
+"""Weighted homomorphism counts over step-function kernels, exactly.
 
 The single enumeration primitive is a *profile map*: for every map
 phi: V(H) -> [n] it records how many edges of H land on each unordered
@@ -7,17 +7,21 @@ Everything else (exact densities, symbolic polynomials in template cells,
 Hessian assembly) is a cheap exact post-processing of that integer map,
 so the hot loop never touches rational arithmetic.
 
-Enumeration is plain nested assignment over the n^{v(H)} maps in
-descending-degree vertex order, short-circuiting a branch as soon as a
-cell exceeds its multiplicity cap (weight-zero cells kill immediately).
-No tree-decomposition tricks: every instance in scope is small enough
-that exhaustive enumeration stays exact and fast.
+A profile is packed into one integer key, one bit field per tracked cell,
+so joining two partial maps is adding their keys; fields are wide enough
+for e(H) edges and never carry. The engine takes a maximal independent set
+I of H; its complement C is a vertex cover. Only C is coloured depth-first.
+Given the colours of its neighbours, a vertex of I is independent of every
+other vertex of I, so its n colours collapse to a {key: count} map of at
+most n entries, which is convolved into the {key: count} map carried down
+the search as soon as its last neighbour is coloured. That visits n^|C|
+colourings instead of n^v(H) maps. Weight-zero cells kill a map outright
+and multiplicity caps are checked on every sum, since multiplicities only
+grow along the search.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import SizeGuardError, UsageError
 from .graphs import Graph, structural_report
@@ -26,7 +30,6 @@ from .polys import SparsePoly
 
 VERTEX_GUARD = 16
 TEMPLATE_GUARD = 4
-PARALLEL_THRESHOLD = 3**11  # below this, worker startup dominates
 
 
 @dataclass(frozen=True)
@@ -82,110 +85,36 @@ class SymbolicTemplate:
         return SymRationalMatrix(self.n, tuple(tri))
 
 
-def _enumeration_order(g: Graph):
-    """Descending-degree vertex order and per-position back-edge lists."""
-    deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    pos = {u: i for i, u in enumerate(order)}
-    back = [[] for _ in range(g.n)]
-    for (u, v) in g.edges:
-        i, j = pos[u], pos[v]
-        back[max(i, j)].append(min(i, j))
-    return order, [tuple(b) for b in back]
+def _cover_plan(g: Graph):
+    """Split V(H) into a vertex cover, coloured depth-first, and an
+    independent set summed out in closed form.
 
-
-def _dfs_profiles(v, back, n, incs, caps, prefix):
-    """Enumerate colorings of positions len(prefix)..v-1, returning
-    {packed profile key: assignment count}. ``caps`` is None (no limits)
-    or a per-cell list of maximum multiplicities."""
-    cellof = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            cellof[a][b] = pair_index(a, b, n)
-
-    colors = [0] * v
-    counts: dict[int, int] = {}
-    start = len(prefix)
-    key0 = 0
-    cnt = None if caps is None else [0] * len(incs)
-    for p, c in enumerate(prefix):
-        colors[p] = c
-        for b in back[p]:
-            cell = cellof[colors[b]][c]
-            key0 += incs[cell]
-            if cnt is not None:
-                cnt[cell] += 1
-                if cnt[cell] > caps[cell]:
-                    return counts
-    if start == v:
-        counts[key0] = 1
-        return counts
-
-    rng = range(n)
-    last = v - 1
-
-    if caps is None:
-
-        def rec(p, key):
-            bl = back[p]
-            if p == last:
-                get = counts.get
-                for c in rng:
-                    k = key
-                    for b in bl:
-                        k += incs[cellof[colors[b]][c]]
-                    counts[k] = get(k, 0) + 1
-            else:
-                nxt = p + 1
-                for c in rng:
-                    k = key
-                    for b in bl:
-                        k += incs[cellof[colors[b]][c]]
-                    colors[p] = c
-                    rec(nxt, k)
-
-    else:
-
-        def rec(p, key):
-            bl = back[p]
-            is_last = p == last
-            for c in rng:
-                k = key
-                touched = []
-                ok = True
-                for b in bl:
-                    cell = cellof[colors[b]][c]
-                    cnt[cell] += 1
-                    touched.append(cell)
-                    if cnt[cell] > caps[cell]:
-                        ok = False
-                        break
-                if ok:
-                    for b in bl:
-                        k += incs[cellof[colors[b]][c]]
-                    if is_last:
-                        counts[k] = counts.get(k, 0) + 1
-                    else:
-                        colors[p] = c
-                        rec(p + 1, k)
-                for cell in touched:
-                    cnt[cell] -= 1
-
-    rec(start, key0)
-    return counts
-
-
-def _dfs_worker(args):
-    spec, prefix = args
-    return _dfs_profiles(*spec, prefix)
-
-
-def _merge_counts(parts):
-    total: dict[int, int] = {}
-    for part in parts:
-        for k, c in part.items():
-            total[k] = total.get(k, 0) + c
-    return total
+    The independent set is greedy maximal, lowest degree first; the cover
+    is coloured in descending-degree order. Returns, per cover position,
+    the earlier cover positions adjacent to it and the neighbour positions
+    of each independent vertex whose last neighbour it is, plus the number
+    of isolated vertices.
+    """
+    adj = g.adjacency()
+    indep = []
+    for v in sorted(range(g.n), key=lambda v: (len(adj[v]), v)):
+        if not adj[v].intersection(indep):
+            indep.append(v)
+    cover = sorted(set(range(g.n)) - set(indep), key=lambda v: (-len(adj[v]), v))
+    pos = {v: p for p, v in enumerate(cover)}
+    back = [
+        tuple(sorted(pos[u] for u in adj[v] if u in pos and pos[u] < p))
+        for p, v in enumerate(cover)
+    ]
+    closing = [[] for _ in cover]
+    isolated = 0
+    for v in indep:
+        nbrs = tuple(sorted(pos[u] for u in adj[v]))
+        if nbrs:
+            closing[nbrs[-1]].append(nbrs)
+        else:
+            isolated += 1
+    return back, closing, isolated
 
 
 @dataclass(frozen=True)
@@ -215,8 +144,9 @@ def profile_map(
 ) -> ProfileMap:
     """Count assignments per profile over the tracked cells.
 
-    ``caps`` limits cell multiplicity (branch pruned beyond the cap);
-    capped cells must be tracked unless their cap is 0.
+    ``caps`` limits cell multiplicity (maps beyond a cap are dropped);
+    capped cells must be tracked unless their cap is 0. ``threads`` is
+    accepted for compatibility and ignored: one core runs the engine.
     """
     if g.n > max_vertices:
         raise SizeGuardError(f"enumeration guard: {g.n} vertices > {max_vertices}")
@@ -226,42 +156,97 @@ def profile_map(
     incs = [0] * ncells
     for t, cell in enumerate(tracked):
         incs[cell] = 1 << (t * width)
-    cap_list = None
-    if caps:
-        cap_list = [g.edge_count] * ncells
-        for cell, cap in caps.items():
-            if cap < g.edge_count and cap > 0 and cell not in tracked:
+    dead = [False] * ncells  # a weight-zero cell kills the whole map
+    capped = []  # (field mask, cap in place) for tracked cells with a binding cap
+    for cell, cap in (caps or {}).items():
+        if cap <= 0:
+            dead[cell] = True
+        elif cap < g.edge_count:
+            if cell not in tracked:
                 raise UsageError("capped cell must be tracked")
-            cap_list[cell] = cap
+            shift = tracked.index(cell) * width
+            capped.append((((1 << width) - 1) << shift, cap << shift))
 
-    _, back = _enumeration_order(g)
-    spec = (g.n, back, n, incs, cap_list)
+    cellof = [[pair_index(a, b, n) for b in range(n)] for a in range(n)]
+    back, closing, isolated = _cover_plan(g)
+    last = len(back) - 1
+    colors = [0] * len(back)
+    rng = range(n)
+    counts: dict[int, int] = {}
 
-    counts = None
-    if threads > 1 and n**g.n >= PARALLEL_THRESHOLD:
-        counts = _parallel_profiles(spec, n, threads)
-    if counts is None:
-        counts = _dfs_profiles(*spec, ())
+    def side(nbrs):
+        """{key: colours} for one independent vertex, its neighbours coloured."""
+        out: dict[int, int] = {}
+        for x in rng:
+            key = 0
+            for a in nbrs:
+                cell = cellof[colors[a]][x]
+                if dead[cell]:
+                    break
+                key += incs[cell]
+            else:
+                out[key] = out.get(key, 0) + 1
+        return out
+
+    def convolve(acc, local, base):
+        """Product of two {key: count} maps; keys add field by field."""
+        if not local:
+            return local
+        pairs = iter(local.items())
+        k2, c2 = next(pairs)
+        out = {k + k2: c * c2 for k, c in acc.items()}
+        get = out.get
+        for k2, c2 in pairs:
+            for k, c in acc.items():
+                k += k2
+                out[k] = get(k, 0) + c * c2
+        for mask, cap in capped:
+            out = {k: c for k, c in out.items() if (base + k) & mask <= cap}
+        return out
+
+    def rec(p, base, acc):
+        """Colour cover position p on. ``base`` packs the edges inside the
+        coloured cover, ``acc`` the vertices summed out so far."""
+        ends: dict[int, int] = {}
+        for c in rng:
+            key = base
+            for b in back[p]:
+                cell = cellof[colors[b]][c]
+                if dead[cell]:
+                    break
+                key += incs[cell]
+            else:
+                if any(key & mask > cap for mask, cap in capped):
+                    continue
+                colors[p] = c
+                # the closing vertices' own sums are small: multiply them
+                # together before touching the carried map
+                local = {0: 1}
+                for nbrs in closing[p]:
+                    local = convolve(local, side(nbrs), key)
+                    if not local:
+                        break
+                else:
+                    if p < last:
+                        rec(p + 1, key, convolve(acc, local, key))
+                    else:
+                        # the last cover vertex is summed out like the others
+                        for k, cnt in local.items():
+                            k += key - base
+                            ends[k] = ends.get(k, 0) + cnt
+        if ends:
+            for k, cnt in convolve(acc, ends, base).items():
+                k += base
+                counts[k] = counts.get(k, 0) + cnt
+
+    if back:
+        rec(0, 0, {0: 1})
+    else:
+        counts[0] = 1
+    if isolated:
+        factor = n**isolated
+        counts = {k: c * factor for k, c in counts.items()}
     return ProfileMap(tracked, width, counts)
-
-
-def _parallel_profiles(spec, n, threads):
-    try:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return None
-    v = spec[0]
-    depth = 1
-    while n**depth < 4 * threads and depth < v - 1:
-        depth += 1
-    prefixes = list(product(range(n), repeat=depth))
-    with ctx.Pool(threads) as pool:
-        parts = pool.map(
-            _dfs_worker, [(spec, pre) for pre in prefixes], chunksize=max(1, len(prefixes) // (4 * threads))
-        )
-    return _merge_counts(parts)
 
 
 def _template_engine_spec(t: SymbolicTemplate, zero_cap: int = 0):
@@ -331,11 +316,20 @@ def norm_powers(
     threads: int = 1,
     max_vertices: int = VERTEX_GUARD,
 ) -> dict[str, Fraction]:
-    """The e(H)-th powers of the two norm candidates: |t_H(U_A)| and
-    t_H(U_|A|). Roots are left to display-layer bracketing."""
+    """The hom count, the density t_H(U_A) and the e(H)-th powers of the two
+    norm candidates: |t_H(U_A)| and t_H(U_|A|). Roots are left to
+    display-layer bracketing. A kernel without negative entries is its own
+    |A|, so it is enumerated once."""
+    count = weighted_hom_count(g, a, threads, max_vertices)
+    d = count / Fraction(a.n) ** g.n
+    signed = any(x < 0 for x in a.tri)
     return {
-        "norm_pow": abs(density(g, a, threads, max_vertices)),
-        "weak_norm_pow": density(g, a.entrywise_abs(), threads, max_vertices),
+        "count": count,
+        "density": d,
+        "norm_pow": abs(d),
+        "weak_norm_pow": density(g, a.entrywise_abs(), threads, max_vertices)
+        if signed
+        else d,
     }
 
 
@@ -440,7 +434,3 @@ def eulerian_indicator_check(g: Graph, n: int, threads: int = 1) -> bool:
     d = density(g, block_pm_ones(n), threads)
     expected = Fraction(1) if structural_report(g).eulerian else Fraction(0)
     return d == expected
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1

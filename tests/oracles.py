@@ -29,6 +29,32 @@ def brute_hom_count(g: Graph, rows) -> Fraction:
     return total
 
 
+def brute_profile_map(g: Graph, n: int, tracked, caps=None) -> dict:
+    """{profile: number of maps} over all n^v(H) vertex maps, naively.
+
+    A profile lists, for each tracked cell in ascending cell order, how many
+    edges land on it. Cells are the unordered pairs {i, j} of [n], numbered
+    row by row through the upper triangle. A map with more edges on a cell
+    than ``caps`` allows for it is left out (a cap of 0 forbids the cell).
+    """
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    number = {}
+    for idx, (i, j) in enumerate(cells):
+        number[(i, j)] = number[(j, i)] = idx
+    caps = dict(caps or {})
+    tracked = sorted(tracked)
+    out = {}
+    for phi in product(range(n), repeat=g.n):
+        mult = [0] * len(cells)
+        for (u, v) in g.edges:
+            mult[number[(phi[u], phi[v])]] += 1
+        if any(mult[c] > cap for c, cap in caps.items()):
+            continue
+        profile = tuple(mult[c] for c in tracked)
+        out[profile] = out.get(profile, 0) + 1
+    return out
+
+
 def brute_template_coefficients(g: Graph, rows, max_degree: int = 2) -> dict:
     """Low-degree coefficients of the count polynomial into a symbolic template.
 

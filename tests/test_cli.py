@@ -129,6 +129,40 @@ def test_certify_and_verify_round_trip(capsys, tmp_path):
     assert code == 0 and data["valid"] is True
 
 
+@pytest.mark.parametrize("field, bad", [("direction", 5), ("direction", "12"), ("pairs", 5)])
+def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, field, bad):
+    code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")
+    assert code == 0
+    cert = json.loads(out)
+    cert[field] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 3 and data["kind"] == "usage"
+
+
+def test_density_enumerates_once_per_kernel(capsys, monkeypatch, c4_file, pm_file, tmp_path):
+    import graphnorms.homs as homs
+
+    calls = []
+    real = homs.profile_map
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "profile_map", counting)
+    nonneg = tmp_path / "nonneg.json"
+    nonneg.write_text('{"n": 2, "entries": [["1/2", "0"], ["0", "1"]]}')
+    code, data = run_json(capsys, "density", "-g", c4_file, "-m", str(nonneg))
+    assert code == 0 and data["norm_pow"] == data["weak_norm_pow"] == "17/256"
+    assert len(calls) == 1
+    calls.clear()
+    code, data = run_json(capsys, "density", "-g", c4_file, "-m", pm_file)
+    assert code == 0 and data["weak_norm_pow"] == "1"
+    assert len(calls) == 2
+
+
 def test_certify_refusal_exit_code(capsys):
     code, data = run_json(capsys, "certify", "bowtie-cycle", "--k", "4")
     assert code == 1
@@ -187,7 +221,7 @@ def test_plain_output(capsys, pm_file):
 
 
 def test_threads_do_not_change_output(capsys, tmp_path):
-    # k=6 is large enough that --threads 2 actually runs the worker pool
+    # --threads is still accepted, and the output must not depend on it
     code, out1 = run(capsys, "certify", "bowtie-cycle", "--k", "6", "--threads", "1")
     code, out2 = run(capsys, "certify", "bowtie-cycle", "--k", "6", "--threads", "2")
     assert out1 == out2

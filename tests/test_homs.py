@@ -13,6 +13,7 @@ from graphnorms import (
     UsageError,
     bowtie_blowup,
     counting_lemma_check,
+    kpm_graph,
     cycle_graph,
     density,
     eulerian_indicator_check,
@@ -23,9 +24,11 @@ from graphnorms import (
     symbolic_profile,
     weighted_hom_count,
 )
+from graphnorms.homs import profile_map
 from graphnorms.matrices import block_pm_ones
 from oracles import (
     brute_hom_count,
+    brute_profile_map,
     eulerian,
     random_graph,
     random_sym_matrix,
@@ -148,9 +151,48 @@ def test_all_ones_counts_everything(n_vertices, n):
     assert weighted_hom_count(g, ones) == Fraction(n) ** g.n
 
 
+def test_profile_map_matches_brute_force_on_random_cases():
+    rng = _random.Random(20191018)
+    for case in range(60):
+        n = rng.randint(1, 4)
+        nv = rng.randint(1, 8 if n <= 3 else 7)
+        edge_prob = rng.choice((0.0, 0.2, 0.5, 0.9))
+        edges = [
+            (u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < edge_prob
+        ]
+        g = Graph.from_edges(nv, edges)
+        ncells = n * (n + 1) // 2
+        tracked, caps = [], {}
+        for cell in range(ncells):
+            kind = rng.choice(("tracked", "capped", "zero", "one"))
+            if kind == "zero":
+                caps[cell] = 0  # a weight-0 cell, untracked
+            elif kind == "capped":
+                tracked.append(cell)
+                caps[cell] = rng.randint(0, 3)
+            elif kind == "tracked":
+                tracked.append(cell)
+            # "one": an untracked weight-1 cell, free to take any edges
+        got = dict(profile_map(g, n, tracked, caps).items())
+        assert got == brute_profile_map(g, n, tracked, caps), (case, g, n, tracked, caps)
+
+
+@pytest.mark.parametrize(
+    "g, caps",
+    [(bowtie_blowup(cycle_graph(k)), {}) for k in (3, 4, 5, 6)]
+    + [(kpm_graph(m), {0: 2, 1: 2}) for m in (3, 4, 5)],
+    ids=[f"bowtie{k}" for k in (3, 4, 5, 6)] + [f"kpm{m}" for m in (3, 4, 5)],
+)
+def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
+    # every cell tracked, as verification enumerates; the kpm witness has two
+    # zero cells, capped at the two copies a second derivative can remove
+    got = dict(profile_map(g, 3, range(6), caps).items())
+    assert got == brute_profile_map(g, 3, range(6), caps)
+
+
 def test_parallel_matches_serial():
-    # the 12-vertex instance is above the pool-engagement threshold, so the
-    # threads=2 runs genuinely take the multiprocessing path
+    # threads is still accepted by every public function; it must leave the
+    # result unchanged
     g = bowtie_blowup(cycle_graph(6))
     a = random_sym_matrix(42, 3)
     assert weighted_hom_count(g, a, threads=1) == weighted_hom_count(g, a, threads=2)
