@@ -26,9 +26,9 @@ from graphnorms import (
 )
 
 
-def run_pipeline(label, fn, out_dir, threads):
+def run_pipeline(label, fn, out_dir):
     t0 = time.perf_counter()
-    result = fn(threads=threads)
+    result = fn()
     elapsed = time.perf_counter() - t0
     if isinstance(result, Refusal):
         print(f"{label:24s} REFUSED  {elapsed:7.2f}s  {result.reason}")
@@ -36,7 +36,7 @@ def run_pipeline(label, fn, out_dir, threads):
     path = out_dir / f"{label.replace(' ', '_')}.json"
     path.write_text(json.dumps(result.to_json(), indent=2) + "\n")
     reloaded = Certificate.from_json(json.loads(path.read_text()))
-    ok = verify_certificate(reloaded, threads=threads)
+    ok = verify_certificate(reloaded)
     print(
         f"{label:24s} {result.kind:20s} {elapsed:7.2f}s  "
         f"verified={ok}  -> {path.name}"
@@ -46,7 +46,6 @@ def run_pipeline(label, fn, out_dir, threads):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="certificates")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--k-max", type=int, default=7, help="largest cycle blow-up")
     parser.add_argument("--m-max", type=int, default=7, help="largest matching complement")
     args = parser.parse_args()
@@ -56,21 +55,11 @@ def main():
 
     print("== cycle blow-up pipelines ==")
     for k in range(3, args.k_max + 1):
-        run_pipeline(
-            f"bowtie k={k}",
-            lambda threads, k=k: certify_bowtie_cycle(k, threads=threads),
-            out_dir,
-            args.threads,
-        )
+        run_pipeline(f"bowtie k={k}", lambda k=k: certify_bowtie_cycle(k), out_dir)
 
     print("\n== complete bipartite minus matching ==")
     for m in range(3, args.m_max + 1):
-        run_pipeline(
-            f"kpm m={m}",
-            lambda threads, m=m: certify_kpm(m, threads=threads),
-            out_dir,
-            args.threads,
-        )
+        run_pipeline(f"kpm m={m}", lambda m=m: certify_kpm(m), out_dir)
 
     print("\n== structural checks on blow-ups ==")
     for k in range(3, args.k_max + 1):

@@ -13,8 +13,13 @@ from fractions import Fraction
 from . import __version__
 from .errors import SizeGuardError, UsageError
 from .graphs import Graph, bowtie_blowup, cycle_graph, kpm_graph, structural_report
-from .hessians import hessian_matrix, psd_certify, quadratic_form
-from .homs import SymbolicTemplate, density, symbolic_profile
+from .hessians import (
+    hessian_matrix,
+    psd_certify,
+    quadratic_form,
+    two_var_hessian_at_origin,
+)
+from .homs import VERTEX_GUARD, SymbolicTemplate, density, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
@@ -74,7 +79,13 @@ class Certificate:
             try:
                 value = parse_rational(raw)
             except UsageError:
+                # only a screening certificate carries its reason here
+                if kind != "screening_failure" or not isinstance(raw, str):
+                    raise UsageError(f"malformed certificate value: {raw!r}") from None
                 reason = raw
+        n = data.get("n")
+        if n is not None and type(n) is not int:
+            raise UsageError(f"malformed certificate n: {n!r}")
         try:
             pairs = (
                 tuple((int(i), int(j)) for (i, j) in data["pairs"])
@@ -89,7 +100,7 @@ class Certificate:
         return cls(
             kind=kind,
             graph=graph,
-            n=data.get("n"),
+            n=n,
             witness=SymRationalMatrix.from_json(data["witness"])
             if data.get("witness")
             else None,
@@ -181,20 +192,11 @@ def _pair_symbols(template: SymbolicTemplate, pairs):
     return syms
 
 
-def _pair_hessian_from_profile(profile: SparsePoly, sx: str, sy: str, point: dict):
-    """Exact 2x2 second-derivative matrix of the profile polynomial."""
-    hxx = profile.derivative(sx, 2).evaluate(point)
-    hxy = profile.derivative(sx).derivative(sy).evaluate(point)
-    hyy = profile.derivative(sy, 2).evaluate(point)
-    return SymRationalMatrix.from_rows([[hxx, hxy], [hxy, hyy]])
-
-
 def positivize_witness(
     g: Graph,
     template: SymbolicTemplate,
     pairs,
     max_steps: int = 24,
-    threads: int = 1,
     profile: SparsePoly | None = None,
 ) -> PositivizeResult | None:
     """Push a boundary witness into the strictly positive orthant.
@@ -209,7 +211,7 @@ def positivize_witness(
     pairs = tuple((min(i, j), max(i, j)) for (i, j) in pairs)
     if not template.symbols and all(c > 0 for c in template.cells):
         mat = template.substitute({})
-        sub = hessian_matrix(g, mat, pairs, threads=threads)
+        sub = hessian_matrix(g, mat, pairs)
         res = psd_certify(sub.matrix)
         if res.is_psd:
             return None
@@ -219,13 +221,13 @@ def positivize_witness(
     sx, sy = _pair_symbols(sym_template, pairs)
     symbols = sym_template.symbols
     if profile is None:
-        profile = symbolic_profile(g, sym_template, threads=threads)
+        profile = symbolic_profile(g, sym_template)
 
     for j in range(1, max_steps + 1):
         eta = Fraction(1, 2**j)
         point = {s: eta for s in symbols}
-        m = _pair_hessian_from_profile(profile, sx, sy, point)
-        res = psd_certify(m)
+        m = profile.hessian((sx, sy), point)
+        res = psd_certify(SymRationalMatrix.from_rows(m))
         if not res.is_psd:
             return PositivizeResult(
                 witness=sym_template.substitute(point),
@@ -250,7 +252,7 @@ def _bowtie_template() -> SymbolicTemplate:
 def certify_bowtie_cycle(
     k: int,
     threads: int = 1,
-    max_vertices: int = 16,
+    max_vertices: int = VERTEX_GUARD,
     max_steps: int = 24,
 ) -> Certificate | Refusal:
     """Refute weak norming for the cycle blow-up C_k^bowtie.
@@ -262,16 +264,15 @@ def certify_bowtie_cycle(
     witness. Refuses (with the computed coefficients) when the conditions
     fail, as they do for k in {3, 4}: there q = 0 holds but l = 0, which
     leaves the boundary Hessian diag(0, 2 r), a PSD matrix, as it must be
-    for the weakly norming K_{3,3} and 3-cube.
+    for the weakly norming K_{3,3} and 3-cube. ``threads`` is accepted and
+    ignored.
     """
     if k < 3:
         raise UsageError("cycle blow-up needs k >= 3")
     g = bowtie_blowup(cycle_graph(k))
-    if g.n > max_vertices:
-        raise SizeGuardError(f"blow-up guard: {g.n} vertices > {max_vertices}")
     template = _bowtie_template()
     sym_template = _symbolized(template)
-    profile = symbolic_profile(g, sym_template, threads=threads)
+    profile = symbolic_profile(g, sym_template, max_vertices)
 
     x2 = profile.coefficient_of(x=2)
     xy = profile.coefficient_of(x=1, y=1)
@@ -292,7 +293,7 @@ def certify_bowtie_cycle(
         )
 
     pos = positivize_witness(
-        g, template, BOWTIE_PAIRS, max_steps=max_steps, threads=threads, profile=profile
+        g, template, BOWTIE_PAIRS, max_steps=max_steps, profile=profile
     )
     if pos is None:
         return Refusal(
@@ -329,7 +330,7 @@ def _kpm_template() -> SymbolicTemplate:
 def certify_kpm(
     m: int,
     threads: int = 1,
-    max_vertices: int = 16,
+    max_vertices: int = VERTEX_GUARD,
     max_eps_steps: int = 64,
 ) -> Certificate | Refusal:
     """Refute norming for K_{m,m} minus a perfect matching.
@@ -339,7 +340,7 @@ def certify_kpm(
     eps-degree >= 6s-4, the xy-monomials >= 4s-3 with a nonzero coefficient
     at exactly 4s-3, and the y^2-coefficients must vanish through eps-degree
     2s-2. The 2x2 boundary Hessian determinant is then negative for a small
-    explicit eps* in {1/2, 1/4, ...}.
+    explicit eps* in {1/2, 1/4, ...}. ``threads`` is accepted and ignored.
     """
     if m < 2:
         raise UsageError("kpm needs m >= 2")
@@ -348,12 +349,10 @@ def certify_kpm(
     if screen is not None:
         return screen
 
-    if g.n > max_vertices:
-        raise SizeGuardError(f"kpm guard: {g.n} vertices > {max_vertices}")
     s = (m - 1) // 2
     thresholds = {"x2": 6 * s - 4, "xy": 4 * s - 3, "y2_vanish_upto": 2 * s - 2}
     template = _kpm_template()
-    profile = symbolic_profile(g, template, threads=threads)
+    profile = symbolic_profile(g, template, max_vertices)
 
     min_x2 = profile.restrict_min_degree({"x": 2, "y": 0}, "eps")
     min_xy = profile.restrict_min_degree({"x": 1, "y": 1}, "eps")
@@ -380,18 +379,14 @@ def certify_kpm(
             evidence=evidence,
         )
 
-    q_poly = profile.section({"x": 2, "y": 0})
-    l_poly = profile.section({"x": 1, "y": 1})
-    r_poly = profile.section({"x": 0, "y": 2})
+    # the boundary Hessian [[2q, l], [l, 2r]], its entries polynomials in eps
+    boundary = two_var_hessian_at_origin(profile)
     chosen = None
     for j in range(1, max_eps_steps + 1):
         eps = Fraction(1, 2**j)
-        point = {"eps": eps}
-        qq = q_poly.evaluate(point)
-        ll = l_poly.evaluate(point)
-        rr = r_poly.evaluate(point)
-        if 4 * qq * rr - ll * ll < 0:
-            chosen = (eps, qq, ll, rr)
+        rows = [[c.evaluate({"eps": eps}) for c in row] for row in boundary]
+        if rows[0][0] * rows[1][1] - rows[0][1] ** 2 < 0:
+            chosen = (eps, rows)
             break
     if chosen is None:
         return Refusal(
@@ -400,9 +395,8 @@ def certify_kpm(
             evidence=evidence,
         )
 
-    eps, qq, ll, rr = chosen
-    m2 = SymRationalMatrix.from_rows([[2 * qq, ll], [ll, 2 * rr]])
-    res = psd_certify(m2)
+    eps, rows = chosen
+    res = psd_certify(SymRationalMatrix.from_rows(rows))
     if res.is_psd:
         raise RuntimeError("negative determinant but the boundary Hessian is PSD")
     evidence["epsilon"] = format_rational(eps)
@@ -437,7 +431,8 @@ def random_witness_search(
     positive orthant extends to its closure, so a negative direction at a
     nonnegative matrix already refutes, and the refuting region typically
     hugs the boundary where some entries vanish. norming mode samples
-    signed matrices. Deterministic for a fixed seed.
+    signed matrices. Deterministic for a fixed seed. ``threads`` is
+    accepted and ignored.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
@@ -451,7 +446,7 @@ def random_witness_search(
     for trial in range(trials):
         trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
         a = sample_matrix(n, matrix_class, denominator_bound, trial_seed)
-        hess = hessian_matrix(g, a, threads=threads)
+        hess = hessian_matrix(g, a)
         res = psd_certify(hess.matrix)
         if not res.is_psd:
             return Certificate(
@@ -478,7 +473,6 @@ def convexity_violation(
     direction: SymRationalMatrix,
     step: Fraction,
     mode: str = "weakly_norming",
-    threads: int = 1,
 ):
     """Exhibit a midpoint convexity failure of the density along a direction.
 
@@ -497,9 +491,9 @@ def convexity_violation(
     for mat in (a_plus, a_minus):
         if not mat.entries_in(lo, hi):
             raise UsageError("perturbed matrix leaves the admissible range")
-    mid = density(g, a, threads)
-    d_plus = density(g, a_plus, threads)
-    d_minus = density(g, a_minus, threads)
+    mid = density(g, a)
+    d_plus = density(g, a_plus)
+    d_minus = density(g, a_minus)
     if 2 * mid > d_plus + d_minus:
         return a_plus, a_minus, {"mid": mid, "plus": d_plus, "minus": d_minus}
     return None
@@ -515,7 +509,8 @@ def direction_to_matrix(n: int, pairs, direction) -> SymRationalMatrix:
 
 def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
     """Independent re-check: rebuild everything named by the certificate and
-    reproduce its negative quadratic form (or structural reason) exactly."""
+    reproduce its negative quadratic form (or structural reason) exactly.
+    ``threads`` is accepted and ignored."""
     if cert.kind == "screening_failure":
         report = structural_report(cert.graph)
         if cert.reason == "non-bipartite":
@@ -536,5 +531,5 @@ def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
         return False
     if cert.kind == "not_weakly_norming" and not cert.witness.entries_in(0, 1):
         return False
-    hess = hessian_matrix(cert.graph, cert.witness, cert.pairs, threads=threads)
+    hess = hessian_matrix(cert.graph, cert.witness, cert.pairs)
     return quadratic_form(hess.matrix, cert.direction) == cert.value

@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .hessians import allones_hessian, annihilates_ones, hessian_matrix, psd_certify
 from .homs import (
+    VERTEX_GUARD,
     counting_lemma_check,
     density,
     eulerian_indicator_check,
@@ -126,7 +127,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    common.add_argument("--max-vertices", type=int, default=16)
+    common.add_argument("--max-vertices", type=int, default=VERTEX_GUARD)
     common.add_argument("--plain", action="store_true")
 
     parser = _Parser(prog="graphnorms", description=__doc__)
@@ -221,7 +222,7 @@ def _cmd_construct(ns, state) -> tuple[int, dict]:
 def _cmd_density(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
-    powers = norm_powers(g, a, ns.threads, ns.max_vertices)
+    powers = norm_powers(g, a, ns.max_vertices)
     e = g.edge_count
     payload = {
         "count": format_rational(powers["count"]),
@@ -241,7 +242,7 @@ def _cmd_hessian(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
     pairs = _parse_pairs(ns.pairs) if ns.pairs else None
-    h = hessian_matrix(g, a, pairs, ns.threads, ns.max_vertices)
+    h = hessian_matrix(g, a, pairs, ns.max_vertices)
     return 0, {
         "pairs": [list(p) for p in h.pairs],
         "matrix": h.matrix.to_json(),
@@ -262,14 +263,13 @@ def _cmd_psd(ns, state) -> tuple[int, dict]:
 def _cmd_check(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     if ns.what == "sidorenko":
-        holds = sidorenko_check(g, _load_matrix(ns.matrix, state), ns.threads, ns.max_vertices)
+        holds = sidorenko_check(g, _load_matrix(ns.matrix, state), ns.max_vertices)
         return (0 if holds else 1), {"check": "sidorenko", "holds": holds}
     if ns.what == "hatami":
         holds = hatami_box_check(
             g,
             _load_matrix(ns.matrix, state),
             _load_matrix(ns.second_matrix, state),
-            ns.threads,
             ns.max_vertices,
         )
         return (0 if holds else 1), {"check": "hatami", "holds": holds}
@@ -278,12 +278,11 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
             g,
             _load_matrix(ns.matrix, state),
             _load_matrix(ns.second_matrix, state),
-            ns.threads,
             ns.max_vertices,
         )
         return (0 if holds else 1), {"check": "counting", "holds": holds}
     if ns.what == "euler-indicator":
-        holds = eulerian_indicator_check(g, ns.n, ns.threads)
+        holds = eulerian_indicator_check(g, ns.n)
         return (0 if holds else 1), {
             "check": "euler-indicator",
             "holds": holds,
@@ -307,13 +306,13 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
 
 def _cmd_certify(ns, state) -> tuple[int, dict]:
     if ns.pipeline == "bowtie-cycle":
-        result = certify_bowtie_cycle(ns.k, ns.threads, ns.max_vertices)
+        result = certify_bowtie_cycle(ns.k, max_vertices=ns.max_vertices)
     elif ns.pipeline == "kpm":
-        result = certify_kpm(ns.m, ns.threads, ns.max_vertices)
+        result = certify_kpm(ns.m, max_vertices=ns.max_vertices)
     else:
         g = _load_graph(ns.graph, state)
         mode = "weakly_norming" if ns.mode == "weak" else "norming"
-        found = random_witness_search(g, ns.n, ns.trials, mode, ns.seed, threads=ns.threads)
+        found = random_witness_search(g, ns.n, ns.trials, mode, ns.seed)
         if found is None:
             return 1, {
                 "found": False,
@@ -333,15 +332,20 @@ def _cmd_verify(ns, state) -> tuple[int, dict]:
         cert = Certificate.from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad certificate JSON: {exc}") from exc
-    ok = verify_certificate(cert, ns.threads)
+    ok = verify_certificate(cert)
     return (0 if ok else 1), {"valid": ok, "kind": cert.kind}
 
 
+_parser = None  # built on the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     state: dict = {}
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
         if ns.command == "construct":
             code, payload = _cmd_construct(ns, state)
         elif ns.command == "density":

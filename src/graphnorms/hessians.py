@@ -2,9 +2,11 @@
 
 The count polynomial lives on the n(n+1)/2 upper-triangle entries of a
 symmetric matrix; Hessian coordinates follow the same row-major pair order
-(0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. PSD is decided by
-pivoted symmetric elimination over the rationals, never by eigenvalues, so
-a failure always comes with a rational direction whose quadratic form is
+(0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. A Hessian is
+read by ``SparsePoly.hessian`` from the count polynomial that ``homs``
+builds with the selected cells left symbolic. PSD is decided by pivoted
+symmetric elimination over the rationals, never by eigenvalues, so a
+failure always comes with a rational direction whose quadratic form is
 negative and re-checkable by direct multiplication.
 """
 
@@ -14,11 +16,10 @@ from math import gcd, lcm
 
 from .errors import SizeGuardError, UsageError
 from .graphs import Graph, structural_report
-from .homs import VERTEX_GUARD, profile_map
+from .homs import TEMPLATE_GUARD, VERTEX_GUARD, SymbolicTemplate, _count_polynomial
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 from .polys import SparsePoly
 
-HESSIAN_TEMPLATE_GUARD = 4
 KERNEL_CHECK_VERTEX_GUARD = 10
 KERNEL_CHECK_BLOCK_GUARD = 2
 
@@ -40,22 +41,23 @@ def hessian_matrix(
     g: Graph,
     a: SymRationalMatrix,
     pairs=None,
-    threads: int = 1,
     max_vertices: int = VERTEX_GUARD,
 ) -> HessianMatrix:
-    """Assemble the exact Hessian directly from edge-multiplicity profiles.
+    """The exact Hessian of the count polynomial at ``a`` over the selected
+    pairs (all pairs by default).
 
-    An assignment with profile m contributes m_p m_q A^{m-e_p-e_q} to the
-    off-diagonal pair (p, q) and m_p (m_p - 1) A^{m-2e_p} to the diagonal,
-    with 0^0 = 1 and any positive remaining exponent on a zero entry killing
-    the term. The count polynomial itself is never materialized.
+    Only the selected cells are opened as symbols, so the count polynomial
+    is materialized in those variables alone: unselected cells enter as
+    constants (weight-1 cells untracked, weight-0 cells killing the map).
+    A selected zero cell is capped at multiplicity 2, since a term with more
+    copies still vanishes after two differentiations. The Hessian is then
+    read off in one pass by ``SparsePoly.hessian``.
     """
-    if a.n > HESSIAN_TEMPLATE_GUARD:
-        raise SizeGuardError(f"hessian guard: n={a.n} > {HESSIAN_TEMPLATE_GUARD}")
+    if a.n > TEMPLATE_GUARD:
+        raise SizeGuardError(f"hessian guard: n={a.n} > {TEMPLATE_GUARD}")
     n = a.n
-    all_pairs = pair_list(n)
     if pairs is None:
-        selected = list(all_pairs)
+        selected = pair_list(n)
     else:
         selected = [(min(i, j), max(i, j)) for (i, j) in pairs]
         if len(set(selected)) != len(selected):
@@ -64,57 +66,14 @@ def hessian_matrix(
             if not (0 <= i <= j < n):
                 raise UsageError(f"pair ({i},{j}) out of range")
 
-    ncells = len(all_pairs)
-    # every cell multiplicity feeds the power products, so track them all;
-    # zero cells beyond multiplicity 2 cannot survive two differentiations
-    caps = {idx: 2 for idx in range(ncells) if a.tri[idx] == 0}
-    pm = profile_map(g, n, range(ncells), caps, threads, max_vertices)
-
-    sel_idx = [pair_index(i, j, n) for (i, j) in selected]
-    k = len(selected)
-    entries = [[Fraction(0)] * k for _ in range(k)]
-    powers: dict[tuple[int, int], Fraction] = {}
-
-    def cell_power(idx, e):
-        if e == 0:
-            return Fraction(1)
-        key = (idx, e)
-        got = powers.get(key)
-        if got is None:
-            base = a.tri[idx]
-            got = base**e if base else Fraction(0)
-            powers[key] = got
-        return got
-
-    for profile, cnt in pm.items():
-        for r in range(k):
-            p = sel_idx[r]
-            mp = profile[p]
-            if mp == 0:
-                continue
-            for s in range(r, k):
-                q = sel_idx[s]
-                mq = profile[q]
-                if mq == 0:
-                    continue
-                if p == q:
-                    factor = mp * (mp - 1)
-                else:
-                    factor = mp * mq
-                if factor == 0:
-                    continue
-                w = Fraction(cnt * factor)
-                for idx, m in enumerate(profile):
-                    drop = (idx == p) + (idx == q)
-                    if m - drop:
-                        w = w * cell_power(idx, m - drop)
-                        if w == 0:
-                            break
-                if w:
-                    entries[r][s] += w
-                    if r != s:
-                        entries[s][r] += w
-
+    opened = [pair_index(i, j, n) for (i, j) in selected]
+    names = [f"c{idx:02d}" for idx in opened]
+    cells = list(a.tri)
+    for idx, name in zip(opened, names):
+        cells[idx] = name
+    caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
+    poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps, max_vertices)
+    entries = poly.hessian(names, {name: a.tri[idx] for idx, name in zip(opened, names)})
     return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
 
 
@@ -261,7 +220,7 @@ def annihilates_ones(m: SymRationalMatrix) -> bool:
     return all(sum(row) == 0 for row in m.rows())
 
 
-def allones_kernel_check(g: Graph, half: int, threads: int = 1) -> bool:
+def allones_kernel_check(g: Graph, half: int) -> bool:
     """At the +/- block matrix, the Hessian must annihilate the all-ones
     vector exactly (every row sums to zero). Requires an eulerian graph
     with an even number of edges."""

@@ -3,9 +3,13 @@
 The single enumeration primitive is a *profile map*: for every map
 phi: V(H) -> [n] it records how many edges of H land on each unordered
 cell {i, j} of the target matrix, and counts assignments per profile.
-Everything else (exact densities, symbolic polynomials in template cells,
-Hessian assembly) is a cheap exact post-processing of that integer map,
-so the hot loop never touches rational arithmetic.
+One builder, ``_count_polynomial``, turns that integer map into the count
+polynomial of H over a template (a ``SparsePoly`` in the template's
+symbols), and everything else reads it: a density is its constant term
+over a matrix without symbols, a symbolic profile is the polynomial
+itself, and a Hessian opens the selected cells as symbols and evaluates
+second derivatives at the matrix (``SparsePoly.hessian``). The hot loop
+never touches rational arithmetic.
 
 A profile is packed into one integer key, one bit field per tracked cell,
 so joining two partial maps is adding their keys; fields are wide enough
@@ -139,14 +143,12 @@ def profile_map(
     n: int,
     tracked_cells,
     caps: dict[int, int] | None = None,
-    threads: int = 1,
     max_vertices: int = VERTEX_GUARD,
 ) -> ProfileMap:
     """Count assignments per profile over the tracked cells.
 
     ``caps`` limits cell multiplicity (maps beyond a cap are dropped);
-    capped cells must be tracked unless their cap is 0. ``threads`` is
-    accepted for compatibility and ignored: one core runs the engine.
+    capped cells must be tracked unless their cap is 0.
     """
     if g.n > max_vertices:
         raise SizeGuardError(f"enumeration guard: {g.n} vertices > {max_vertices}")
@@ -249,39 +251,54 @@ def profile_map(
     return ProfileMap(tracked, width, counts)
 
 
-def _template_engine_spec(t: SymbolicTemplate, zero_cap: int = 0):
-    """Split template cells into tracked / capped sets for the engine.
+def _count_polynomial(
+    g: Graph,
+    t: SymbolicTemplate,
+    symbol_caps: dict[str, int] | None = None,
+    max_vertices: int = VERTEX_GUARD,
+) -> SparsePoly:
+    """The count polynomial of H over the template: the sum over all maps
+    V(H) -> [n] of the product of the cells its edges land on, with symbol
+    cells kept as variables.
 
-    Weight-1 cells need no tracking (they contribute factor 1); weight-0
-    cells are capped at ``zero_cap`` copies.
+    The one place a profile map becomes power products. Weight-1 cells are
+    not tracked (they contribute factor 1), weight-0 cells kill a map, and
+    a symbol in ``symbol_caps`` drops every map with more than its cap of
+    edges on one of its cells.
     """
+    caps = symbol_caps or {}
     tracked = []
-    caps = {}
+    cell_caps = {}
     for idx, c in enumerate(t.cells):
         if isinstance(c, str):
             tracked.append(idx)
+            if c in caps:
+                cell_caps[idx] = caps[c]
         elif c == 0:
-            if zero_cap > 0:
-                tracked.append(idx)
-            caps[idx] = zero_cap
+            cell_caps[idx] = 0
         elif c != 1:
             tracked.append(idx)
-    return tracked, caps
-
-
-def _power(base: Fraction, exp: int) -> Fraction:
-    if exp == 0:
-        return Fraction(1)
-    if base == 0:
-        return Fraction(0)
-    return base**exp
+    pm = profile_map(g, t.n, tracked, cell_caps, max_vertices=max_vertices)
+    symbols = t.symbols
+    axis = {s: k for k, s in enumerate(symbols)}
+    # per tracked cell: its symbol axis, or None and its constant weight
+    slots = [(axis.get(c), c) for c in (t.cells[idx] for idx in pm.tracked)]
+    items = []
+    for profile, cnt in pm.items():
+        coeff = cnt
+        exp = [0] * len(symbols)
+        for (ax, c), m in zip(slots, profile):
+            if m:
+                if ax is None:
+                    coeff *= c**m
+                else:
+                    exp[ax] += m
+        items.append((exp, coeff))
+    return SparsePoly.build(symbols, items)
 
 
 def weighted_hom_count(
-    g: Graph,
-    a: SymRationalMatrix,
-    threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
+    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
 ) -> Fraction:
     """Sum over all maps V(H) -> [n] of the product of edge weights.
 
@@ -289,55 +306,33 @@ def weighted_hom_count(
     normalization; dividing by n^{v(H)} gives the density.
     """
     t = SymbolicTemplate.from_matrix(a)
-    tracked, caps = _template_engine_spec(t)
-    pm = profile_map(g, a.n, tracked, caps, threads, max_vertices)
-    total = Fraction(0)
-    for profile, cnt in pm.items():
-        w = Fraction(cnt)
-        for cell_idx, m in zip(pm.tracked, profile):
-            if m:
-                w *= _power(t.cells[cell_idx], m)
-        total += w
-    return total
+    return _count_polynomial(g, t, max_vertices=max_vertices).coefficient(())
 
 
-def density(
-    g: Graph,
-    a: SymRationalMatrix,
-    threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
-) -> Fraction:
-    return weighted_hom_count(g, a, threads, max_vertices) / Fraction(a.n) ** g.n
+def density(g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD) -> Fraction:
+    return weighted_hom_count(g, a, max_vertices) / Fraction(a.n) ** g.n
 
 
 def norm_powers(
-    g: Graph,
-    a: SymRationalMatrix,
-    threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
+    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
 ) -> dict[str, Fraction]:
     """The hom count, the density t_H(U_A) and the e(H)-th powers of the two
     norm candidates: |t_H(U_A)| and t_H(U_|A|). Roots are left to
     display-layer bracketing. A kernel without negative entries is its own
     |A|, so it is enumerated once."""
-    count = weighted_hom_count(g, a, threads, max_vertices)
+    count = weighted_hom_count(g, a, max_vertices)
     d = count / Fraction(a.n) ** g.n
     signed = any(x < 0 for x in a.tri)
     return {
         "count": count,
         "density": d,
         "norm_pow": abs(d),
-        "weak_norm_pow": density(g, a.entrywise_abs(), threads, max_vertices)
-        if signed
-        else d,
+        "weak_norm_pow": density(g, a.entrywise_abs(), max_vertices) if signed else d,
     }
 
 
 def symbolic_profile(
-    g: Graph,
-    t: SymbolicTemplate,
-    threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
+    g: Graph, t: SymbolicTemplate, max_vertices: int = VERTEX_GUARD
 ) -> SparsePoly:
     """Exact polynomial in the template symbols accumulated over all maps.
 
@@ -346,32 +341,11 @@ def symbolic_profile(
     """
     if t.n > TEMPLATE_GUARD:
         raise SizeGuardError(f"template guard: n={t.n} > {TEMPLATE_GUARD}")
-    tracked, caps = _template_engine_spec(t)
-    pm = profile_map(g, t.n, tracked, caps, threads, max_vertices)
-    symbols = t.symbols
-    axis = {s: k for k, s in enumerate(symbols)}
-    items = []
-    for profile, cnt in pm.items():
-        coeff = Fraction(cnt)
-        exp = [0] * len(symbols)
-        for cell_idx, m in zip(pm.tracked, profile):
-            if not m:
-                continue
-            c = t.cells[cell_idx]
-            if isinstance(c, str):
-                exp[axis[c]] += m
-            else:
-                coeff *= _power(c, m)
-        if coeff != 0:
-            items.append((tuple(exp), coeff))
-    return SparsePoly.build(symbols, items)
+    return _count_polynomial(g, t, max_vertices=max_vertices)
 
 
 def sidorenko_check(
-    g: Graph,
-    a: SymRationalMatrix,
-    threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
+    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
 ) -> bool:
     """Exact check of t_H(U_A) >= t_{K2}(U_A)^{e(H)} for bipartite H."""
     if not structural_report(g).bipartite:
@@ -381,24 +355,21 @@ def sidorenko_check(
     edge_density = sum(
         a.at(i, j) for i in range(a.n) for j in range(a.n)
     ) / Fraction(a.n) ** 2
-    return density(g, a, threads, max_vertices) >= edge_density**g.edge_count
+    return density(g, a, max_vertices) >= edge_density**g.edge_count
 
 
 def hatami_box_check(
     g: Graph,
     u: SymRationalMatrix,
     w: SymRationalMatrix,
-    threads: int = 1,
     max_vertices: int = VERTEX_GUARD,
 ) -> bool:
     """Exact check of t_H(U+W) + t_H(U-W) <= 2^{e(H)-1} (t_H(U) + t_H(W))."""
     if u.n != w.n:
         raise UsageError("dimension mismatch")
-    lhs = density(g, u.add(w), threads, max_vertices) + density(
-        g, u.sub(w), threads, max_vertices
-    )
+    lhs = density(g, u.add(w), max_vertices) + density(g, u.sub(w), max_vertices)
     rhs = 2 ** (g.edge_count - 1) * (
-        density(g, u, threads, max_vertices) + density(g, w, threads, max_vertices)
+        density(g, u, max_vertices) + density(g, w, max_vertices)
     )
     return lhs <= rhs
 
@@ -407,7 +378,6 @@ def counting_lemma_check(
     g: Graph,
     a: SymRationalMatrix,
     b: SymRationalMatrix,
-    threads: int = 1,
     max_vertices: int = VERTEX_GUARD,
 ) -> bool:
     """Exact check of |t_H(U_A) - t_H(U_B)| <= 4 e(H) ||A - B||_cut."""
@@ -415,22 +385,20 @@ def counting_lemma_check(
         raise UsageError("dimension mismatch")
     if not (a.entries_in(-1, 1) and b.entries_in(-1, 1)):
         raise UsageError("counting lemma check needs entries in [-1, 1]")
-    gap = abs(
-        density(g, a, threads, max_vertices) - density(g, b, threads, max_vertices)
-    )
+    gap = abs(density(g, a, max_vertices) - density(g, b, max_vertices))
     return gap <= 4 * g.edge_count * cut_norm(a.sub(b))
 
 
 EULERIAN_INDICATOR_GUARD = 12
 
 
-def eulerian_indicator_check(g: Graph, n: int, threads: int = 1) -> bool:
+def eulerian_indicator_check(g: Graph, n: int) -> bool:
     """Check that the +/- block kernel sees exactly the eulerian indicator:
     density 1 when every degree of H is even, density 0 otherwise."""
     if g.n > EULERIAN_INDICATOR_GUARD:
         raise SizeGuardError(
             f"eulerian indicator guard: {g.n} vertices > {EULERIAN_INDICATOR_GUARD}"
         )
-    d = density(g, block_pm_ones(n), threads)
+    d = density(g, block_pm_ones(n))
     expected = Fraction(1) if structural_report(g).eulerian else Fraction(0)
     return d == expected

@@ -148,6 +148,56 @@ class SparsePoly:
             acc[new] = acc.get(new, Fraction(0)) + c * factor
         return SparsePoly(self.symbols, {e: c for e, c in acc.items() if c != 0})
 
+    def hessian(self, symbols, point: dict[str, object]) -> list[list[Fraction]]:
+        """Second partial derivatives in ``symbols`` at ``point``, in one pass.
+
+        A term c x^m adds c m_p (m_q - [p = q]) x^(m - e_p - e_q) to entry
+        (p, q), with 0^0 = 1; rows and columns follow ``symbols``.
+        """
+        axes = [self._axis(s) for s in symbols]
+        if len(set(axes)) != len(axes):
+            raise UsageError("duplicate symbol in Hessian selection")
+        missing = set(self.symbols) - set(point)
+        if missing:
+            raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
+        values = [Fraction(point[s]) for s in self.symbols]
+        powers: dict[tuple[int, int], Fraction] = {}
+
+        def power(ax, e):
+            got = powers.get((ax, e))
+            if got is None:
+                got = powers[(ax, e)] = values[ax] ** e
+            return got
+
+        k = len(axes)
+        out = [[Fraction(0)] * k for _ in range(k)]
+        for exp, c in self.terms.items():
+            # an integral coefficient stays an int until the first multiply
+            num = c.numerator if c.denominator == 1 else None
+            for r in range(k):
+                p = axes[r]
+                mp = exp[p]
+                if not mp:
+                    continue
+                for s in range(r, k):
+                    q = axes[s]
+                    factor = mp * (mp - 1) if p == q else mp * exp[q]
+                    if not factor:
+                        continue
+                    w = Fraction(num * factor) if num is not None else c * factor
+                    for ax, m in enumerate(exp):
+                        m -= (ax == p) + (ax == q)
+                        if m:
+                            w = w * power(ax, m)
+                            if not w:
+                                break
+                    if w:
+                        out[r][s] += w
+        for r in range(k):
+            for s in range(r):
+                out[r][s] = out[s][r]
+        return out
+
     def coefficient(self, exponents) -> Fraction:
         exp = tuple(exponents)
         if len(exp) != len(self.symbols):

@@ -1,11 +1,11 @@
 """Independent oracles for the test suite.
 
 The brute-force helpers enumerate assignments or subsets directly with
-itertools and exact Fractions, independent of the library's engine. The
-Hessian cross-checks deliberately route through a different library path
-(polynomial materialization and formal differentiation, or finite
-differences of plain counts) than the streaming Hessian assembly they
-validate.
+itertools and exact Fractions, independent of the library's engine;
+``brute_hessian`` is the independent Hessian oracle. The other two Hessian
+cross-checks route through the library (a symbolic profile in every cell
+differentiated formally, or finite differences of plain counts), so they
+share its count-polynomial builder with ``hessian_matrix``.
 """
 
 import random
@@ -85,6 +85,39 @@ def brute_template_coefficients(g: Graph, rows, max_degree: int = 2) -> dict:
             mono = tuple(sorted(symbols))
             coeffs[mono] = coeffs.get(mono, Fraction(0)) + w
     return coeffs
+
+
+def brute_hessian(g: Graph, rows, pairs) -> list[list[Fraction]]:
+    """Second derivatives of the count polynomial at ``rows`` over ``pairs``.
+
+    Every vertex map is enumerated directly and its edge multiplicities m
+    per unordered cell counted; the map adds m_p (m_q - [p = q]) times the
+    product of rows[cell]^(m - e_p - e_q) to entry (p, q), with 0^0 = 1.
+    """
+    n = len(rows)
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    number = {}
+    for idx, (i, j) in enumerate(cells):
+        number[(i, j)] = number[(j, i)] = idx
+    sel = [number[(i, j)] for (i, j) in pairs]
+    weights = [Fraction(rows[i][j]) for (i, j) in cells]
+    out = [[Fraction(0)] * len(sel) for _ in sel]
+    for phi in product(range(n), repeat=g.n):
+        mult = [0] * len(cells)
+        for (u, v) in g.edges:
+            mult[number[(phi[u], phi[v])]] += 1
+        for r, p in enumerate(sel):
+            for s, q in enumerate(sel):
+                factor = mult[p] * (mult[q] - (p == q))
+                if factor == 0:
+                    continue
+                w = Fraction(factor)
+                for c in range(len(cells)):
+                    left = mult[c] - (c == p) - (c == q)
+                    if left:
+                        w *= weights[c] ** left
+                out[r][s] += w
+    return out
 
 
 def brute_cut_norm(rows) -> Fraction:

@@ -129,7 +129,18 @@ def test_certify_and_verify_round_trip(capsys, tmp_path):
     assert code == 0 and data["valid"] is True
 
 
-@pytest.mark.parametrize("field, bad", [("direction", 5), ("direction", "12"), ("pairs", 5)])
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("direction", 5),
+        ("direction", "12"),
+        ("pairs", 5),
+        ("value", [1]),
+        ("value", {"a": 1}),
+        ("value", "not a rational"),
+        ("n", "three"),
+    ],
+)
 def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, field, bad):
     code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")
     assert code == 0
@@ -169,11 +180,17 @@ def test_certify_refusal_exit_code(capsys):
     assert data["refused"] is True
 
 
-def test_certify_kpm_screening(capsys):
-    code, data = run_json(capsys, "certify", "kpm", "--m", "4")
+def test_certify_kpm_screening(capsys, tmp_path):
+    code, out = run(capsys, "certify", "kpm", "--m", "4")
+    data = json.loads(out)
     assert code == 0
     assert data["kind"] == "screening_failure"
     assert data["value"] == "non-eulerian"
+    # the reason travels in "value" and survives the round trip
+    path = tmp_path / "screen.json"
+    path.write_text(out)
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 0 and data["valid"] is True
 
 
 def test_certify_search(capsys, tmp_path):
@@ -225,3 +242,44 @@ def test_threads_do_not_change_output(capsys, tmp_path):
     code, out1 = run(capsys, "certify", "bowtie-cycle", "--k", "6", "--threads", "1")
     code, out2 = run(capsys, "certify", "bowtie-cycle", "--k", "6", "--threads", "2")
     assert out1 == out2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import graphnorms.cli as cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    run(capsys, "construct", "cycle", "4")
+    run(capsys, "construct", "kbip", "2", "3")
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["bowtie-cycle", "--k", "5"], ["kpm", "--m", "5"]], ids=["bowtie", "kpm"]
+)
+def test_max_vertices_reaches_the_engine(capsys, monkeypatch, argv):
+    import graphnorms.homs as homs
+
+    seen = []
+    real = homs._count_polynomial
+
+    def recording(g, t, symbol_caps=None, max_vertices=homs.VERTEX_GUARD):
+        seen.append(max_vertices)
+        return real(g, t, symbol_caps, max_vertices)
+
+    monkeypatch.setattr(homs, "_count_polynomial", recording)
+    code, _ = run(capsys, "certify", *argv, "--max-vertices", "18")
+    assert code == 0 and seen == [18]
+    seen.clear()
+    code, _ = run(capsys, "certify", *argv)
+    assert code == 0 and seen == [homs.VERTEX_GUARD]
+    # below the graph's 10 vertices the engine's own guard refuses
+    code, data = run_json(capsys, "certify", *argv, "--max-vertices", "9")
+    assert code == 2 and data["error"] == "enumeration guard: 10 vertices > 9"

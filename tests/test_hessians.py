@@ -1,3 +1,4 @@
+import random as _random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,15 @@ from graphnorms import (
     symbolic_profile,
     two_var_hessian_at_origin,
 )
-from graphnorms.matrices import block_pm_ones
-from oracles import fd_hessian_entry, random_sym_matrix, symbolic_hessian_entry
+from graphnorms.matrices import block_pm_ones, pair_list
+from oracles import (
+    brute_hessian,
+    fd_hessian_entry,
+    random_graph,
+    random_rational_rows,
+    random_sym_matrix,
+    symbolic_hessian_entry,
+)
 
 C4 = cycle_graph(4)
 
@@ -86,6 +94,31 @@ def test_hessian_zero_cells_follow_formal_derivative():
     for r, p in enumerate(h.pairs):
         for s, q in enumerate(h.pairs):
             assert h.matrix.at(r, s) == oracle[(p, q)]
+
+
+def test_hessian_matches_brute_force():
+    # seeded random graphs on at most 6 vertices, signed and nonnegative
+    # kernels with forced zero and unit cells, random pair subsets
+    seen = set()
+    for seed in range(40):
+        rng = _random.Random(seed)
+        g = random_graph(seed, rng.randint(2, 6), 0.7)
+        n = 2 + seed % 2
+        rows = random_rational_rows(seed, n, lo=-(seed % 3 != 0), hi=1, den=4)
+        for value in (0, 0, 1):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rows[j][i] = Fraction(value)
+        cells = pair_list(n)
+        pairs = rng.sample(cells, rng.randint(1, len(cells)))
+        a = SymRationalMatrix.from_rows(rows)
+        h = hessian_matrix(g, a, pairs)
+        assert h.matrix.rows() == brute_hessian(g, rows, pairs), seed
+        for (i, j) in cells:
+            if rows[i][j] == 0:
+                seen.add("selected zero" if (i, j) in pairs else "unselected zero")
+        if any(x < 0 for x in a.tri):
+            seen.add("signed")
+    assert seen == {"selected zero", "unselected zero", "signed"}
 
 
 def test_pair_restriction_agrees_with_full():

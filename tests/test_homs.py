@@ -20,8 +20,10 @@ from graphnorms import (
     hatami_box_check,
     norm_powers,
     path_graph,
+    random_witness_search,
     sidorenko_check,
     symbolic_profile,
+    verify_certificate,
     weighted_hom_count,
 )
 from graphnorms.homs import profile_map
@@ -191,13 +193,13 @@ def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
 
 
 def test_parallel_matches_serial():
-    # threads is still accepted by every public function; it must leave the
-    # result unchanged
-    g = bowtie_blowup(cycle_graph(6))
-    a = random_sym_matrix(42, 3)
-    assert weighted_hom_count(g, a, threads=1) == weighted_hom_count(g, a, threads=2)
-    t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])
-    assert symbolic_profile(g, t, threads=1) == symbolic_profile(g, t, threads=2)
+    # the search and verify entry points still accept threads; it must leave
+    # the result unchanged
+    g = bowtie_blowup(cycle_graph(5))
+    one = random_witness_search(g, 3, 5, "norming", seed=0, threads=1)
+    two = random_witness_search(g, 3, 5, "norming", seed=0, threads=2)
+    assert one is not None and one.to_json() == two.to_json()
+    assert verify_certificate(one, threads=1) is verify_certificate(one, threads=2) is True
 
 
 def test_sidorenko_examples():

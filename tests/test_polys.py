@@ -124,6 +124,37 @@ def test_derivative_matches_finite_difference(p, ax, ay):
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+@given(small_polys, rationals, rationals)
+@settings(max_examples=60, deadline=None)
+def test_hessian_matches_double_derivative(p, ax, ay):
+    # zero point values exercise 0^0 = 1 in the one-pass read
+    for point in ({"x": ax, "y": ay}, {"x": 0, "y": ay}, {"x": 0, "y": 0}):
+        h = p.hessian(("y", "x"), point)
+        for r, a in enumerate(("y", "x")):
+            for s, b in enumerate(("y", "x")):
+                assert h[r][s] == p.derivative(a).derivative(b).evaluate(point)
+
+
+def test_hessian_selected_symbols_and_rational_coefficients():
+    p = SparsePoly.build(
+        ("eps", "x", "y"),
+        [((1, 2, 0), Fraction(3, 4)), ((0, 1, 1), 5), ((2, 0, 3), Fraction(-1, 3))],
+    )
+    point = {"eps": Fraction(1, 2), "x": 0, "y": Fraction(-2, 3)}
+    h = p.hessian(("x", "y"), point)
+    want = [
+        [p.derivative(a).derivative(b).evaluate(point) for b in ("x", "y")]
+        for a in ("x", "y")
+    ]
+    assert h == want == [[Fraction(3, 4), 5], [5, Fraction(1, 3)]]
+    with pytest.raises(UsageError):
+        p.hessian(("x", "x"), point)
+    with pytest.raises(UsageError):
+        p.hessian(("x",), {"x": 0, "y": 0})
+    with pytest.raises(UsageError):
+        p.hessian(("z",), point)
+
+
 def test_json_round_trip_canonical_order():
     p = poly_from([((1, 1), 3), ((2, 0), 1), ((0, 0), -2)])
     data = p.to_json()
