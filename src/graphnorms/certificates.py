@@ -12,9 +12,17 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import SizeGuardError, UsageError
-from .graphs import Graph, bowtie_blowup, cycle_graph, kpm_graph, structural_report
+from .graphs import (
+    Graph,
+    bowtie_blowup,
+    cycle_graph,
+    is_bipartite,
+    is_eulerian,
+    kpm_graph,
+)
 from .hessians import (
     hessian_matrix,
+    opened_polynomial,
     psd_certify,
     quadratic_form,
     two_var_hessian_at_origin,
@@ -92,7 +100,7 @@ class Certificate:
                 if data.get("pairs")
                 else None
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed certificate pairs: {exc}") from exc
         direction = data.get("direction")
         if direction and not isinstance(direction, list):
@@ -138,11 +146,10 @@ def screen_necessary(g: Graph, mode: str) -> Certificate | None:
     """Cheap necessary-condition screens; a failure refutes outright."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
-    report = structural_report(g)
     reason = None
-    if not report.bipartite:
+    if not is_bipartite(g):
         reason = "non-bipartite"
-    elif mode == "norming" and not report.eulerian:
+    elif mode == "norming" and not is_eulerian(g):
         reason = "non-eulerian"
     elif mode == "norming" and g.edge_count % 2 != 0:
         reason = "odd edge count"
@@ -443,11 +450,18 @@ def random_witness_search(
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
     pairs = tuple(pair_list(n))
+    # with every cell opened, the count polynomial depends only on which
+    # cells are zero: at most 2^(n(n+1)/2) polynomials, freed on return
+    by_zeros: dict[tuple[bool, ...], tuple[SparsePoly, list[str]]] = {}
     for trial in range(trials):
         trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
         a = sample_matrix(n, matrix_class, denominator_bound, trial_seed)
-        hess = hessian_matrix(g, a)
-        res = psd_certify(hess.matrix)
+        zeros = tuple(x == 0 for x in a.tri)
+        if zeros not in by_zeros:
+            by_zeros[zeros] = opened_polynomial(g, a, pairs)
+        poly, names = by_zeros[zeros]
+        hess = poly.hessian(names, dict(zip(names, a.tri)))
+        res = psd_certify(SymRationalMatrix.from_rows(hess))
         if not res.is_psd:
             return Certificate(
                 kind=kind,
@@ -512,11 +526,11 @@ def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
     reproduce its negative quadratic form (or structural reason) exactly.
     ``threads`` is accepted and ignored."""
     if cert.kind == "screening_failure":
-        report = structural_report(cert.graph)
+        # decided from the edge list alone: a claimed "n" costs nothing
         if cert.reason == "non-bipartite":
-            return not report.bipartite
+            return not is_bipartite(cert.graph)
         if cert.reason == "non-eulerian":
-            return not report.eulerian
+            return not is_eulerian(cert.graph)
         if cert.reason == "odd edge count":
             return cert.graph.edge_count % 2 == 1
         raise UsageError(f"unknown screening reason {cert.reason!r}")

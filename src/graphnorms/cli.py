@@ -1,8 +1,9 @@
 """Command-line surface tying the toolkit together.
 
 Exit codes: 0 = certified / holds, 1 = refuted / refused / violated,
-2 = inconclusive (a size guard fired), 3 = usage error. All output is a
-single JSON document on stdout unless --plain is given.
+2 = inconclusive (a size guard fired), 3 = usage error, 4 = internal error
+(a fault in the toolkit, reported on stderr with nothing on stdout). All
+other output is a single JSON document on stdout unless --plain is given.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .graphs import (
     complete_bipartite,
     cycle_graph,
     hypercube_graph,
+    is_eulerian,
     kpm_graph,
     load_graph_text,
     structural_report,
@@ -60,7 +62,7 @@ def _read_input(path: str, state: dict) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -286,7 +288,7 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
         return (0 if holds else 1), {
             "check": "euler-indicator",
             "holds": holds,
-            "eulerian": structural_report(g).eulerian,
+            "eulerian": is_eulerian(g),
         }
     if ns.what == "prop42":
         h = allones_hessian(g, ns.n)
@@ -329,9 +331,10 @@ def _cmd_certify(ns, state) -> tuple[int, dict]:
 def _cmd_verify(ns, state) -> tuple[int, dict]:
     text = _read_input(ns.certificate, state)
     try:
-        cert = Certificate.from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise UsageError(f"bad certificate JSON: {exc}") from exc
+    cert = Certificate.from_json(data)
     ok = verify_certificate(cert)
     return (0 if ok else 1), {"valid": ok, "kind": cert.kind}
 
@@ -370,6 +373,11 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         _emit({"error": str(exc), "kind": "inconclusive"}, False)
         return 2
+    except Exception as exc:
+        # a fault in the toolkit is no verdict: exit 1 would read as "refuted"
+        error = {"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}
+        print(json.dumps(error, indent=2), file=sys.stderr)
+        return 4
     _emit(payload, ns.plain)
     return code
 

@@ -33,6 +33,8 @@ class Graph:
             raise UsageError("graph needs at least one vertex")
         seen = set()
         for (u, v) in self.edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise UsageError(f"edge ({u},{v}) has a non-integer endpoint")
             if u == v:
                 raise UsageError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -82,7 +84,7 @@ class Graph:
             return cls.from_edges(int(data["n"]), data["edges"])
         except UsageError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -236,25 +238,56 @@ def is_isomorphic(g: Graph, h: Graph, max_vertices: int = ISO_GUARD) -> bool:
     return extend(0)
 
 
-def bipartition(g: Graph):
-    """Two-color by BFS; returns (class0, class1) as sorted tuples or None."""
-    adj = g.adjacency()
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
+def _two_colouring(g: Graph) -> dict[int, int] | None:
+    """Colour 0/1 of every non-isolated vertex, the smallest vertex of each
+    component coloured 0, or None when some edge joins two equal colours.
+
+    Built from the edge list alone, so the cost does not grow with g.n.
+    """
+    adj: dict[int, list[int]] = {}
+    for (u, v) in g.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    color: dict[int, int] = {}
+    # sorted edges insert each component's smallest vertex first
+    for start in adj:
+        if start in color:
             continue
         color[start] = 0
         queue = [start]
         while queue:
             v = queue.pop()
             for u in adj[v]:
-                if color[u] < 0:
+                if u not in color:
                     color[u] = 1 - color[v]
                     queue.append(u)
                 elif color[u] == color[v]:
                     return None
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
+    return color
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Two-colourability; isolated vertices change nothing, so this reads
+    the edge list alone."""
+    return _two_colouring(g) is not None
+
+
+def is_eulerian(g: Graph) -> bool:
+    """Every degree even; read off the edge list alone."""
+    odd: set[int] = set()
+    for edge in g.edges:
+        odd.symmetric_difference_update(edge)
+    return not odd
+
+
+def bipartition(g: Graph):
+    """Two-color by BFS; returns (class0, class1) as sorted tuples or None.
+    Isolated vertices go to class 0."""
+    color = _two_colouring(g)
+    if color is None:
+        return None
+    side0 = tuple(v for v in range(g.n) if color.get(v, 0) == 0)
+    side1 = tuple(sorted(v for v, c in color.items() if c == 1))
     return side0, side1
 
 
@@ -290,7 +323,7 @@ def structural_report(g: Graph) -> StructuralReport:
         degree_sequence=tuple(sorted(deg)),
         bipartite=classes is not None,
         classes=classes,
-        eulerian=all(d % 2 == 0 for d in deg),
+        eulerian=is_eulerian(g),
         regular=deg[0] if len(set(deg)) == 1 else None,
     )
 
@@ -375,9 +408,10 @@ def load_graph_text(text: str) -> Graph:
         raise UsageError("empty graph input")
     if text.startswith("{"):
         try:
-            return Graph.from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             raise UsageError(f"bad graph JSON: {exc}") from exc
+        return Graph.from_json(data)
     edges = []
     for line in text.splitlines():
         line = line.strip()

@@ -4,7 +4,10 @@ The count polynomial lives on the n(n+1)/2 upper-triangle entries of a
 symmetric matrix; Hessian coordinates follow the same row-major pair order
 (0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. A Hessian is
 read by ``SparsePoly.hessian`` from the count polynomial that ``homs``
-builds with the selected cells left symbolic. PSD is decided by pivoted
+builds with the selected cells left symbolic (``opened_polynomial``, which
+callers reading many Hessians off one zero pattern keep). Building and
+reading both run on Python ints over one common denominator, so each
+Hessian entry is a single division at the end. PSD is decided by pivoted
 symmetric elimination over the rationals, never by eigenvalues, so a
 failure always comes with a rational direction whose quadratic form is
 negative and re-checkable by direct multiplication.
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SizeGuardError, UsageError
-from .graphs import Graph, structural_report
+from .graphs import Graph, is_eulerian
 from .homs import TEMPLATE_GUARD, VERTEX_GUARD, SymbolicTemplate, _count_polynomial
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 from .polys import SparsePoly
@@ -66,6 +69,22 @@ def hessian_matrix(
             if not (0 <= i <= j < n):
                 raise UsageError(f"pair ({i},{j}) out of range")
 
+    poly, names = opened_polynomial(g, a, selected, max_vertices)
+    point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
+    entries = poly.hessian(names, point)
+    return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
+
+
+def opened_polynomial(
+    g: Graph, a: SymRationalMatrix, selected, max_vertices: int = VERTEX_GUARD
+) -> tuple[SparsePoly, list[str]]:
+    """The count polynomial at ``a`` with the selected cells opened as
+    symbols, and the symbol names in selection order.
+
+    It depends on ``a`` only through the unselected cells and through which
+    selected cells are zero (those are capped at multiplicity 2).
+    """
+    n = a.n
     opened = [pair_index(i, j, n) for (i, j) in selected]
     names = [f"c{idx:02d}" for idx in opened]
     cells = list(a.tri)
@@ -73,8 +92,7 @@ def hessian_matrix(
         cells[idx] = name
     caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
     poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps, max_vertices)
-    entries = poly.hessian(names, {name: a.tri[idx] for idx, name in zip(opened, names)})
-    return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
+    return poly, names
 
 
 def principal_submatrix(h: HessianMatrix, pairs) -> SymRationalMatrix:
@@ -209,8 +227,7 @@ def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:
         raise SizeGuardError(
             f"kernel check guard: block {half} > {KERNEL_CHECK_BLOCK_GUARD}"
         )
-    report = structural_report(g)
-    if not report.eulerian or g.edge_count % 2 != 0:
+    if not is_eulerian(g) or g.edge_count % 2 != 0:
         raise UsageError("kernel check needs an eulerian graph with even edge count")
     return hessian_matrix(g, block_pm_ones(half)).matrix
 

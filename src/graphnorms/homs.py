@@ -8,8 +8,11 @@ polynomial of H over a template (a ``SparsePoly`` in the template's
 symbols), and everything else reads it: a density is its constant term
 over a matrix without symbols, a symbolic profile is the polynomial
 itself, and a Hessian opens the selected cells as symbols and evaluates
-second derivatives at the matrix (``SparsePoly.hessian``). The hot loop
-never touches rational arithmetic.
+second derivatives at the matrix (``SparsePoly.hessian``). Neither the
+enumeration nor the two readers multiply rationals: the builder writes the
+constant cells over one denominator L and accumulates an integer numerator
+over L^e(H) per exponent vector, the Hessian read does the same with the
+point, and each output entry becomes a ``Fraction`` once, at the end.
 
 A profile is packed into one integer key, one bit field per tracked cell,
 so joining two partial maps is adding their keys; fields are wide enough
@@ -26,9 +29,10 @@ grow along the search.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import SizeGuardError, UsageError
-from .graphs import Graph, structural_report
+from .graphs import Graph, is_bipartite, is_eulerian
 from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index
 from .polys import SparsePoly
 
@@ -264,7 +268,11 @@ def _count_polynomial(
     The one place a profile map becomes power products. Weight-1 cells are
     not tracked (they contribute factor 1), weight-0 cells kill a map, and
     a symbol in ``symbol_caps`` drops every map with more than its cap of
-    edges on one of its cells.
+    edges on one of its cells. The products are formed in integers: the
+    constant cells are b/L with L the lcm of their denominators, every
+    profile is brought to the denominator L^e(H) (an untracked 1-cell
+    counts as L/L), one integer numerator is accumulated per exponent
+    vector, and each coefficient is divided out once at the end.
     """
     caps = symbol_caps or {}
     tracked = []
@@ -281,20 +289,38 @@ def _count_polynomial(
     pm = profile_map(g, t.n, tracked, cell_caps, max_vertices=max_vertices)
     symbols = t.symbols
     axis = {s: k for k, s in enumerate(symbols)}
-    # per tracked cell: its symbol axis, or None and its constant weight
-    slots = [(axis.get(c), c) for c in (t.cells[idx] for idx in pm.tracked)]
-    items = []
-    for profile, cnt in pm.items():
-        coeff = cnt
+    cells = [t.cells[idx] for idx in pm.tracked]
+    scale = lcm(*(c.denominator for c in cells if not isinstance(c, str)))
+    edges = g.edge_count
+    scale_pow = [scale**e for e in range(edges + 1)]
+    # per tracked cell: its symbol axis and None, or None and the powers of b
+    slots = []
+    for c in cells:
+        if isinstance(c, str):
+            slots.append((axis[c], None))
+        else:
+            b = c.numerator * (scale // c.denominator)
+            slots.append((None, [b**e for e in range(edges + 1)]))
+    mask = (1 << pm.width) - 1
+    shifts = [i * pm.width for i in range(len(slots))]
+    acc: dict[tuple[int, ...], int] = {}
+    for key, cnt in pm.counts.items():
         exp = [0] * len(symbols)
-        for (ax, c), m in zip(slots, profile):
+        const = 0  # edges on constant cells, each carrying 1/L
+        for (ax, pw), shift in zip(slots, shifts):
+            m = (key >> shift) & mask
             if m:
                 if ax is None:
-                    coeff *= c**m
+                    cnt *= pw[m]
+                    const += m
                 else:
                     exp[ax] += m
-        items.append((exp, coeff))
-    return SparsePoly.build(symbols, items)
+        exp = tuple(exp)
+        acc[exp] = acc.get(exp, 0) + cnt * scale_pow[edges - const]
+    den = scale_pow[edges]
+    return SparsePoly(
+        symbols, {exp: Fraction(num, den) for exp, num in acc.items() if num}
+    )
 
 
 def weighted_hom_count(
@@ -348,7 +374,7 @@ def sidorenko_check(
     g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
 ) -> bool:
     """Exact check of t_H(U_A) >= t_{K2}(U_A)^{e(H)} for bipartite H."""
-    if not structural_report(g).bipartite:
+    if not is_bipartite(g):
         raise UsageError("sidorenko check needs a bipartite graph")
     if not a.entries_in(0, 1):
         raise UsageError("sidorenko check needs entries in [0, 1]")
@@ -400,5 +426,5 @@ def eulerian_indicator_check(g: Graph, n: int) -> bool:
             f"eulerian indicator guard: {g.n} vertices > {EULERIAN_INDICATOR_GUARD}"
         )
     d = density(g, block_pm_ones(n))
-    expected = Fraction(1) if structural_report(g).eulerian else Fraction(0)
+    expected = Fraction(1) if is_eulerian(g) else Fraction(0)
     return d == expected

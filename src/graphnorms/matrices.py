@@ -119,7 +119,11 @@ class SymRationalMatrix:
         except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed matrix JSON: {exc}") from exc
         mat = cls.from_rows(rows)
-        if mat.n != int(data.get("n", mat.n)):
+        try:
+            n = int(data.get("n", mat.n))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"malformed matrix n: {exc}") from exc
+        if mat.n != n:
             raise UsageError("matrix n field disagrees with entries")
         return mat
 
@@ -129,9 +133,10 @@ def load_matrix_text(text: str) -> SymRationalMatrix:
     if not text:
         raise UsageError("empty matrix input")
     try:
-        return SymRationalMatrix.from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise UsageError(f"bad matrix JSON: {exc}") from exc
+    return SymRationalMatrix.from_json(data)
 
 
 def block_pm_ones(n: int) -> SymRationalMatrix:

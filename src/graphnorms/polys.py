@@ -3,11 +3,14 @@
 Symbols are kept sorted by name, exponent vectors are plain integer tuples,
 and zero coefficients are never stored. Term order is canonicalized only on
 serialization; internal storage is a hash map because accumulation from
-large homomorphism enumerations dominates the workload.
+large homomorphism enumerations dominates the workload. Coefficients are
+``Fraction``s, but the hot read, ``hessian``, runs on Python ints over one
+common denominator and builds a ``Fraction`` once per output entry.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import UsageError
 from .rationals import format_rational, parse_rational
@@ -152,7 +155,13 @@ class SparsePoly:
         """Second partial derivatives in ``symbols`` at ``point``, in one pass.
 
         A term c x^m adds c m_p (m_q - [p = q]) x^(m - e_p - e_q) to entry
-        (p, q), with 0^0 = 1; rows and columns follow ``symbols``.
+        (p, q), with 0^0 = 1; rows and columns follow ``symbols``. The read
+        runs on Python ints: the point is B/L with B integral and L the lcm
+        of its denominators, the coefficients are C/D with D the lcm of
+        theirs, and a term of total degree d is brought to the common
+        denominator D L^(dmax - 2) by the factor L^(dmax - d), so each
+        entry becomes a Fraction once, at the end. Terms of degree below 2
+        have no second derivative and are skipped.
         """
         axes = [self._axis(s) for s in symbols]
         if len(set(axes)) != len(axes):
@@ -160,42 +169,52 @@ class SparsePoly:
         missing = set(self.symbols) - set(point)
         if missing:
             raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
-        values = [Fraction(point[s]) for s in self.symbols]
-        powers: dict[tuple[int, int], Fraction] = {}
-
-        def power(ax, e):
-            got = powers.get((ax, e))
-            if got is None:
-                got = powers[(ax, e)] = values[ax] ** e
-            return got
-
         k = len(axes)
+        terms = [(exp, sum(exp), c) for exp, c in self.terms.items()]
+        terms = [t for t in terms if t[1] >= 2]
+        if not terms:
+            return [[Fraction(0)] * k for _ in range(k)]
+        values = [Fraction(point[s]) for s in self.symbols]
+        scale = lcm(*(v.denominator for v in values))
+        dmax = max(d for _, d, _ in terms)
+        cden = lcm(*(c.denominator for _, _, c in terms))
+        scale_pow = [scale**e for e in range(dmax - 1)]
+        # powers[ax][e] = B[ax]**e up to the largest exponent of the axis
+        powers = []
+        for ax, v in enumerate(values):
+            b = v.numerator * (scale // v.denominator)
+            powers.append([b**e for e in range(max(t[0][ax] for t in terms) + 1)])
+        rest = [ax for ax in range(len(values)) if ax not in axes]
+
+        acc = [[0] * k for _ in range(k)]
+        for exp, d, c in terms:
+            lead = c.numerator * (cden // c.denominator) * scale_pow[dmax - d]
+            for ax in rest:
+                lead *= powers[ax][exp[ax]]
+            # the selected axes the term involves, with the suffix products
+            # of their powers, so entry (r, s) multiplies out the axes
+            # before r, between r and s, and after s in one sweep
+            sel = [(r, exp[ax], powers[ax]) for r, ax in enumerate(axes) if exp[ax]]
+            suffix = [1] * (len(sel) + 1)
+            for i in range(len(sel) - 1, -1, -1):
+                _, m, pw = sel[i]
+                suffix[i] = suffix[i + 1] * pw[m]
+            for i, (r, m, pw) in enumerate(sel):
+                if not lead:
+                    break
+                if m >= 2:
+                    acc[r][r] += lead * m * (m - 1) * pw[m - 2] * suffix[i + 1]
+                w = lead * m * pw[m - 1]
+                for j in range(i + 1, len(sel)):
+                    s, m2, pw2 = sel[j]
+                    acc[r][s] += w * m2 * pw2[m2 - 1] * suffix[j + 1]
+                    w *= pw2[m2]
+                lead *= pw[m]
+        den = cden * scale_pow[dmax - 2]
         out = [[Fraction(0)] * k for _ in range(k)]
-        for exp, c in self.terms.items():
-            # an integral coefficient stays an int until the first multiply
-            num = c.numerator if c.denominator == 1 else None
-            for r in range(k):
-                p = axes[r]
-                mp = exp[p]
-                if not mp:
-                    continue
-                for s in range(r, k):
-                    q = axes[s]
-                    factor = mp * (mp - 1) if p == q else mp * exp[q]
-                    if not factor:
-                        continue
-                    w = Fraction(num * factor) if num is not None else c * factor
-                    for ax, m in enumerate(exp):
-                        m -= (ax == p) + (ax == q)
-                        if m:
-                            w = w * power(ax, m)
-                            if not w:
-                                break
-                    if w:
-                        out[r][s] += w
         for r in range(k):
-            for s in range(r):
-                out[r][s] = out[s][r]
+            for s in range(r, k):
+                out[r][s] = out[s][r] = Fraction(acc[r][s], den)
         return out
 
     def coefficient(self, exponents) -> Fraction:
@@ -263,9 +282,6 @@ class SparsePoly:
             if coeff != 0:
                 items.append((tuple(exp[i] for i in keep), coeff))
         return SparsePoly.build([self.symbols[i] for i in keep], items)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms

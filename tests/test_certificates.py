@@ -11,6 +11,7 @@ from graphnorms import (
     bowtie_blowup,
     certify_bowtie_cycle,
     certify_kpm,
+    complete_bipartite,
     convexity_violation,
     cycle_graph,
     kpm_graph,
@@ -219,3 +220,85 @@ def test_convexity_no_violation_cases():
     assert res is None
     with pytest.raises(UsageError):
         convexity_violation(c4, a, d.scale(0), Fraction(1, 8), mode="bogus")
+
+
+def _trial_matrices(n, mode, seed, trials, denominator_bound=8):
+    from graphnorms.matrices import sample_matrix
+
+    matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
+    for trial in range(trials):
+        trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
+        yield trial, sample_matrix(n, matrix_class, denominator_bound, trial_seed)
+
+
+def _plain_search(g, n, trials, mode, seed):
+    """The witness search with one fresh hessian_matrix per trial; returns
+    the certificate JSON (or None) and the number of trials it took."""
+    from graphnorms.hessians import hessian_matrix, psd_certify
+    from graphnorms.matrices import pair_list
+
+    matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
+    kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
+    for trial, a in _trial_matrices(n, mode, seed, trials):
+        res = psd_certify(hessian_matrix(g, a).matrix)
+        if not res.is_psd:
+            cert = Certificate(
+                kind=kind,
+                graph=g,
+                n=n,
+                witness=a,
+                pairs=tuple(pair_list(n)),
+                direction=res.witness,
+                value=res.value,
+                theorem=(
+                    "randomized refutation: the count-polynomial Hessian has a "
+                    f"negative direction at a {matrix_class} step matrix "
+                    f"(trial {trial})"
+                ),
+                seed=seed,
+            )
+            return json.dumps(cert.to_json(), indent=2), trial + 1
+    return None, trials
+
+
+@pytest.mark.parametrize(
+    "g, mode, seed, trials",
+    [
+        (bowtie_blowup(cycle_graph(5)), "weakly_norming", 0, 60),
+        (bowtie_blowup(cycle_graph(5)), "weakly_norming", 3, 60),
+        (kpm_graph(5), "norming", 1, 20),
+        (kpm_graph(5), "norming", 7, 20),
+        (complete_bipartite(3, 3), "weakly_norming", 7, 40),
+        (cycle_graph(6), "norming", 5, 40),
+    ],
+    ids=["mobius-0", "mobius-3", "kpm5-1", "kpm5-7", "k33-7", "c6-5"],
+)
+def test_search_with_pattern_cache_matches_plain_loop(g, mode, seed, trials):
+    want, used = _plain_search(g, 3, trials, mode, seed)
+    got = random_witness_search(g, 3, trials, mode, seed)
+    assert (None if got is None else json.dumps(got.to_json(), indent=2)) == want
+    # the trials consumed repeat a zero pattern, so the cache was read
+    patterns = [
+        tuple(x == 0 for x in a.tri) for _, a in _trial_matrices(3, mode, seed, used)
+    ]
+    assert len(set(patterns)) < len(patterns)
+
+
+def test_search_enumerates_once_per_zero_pattern(monkeypatch):
+    import graphnorms.homs as homs
+
+    calls = []
+    real = homs.profile_map
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "profile_map", counting)
+    g = complete_bipartite(3, 3)  # weakly norming: every trial runs
+    assert random_witness_search(g, 3, 40, "weakly_norming", seed=11) is None
+    patterns = {
+        tuple(x == 0 for x in a.tri)
+        for _, a in _trial_matrices(3, "weakly_norming", 11, 40)
+    }
+    assert len(calls) == len(patterns) < 40

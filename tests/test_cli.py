@@ -283,3 +283,92 @@ def test_max_vertices_reaches_the_engine(capsys, monkeypatch, argv):
     # below the graph's 10 vertices the engine's own guard refuses
     code, data = run_json(capsys, "certify", *argv, "--max-vertices", "9")
     assert code == 2 and data["error"] == "enumeration guard: 10 vertices > 9"
+
+
+def test_internal_error_is_exit_four_on_stderr(capsys, monkeypatch, pm_file):
+    import graphnorms.cli as cli
+
+    def broken(ns, state):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "_cmd_psd", broken)
+    code = main(["psd", "-m", pm_file])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "RuntimeError: engine fault",
+        "kind": "internal",
+    }
+
+
+@pytest.mark.parametrize(
+    "reason, edges",
+    [
+        ("non-bipartite", [[0, 1], [0, 2], [1, 2]]),
+        ("non-eulerian", [[0, 1], [1, 2], [2, 3]]),
+        ("odd edge count", [[0, 1], [0, 2], [1, 2]]),
+    ],
+)
+def test_screening_verify_does_not_scale_with_claimed_n(capsys, tmp_path, reason, edges):
+    import time
+
+    # a trillion vertices, all but a handful isolated
+    cert = {
+        "kind": "screening_failure",
+        "graph": {"n": 10**12, "edges": edges},
+        "value": reason,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 0 and data == {"valid": True, "kind": "screening_failure"}
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[" * 100000 + "]" * 100000,
+        '{"kind": ' + "1" * 5000 + "}",
+        b'{"kind": "\xff"}',
+    ],
+    ids=["deep-nesting", "long-integer", "invalid-utf8"],
+)
+def test_unreadable_certificate_text_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 3 and data["kind"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "path, bad",
+    [
+        (("witness", "n"), "three"),
+        (("witness", "n"), None),
+        (("witness", "n"), float("inf")),
+        (("graph", "n"), float("inf")),
+        (("graph", "edges", 0, 1), 1.5),
+        (("graph", "edges", 0, 1), 6.0),
+        (("pairs", 0, 0), float("inf")),
+    ],
+    ids=["witness-n-text", "witness-n-null", "witness-n-inf", "graph-n-inf",
+         "edge-fraction", "edge-float", "pair-inf"],
+)
+def test_malformed_nested_field_is_a_usage_error(capsys, tmp_path, path, bad):
+    code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")
+    assert code == 0
+    cert = json.loads(out)
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(cert))
+    code, data = run_json(capsys, "verify", "-c", str(file))
+    assert code == 3 and data["kind"] == "usage"

@@ -271,3 +271,32 @@ def test_eulerian_indicator_random(seed, n_vertices, half):
     d = density(g, block_pm_ones(half))
     assert d == (1 if eulerian(g) else 0)
     assert eulerian_indicator_check(g, half)
+
+
+def test_integer_count_matches_brute_force_on_mixed_denominators():
+    # kernels mixing unrelated denominators, negative entries, zeros and
+    # ones: the count is formed over one denominator L^e(H) and must equal
+    # plain rational enumeration
+    rng = _random.Random(20191019)
+    dens = [1, 2, 3, 5, 7, 9, 12]
+    seen_negative = seen_mixed = 0
+    for case in range(40):
+        n = rng.randint(1, 4)
+        g = random_graph(rng.randrange(10**6), rng.randint(1, 6 if n == 4 else 7))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                q = rng.choice(dens)
+                kind = rng.random()
+                x = Fraction(rng.randint(-2 * q, 2 * q), q)
+                if kind < 0.15:
+                    x = Fraction(0)
+                elif kind < 0.3:
+                    x = Fraction(1)
+                rows[i][j] = rows[j][i] = x
+        tri = [rows[i][j] for i in range(n) for j in range(i, n)]
+        seen_negative += any(x < 0 for x in tri)
+        seen_mixed += len({x.denominator for x in tri}) > 1
+        a = SymRationalMatrix.from_rows(rows)
+        assert weighted_hom_count(g, a) == brute_hom_count(g, rows)
+    assert seen_negative > 10 and seen_mixed > 10

@@ -166,3 +166,47 @@ def test_json_round_trip_canonical_order():
 def test_str_rendering():
     assert str(poly_from([])) == "0"
     assert "x^2" in str(poly_from([((2, 0), 1)]))
+
+
+# non-homogeneous polynomials in three symbols: rational coefficients with
+# unrelated denominators, and terms of every degree from 0 up
+mixed_polys = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    ),
+    max_size=8,
+).map(lambda items: SparsePoly.build(("e", "x", "y"), items))
+mixed_points = st.tuples(
+    *[st.sampled_from([0, 1, -1]) | st.fractions(-2, 2, max_denominator=9)] * 3
+)
+
+
+@given(mixed_polys, mixed_points, st.sampled_from([("x", "y"), ("y", "e", "x"), ("e",)]))
+@settings(max_examples=120, deadline=None)
+def test_integer_hessian_read_matches_double_derivative(p, values, chosen):
+    point = dict(zip(("e", "x", "y"), values))
+    h = p.hessian(chosen, point)
+    want = [[p.derivative(a).derivative(b).evaluate(point) for b in chosen] for a in chosen]
+    assert h == want
+    assert all(type(x) is Fraction for row in h for x in row)
+
+
+def test_integer_hessian_read_low_degree_and_mixed_denominators():
+    # degree 0 and 1 terms have no second derivative; a degree-2 term beside
+    # a degree-4 one is brought to the common denominator L^(dmax - 2)
+    p = SparsePoly.build(
+        ("x", "y"),
+        [((0, 0), Fraction(7, 5)), ((1, 0), -2), ((0, 1), Fraction(1, 3)),
+         ((1, 1), Fraction(-5, 6)), ((2, 2), Fraction(3, 7)), ((4, 0), 1)],
+    )
+    point = {"x": Fraction(-2, 3), "y": Fraction(5, 4)}
+    want = [
+        [p.derivative(a).derivative(b).evaluate(point) for b in ("x", "y")]
+        for a in ("x", "y")
+    ]
+    assert p.hessian(("x", "y"), point) == want
+    # a polynomial of degree at most 1 has the zero Hessian
+    linear = SparsePoly.build(("x", "y"), [((0, 0), 3), ((1, 0), Fraction(1, 2))])
+    assert linear.hessian(("x", "y"), point) == [[0, 0], [0, 0]]
+    assert SparsePoly.zero(("x",)).hessian(("x",), {"x": 0}) == [[0]]
