@@ -41,10 +41,8 @@ from .hessians import (
     HessianMatrix,
     PsdResult,
     allones_hessian,
-    allones_kernel_check,
     annihilates_ones,
     hessian_matrix,
-    principal_submatrix,
     psd_certify,
     quadratic_form,
     two_var_hessian_at_origin,

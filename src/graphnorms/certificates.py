@@ -27,7 +27,7 @@ from .hessians import (
     quadratic_form,
     two_var_hessian_at_origin,
 )
-from .homs import VERTEX_GUARD, SymbolicTemplate, density, symbolic_profile
+from .homs import SymbolicTemplate, density, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
@@ -96,12 +96,12 @@ class Certificate:
             raise UsageError(f"malformed certificate n: {n!r}")
         try:
             pairs = (
-                tuple((int(i), int(j)) for (i, j) in data["pairs"])
-                if data.get("pairs")
-                else None
+                tuple((i, j) for (i, j) in data["pairs"]) if data.get("pairs") else None
             )
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed certificate pairs: {exc}") from exc
+        if pairs and any(type(x) is not int for pair in pairs for x in pair):
+            raise UsageError(f"malformed certificate pairs: {data['pairs']!r}")
         direction = data.get("direction")
         if direction and not isinstance(direction, list):
             raise UsageError("malformed certificate direction: expected a list")
@@ -259,7 +259,6 @@ def _bowtie_template() -> SymbolicTemplate:
 def certify_bowtie_cycle(
     k: int,
     threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
     max_steps: int = 24,
 ) -> Certificate | Refusal:
     """Refute weak norming for the cycle blow-up C_k^bowtie.
@@ -279,7 +278,7 @@ def certify_bowtie_cycle(
     g = bowtie_blowup(cycle_graph(k))
     template = _bowtie_template()
     sym_template = _symbolized(template)
-    profile = symbolic_profile(g, sym_template, max_vertices)
+    profile = symbolic_profile(g, sym_template)
 
     x2 = profile.coefficient_of(x=2)
     xy = profile.coefficient_of(x=1, y=1)
@@ -337,7 +336,6 @@ def _kpm_template() -> SymbolicTemplate:
 def certify_kpm(
     m: int,
     threads: int = 1,
-    max_vertices: int = VERTEX_GUARD,
     max_eps_steps: int = 64,
 ) -> Certificate | Refusal:
     """Refute norming for K_{m,m} minus a perfect matching.
@@ -359,7 +357,7 @@ def certify_kpm(
     s = (m - 1) // 2
     thresholds = {"x2": 6 * s - 4, "xy": 4 * s - 3, "y2_vanish_upto": 2 * s - 2}
     template = _kpm_template()
-    profile = symbolic_profile(g, template, max_vertices)
+    profile = symbolic_profile(g, template)
 
     min_x2 = profile.restrict_min_degree({"x": 2, "y": 0}, "eps")
     min_xy = profile.restrict_min_degree({"x": 1, "y": 1}, "eps")
@@ -443,10 +441,13 @@ def random_witness_search(
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
-    if g.n > 14:
-        raise SizeGuardError(f"search guard: {g.n} vertices > 14")
     if n > 3:
-        raise SizeGuardError(f"search guard: n={n} > 3")
+        # the engine's estimate prices one enumeration; the zero-pattern
+        # cache below keeps up to 2^(n(n+1)/2) of them, 64 at n = 3
+        raise SizeGuardError(
+            f"search guard: n={n} > 3, the bound on its zero-pattern cache "
+            "(at most 64 count polynomials)"
+        )
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
     pairs = tuple(pair_list(n))

@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .hessians import allones_hessian, annihilates_ones, hessian_matrix, psd_certify
 from .homs import (
-    VERTEX_GUARD,
     counting_lemma_check,
     density,
     eulerian_indicator_check,
@@ -129,7 +128,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    common.add_argument("--max-vertices", type=int, default=VERTEX_GUARD)
     common.add_argument("--plain", action="store_true")
 
     parser = _Parser(prog="graphnorms", description=__doc__)
@@ -224,7 +222,7 @@ def _cmd_construct(ns, state) -> tuple[int, dict]:
 def _cmd_density(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
-    powers = norm_powers(g, a, ns.max_vertices)
+    powers = norm_powers(g, a)
     e = g.edge_count
     payload = {
         "count": format_rational(powers["count"]),
@@ -244,7 +242,7 @@ def _cmd_hessian(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
     pairs = _parse_pairs(ns.pairs) if ns.pairs else None
-    h = hessian_matrix(g, a, pairs, ns.max_vertices)
+    h = hessian_matrix(g, a, pairs)
     return 0, {
         "pairs": [list(p) for p in h.pairs],
         "matrix": h.matrix.to_json(),
@@ -265,14 +263,13 @@ def _cmd_psd(ns, state) -> tuple[int, dict]:
 def _cmd_check(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     if ns.what == "sidorenko":
-        holds = sidorenko_check(g, _load_matrix(ns.matrix, state), ns.max_vertices)
+        holds = sidorenko_check(g, _load_matrix(ns.matrix, state))
         return (0 if holds else 1), {"check": "sidorenko", "holds": holds}
     if ns.what == "hatami":
         holds = hatami_box_check(
             g,
             _load_matrix(ns.matrix, state),
             _load_matrix(ns.second_matrix, state),
-            ns.max_vertices,
         )
         return (0 if holds else 1), {"check": "hatami", "holds": holds}
     if ns.what == "counting":
@@ -280,7 +277,6 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
             g,
             _load_matrix(ns.matrix, state),
             _load_matrix(ns.second_matrix, state),
-            ns.max_vertices,
         )
         return (0 if holds else 1), {"check": "counting", "holds": holds}
     if ns.what == "euler-indicator":
@@ -299,7 +295,7 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
             "kernel_annihilated": holds,
             "hessian_psd": verdict,
         }
-    report = verify_bowtie_structure(g, ns.max_vertices)
+    report = verify_bowtie_structure(g)
     holds = report.edge_in_unique_4cycle is not None and report.two_edge_sets_ok
     payload = {"check": "bowtie-lemma", "holds": holds}
     payload.update(report.to_json())
@@ -308,9 +304,9 @@ def _cmd_check(ns, state) -> tuple[int, dict]:
 
 def _cmd_certify(ns, state) -> tuple[int, dict]:
     if ns.pipeline == "bowtie-cycle":
-        result = certify_bowtie_cycle(ns.k, max_vertices=ns.max_vertices)
+        result = certify_bowtie_cycle(ns.k)
     elif ns.pipeline == "kpm":
-        result = certify_kpm(ns.m, max_vertices=ns.max_vertices)
+        result = certify_kpm(ns.m)
     else:
         g = _load_graph(ns.graph, state)
         mode = "weakly_norming" if ns.mode == "weak" else "norming"

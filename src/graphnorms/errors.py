@@ -1,4 +1,8 @@
-"""Exceptions shared across the toolkit."""
+"""Exceptions shared across the toolkit, and the size limit of its exhaustive sweeps."""
+
+# cut_norm's Gray-code sweep visits 2^n row subsets, verify_bowtie_structure
+# all 2^v(H) vertex subsets, and is_isomorphic backtracks over vertex orders
+SWEEP_GUARD = 16
 
 
 class UsageError(ValueError):

@@ -16,9 +16,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeGuardError, UsageError
-
-ISO_GUARD = 16  # backtracking isomorphism / subset enumeration limit
+from .errors import SWEEP_GUARD, SizeGuardError, UsageError
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class Graph:
             raise UsageError("graph needs at least one vertex")
         seen = set()
         for (u, v) in self.edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):  # JSON true/false too
                 raise UsageError(f"edge ({u},{v}) has a non-integer endpoint")
             if u == v:
                 raise UsageError(f"loop at vertex {u}")
@@ -81,10 +79,13 @@ class Graph:
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
         try:
-            return cls.from_edges(int(data["n"]), data["edges"])
+            n = data["n"]
+            if type(n) is not int:
+                raise UsageError(f"malformed graph n: {n!r}")
+            return cls.from_edges(n, data["edges"])
         except UsageError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -184,11 +185,11 @@ def _refine_colors(adj, colors):
         colors = new
 
 
-def is_isomorphic(g: Graph, h: Graph, max_vertices: int = ISO_GUARD) -> bool:
+def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Decide isomorphism by backtracking with iterated degree refinement."""
-    if g.n > max_vertices or h.n > max_vertices:
+    if g.n > SWEEP_GUARD or h.n > SWEEP_GUARD:
         raise SizeGuardError(
-            f"isomorphism guard: {max(g.n, h.n)} vertices > {max_vertices}"
+            f"isomorphism guard: {max(g.n, h.n)} vertices > {SWEEP_GUARD}"
         )
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
@@ -371,10 +372,10 @@ class BowtieStructureReport:
         }
 
 
-def verify_bowtie_structure(g: Graph, max_vertices: int = ISO_GUARD) -> BowtieStructureReport:
+def verify_bowtie_structure(g: Graph) -> BowtieStructureReport:
     """Check conditions (i) and (ii) by exhaustive enumeration (v <= 16)."""
-    if g.n > max_vertices:
-        raise SizeGuardError(f"structure guard: {g.n} vertices > {max_vertices}")
+    if g.n > SWEEP_GUARD:
+        raise SizeGuardError(f"structure guard: {g.n} vertices > {SWEEP_GUARD}")
 
     witness_edge = None
     for e in g.edges:

@@ -19,12 +19,9 @@ from math import gcd, lcm
 
 from .errors import SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
-from .homs import TEMPLATE_GUARD, VERTEX_GUARD, SymbolicTemplate, _count_polynomial
+from .homs import ENUMERATION_GUARD, SymbolicTemplate, _count_polynomial
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 from .polys import SparsePoly
-
-KERNEL_CHECK_VERTEX_GUARD = 10
-KERNEL_CHECK_BLOCK_GUARD = 2
 
 
 @dataclass(frozen=True)
@@ -40,12 +37,7 @@ class HessianMatrix:
         return self.matrix.at(p, q)
 
 
-def hessian_matrix(
-    g: Graph,
-    a: SymRationalMatrix,
-    pairs=None,
-    max_vertices: int = VERTEX_GUARD,
-) -> HessianMatrix:
+def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     """The exact Hessian of the count polynomial at ``a`` over the selected
     pairs (all pairs by default).
 
@@ -54,10 +46,10 @@ def hessian_matrix(
     constants (weight-1 cells untracked, weight-0 cells killing the map).
     A selected zero cell is capped at multiplicity 2, since a term with more
     copies still vanishes after two differentiations. The Hessian is then
-    read off in one pass by ``SparsePoly.hessian``.
+    read off in one pass by ``SparsePoly.hessian``. Its k x k entries are
+    dense, a cost the engine's colouring estimate cannot see, so k^2 is held
+    to the same work limit.
     """
-    if a.n > TEMPLATE_GUARD:
-        raise SizeGuardError(f"hessian guard: n={a.n} > {TEMPLATE_GUARD}")
     n = a.n
     if pairs is None:
         selected = pair_list(n)
@@ -68,16 +60,19 @@ def hessian_matrix(
         for (i, j) in selected:
             if not (0 <= i <= j < n):
                 raise UsageError(f"pair ({i},{j}) out of range")
+    k = len(selected)
+    if k * k > ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"hessian guard: {k}^2 = {k * k} entries > {ENUMERATION_GUARD}"
+        )
 
-    poly, names = opened_polynomial(g, a, selected, max_vertices)
+    poly, names = opened_polynomial(g, a, selected)
     point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
     entries = poly.hessian(names, point)
     return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
 
 
-def opened_polynomial(
-    g: Graph, a: SymRationalMatrix, selected, max_vertices: int = VERTEX_GUARD
-) -> tuple[SparsePoly, list[str]]:
+def opened_polynomial(g: Graph, a: SymRationalMatrix, selected) -> tuple[SparsePoly, list[str]]:
     """The count polynomial at ``a`` with the selected cells opened as
     symbols, and the symbol names in selection order.
 
@@ -91,21 +86,8 @@ def opened_polynomial(
     for idx, name in zip(opened, names):
         cells[idx] = name
     caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
-    poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps, max_vertices)
+    poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps)
     return poly, names
-
-
-def principal_submatrix(h: HessianMatrix, pairs) -> SymRationalMatrix:
-    """Rows and columns restricted to the given pairs; if this is not PSD
-    the full Hessian is not PSD (zero-pad the witness)."""
-    wanted = [(min(i, j), max(i, j)) for (i, j) in pairs]
-    try:
-        positions = [h.pairs.index(p) for p in wanted]
-    except ValueError as exc:
-        raise UsageError(f"pair not present in Hessian: {exc}") from exc
-    return SymRationalMatrix.from_rows(
-        [[h.matrix.at(r, s) for s in positions] for r in positions]
-    )
 
 
 @dataclass(frozen=True)
@@ -219,14 +201,6 @@ def two_var_hessian_at_origin(p: SparsePoly, x: str = "x", y: str = "y"):
 def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:
     """The Hessian at the +/- block matrix with blocks of size ``half``.
     Requires an eulerian graph with an even number of edges."""
-    if g.n > KERNEL_CHECK_VERTEX_GUARD:
-        raise SizeGuardError(
-            f"kernel check guard: {g.n} vertices > {KERNEL_CHECK_VERTEX_GUARD}"
-        )
-    if half > KERNEL_CHECK_BLOCK_GUARD:
-        raise SizeGuardError(
-            f"kernel check guard: block {half} > {KERNEL_CHECK_BLOCK_GUARD}"
-        )
     if not is_eulerian(g) or g.edge_count % 2 != 0:
         raise UsageError("kernel check needs an eulerian graph with even edge count")
     return hessian_matrix(g, block_pm_ones(half)).matrix
@@ -235,10 +209,3 @@ def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:
 def annihilates_ones(m: SymRationalMatrix) -> bool:
     """Whether M 1 = 0, i.e. every row sums to zero."""
     return all(sum(row) == 0 for row in m.rows())
-
-
-def allones_kernel_check(g: Graph, half: int) -> bool:
-    """At the +/- block matrix, the Hessian must annihilate the all-ones
-    vector exactly (every row sums to zero). Requires an eulerian graph
-    with an even number of edges."""
-    return annihilates_ones(allones_hessian(g, half))

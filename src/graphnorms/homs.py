@@ -25,6 +25,15 @@ the search as soon as its last neighbour is coloured. That visits n^|C|
 colourings instead of n^v(H) maps. Weight-zero cells kill a map outright
 and multiplicity caps are checked on every sum, since multiplicities only
 grow along the search.
+
+That count is also the engine's one work limit. Before colouring anything,
+``profile_map`` estimates its work as n^|C| colourings plus one factor per
+isolated vertex, read off the edge list alone (so a graph claiming 10^12
+mostly isolated vertices costs nothing to refuse), and raises
+``SizeGuardError`` when the estimate exceeds ``ENUMERATION_GUARD``, with the
+estimate in the message: ``enumeration guard: 3^9 = 19683 colourings >
+10000``. Every density, profile and Hessian is read off this engine, so they
+all refuse at the same point.
 """
 
 from dataclasses import dataclass
@@ -36,8 +45,8 @@ from .graphs import Graph, is_bipartite, is_eulerian
 from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index
 from .polys import SparsePoly
 
-VERTEX_GUARD = 16
-TEMPLATE_GUARD = 4
+# n^|C| + isolated vertices; the certify pipelines reach 3^7 = 2187
+ENUMERATION_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -101,28 +110,28 @@ def _cover_plan(g: Graph):
     is coloured in descending-degree order. Returns, per cover position,
     the earlier cover positions adjacent to it and the neighbour positions
     of each independent vertex whose last neighbour it is, plus the number
-    of isolated vertices.
+    of isolated vertices. Built from the edge list alone, so the cost does
+    not grow with g.n.
     """
-    adj = g.adjacency()
+    adj: dict[int, set[int]] = {}
+    for (u, v) in g.edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     indep = []
-    for v in sorted(range(g.n), key=lambda v: (len(adj[v]), v)):
+    for v in sorted(adj, key=lambda v: (len(adj[v]), v)):
         if not adj[v].intersection(indep):
             indep.append(v)
-    cover = sorted(set(range(g.n)) - set(indep), key=lambda v: (-len(adj[v]), v))
+    cover = sorted(adj.keys() - set(indep), key=lambda v: (-len(adj[v]), v))
     pos = {v: p for p, v in enumerate(cover)}
     back = [
         tuple(sorted(pos[u] for u in adj[v] if u in pos and pos[u] < p))
         for p, v in enumerate(cover)
     ]
     closing = [[] for _ in cover]
-    isolated = 0
     for v in indep:
         nbrs = tuple(sorted(pos[u] for u in adj[v]))
-        if nbrs:
-            closing[nbrs[-1]].append(nbrs)
-        else:
-            isolated += 1
-    return back, closing, isolated
+        closing[nbrs[-1]].append(nbrs)
+    return back, closing, g.n - len(adj)
 
 
 @dataclass(frozen=True)
@@ -133,29 +142,30 @@ class ProfileMap:
     width: int
     counts: dict  # packed key -> number of assignments
 
-    def decode(self, key: int) -> tuple[int, ...]:
-        mask = (1 << self.width) - 1
-        return tuple((key >> (t * self.width)) & mask for t in range(len(self.tracked)))
-
-    def items(self):
-        for key in sorted(self.counts):
-            yield self.decode(key), self.counts[key]
-
 
 def profile_map(
     g: Graph,
     n: int,
     tracked_cells,
     caps: dict[int, int] | None = None,
-    max_vertices: int = VERTEX_GUARD,
 ) -> ProfileMap:
     """Count assignments per profile over the tracked cells.
 
     ``caps`` limits cell multiplicity (maps beyond a cap are dropped);
-    capped cells must be tracked unless their cap is 0.
+    capped cells must be tracked unless their cap is 0. Refuses with
+    ``SizeGuardError`` before colouring when n^|C| + (isolated vertices)
+    exceeds ``ENUMERATION_GUARD``.
     """
-    if g.n > max_vertices:
-        raise SizeGuardError(f"enumeration guard: {g.n} vertices > {max_vertices}")
+    back, closing, isolated = _cover_plan(g)
+    colourings = n ** len(back)
+    if colourings + isolated > ENUMERATION_GUARD:
+        # past 10^18 the exponent says enough (and str() refuses 4300 digits)
+        value = f" = {colourings}" if colourings < 10**18 else ""
+        extra = f" + {isolated} isolated vertices" if isolated else ""
+        raise SizeGuardError(
+            f"enumeration guard: {n}^{len(back)}{value} colourings{extra}"
+            f" > {ENUMERATION_GUARD}"
+        )
     ncells = n * (n + 1) // 2
     tracked = tuple(sorted(tracked_cells))
     width = max(3, g.edge_count.bit_length())
@@ -174,7 +184,6 @@ def profile_map(
             capped.append((((1 << width) - 1) << shift, cap << shift))
 
     cellof = [[pair_index(a, b, n) for b in range(n)] for a in range(n)]
-    back, closing, isolated = _cover_plan(g)
     last = len(back) - 1
     colors = [0] * len(back)
     rng = range(n)
@@ -259,7 +268,6 @@ def _count_polynomial(
     g: Graph,
     t: SymbolicTemplate,
     symbol_caps: dict[str, int] | None = None,
-    max_vertices: int = VERTEX_GUARD,
 ) -> SparsePoly:
     """The count polynomial of H over the template: the sum over all maps
     V(H) -> [n] of the product of the cells its edges land on, with symbol
@@ -286,7 +294,7 @@ def _count_polynomial(
             cell_caps[idx] = 0
         elif c != 1:
             tracked.append(idx)
-    pm = profile_map(g, t.n, tracked, cell_caps, max_vertices=max_vertices)
+    pm = profile_map(g, t.n, tracked, cell_caps)
     symbols = t.symbols
     axis = {s: k for k, s in enumerate(symbols)}
     cells = [t.cells[idx] for idx in pm.tracked]
@@ -323,56 +331,46 @@ def _count_polynomial(
     )
 
 
-def weighted_hom_count(
-    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
-) -> Fraction:
+def weighted_hom_count(g: Graph, a: SymRationalMatrix) -> Fraction:
     """Sum over all maps V(H) -> [n] of the product of edge weights.
 
     This is the homogeneous degree-e(H) evaluation without the n^{-v(H)}
     normalization; dividing by n^{v(H)} gives the density.
     """
     t = SymbolicTemplate.from_matrix(a)
-    return _count_polynomial(g, t, max_vertices=max_vertices).coefficient(())
+    return _count_polynomial(g, t).coefficient(())
 
 
-def density(g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD) -> Fraction:
-    return weighted_hom_count(g, a, max_vertices) / Fraction(a.n) ** g.n
+def density(g: Graph, a: SymRationalMatrix) -> Fraction:
+    return weighted_hom_count(g, a) / Fraction(a.n) ** g.n
 
 
-def norm_powers(
-    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
-) -> dict[str, Fraction]:
+def norm_powers(g: Graph, a: SymRationalMatrix) -> dict[str, Fraction]:
     """The hom count, the density t_H(U_A) and the e(H)-th powers of the two
     norm candidates: |t_H(U_A)| and t_H(U_|A|). Roots are left to
     display-layer bracketing. A kernel without negative entries is its own
     |A|, so it is enumerated once."""
-    count = weighted_hom_count(g, a, max_vertices)
+    count = weighted_hom_count(g, a)
     d = count / Fraction(a.n) ** g.n
     signed = any(x < 0 for x in a.tri)
     return {
         "count": count,
         "density": d,
         "norm_pow": abs(d),
-        "weak_norm_pow": density(g, a.entrywise_abs(), max_vertices) if signed else d,
+        "weak_norm_pow": density(g, a.entrywise_abs()) if signed else d,
     }
 
 
-def symbolic_profile(
-    g: Graph, t: SymbolicTemplate, max_vertices: int = VERTEX_GUARD
-) -> SparsePoly:
+def symbolic_profile(g: Graph, t: SymbolicTemplate) -> SparsePoly:
     """Exact polynomial in the template symbols accumulated over all maps.
 
     Substituting rationals for the symbols and evaluating equals
     weighted_hom_count on the substituted matrix.
     """
-    if t.n > TEMPLATE_GUARD:
-        raise SizeGuardError(f"template guard: n={t.n} > {TEMPLATE_GUARD}")
-    return _count_polynomial(g, t, max_vertices=max_vertices)
+    return _count_polynomial(g, t)
 
 
-def sidorenko_check(
-    g: Graph, a: SymRationalMatrix, max_vertices: int = VERTEX_GUARD
-) -> bool:
+def sidorenko_check(g: Graph, a: SymRationalMatrix) -> bool:
     """Exact check of t_H(U_A) >= t_{K2}(U_A)^{e(H)} for bipartite H."""
     if not is_bipartite(g):
         raise UsageError("sidorenko check needs a bipartite graph")
@@ -381,50 +379,31 @@ def sidorenko_check(
     edge_density = sum(
         a.at(i, j) for i in range(a.n) for j in range(a.n)
     ) / Fraction(a.n) ** 2
-    return density(g, a, max_vertices) >= edge_density**g.edge_count
+    return density(g, a) >= edge_density**g.edge_count
 
 
-def hatami_box_check(
-    g: Graph,
-    u: SymRationalMatrix,
-    w: SymRationalMatrix,
-    max_vertices: int = VERTEX_GUARD,
-) -> bool:
+def hatami_box_check(g: Graph, u: SymRationalMatrix, w: SymRationalMatrix) -> bool:
     """Exact check of t_H(U+W) + t_H(U-W) <= 2^{e(H)-1} (t_H(U) + t_H(W))."""
     if u.n != w.n:
         raise UsageError("dimension mismatch")
-    lhs = density(g, u.add(w), max_vertices) + density(g, u.sub(w), max_vertices)
-    rhs = 2 ** (g.edge_count - 1) * (
-        density(g, u, max_vertices) + density(g, w, max_vertices)
-    )
+    lhs = density(g, u.add(w)) + density(g, u.sub(w))
+    rhs = 2 ** (g.edge_count - 1) * (density(g, u) + density(g, w))
     return lhs <= rhs
 
 
-def counting_lemma_check(
-    g: Graph,
-    a: SymRationalMatrix,
-    b: SymRationalMatrix,
-    max_vertices: int = VERTEX_GUARD,
-) -> bool:
+def counting_lemma_check(g: Graph, a: SymRationalMatrix, b: SymRationalMatrix) -> bool:
     """Exact check of |t_H(U_A) - t_H(U_B)| <= 4 e(H) ||A - B||_cut."""
     if a.n != b.n:
         raise UsageError("dimension mismatch")
     if not (a.entries_in(-1, 1) and b.entries_in(-1, 1)):
         raise UsageError("counting lemma check needs entries in [-1, 1]")
-    gap = abs(density(g, a, max_vertices) - density(g, b, max_vertices))
+    gap = abs(density(g, a) - density(g, b))
     return gap <= 4 * g.edge_count * cut_norm(a.sub(b))
-
-
-EULERIAN_INDICATOR_GUARD = 12
 
 
 def eulerian_indicator_check(g: Graph, n: int) -> bool:
     """Check that the +/- block kernel sees exactly the eulerian indicator:
     density 1 when every degree of H is even, density 0 otherwise."""
-    if g.n > EULERIAN_INDICATOR_GUARD:
-        raise SizeGuardError(
-            f"eulerian indicator guard: {g.n} vertices > {EULERIAN_INDICATOR_GUARD}"
-        )
     d = density(g, block_pm_ones(n))
     expected = Fraction(1) if is_eulerian(g) else Fraction(0)
     return d == expected

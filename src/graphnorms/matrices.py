@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import SizeGuardError, UsageError
+from .errors import SWEEP_GUARD, SizeGuardError, UsageError
 from .rationals import format_rational, parse_rational
-
-CUT_NORM_GUARD = 14
 
 MATRIX_CLASSES = ("nonnegative", "positive", "signed")
 
@@ -119,10 +117,9 @@ class SymRationalMatrix:
         except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed matrix JSON: {exc}") from exc
         mat = cls.from_rows(rows)
-        try:
-            n = int(data.get("n", mat.n))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"malformed matrix n: {exc}") from exc
+        n = data.get("n", mat.n)
+        if type(n) is not int:
+            raise UsageError(f"malformed matrix n: {n!r}")
         if mat.n != n:
             raise UsageError("matrix n field disagrees with entries")
         return mat
@@ -152,7 +149,7 @@ def block_pm_ones(n: int) -> SymRationalMatrix:
     )
 
 
-def cut_norm(a: SymRationalMatrix, max_size: int = CUT_NORM_GUARD) -> Fraction:
+def cut_norm(a: SymRationalMatrix) -> Fraction:
     """max over S, T of |sum_{i in S, j in T} a_ij| / n^2, exactly.
 
     Restricting S and T to unions of parts is lossless: the objective is
@@ -161,8 +158,8 @@ def cut_norm(a: SymRationalMatrix, max_size: int = CUT_NORM_GUARD) -> Fraction:
     share a sign, so a single Gray-code sweep over S suffices.
     """
     n = a.n
-    if n > max_size:
-        raise SizeGuardError(f"cut norm guard: n={n} > {max_size}")
+    if n > SWEEP_GUARD:
+        raise SizeGuardError(f"cut norm guard: n={n} > {SWEEP_GUARD}")
     scale = lcm(*(x.denominator for x in a.tri))
     rows = [[int(a.at(i, j) * scale) for j in range(n)] for i in range(n)]
 

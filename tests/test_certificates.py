@@ -6,6 +6,7 @@ import pytest
 from graphnorms import (
     Certificate,
     Refusal,
+    SizeGuardError,
     SymbolicTemplate,
     UsageError,
     bowtie_blowup,
@@ -180,6 +181,13 @@ def test_random_search_finds_mobius_witness():
 def test_random_search_respects_c4():
     assert random_witness_search(cycle_graph(4), 2, 500, "weakly_norming", seed=0) is None
     assert random_witness_search(cycle_graph(4), 2, 500, "norming", seed=0) is None
+
+
+def test_random_search_bounds_its_zero_pattern_cache():
+    # C_4 at n = 4 costs the engine 4^2 colourings per enumeration, but the
+    # search would keep up to 2^10 of them, one per zero pattern
+    with pytest.raises(SizeGuardError, match="zero-pattern cache"):
+        random_witness_search(cycle_graph(4), 4, 10, "weakly_norming")
 
 
 def test_convexity_violation_from_certificate():

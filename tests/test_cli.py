@@ -224,11 +224,15 @@ def test_usage_and_guard_exit_codes(capsys, tmp_path, pm_file):
     assert code == 3
     code, data = run_json(capsys, "cutnorm", "-m", str(tmp_path / "missing.json"))
     assert code == 3
-    path = tmp_path / "p17.json"
-    path.write_text(json.dumps({"n": 17, "edges": [[i, i + 1] for i in range(16)]}))
+    # C_28 colours 14 vertices, 2^14 colourings at n = 2: past the limit
+    path = tmp_path / "c28.json"
+    path.write_text(json.dumps({"n": 28, "edges": [[i, (i + 1) % 28] for i in range(28)]}))
     code, data = run_json(capsys, "density", "-g", str(path), "-m", pm_file)
     assert code == 2
-    assert data["kind"] == "inconclusive"
+    assert data == {
+        "error": "enumeration guard: 2^14 = 16384 colourings > 10000",
+        "kind": "inconclusive",
+    }
 
 
 def test_plain_output(capsys, pm_file):
@@ -262,27 +266,16 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["bowtie-cycle", "--k", "5"], ["kpm", "--m", "5"]], ids=["bowtie", "kpm"]
+    "argv", [["bowtie-cycle", "--k", "9"], ["kpm", "--m", "9"]], ids=["bowtie", "kpm"]
 )
-def test_max_vertices_reaches_the_engine(capsys, monkeypatch, argv):
-    import graphnorms.homs as homs
-
-    seen = []
-    real = homs._count_polynomial
-
-    def recording(g, t, symbol_caps=None, max_vertices=homs.VERTEX_GUARD):
-        seen.append(max_vertices)
-        return real(g, t, symbol_caps, max_vertices)
-
-    monkeypatch.setattr(homs, "_count_polynomial", recording)
-    code, _ = run(capsys, "certify", *argv, "--max-vertices", "18")
-    assert code == 0 and seen == [18]
-    seen.clear()
-    code, _ = run(capsys, "certify", *argv)
-    assert code == 0 and seen == [homs.VERTEX_GUARD]
-    # below the graph's 10 vertices the engine's own guard refuses
-    code, data = run_json(capsys, "certify", *argv, "--max-vertices", "9")
-    assert code == 2 and data["error"] == "enumeration guard: 10 vertices > 9"
+def test_certify_past_the_limit_is_inconclusive(capsys, argv):
+    # both 18-vertex graphs colour one 9-vertex side of the bipartition
+    code, data = run_json(capsys, "certify", *argv)
+    assert code == 2
+    assert data == {
+        "error": "enumeration guard: 3^9 = 19683 colourings > 10000",
+        "kind": "inconclusive",
+    }
 
 
 def test_internal_error_is_exit_four_on_stderr(capsys, monkeypatch, pm_file):
@@ -327,6 +320,25 @@ def test_screening_verify_does_not_scale_with_claimed_n(capsys, tmp_path, reason
     assert time.perf_counter() - start < 0.5
 
 
+def test_curvature_verify_refuses_a_claimed_trillion_vertices_at_once(capsys, tmp_path):
+    import time
+
+    code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")
+    assert code == 0
+    cert = json.loads(out)
+    cert["graph"]["n"] = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and data == {
+        "error": "enumeration guard: 3^5 = 243 colourings + 999999999990 isolated "
+        "vertices > 10000",
+        "kind": "inconclusive",
+    }
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -352,13 +364,18 @@ def test_unreadable_certificate_text_is_a_usage_error(capsys, tmp_path, content)
         (("witness", "n"), "three"),
         (("witness", "n"), None),
         (("witness", "n"), float("inf")),
+        (("witness", "n"), 3.0),
         (("graph", "n"), float("inf")),
+        (("graph", "n"), 10.7),
         (("graph", "edges", 0, 1), 1.5),
         (("graph", "edges", 0, 1), 6.0),
+        (("graph", "edges", 0, 1), True),
         (("pairs", 0, 0), float("inf")),
+        (("pairs", 0, 0), 1.5),
     ],
-    ids=["witness-n-text", "witness-n-null", "witness-n-inf", "graph-n-inf",
-         "edge-fraction", "edge-float", "pair-inf"],
+    ids=["witness-n-text", "witness-n-null", "witness-n-inf", "witness-n-float",
+         "graph-n-inf", "graph-n-fraction", "edge-fraction", "edge-float", "edge-bool",
+         "pair-inf", "pair-fraction"],
 )
 def test_malformed_nested_field_is_a_usage_error(capsys, tmp_path, path, bad):
     code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphnorms import (
+    SizeGuardError,
     SparsePoly,
     SymbolicTemplate,
     SymRationalMatrix,
     UsageError,
-    allones_kernel_check,
+    allones_hessian,
+    annihilates_ones,
     bowtie_blowup,
     cycle_graph,
     hessian_matrix,
     path_graph,
-    principal_submatrix,
     psd_certify,
     quadratic_form,
     symbolic_profile,
@@ -126,12 +127,21 @@ def test_pair_restriction_agrees_with_full():
     g = bowtie_blowup(cycle_graph(3))
     full = hessian_matrix(g, a)
     sub = hessian_matrix(g, a, pairs=[(2, 2), (0, 2)])
-    assert sub.matrix.rows() == principal_submatrix(full, [(2, 2), (0, 2)]).rows()
-    assert principal_submatrix(full, full.pairs).rows() == full.matrix.rows()
+    at = [full.pairs.index(p) for p in sub.pairs]
+    assert sub.matrix.rows() == [[full.entry(r, s) for s in at] for r in at]
     with pytest.raises(UsageError):
         hessian_matrix(g, a, pairs=[(0, 0), (0, 0)])
-    with pytest.raises(UsageError):
-        principal_submatrix(full, [(5, 5)])
+
+
+def test_dense_hessian_is_held_to_the_work_limit():
+    # K_2 colours one vertex, so only the k x k dense read can grow: k^2
+    # is held to the engine's limit of 10^4 entries
+    k2 = path_graph(2)
+    ones = lambda n: SymRationalMatrix.from_rows([[1] * n for _ in range(n)])
+    assert len(hessian_matrix(k2, ones(13)).pairs) == 91
+    with pytest.raises(SizeGuardError) as err:
+        hessian_matrix(k2, ones(14))
+    assert str(err.value) == "hessian guard: 105^2 = 11025 entries > 10000"
 
 
 def test_mobius_boundary_principal_submatrix():
@@ -205,8 +215,8 @@ def test_non_psd_principal_submatrix_extends_by_zero_padding():
     res_full = psd_certify(full.matrix)
     for r in range(len(full.pairs)):
         for s in range(r + 1, len(full.pairs)):
-            sub = principal_submatrix(full, [full.pairs[r], full.pairs[s]])
-            res = psd_certify(sub)
+            sub = [[full.entry(r, r), full.entry(r, s)], [full.entry(s, r), full.entry(s, s)]]
+            res = psd_certify(SymRationalMatrix.from_rows(sub))
             if not res.is_psd:
                 padded = [Fraction(0)] * len(full.pairs)
                 padded[r], padded[s] = res.witness
@@ -245,14 +255,14 @@ def test_two_var_hessian_with_parameter():
 
 @pytest.mark.parametrize("g,half", [(C4, 1), (C4, 2), (cycle_graph(6), 1)])
 def test_allones_kernel(g, half):
-    assert allones_kernel_check(g, half)
+    assert annihilates_ones(allones_hessian(g, half))
 
 
 def test_allones_kernel_preconditions():
     with pytest.raises(UsageError):
-        allones_kernel_check(cycle_graph(5), 1)  # odd edge count
+        allones_hessian(cycle_graph(5), 1)  # odd edge count
     with pytest.raises(UsageError):
-        allones_kernel_check(path_graph(3), 1)  # not eulerian
+        allones_hessian(path_graph(3), 1)  # not eulerian
 
 
 def test_kernel_hessians_are_psd():

@@ -1,4 +1,5 @@
 import random as _random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,17 @@ from graphnorms import (
     SymbolicTemplate,
     SymRationalMatrix,
     UsageError,
+    allones_hessian,
     bowtie_blowup,
+    certify_bowtie_cycle,
+    certify_kpm,
     counting_lemma_check,
     kpm_graph,
     cycle_graph,
     density,
     eulerian_indicator_check,
     hatami_box_check,
+    hessian_matrix,
     norm_powers,
     path_graph,
     random_witness_search,
@@ -26,7 +31,7 @@ from graphnorms import (
     verify_certificate,
     weighted_hom_count,
 )
-from graphnorms.homs import profile_map
+from graphnorms.homs import ENUMERATION_GUARD, profile_map
 from graphnorms.matrices import block_pm_ones
 from oracles import (
     brute_hom_count,
@@ -59,11 +64,58 @@ def test_density_examples():
 
 
 def test_size_guard():
-    big = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
-    with pytest.raises(SizeGuardError):
-        weighted_hom_count(big, PM1)
-    # explicit override lifts the guard
-    assert weighted_hom_count(big, PM1, max_vertices=17) == 0
+    # the engine's work estimate is n^|C| colourings of its vertex cover C
+    # plus the isolated vertices; a 17-vertex path colours 8 vertices
+    long_path = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
+    assert weighted_hom_count(long_path, PM1) == 0
+    with pytest.raises(SizeGuardError) as err:
+        weighted_hom_count(cycle_graph(28), PM1)
+    assert str(err.value) == "enumeration guard: 2^14 = 16384 colourings > 10000"
+    # C_8 colours 4 vertices: 10^4 is at the limit, 11^4 past it
+    ones = lambda n: SymRationalMatrix.from_rows([[1] * n for _ in range(n)])
+    assert ENUMERATION_GUARD == 10**4
+    assert weighted_hom_count(cycle_graph(8), ones(10)) == 10**8
+    with pytest.raises(SizeGuardError) as err:
+        weighted_hom_count(cycle_graph(8), ones(11))
+    assert str(err.value) == "enumeration guard: 11^4 = 14641 colourings > 10000"
+    isolated = Graph(10**12, ((0, 1),))
+    with pytest.raises(SizeGuardError) as err:
+        weighted_hom_count(isolated, PM1)
+    assert str(err.value) == (
+        "enumeration guard: 2^1 = 2 colourings + 999999999998 isolated vertices > 10000"
+    )
+    assert weighted_hom_count(Graph(9999, ((0, 1),)), OFFDIAG) == 2 * 2**9997
+
+
+BOWTIE9 = bowtie_blowup(cycle_graph(9))  # colours one side: 3^9 at n = 3
+C28 = cycle_graph(28)  # eulerian with an even edge count; colours 14 at n = 2
+THREE = SymRationalMatrix.from_rows([[1, Fraction(1, 2), 0], [Fraction(1, 2), 0, 1], [0, 1, 1]])
+PAST_3_9 = "enumeration guard: 3^9 = 19683 colourings > 10000"
+PAST_2_14 = "enumeration guard: 2^14 = 16384 colourings > 10000"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: density(BOWTIE9, THREE), PAST_3_9),
+        (lambda: symbolic_profile(BOWTIE9, SymbolicTemplate.from_rows(
+            [[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])), PAST_3_9),
+        (lambda: hessian_matrix(BOWTIE9, THREE), PAST_3_9),
+        (lambda: eulerian_indicator_check(C28, 1), PAST_2_14),
+        (lambda: allones_hessian(C28, 1), PAST_2_14),
+        (lambda: random_witness_search(BOWTIE9, 3, 10, "weakly_norming"), PAST_3_9),
+        (lambda: certify_bowtie_cycle(9), PAST_3_9),
+        (lambda: certify_kpm(9), PAST_3_9),
+    ],
+    ids=["density", "symbolic_profile", "hessian_matrix", "eulerian_indicator_check",
+         "allones_hessian", "random_witness_search", "certify_bowtie_cycle", "certify_kpm"],
+)
+def test_every_former_guard_site_refuses_at_once(call, message):
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError) as err:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == message
 
 
 def test_norm_powers():
@@ -153,6 +205,15 @@ def test_all_ones_counts_everything(n_vertices, n):
     assert weighted_hom_count(g, ones) == Fraction(n) ** g.n
 
 
+def _profiles(pm):
+    """{profile: count} with each packed key cut into its per-cell fields."""
+    mask = (1 << pm.width) - 1
+    return {
+        tuple((key >> (t * pm.width)) & mask for t in range(len(pm.tracked))): count
+        for key, count in pm.counts.items()
+    }
+
+
 def test_profile_map_matches_brute_force_on_random_cases():
     rng = _random.Random(20191018)
     for case in range(60):
@@ -175,7 +236,7 @@ def test_profile_map_matches_brute_force_on_random_cases():
             elif kind == "tracked":
                 tracked.append(cell)
             # "one": an untracked weight-1 cell, free to take any edges
-        got = dict(profile_map(g, n, tracked, caps).items())
+        got = _profiles(profile_map(g, n, tracked, caps))
         assert got == brute_profile_map(g, n, tracked, caps), (case, g, n, tracked, caps)
 
 
@@ -188,7 +249,7 @@ def test_profile_map_matches_brute_force_on_random_cases():
 def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
     # every cell tracked, as verification enumerates; the kpm witness has two
     # zero cells, capped at the two copies a second derivative can remove
-    got = dict(profile_map(g, 3, range(6), caps).items())
+    got = _profiles(profile_map(g, 3, range(6), caps))
     assert got == brute_profile_map(g, 3, range(6), caps)
 
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphnorms import SymRationalMatrix, UsageError, block_pm_ones, cut_norm, sample_matrix
+from graphnorms import (
+    SizeGuardError,
+    SymRationalMatrix,
+    UsageError,
+    block_pm_ones,
+    cut_norm,
+    sample_matrix,
+)
 from graphnorms.matrices import load_matrix_text, pair_index, pair_list
 from oracles import brute_cut_norm, random_rational_rows, random_sym_matrix
 
@@ -49,6 +56,14 @@ def test_cut_norm_scaling_and_bounds(seed, n, num, den):
     mean = abs(sum(a.at(i, j) for i in range(n) for j in range(n))) / n**2
     l1 = sum(abs(a.at(i, j)) for i in range(n) for j in range(n)) / Fraction(n**2)
     assert mean <= value <= l1
+
+
+def test_cut_norm_sweep_limit():
+    # the Gray-code sweep shares the limit of 16 with the other exhaustive sweeps
+    assert cut_norm(block_pm_ones(8)) == Fraction(1, 4)
+    with pytest.raises(SizeGuardError) as err:
+        cut_norm(SymRationalMatrix.from_rows([[1] * 17 for _ in range(17)]))
+    assert str(err.value) == "cut norm guard: n=17 > 16"
 
 
 def test_block_pm_ones():

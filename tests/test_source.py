@@ -51,3 +51,39 @@ def test_broad_exception_handlers_only_in_cli_main():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_size_guards_only_at_the_remaining_limits():
+    # one work limit on the enumeration engine (also pricing a dense
+    # Hessian), one sweep limit, and the bound on the search's zero-pattern
+    # cache; a size knob on any function would bring back per-call limits
+    root = Path(graphnorms.__file__).parent
+    raising, knobs = set(), []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Raise)
+                    and isinstance(inner.exc, ast.Call)
+                    and isinstance(inner.exc.func, ast.Name)
+                    and inner.exc.func.id == "SizeGuardError"
+                ):
+                    raising.add(f"{path.stem}.{node.name}")
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            knobs += [
+                f"{path.stem}.{node.name}({a.arg})"
+                for a in args
+                if a.arg in ("max_vertices", "max_size")
+            ]
+    assert raising == {
+        "homs.profile_map",
+        "hessians.hessian_matrix",
+        "matrices.cut_norm",
+        "graphs.is_isomorphic",
+        "graphs.verify_bowtie_structure",
+        "certificates.random_witness_search",
+    }
+    assert knobs == []
