@@ -1,4 +1,8 @@
-"""Exceptions shared across the toolkit, and the size limit of its exhaustive sweeps."""
+"""Exceptions shared across the toolkit, and its size limits."""
+
+# the enumeration engine's work limit (see homs.profile_map), also the most
+# entries a dense matrix built from one size parameter may have
+ENUMERATION_GUARD = 10_000
 
 # cut_norm's Gray-code sweep visits 2^n row subsets, verify_bowtie_structure
 # all 2^v(H) vertex subsets, and is_isomorphic backtracks over vertex orders

@@ -62,6 +62,16 @@ class Graph:
             adj[v].add(u)
         return adj
 
+    def sparse_adjacency(self) -> dict[int, set[int]]:
+        """Neighbours of every non-isolated vertex, read off the edge list
+        alone so the cost does not grow with n; keys in order of first
+        appearance in the sorted edge list."""
+        adj: dict[int, set[int]] = {}
+        for (u, v) in self.edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        return adj
+
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for (u, v) in self.edges:
@@ -245,10 +255,7 @@ def _two_colouring(g: Graph) -> dict[int, int] | None:
 
     Built from the edge list alone, so the cost does not grow with g.n.
     """
-    adj: dict[int, list[int]] = {}
-    for (u, v) in g.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = g.sparse_adjacency()
     color: dict[int, int] = {}
     # sorted edges insert each component's smallest vertex first
     for start in adj:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
-from .homs import ENUMERATION_GUARD, SymbolicTemplate, _count_polynomial
+from .homs import SymbolicTemplate, _count_polynomial
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 from .polys import SparsePoly
 

@@ -26,27 +26,27 @@ colourings instead of n^v(H) maps. Weight-zero cells kill a map outright
 and multiplicity caps are checked on every sum, since multiplicities only
 grow along the search.
 
-That count is also the engine's one work limit. Before colouring anything,
-``profile_map`` estimates its work as n^|C| colourings plus one factor per
-isolated vertex, read off the edge list alone (so a graph claiming 10^12
-mostly isolated vertices costs nothing to refuse), and raises
-``SizeGuardError`` when the estimate exceeds ``ENUMERATION_GUARD``, with the
-estimate in the message: ``enumeration guard: 3^9 = 19683 colourings >
-10000``. Every density, profile and Hessian is read off this engine, so they
-all refuse at the same point.
+The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
+read off the edge list alone (so a graph claiming 10^12 mostly isolated
+vertices costs nothing to refuse). Before colouring anything,
+``profile_map`` counts n^|C| colourings plus one factor per isolated
+vertex, and bounds the profile entries that summing the independent set
+out touches per colouring (a star has one cover vertex but its leaves
+carry a map that grows with their number); when either exceeds the limit
+it raises ``SizeGuardError`` with the estimate in the message:
+``enumeration guard: 3^9 = 19683 colourings > 10000``. Every density,
+profile and Hessian is read off this engine, so they all refuse at the
+same point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .errors import SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_bipartite, is_eulerian
 from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index
 from .polys import SparsePoly
-
-# n^|C| + isolated vertices; the certify pipelines reach 3^7 = 2187
-ENUMERATION_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,13 @@ def _cover_plan(g: Graph):
     of isolated vertices. Built from the edge list alone, so the cost does
     not grow with g.n.
     """
-    adj: dict[int, set[int]] = {}
-    for (u, v) in g.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    indep = []
+    adj = g.sparse_adjacency()
+    indep, taken = [], set()
     for v in sorted(adj, key=lambda v: (len(adj[v]), v)):
-        if not adj[v].intersection(indep):
+        if taken.isdisjoint(adj[v]):
             indep.append(v)
-    cover = sorted(adj.keys() - set(indep), key=lambda v: (-len(adj[v]), v))
+            taken.add(v)
+    cover = sorted(adj.keys() - taken, key=lambda v: (-len(adj[v]), v))
     pos = {v: p for p, v in enumerate(cover)}
     back = [
         tuple(sorted(pos[u] for u in adj[v] if u in pos and pos[u] < p))
@@ -132,6 +130,33 @@ def _cover_plan(g: Graph):
         nbrs = tuple(sorted(pos[u] for u in adj[v]))
         closing[nbrs[-1]].append(nbrs)
     return back, closing, g.n - len(adj)
+
+
+def _summing_entries(closing, n: int, tracked: int) -> int:
+    """Profile entries that summing the independent set out touches per
+    cover colouring, estimated from above and counted only until it passes
+    ``ENUMERATION_GUARD``.
+
+    Summing out a vertex convolves its n colours into the carried map, so
+    it touches n entries per key carried. The carried map holds at most one
+    key per multiset of colours of the vertices sharing a neighbourhood,
+    that is prod C(j + n - 1, j) over neighbourhoods shared by j vertices
+    summed so far, and at most C(e + T, T) keys, the vectors of e edges
+    spread over T tracked cells.
+    """
+    entries = edges = 0
+    multisets = 1
+    shared: dict[tuple, int] = {}
+    for group in closing:
+        for nbrs in group:
+            entries += n * min(multisets, comb(edges + tracked, tracked))
+            if entries > ENUMERATION_GUARD:
+                return entries
+            j = shared.get(nbrs, 0)
+            multisets = multisets * (j + n) // (j + 1)
+            shared[nbrs] = j + 1
+            edges += len(nbrs)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -153,8 +178,9 @@ def profile_map(
 
     ``caps`` limits cell multiplicity (maps beyond a cap are dropped);
     capped cells must be tracked unless their cap is 0. Refuses with
-    ``SizeGuardError`` before colouring when n^|C| + (isolated vertices)
-    exceeds ``ENUMERATION_GUARD``.
+    ``SizeGuardError`` before colouring when n^|C| + (isolated vertices),
+    or the profile entries summing the independent set out touches per
+    colouring, exceeds ``ENUMERATION_GUARD``.
     """
     back, closing, isolated = _cover_plan(g)
     colourings = n ** len(back)
@@ -166,8 +192,13 @@ def profile_map(
             f"enumeration guard: {n}^{len(back)}{value} colourings{extra}"
             f" > {ENUMERATION_GUARD}"
         )
-    ncells = n * (n + 1) // 2
     tracked = tuple(sorted(tracked_cells))
+    if _summing_entries(closing, n, len(tracked)) > ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"enumeration guard: summing out the independent set touches"
+            f" > {ENUMERATION_GUARD} profile entries per colouring"
+        )
+    ncells = n * (n + 1) // 2
     width = max(3, g.edge_count.bit_length())
     incs = [0] * ncells
     for t, cell in enumerate(tracked):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import SWEEP_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
 from .rationals import format_rational, parse_rational
 
 MATRIX_CLASSES = ("nonnegative", "positive", "signed")
@@ -137,9 +137,17 @@ def load_matrix_text(text: str) -> SymRationalMatrix:
 
 
 def block_pm_ones(n: int) -> SymRationalMatrix:
-    """2n x 2n block matrix: +1 within each half, -1 across halves."""
+    """2n x 2n block matrix: +1 within each half, -1 across halves.
+
+    Built dense from one integer, so its (2n)^2 entries are held to the
+    engine's work limit before any row exists.
+    """
     if n < 1:
         raise UsageError("block size must be >= 1")
+    if 4 * n * n > ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"matrix guard: {2 * n}^2 = {4 * n * n} entries > {ENUMERATION_GUARD}"
+        )
     one = Fraction(1)
     return SymRationalMatrix.from_rows(
         [

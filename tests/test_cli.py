@@ -339,6 +339,39 @@ def test_curvature_verify_refuses_a_claimed_trillion_vertices_at_once(capsys, tm
     }
 
 
+def test_curvature_verify_refuses_a_large_star_at_once(capsys, tmp_path):
+    import time
+
+    code, out = run(capsys, "certify", "bowtie-cycle", "--k", "5")
+    assert code == 0
+    cert = json.loads(out)
+    # one cover vertex: 3 colourings, but 2000 leaves to sum out
+    cert["graph"] = {"n": 2001, "edges": [[0, i] for i in range(1, 2001)]}
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and data == {
+        "error": "enumeration guard: summing out the independent set touches"
+        " > 10000 profile entries per colouring",
+        "kind": "inconclusive",
+    }
+
+
+@pytest.mark.parametrize("check", ["prop42", "euler-indicator"])
+def test_block_kernel_checks_refuse_a_huge_block_at_once(capsys, c4_file, check):
+    import time
+
+    start = time.perf_counter()
+    code, data = run_json(capsys, "check", check, "-g", c4_file, "--n", "100000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and data == {
+        "error": "matrix guard: 200000^2 = 40000000000 entries > 10000",
+        "kind": "inconclusive",
+    }
+
+
 @pytest.mark.parametrize(
     "content",
     [

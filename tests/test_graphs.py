@@ -193,6 +193,13 @@ def test_bowtie_structure_fails_first_condition_small(k):
     assert rep.edge_in_unique_4cycle is None
 
 
+def test_sparse_adjacency_reads_the_edge_list_alone():
+    g = Graph(10**12, ((0, 1), (1, 5)))
+    adj = g.sparse_adjacency()
+    assert adj == {0: {1}, 1: {0, 5}, 5: {1}}
+    assert list(adj) == [0, 1, 5]
+
+
 def test_graph_json_and_text_round_trip():
     g = kpm_graph(3)
     assert Graph.from_json(g.to_json()) == g

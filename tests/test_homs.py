@@ -118,6 +118,35 @@ def test_every_former_guard_site_refuses_at_once(call, message):
     assert str(err.value) == message
 
 
+def star(m):
+    return Graph(m + 1, tuple((0, i) for i in range(1, m + 1)))
+
+
+STAR_PAST = (
+    "enumeration guard: summing out the independent set touches > 10000"
+    " profile entries per colouring"
+)
+
+
+def test_star_leaves_count_towards_the_limit():
+    # one cover vertex, but the leaves' summed map grows with their number:
+    # at n = 3 with every cell tracked the estimate is 3 C(m + 2, 3)
+    generic = SymRationalMatrix.from_rows([
+        [Fraction(1, 5), Fraction(1, 2), Fraction(1, 7)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)],
+        [Fraction(1, 7), Fraction(2, 3), Fraction(3, 4)],
+    ])
+    m = 26  # 3 * 3276 = 9828 entries, at the limit
+    expected = sum(sum(row) ** m for row in generic.rows()) / Fraction(3) ** (m + 1)
+    assert density(star(m), generic) == expected
+    for leaves in (27, 2000, 10**5):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError) as err:
+            density(star(leaves), generic)
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == STAR_PAST
+
+
 def test_norm_powers():
     p = norm_powers(cycle_graph(4), PM1)
     assert p["norm_pow"] == 1 and p["weak_norm_pow"] == 1

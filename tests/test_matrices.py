@@ -80,6 +80,11 @@ def test_block_pm_ones():
         # rank one: every row is +/- the first; all row sums vanish
         assert all(row in (rows[0], [-x for x in rows[0]]) for row in rows)
         assert all(sum(row) == 0 for row in rows)
+    # built dense from one integer: (2n)^2 entries held to the work limit
+    assert block_pm_ones(50).n == 100
+    with pytest.raises(SizeGuardError) as err:
+        block_pm_ones(51)
+    assert str(err.value) == "matrix guard: 102^2 = 10404 entries > 10000"
 
 
 def test_sample_matrix_contracts():

@@ -55,8 +55,9 @@ def test_broad_exception_handlers_only_in_cli_main():
 
 def test_size_guards_only_at_the_remaining_limits():
     # one work limit on the enumeration engine (also pricing a dense
-    # Hessian), one sweep limit, and the bound on the search's zero-pattern
-    # cache; a size knob on any function would bring back per-call limits
+    # Hessian and the dense block matrix), one sweep limit, and the bound
+    # on the search's zero-pattern cache; a size knob on any function would
+    # bring back per-call limits
     root = Path(graphnorms.__file__).parent
     raising, knobs = set(), []
     for path in sorted(root.rglob("*.py")):
@@ -81,6 +82,7 @@ def test_size_guards_only_at_the_remaining_limits():
     assert raising == {
         "homs.profile_map",
         "hessians.hessian_matrix",
+        "matrices.block_pm_ones",
         "matrices.cut_norm",
         "graphs.is_isomorphic",
         "graphs.verify_bowtie_structure",
