@@ -21,10 +21,25 @@ I of H; its complement C is a vertex cover. Only C is coloured depth-first.
 Given the colours of its neighbours, a vertex of I is independent of every
 other vertex of I, so its n colours collapse to a {key: count} map of at
 most n entries, which is convolved into the {key: count} map carried down
-the search as soon as its last neighbour is coloured. That visits n^|C|
-colourings instead of n^v(H) maps. Weight-zero cells kill a map outright
-and multiplicity caps are checked on every sum, since multiplicities only
-grow along the search.
+the search as soon as its last neighbour is coloured. Weight-zero cells
+kill a map outright and multiplicity caps are checked on every sum, since
+multiplicities only grow along the search.
+
+The search also reuses subtrees, the bounded-width dynamic programme of
+Diaz-Serna-Thilikos (counting H-colourings of partial k-trees) run inside
+the same depth-first search. The subtree under cover position p reads only
+its frontier F_p, the earlier positions adjacent to a cover vertex or a
+closing independent vertex at p or later. Where F_p is not the whole
+prefix, the subtree's own map (nothing summed out above it, keys relative
+to its base) depends only on the colours on F_p and the capped fields of
+the base, so it is made once per such key and convolved with the carried
+map at every visit; a table is dropped when the prefix below its
+frontier's first gap changes, since its keys cannot recur. A cycle
+blow-up's frontier stays at 4 positions, so bowtie k = 7 tries 849 partial
+colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279, and each
+further k adds 243; K_{m,m} minus a matching reads its whole prefix at
+every depth and is searched exactly as without reuse.
+``ProfileMap.visited`` counts the partial colourings tried.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
 read off the edge list alone (so a graph claiming 10^12 mostly isolated
@@ -34,9 +49,13 @@ vertex, and bounds the profile entries that summing the independent set
 out touches per colouring (a star has one cover vertex but its leaves
 carry a map that grows with their number); when either exceeds the limit
 it raises ``SizeGuardError`` with the estimate in the message:
-``enumeration guard: 3^9 = 19683 colourings > 10000``. Every density,
-profile and Hessian is read off this engine, so they all refuse at the
-same point.
+``enumeration guard: 3^9 = 19683 colourings > 10000``. The estimate prices
+the search without reuse, so bowtie k = 9 is refused though reuse would
+try far fewer partial colourings. A cover vertex is priced as at least 2
+colours (at n = 1 the message reads ``1^14 colourings priced as 2^14 =
+16384``), which keeps the search depth at 13 or less for every n. Every
+density, profile and Hessian is read off this engine, so they all refuse
+at the same point.
 """
 
 from dataclasses import dataclass
@@ -159,6 +178,22 @@ def _summing_entries(closing, n: int, tracked: int) -> int:
     return entries
 
 
+def _frontiers(back, closing):
+    """Per cover position p, the earlier positions that colouring p on
+    reads (through back edges and closing independent vertices at positions
+    >= p), or None where that is every earlier position, so the subtree
+    under p is never reused."""
+    read: set[int] = set()
+    out = []
+    for p in reversed(range(len(back))):
+        read.update(back[p])
+        for nbrs in closing[p]:
+            read.update(nbrs)
+        f = tuple(sorted(q for q in read if q < p))
+        out.append(f if len(f) < p else None)
+    return out[::-1]
+
+
 @dataclass(frozen=True)
 class ProfileMap:
     """Packed edge-multiplicity profiles with assignment counts."""
@@ -166,6 +201,7 @@ class ProfileMap:
     tracked: tuple[int, ...]  # flat cell indices, ascending
     width: int
     counts: dict  # packed key -> number of assignments
+    visited: int  # partial cover colourings tried; a reused subtree counts once
 
 
 def profile_map(
@@ -180,18 +216,21 @@ def profile_map(
     capped cells must be tracked unless their cap is 0. Refuses with
     ``SizeGuardError`` before colouring when n^|C| + (isolated vertices),
     or the profile entries summing the independent set out touches per
-    colouring, exceeds ``ENUMERATION_GUARD``.
+    colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is priced as at
+    least 2 colours, which also bounds the depth of the search at n = 1.
     """
     back, closing, isolated = _cover_plan(g)
-    colourings = n ** len(back)
-    if colourings + isolated > ENUMERATION_GUARD:
+    depth = len(back)
+    priced = max(n, 2) ** depth
+    if priced + isolated > ENUMERATION_GUARD:
         # past 10^18 the exponent says enough (and str() refuses 4300 digits)
-        value = f" = {colourings}" if colourings < 10**18 else ""
+        value = f" = {priced}" if priced < 10**18 else ""
+        if n < 2:
+            what = f"{n}^{depth} colourings priced as 2^{depth}{value}"
+        else:
+            what = f"{n}^{depth}{value} colourings"
         extra = f" + {isolated} isolated vertices" if isolated else ""
-        raise SizeGuardError(
-            f"enumeration guard: {n}^{len(back)}{value} colourings{extra}"
-            f" > {ENUMERATION_GUARD}"
-        )
+        raise SizeGuardError(f"enumeration guard: {what}{extra} > {ENUMERATION_GUARD}")
     tracked = tuple(sorted(tracked_cells))
     if _summing_entries(closing, n, len(tracked)) > ENUMERATION_GUARD:
         raise SizeGuardError(
@@ -213,12 +252,25 @@ def profile_map(
                 raise UsageError("capped cell must be tracked")
             shift = tracked.index(cell) * width
             capped.append((((1 << width) - 1) << shift, cap << shift))
+    capmask = sum(mask for mask, _ in capped)  # the fields are disjoint
+
+    # a reusable subtree keeps one result per (colours on its frontier,
+    # capped fields of base); a key cannot recur once the prefix below the
+    # frontier's first gap changes, so colouring a position there clears it
+    frontier = _frontiers(back, closing)
+    tables = [None if f is None else {} for f in frontier]
+    clears = [[] for _ in back]
+    for p, f in enumerate(frontier):
+        if f is not None:
+            for q in range(min(set(range(p)).difference(f))):
+                clears[q].append(tables[p])
 
     cellof = [[pair_index(a, b, n) for b in range(n)] for a in range(n)]
-    last = len(back) - 1
-    colors = [0] * len(back)
+    last = depth - 1
+    colors = [0] * depth
     rng = range(n)
     counts: dict[int, int] = {}
+    visited = 0
 
     def side(nbrs):
         """{key: colours} for one independent vertex, its neighbours coloured."""
@@ -250,9 +302,36 @@ def profile_map(
             out = {k: c for k, c in out.items() if (base + k) & mask <= cap}
         return out
 
-    def rec(p, base, acc):
-        """Colour cover position p on. ``base`` packs the edges inside the
-        coloured cover, ``acc`` the vertices summed out so far."""
+    def add(sink, acc, local, base, origin):
+        """Add the product of two maps at ``base`` to sink, relative to origin."""
+        shift = base - origin
+        for k, cnt in convolve(acc, local, base).items():
+            k += shift
+            sink[k] = sink.get(k, 0) + cnt
+
+    def rec(p, base, acc, origin, sink):
+        """Colour cover position p on and add the finished maps to ``sink``,
+        keyed relative to ``origin``. ``base`` packs the edges inside the
+        coloured cover, ``acc`` the vertices summed out so far. Where the
+        subtree reads only a frontier of the prefix, its own result (with
+        nothing summed out above it) is looked up or made once and
+        convolved with ``acc``."""
+        f = frontier[p]
+        if f is None:
+            descend(p, base, acc, origin, sink)
+            return
+        tkey = (tuple(colors[q] for q in f), base & capmask)
+        sub = tables[p].get(tkey)
+        if sub is None:
+            sub = {}
+            descend(p, base, {0: 1}, base, sub)
+            tables[p][tkey] = sub
+        add(sink, acc, sub, base, origin)
+
+    def descend(p, base, acc, origin, sink):
+        """rec's colour loop at position p."""
+        nonlocal visited
+        visited += n
         ends: dict[int, int] = {}
         for c in rng:
             key = base
@@ -265,6 +344,8 @@ def profile_map(
                 if any(key & mask > cap for mask, cap in capped):
                     continue
                 colors[p] = c
+                for table in clears[p]:
+                    table.clear()
                 # the closing vertices' own sums are small: multiply them
                 # together before touching the carried map
                 local = {0: 1}
@@ -274,25 +355,23 @@ def profile_map(
                         break
                 else:
                     if p < last:
-                        rec(p + 1, key, convolve(acc, local, key))
+                        rec(p + 1, key, convolve(acc, local, key), origin, sink)
                     else:
                         # the last cover vertex is summed out like the others
                         for k, cnt in local.items():
                             k += key - base
                             ends[k] = ends.get(k, 0) + cnt
         if ends:
-            for k, cnt in convolve(acc, ends, base).items():
-                k += base
-                counts[k] = counts.get(k, 0) + cnt
+            add(sink, acc, ends, base, origin)
 
     if back:
-        rec(0, 0, {0: 1})
+        rec(0, 0, {0: 1}, 0, counts)
     else:
         counts[0] = 1
     if isolated:
         factor = n**isolated
         counts = {k: c * factor for k, c in counts.items()}
-    return ProfileMap(tracked, width, counts)
+    return ProfileMap(tracked, width, counts, visited)
 
 
 def _count_polynomial(

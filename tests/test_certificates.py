@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -116,6 +117,31 @@ def test_certify_kpm_five():
     assert y2min is None or y2min > 2
     assert Fraction(ev["epsilon"]) > 0
     assert cert.value < 0
+    assert verify_certificate(cert)
+
+
+# SHA-256 of each certificate's JSON (sorted keys, tool_version left out):
+# the pipelines' outputs are pinned byte for byte, whatever the engine does
+GOLDEN = {
+    ("bowtie", 5): "83999373b058ce9df1974ccc5dbcc593b265c008c75f53581af9f9adc0561206",
+    ("bowtie", 6): "6189eb6b44e43d709db14f92576c02a2e3f7e7785d1acb2ee3cf221993bd1e99",
+    ("bowtie", 7): "5c17387f89bace0206cb9f09aaae7341d2dff740fbd68f8d1f2b8f63bec017a7",
+    ("kpm", 4): "054aa36dc4a994229f2f33f5247d104a485fb0186cf2a5a8f858206053b6730a",
+    ("kpm", 5): "8775cd0b18f45ac4eaf6de0dd5321b49d9f52d99c30e0ba404bce363e0552c9c",
+    ("kpm", 6): "d58b4ba0b66db96648bd22ebe5b1f9abfc30b463fa55bcd402d98a77b6d91bce",
+    ("kpm", 7): "e6207ad863f0cfa6921fd45af5e8841597d6f092cdba0b82e07828b51afe1a9c",
+}
+
+
+@pytest.mark.parametrize(
+    "family, k", sorted(GOLDEN), ids=[f"{f}{k}" for f, k in sorted(GOLDEN)]
+)
+def test_certificates_are_byte_identical_to_golden(family, k):
+    cert = (certify_bowtie_cycle if family == "bowtie" else certify_kpm)(k)
+    data = cert.to_json()
+    del data["tool_version"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN[family, k]
     assert verify_certificate(cert)
 
 

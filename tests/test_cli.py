@@ -278,6 +278,29 @@ def test_certify_past_the_limit_is_inconclusive(capsys, argv):
     }
 
 
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        (27, "enumeration guard: 1^14 colourings priced as 2^14 = 16384 > 10000"),
+        (3000, "enumeration guard: 1^1500 colourings priced as 2^1500 > 10000"),
+    ],
+    ids=["c27", "c3000"],
+)
+def test_one_colour_kernel_is_held_to_the_limit(capsys, tmp_path, length, message):
+    # a 1x1 kernel gives 1^|C| = 1 colouring at any size; each cover vertex is
+    # priced as 2 colours so the search depth stays bounded (C_26 colours 13)
+    one = tmp_path / "one.json"
+    one.write_text('{"n": 1, "entries": [["1"]]}')
+    for k in (26, length):
+        graph = tmp_path / f"c{k}.json"
+        graph.write_text(run(capsys, "construct", "cycle", str(k))[1])
+        code, data = run_json(capsys, "density", "-g", str(graph), "-m", str(one))
+        if k == 26:
+            assert code == 0 and data["density"] == "1"
+    assert code == 2
+    assert data == {"error": message, "kind": "inconclusive"}
+
+
 def test_internal_error_is_exit_four_on_stderr(capsys, monkeypatch, pm_file):
     import graphnorms.cli as cli
 

@@ -31,7 +31,9 @@ from graphnorms import (
     verify_certificate,
     weighted_hom_count,
 )
-from graphnorms.homs import ENUMERATION_GUARD, profile_map
+from graphnorms import homs
+from graphnorms.graphs import cartesian_k2
+from graphnorms.homs import ENUMERATION_GUARD, _cover_plan, profile_map
 from graphnorms.matrices import block_pm_ones
 from oracles import (
     brute_hom_count,
@@ -140,9 +142,10 @@ def test_star_leaves_count_towards_the_limit():
     expected = sum(sum(row) ** m for row in generic.rows()) / Fraction(3) ** (m + 1)
     assert density(star(m), generic) == expected
     for leaves in (27, 2000, 10**5):
+        g = star(leaves)  # built before the clock: only the refusal is timed
         start = time.perf_counter()
         with pytest.raises(SizeGuardError) as err:
-            density(star(leaves), generic)
+            density(g, generic)
         assert time.perf_counter() - start < 0.5
         assert str(err.value) == STAR_PAST
 
@@ -280,6 +283,60 @@ def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
     # zero cells, capped at the two copies a second derivative can remove
     got = _profiles(profile_map(g, 3, range(6), caps))
     assert got == brute_profile_map(g, 3, range(6), caps)
+
+
+def _full_tree(g, n):
+    """Partial cover colourings a search without reuse tries: n + ... + n^|C|."""
+    return sum(n**i for i in range(1, len(_cover_plan(g)[0]) + 1))
+
+
+@pytest.mark.parametrize(
+    "g, n, caps",
+    [
+        (cycle_graph(8), 3, [{0: 1, 5: 2}, {2: 0, 0: 2, 3: 3}]),
+        (cycle_graph(10), 3, [{0: 1, 5: 2}, {2: 0, 0: 2, 3: 3}]),
+        # the chord puts a cover edge above the reused subtree, so prefixes
+        # with equal frontier colours carry different capped fields in base
+        (Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]), 3,
+         [{2: 1}, {2: 2, 4: 0}]),
+        (bowtie_blowup(cycle_graph(6)), 2, [{0: 3, 2: 4}, {1: 0, 2: 5}]),
+        (bowtie_blowup(cycle_graph(7)), 2, [{0: 3, 2: 4}, {1: 0, 2: 5}]),
+        (cartesian_k2(cycle_graph(6)), 2, [{0: 3, 2: 4}, {0: 0, 1: 9}]),
+        (cartesian_k2(cycle_graph(7)), 2, [{0: 3, 2: 4}, {0: 0, 1: 9}]),
+    ],
+    ids=["c8", "c10", "c7chord", "bowtie6", "bowtie7", "ladder6", "ladder7"],
+)
+def test_reused_subtrees_match_brute_force(g, n, caps):
+    # each case has a cover position whose subtree reads only part of the
+    # prefix, so its result is reused; binding caps and weight-0 cells
+    # change what a reused subtree may hold, and caps are part of its key
+    cells = range(n * (n + 1) // 2)
+    pm = profile_map(g, n, cells)
+    assert pm.visited < _full_tree(g, n)
+    assert _profiles(pm) == brute_profile_map(g, n, cells)
+    for cap in caps:
+        tracked = [c for c in cells if cap.get(c) != 0]
+        expected = brute_profile_map(g, n, tracked, cap)
+        assert expected != brute_profile_map(g, n, tracked)  # the caps bind
+        assert _profiles(profile_map(g, n, tracked, cap)) == expected
+
+
+def test_visited_counts_reuse_on_cycle_blowups_only(monkeypatch):
+    # bowtie k = 7 reuses the subtrees under its last two cover positions;
+    # every cover position of K_{m,m} minus a matching reads the whole prefix
+    seen = []
+
+    def spy(*args):
+        pm = profile_map(*args)
+        seen.append(pm.visited)
+        return pm
+
+    monkeypatch.setattr(homs, "profile_map", spy)
+    cert = certify_bowtie_cycle(7)
+    assert verify_certificate(cert)
+    assert len(seen) == 2 and max(seen) <= 849
+    kpm = kpm_graph(7)
+    assert profile_map(kpm, 3, range(6)).visited == _full_tree(kpm, 3) == 3279
 
 
 def test_parallel_matches_serial():
