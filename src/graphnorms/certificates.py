@@ -22,12 +22,11 @@ from .graphs import (
 )
 from .hessians import (
     hessian_matrix,
-    opened_polynomial,
     psd_certify,
     quadratic_form,
     two_var_hessian_at_origin,
 )
-from .homs import SymbolicTemplate, density, symbolic_profile
+from .homs import SymbolicTemplate, _count_polynomial, density, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
@@ -427,7 +426,6 @@ def random_witness_search(
     trials: int,
     mode: str,
     seed: int = 0,
-    denominator_bound: int = 8,
     threads: int = 1,
 ) -> Certificate | None:
     """Sample step matrices of the mode's class until the Hessian fails PSD.
@@ -438,12 +436,21 @@ def random_witness_search(
     hugs the boundary where some entries vanish. norming mode samples
     signed matrices. Deterministic for a fixed seed. ``threads`` is
     accepted and ignored.
+
+    The graph is enumerated once, into the count polynomial with every
+    cell a symbol and no caps. The Hessian at a sampled matrix is read from
+    that polynomial with the terms dropped that carry more than two edges
+    on one of the matrix's zero cells, which is term for term the capped
+    polynomial ``hessian_matrix`` builds, so one filtered copy is kept per
+    zero pattern.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
+    if trials < 0:
+        raise UsageError(f"trials must be >= 0, got {trials}")
     if n > 3:
-        # the engine's estimate prices one enumeration; the zero-pattern
-        # cache below keeps up to 2^(n(n+1)/2) of them, 64 at n = 3
+        # the filtered copies below, one per zero pattern, number up to
+        # 2^(n(n+1)/2) of one polynomial: 64 at n = 3
         raise SizeGuardError(
             f"search guard: n={n} > 3, the bound on its zero-pattern cache "
             "(at most 64 count polynomials)"
@@ -451,17 +458,23 @@ def random_witness_search(
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
     pairs = tuple(pair_list(n))
-    # with every cell opened, the count polynomial depends only on which
-    # cells are zero: at most 2^(n(n+1)/2) polynomials, freed on return
-    by_zeros: dict[tuple[bool, ...], tuple[SparsePoly, list[str]]] = {}
+    # zero-padded names sort in cell order, so a cell's axis is its index
+    names = [f"c{idx:02d}" for idx in range(len(pairs))]
+    full = None  # the uncapped polynomial, built at the first trial
+    by_zeros: dict[tuple[bool, ...], SparsePoly] = {}
     for trial in range(trials):
         trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
-        a = sample_matrix(n, matrix_class, denominator_bound, trial_seed)
+        a = sample_matrix(n, matrix_class, 8, trial_seed)  # denominators <= 8
         zeros = tuple(x == 0 for x in a.tri)
         if zeros not in by_zeros:
-            by_zeros[zeros] = opened_polynomial(g, a, pairs)
-        poly, names = by_zeros[zeros]
-        hess = poly.hessian(names, dict(zip(names, a.tri)))
+            if full is None:
+                full = _count_polynomial(g, SymbolicTemplate(n, tuple(names)))
+            axes = [idx for idx, z in enumerate(zeros) if z]
+            by_zeros[zeros] = SparsePoly(
+                full.symbols,
+                {e: c for e, c in full.terms.items() if all(e[ax] <= 2 for ax in axes)},
+            )
+        hess = by_zeros[zeros].hessian(names, dict(zip(names, a.tri)))
         res = psd_certify(SymRationalMatrix.from_rows(hess))
         if not res.is_psd:
             return Certificate(

@@ -241,7 +241,7 @@ def _cmd_density(ns, state) -> tuple[int, dict]:
 def _cmd_hessian(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
-    pairs = _parse_pairs(ns.pairs) if ns.pairs else None
+    pairs = None if ns.pairs is None else _parse_pairs(ns.pairs)
     h = hessian_matrix(g, a, pairs)
     return 0, {
         "pairs": [list(p) for p in h.pairs],

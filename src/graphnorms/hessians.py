@@ -4,13 +4,15 @@ The count polynomial lives on the n(n+1)/2 upper-triangle entries of a
 symmetric matrix; Hessian coordinates follow the same row-major pair order
 (0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. A Hessian is
 read by ``SparsePoly.hessian`` from the count polynomial that ``homs``
-builds with the selected cells left symbolic (``opened_polynomial``, which
-callers reading many Hessians off one zero pattern keep). Building and
-reading both run on Python ints over one common denominator, so each
-Hessian entry is a single division at the end. PSD is decided by pivoted
-symmetric elimination over the rationals, never by eigenvalues, so a
-failure always comes with a rational direction whose quadratic form is
-negative and re-checkable by direct multiplication.
+builds with the selected cells left symbolic. Building and reading both
+run on Python ints over one common denominator, so each Hessian entry is a
+single division at the end. PSD is decided by pivoted symmetric
+elimination, never by eigenvalues, so a failure always comes with a
+rational direction whose quadratic form is negative and re-checkable by
+direct multiplication. The elimination is fraction-free (Bareiss): it runs
+on integers whose every intermediate is a rational Schur complement times
+a positive leading principal minor, so it takes the same decisions and
+finds the same primitive witnesses as elimination over the rationals.
 """
 
 from dataclasses import dataclass
@@ -66,20 +68,6 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
             f"hessian guard: {k}^2 = {k * k} entries > {ENUMERATION_GUARD}"
         )
 
-    poly, names = opened_polynomial(g, a, selected)
-    point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
-    entries = poly.hessian(names, point)
-    return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
-
-
-def opened_polynomial(g: Graph, a: SymRationalMatrix, selected) -> tuple[SparsePoly, list[str]]:
-    """The count polynomial at ``a`` with the selected cells opened as
-    symbols, and the symbol names in selection order.
-
-    It depends on ``a`` only through the unselected cells and through which
-    selected cells are zero (those are capped at multiplicity 2).
-    """
-    n = a.n
     opened = [pair_index(i, j, n) for (i, j) in selected]
     names = [f"c{idx:02d}" for idx in opened]
     cells = list(a.tri)
@@ -87,7 +75,9 @@ def opened_polynomial(g: Graph, a: SymRationalMatrix, selected) -> tuple[SparseP
         cells[idx] = name
     caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
     poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps)
-    return poly, names
+    point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
+    entries = poly.hessian(names, point)
+    return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
 
 
 @dataclass(frozen=True)
@@ -116,44 +106,54 @@ def quadratic_form(m: SymRationalMatrix, v) -> Fraction:
     return total
 
 
-def _primitive(v: list[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to a primitive integer vector (same sign)."""
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
 def psd_certify(m: SymRationalMatrix) -> PsdResult:
-    """Total PSD decision by pivoted symmetric elimination over the rationals.
+    """Total PSD decision by pivoted symmetric elimination, fraction-free.
 
     Eliminates on strictly positive diagonal pivots; a negative diagonal
     entry yields a coordinate witness, and once every remaining diagonal
     entry is zero the matrix is PSD iff the remainder vanishes (a surviving
     off-diagonal entry gives an explicit negative direction). Witnesses are
     back-substituted to original coordinates and re-verified exactly.
+
+    The elimination runs on Python ints in Bareiss' form: M is scaled by
+    the lcm of its denominators, and each step updates every active row and
+    every active column of the lift (the current coordinates in the
+    original basis) as (a_pp x - a_jp y) // prev, prev the previous pivot,
+    an exact division by Sylvester's identity. After a step every active
+    entry is the rational Schur complement times the leading principal
+    minor of the pivots so far, which is positive, so each sign test picks
+    the pivot, negative diagonal or off-diagonal entry that elimination
+    over the rationals picks, and each witness is a positive multiple of
+    its rational counterpart, the same once divided by its gcd.
     """
     n = m.n
-    a = [[Fraction(x) for x in row] for row in m.rows()]
-    # columns of lift[] express current coordinates in the original basis
-    lift = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = m.rows()
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    # lift[j] expresses current coordinate j in the original basis
+    lift = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
     active = list(range(n))
+    prev = 1
 
     def finish(direction):
-        v = _primitive(direction)
+        # made primitive: divided by the gcd, which keeps the sign
+        g = gcd(*direction)
+        v = tuple(Fraction(x // g) for x in direction)
         value = quadratic_form(m, v)
         if value >= 0:
             raise RuntimeError(f"PSD witness does not re-check: value {value}")
         return PsdResult("not_psd", v, value)
 
+    def update(x, y, app, ajp):
+        q, rem = divmod(app * x - ajp * y, prev)
+        if rem:
+            raise RuntimeError("fraction-free elimination left a remainder")
+        return q
+
     while active:
         neg = next((i for i in active if a[i][i] < 0), None)
         if neg is not None:
-            return finish([lift[r][neg] for r in range(n)])
+            return finish(lift[neg])
         piv = next((i for i in active if a[i][i] > 0), None)
         if piv is None:
             # all remaining diagonals are zero
@@ -162,21 +162,19 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
                     if i < j and a[i][j] != 0:
                         sign = 1 if a[i][j] > 0 else -1
                         return finish(
-                            [lift[r][i] - sign * lift[r][j] for r in range(n)]
+                            [x - sign * y for x, y in zip(lift[i], lift[j])]
                         )
             return PsdResult("psd")
         active.remove(piv)
-        ap = a[piv][piv]
-        row = [a[piv][k] for k in range(n)]
+        app = a[piv][piv]
+        row, col = a[piv], lift[piv]
         for j in active:
-            f = a[j][piv] / ap
-            if f == 0:
-                continue
+            ajp = a[j][piv]
+            aj = a[j]
             for k in active:
-                a[j][k] -= f * row[k]
-            a[j][piv] = a[piv][j] = Fraction(0)
-            for r in range(n):
-                lift[r][j] -= f * lift[r][piv]
+                aj[k] = update(aj[k], row[k], app, ajp)
+            lift[j] = [update(x, y, app, ajp) for x, y in zip(lift[j], col)]
+        prev = app
     return PsdResult("psd")
 
 

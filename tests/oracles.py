@@ -6,11 +6,14 @@ itertools and exact Fractions, independent of the library's engine;
 cross-checks route through the library (a symbolic profile in every cell
 differentiated formally, or finite differences of plain counts), so they
 share its count-polynomial builder with ``hessian_matrix``.
+``fraction_psd_certify`` is the PSD decision by elimination over
+``Fraction``s that ``psd_certify`` replaced with integer elimination.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from graphnorms import Graph, SymRationalMatrix
 
@@ -211,3 +214,53 @@ def fd_hessian_entry(g: Graph, a: SymRationalMatrix, p, q, h=Fraction(1, 10**4))
     return (shifted(1, 1) - shifted(1, -1) - shifted(-1, 1) + shifted(-1, -1)) / (
         4 * h * h
     )
+
+
+def fraction_psd_certify(rows):
+    """The pivoted symmetric elimination over the rationals, as a reference:
+    (verdict, primitive witness or None, its quadratic form or None).
+
+    Pivots on the first positive diagonal entry; the first negative one
+    gives a coordinate witness, and once every diagonal entry is zero the
+    first nonzero off-diagonal entry (i < j) gives lift_i - sign lift_j.
+    """
+    n = len(rows)
+    a0 = [[Fraction(x) for x in row] for row in rows]
+    a = [row[:] for row in a0]
+    lift = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+
+    def finish(direction):
+        scale = lcm(*(x.denominator for x in direction))
+        ints = [int(x * scale) for x in direction]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        v = tuple(Fraction(x // g) for x in ints)
+        value = sum(v[i] * a0[i][j] * v[j] for i in range(n) for j in range(n))
+        return "not_psd", v, value
+
+    while active:
+        neg = next((i for i in active if a[i][i] < 0), None)
+        if neg is not None:
+            return finish([lift[r][neg] for r in range(n)])
+        piv = next((i for i in active if a[i][i] > 0), None)
+        if piv is None:
+            for i in active:
+                for j in active:
+                    if i < j and a[i][j] != 0:
+                        sign = 1 if a[i][j] > 0 else -1
+                        return finish([lift[r][i] - sign * lift[r][j] for r in range(n)])
+            return "psd", None, None
+        active.remove(piv)
+        ap = a[piv][piv]
+        row = a[piv][:]
+        for j in active:
+            f = a[j][piv] / ap
+            if f == 0:
+                continue
+            for k in active:
+                a[j][k] -= f * row[k]
+            for r in range(n):
+                lift[r][j] -= f * lift[r][piv]
+    return "psd", None, None

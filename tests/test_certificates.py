@@ -318,7 +318,7 @@ def test_search_with_pattern_cache_matches_plain_loop(g, mode, seed, trials):
     assert len(set(patterns)) < len(patterns)
 
 
-def test_search_enumerates_once_per_zero_pattern(monkeypatch):
+def test_search_enumerates_once_per_search(monkeypatch):
     import graphnorms.homs as homs
 
     calls = []
@@ -335,4 +335,56 @@ def test_search_enumerates_once_per_zero_pattern(monkeypatch):
         tuple(x == 0 for x in a.tri)
         for _, a in _trial_matrices(3, "weakly_norming", 11, 40)
     }
-    assert len(calls) == len(patterns) < 40
+    assert len(patterns) == 19
+    # one uncapped enumeration with every cell tracked, read 19 ways
+    assert len(calls) == 1
+    assert calls[0][1:] == (3, [0, 1, 2, 3, 4, 5], {})
+    assert random_witness_search(g, 3, 0, "weakly_norming", seed=11) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(4), cycle_graph(6), complete_bipartite(3, 3), bowtie_blowup(cycle_graph(5))],
+    ids=["p4", "c6", "k33", "mobius"],
+)
+def test_filtered_polynomial_is_the_capped_one_on_every_zero_pattern(monkeypatch, g, n):
+    """The search reads each Hessian from the uncapped polynomial with the
+    terms dropped that carry more than two edges on a zero cell; that is
+    the capped polynomial hessian_matrix builds, term for term."""
+    import itertools
+
+    import graphnorms.certificates as certs
+    from graphnorms.hessians import PsdResult, hessian_matrix
+    from graphnorms.matrices import SymRationalMatrix
+    from graphnorms.polys import SparsePoly
+
+    ncells = n * (n + 1) // 2
+    matrices = [
+        SymRationalMatrix(
+            n, tuple(Fraction(0) if z else Fraction(idx + 1, idx + 2) for idx, z in enumerate(zeros))
+        )
+        for zeros in itertools.product([False, True], repeat=ncells)
+    ]
+    drawn = iter(matrices)
+    read = []
+    real_hessian = SparsePoly.hessian
+
+    def recording(self, symbols, point):
+        read.append(self)
+        return real_hessian(self, symbols, point)
+
+    monkeypatch.setattr(SparsePoly, "hessian", recording)
+    monkeypatch.setattr(certs, "sample_matrix", lambda *args: next(drawn))
+    monkeypatch.setattr(certs, "psd_certify", lambda m: PsdResult("psd"))
+    assert certs.random_witness_search(g, n, len(matrices), "norming") is None
+    filtered = read[:]
+    assert len(filtered) == 2**ncells
+    for a, got in zip(matrices, filtered):
+        read.clear()
+        hessian_matrix(g, a)
+        assert got.symbols == read[0].symbols
+        assert got.terms == read[0].terms
+    # the first pattern has no zero cell; the caps bind on some other one
+    assert any(len(p.terms) < len(filtered[0].terms) for p in filtered)

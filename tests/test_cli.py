@@ -211,6 +211,26 @@ def test_certify_search(capsys, tmp_path):
     assert code == 1 and data["found"] is False
 
 
+def test_certify_search_trial_count(capsys, c4_file):
+    # a negative budget is a usage error, not a search that found nothing
+    args = ("certify", "search", "-g", c4_file, "--mode", "weak", "--n", "2")
+    code, data = run_json(capsys, *args, "--trials", "-3")
+    assert code == 3
+    assert data == {"error": "trials must be >= 0, got -3", "kind": "usage"}
+    code, data = run_json(capsys, *args, "--trials", "0")
+    assert code == 1
+    assert data == {"found": False, "mode": "weakly_norming", "trials": 0, "seed": 0}
+
+
+def test_hessian_empty_pair_selection_is_a_usage_error(capsys, c4_file, pm_file):
+    for pairs in ("", " ; "):
+        code, data = run_json(
+            capsys, "hessian", "-g", c4_file, "-m", pm_file, "--pairs", pairs
+        )
+        assert code == 3
+        assert data == {"error": "empty pair selection", "kind": "usage"}
+
+
 def test_stdin_input(capsys, monkeypatch, pm_file):
     import io
 

@@ -26,6 +26,7 @@ from graphnorms.matrices import block_pm_ones, pair_list
 from oracles import (
     brute_hessian,
     fd_hessian_entry,
+    fraction_psd_certify,
     random_graph,
     random_rational_rows,
     random_sym_matrix,
@@ -206,6 +207,47 @@ def test_not_psd_witnesses_recheck(seed, n):
     if not res.is_psd:
         assert quadratic_form(m, res.witness) == res.value
         assert res.value < 0
+
+
+def _reference_cases(seed):
+    """Symmetric rationals of the shapes the elimination branches on."""
+    rng = _random.Random(seed)
+    n = rng.randint(1, 6)
+    shape = seed % 5
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 8))
+
+    if shape == 0:  # singular Gram matrices, some nudged off PSD
+        vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = [[sum(v[i] * v[j] for v in vecs) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            d = rng.randrange(n)
+            rows[d][d] -= Fraction(1, rng.randint(1, 10**6))
+        return rows
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if shape == 1 and i == j:  # zero diagonal
+                x = Fraction(0)
+            elif shape == 2:  # large denominators
+                x = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**12))
+            elif shape == 3 and i == j:  # diagonal with negative entries
+                x = entry() if rng.random() < 0.7 else -abs(entry())
+            else:  # sparse
+                x = entry() if rng.random() < 0.6 else Fraction(0)
+            rows[i][j] = rows[j][i] = x
+    return rows
+
+
+def test_psd_matches_the_fraction_reference():
+    verdicts = {"psd": 0, "not_psd": 0}
+    for seed in range(3000):
+        rows = _reference_cases(seed)
+        res = psd_certify(SymRationalMatrix.from_rows(rows))
+        assert (res.verdict, res.witness, res.value) == fraction_psd_certify(rows)
+        verdicts[res.verdict] += 1
+    assert min(verdicts.values()) > 300
 
 
 def test_non_psd_principal_submatrix_extends_by_zero_padding():
