@@ -448,6 +448,8 @@ def random_witness_search(
         raise UsageError(f"mode must be one of {MODES}")
     if trials < 0:
         raise UsageError(f"trials must be >= 0, got {trials}")
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
     if n > 3:
         # the filtered copies below, one per zero pattern, number up to
         # 2^(n(n+1)/2) of one polynomial: 64 at n = 3

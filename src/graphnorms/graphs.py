@@ -14,7 +14,6 @@ labeling so that certificates are reproducible:
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import SWEEP_GUARD, SizeGuardError, UsageError
 
@@ -348,11 +347,6 @@ def exterior_neighbourhood(g: Graph, members) -> frozenset[int]:
     return frozenset(out - members)
 
 
-def _induced_edges(g: Graph, subset):
-    sub = set(subset)
-    return [(u, v) for (u, v) in g.edges if u in sub and v in sub]
-
-
 @dataclass(frozen=True)
 class BowtieStructureReport:
     """Outcome of the two structural conditions used by the blow-up proofs.
@@ -380,33 +374,48 @@ class BowtieStructureReport:
 
 
 def verify_bowtie_structure(g: Graph) -> BowtieStructureReport:
-    """Check conditions (i) and (ii) by exhaustive enumeration (v <= 16)."""
+    """Check conditions (i) and (ii) by exhaustive enumeration (v <= 16).
+
+    Vertex sets are bitmasks with vertex v at bit n - 1 - v, so among sets
+    of one size a larger mask comes earlier in ``combinations`` order, the
+    order the counterexample is reported in. Two tables over all 2^n sets,
+    each entry read off the set without its first vertex, hold the edges a
+    set spans and the union of its members' neighbourhoods.
+    """
     if g.n > SWEEP_GUARD:
         raise SizeGuardError(f"structure guard: {g.n} vertices > {SWEEP_GUARD}")
+    n = g.n
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    nbr = [0] * n
+    for (u, v) in g.edges:
+        nbr[u] |= bit[v]
+        nbr[v] |= bit[u]
+    spanned = [0] * (1 << n)
+    reach = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = n - mask.bit_length()
+        rest = mask ^ bit[v]
+        spanned[mask] = spanned[rest] + (nbr[v] & rest).bit_count()
+        reach[mask] = reach[rest] | nbr[v]
 
     witness_edge = None
-    for e in g.edges:
-        ext = exterior_neighbourhood(g, e)
-        if len(_induced_edges(g, ext)) == 1:
-            witness_edge = e
+    for (u, v) in g.edges:
+        pair = bit[u] | bit[v]
+        if spanned[reach[pair] & ~pair] == 1:
+            witness_edge = (u, v)
             break
 
-    # all 2^n subsets, filtered to those spanning exactly two edges
-    two_ok = True
-    counterexample = None
-    for size in range(2, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            if len(_induced_edges(g, subset)) != 2:
-                continue
-            ext = exterior_neighbourhood(g, subset)
-            if not _induced_edges(g, ext):
-                two_ok = False
-                counterexample = frozenset(subset)
-                break
-        if not two_ok:
-            break
-
-    return BowtieStructureReport(witness_edge, two_ok, counterexample)
+    # sets spanning exactly two edges whose exterior spans none; sweeping
+    # masks downwards, the first such set of the smallest size comes first
+    first = None
+    for mask in range((1 << n) - 1, 0, -1):
+        if spanned[mask] == 2 and not spanned[reach[mask] & ~mask]:
+            if first is None or mask.bit_count() < first.bit_count():
+                first = mask
+    counterexample = (
+        None if first is None else frozenset(v for v in range(n) if first & bit[v])
+    )
+    return BowtieStructureReport(witness_edge, first is None, counterexample)
 
 
 def load_graph_text(text: str) -> Graph:

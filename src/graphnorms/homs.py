@@ -1,18 +1,20 @@
 """Weighted homomorphism counts over step-function kernels, exactly.
 
 The single enumeration primitive is a *profile map*: for every map
-phi: V(H) -> [n] it records how many edges of H land on each unordered
-cell {i, j} of the target matrix, and counts assignments per profile.
-One builder, ``_count_polynomial``, turns that integer map into the count
-polynomial of H over a template (a ``SparsePoly`` in the template's
-symbols), and everything else reads it: a density is its constant term
-over a matrix without symbols, a symbolic profile is the polynomial
-itself, and a Hessian opens the selected cells as symbols and evaluates
-second derivatives at the matrix (``SparsePoly.hessian``). Neither the
-enumeration nor the two readers multiply rationals: the builder writes the
-constant cells over one denominator L and accumulates an integer numerator
-over L^e(H) per exponent vector, the Hessian read does the same with the
-point, and each output entry becomes a ``Fraction`` once, at the end.
+phi: V(H) -> [n] it records how many edges of H land on each tracked cell
+{i, j} of the target matrix, and sums the maps' integer weights per
+profile. One builder, ``_count_polynomial``, turns that integer map into
+the count polynomial of H over a template (a ``SparsePoly`` in the
+template's symbols), and everything else reads it: a density is its
+constant term over a matrix without symbols, a symbolic profile is the
+polynomial itself, and a Hessian opens the selected cells as symbols and
+evaluates second derivatives at the matrix (``SparsePoly.hessian``). Only
+symbol cells are tracked: a constant cell b/L (L the lcm of the constant
+denominators) weighs b and is multiplied in as its edges land, as in
+Dechter's bucket elimination over a weighted semiring. The builder reads
+an integer numerator over L^e(H) per exponent vector, the Hessian read
+does the same with the point, and each output entry becomes a
+``Fraction`` once, at the end.
 
 A profile is packed into one integer key, one bit field per tracked cell,
 so joining two partial maps is adding their keys; fields are wide enough
@@ -21,9 +23,10 @@ I of H; its complement C is a vertex cover. Only C is coloured depth-first.
 Given the colours of its neighbours, a vertex of I is independent of every
 other vertex of I, so its n colours collapse to a {key: count} map of at
 most n entries, which is convolved into the {key: count} map carried down
-the search as soon as its last neighbour is coloured. Weight-zero cells
-kill a map outright and multiplicity caps are checked on every sum, since
-multiplicities only grow along the search.
+the search as soon as its last neighbour is coloured (a cover vertex's back
+edges seed it with their weight). Weight-zero cells kill a map outright
+and multiplicity caps are checked on every sum, since multiplicities only
+grow along the search.
 
 The search also reuses subtrees, the bounded-width dynamic programme of
 Diaz-Serna-Thilikos (counting H-colourings of partial k-trees) run inside
@@ -31,14 +34,15 @@ the same depth-first search. The subtree under cover position p reads only
 its frontier F_p, the earlier positions adjacent to a cover vertex or a
 closing independent vertex at p or later. Where F_p is not the whole
 prefix, the subtree's own map (nothing summed out above it, keys relative
-to its base) depends only on the colours on F_p and the capped fields of
-the base, so it is made once per such key and convolved with the carried
-map at every visit; a table is dropped when the prefix below its
-frontier's first gap changes, since its keys cannot recur. A cycle
-blow-up's frontier stays at 4 positions, so bowtie k = 7 tries 849 partial
-colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279, and each
-further k adds 243; K_{m,m} minus a matching reads its whole prefix at
-every depth and is searched exactly as without reuse.
+to its base, the weights of the edges inside it included) depends only on
+the colours on F_p and the capped fields of the base, so it is made once
+per such key and convolved with the carried map at every visit; a table
+is dropped when the prefix below its frontier's first gap changes, since
+its keys cannot recur. A cycle blow-up's frontier stays at 4 positions, so
+bowtie k = 7 tries 849 partial colourings where the plain search tries
+3 + 9 + ... + 3^7 = 3279, and each further k adds 243; K_{m,m} minus a
+matching reads its whole prefix at every depth and is searched exactly as
+without reuse.
 ``ProfileMap.visited`` counts the partial colourings tried.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
@@ -47,8 +51,9 @@ vertices costs nothing to refuse). Before colouring anything,
 ``profile_map`` counts n^|C| colourings plus one factor per isolated
 vertex, and bounds the profile entries that summing the independent set
 out touches per colouring (a star has one cover vertex but its leaves
-carry a map that grows with their number); when either exceeds the limit
-it raises ``SizeGuardError`` with the estimate in the message:
+carry a map that grows with their number unless no cell is tracked);
+when either exceeds the limit it raises ``SizeGuardError`` with the
+estimate in the message:
 ``enumeration guard: 3^9 = 19683 colourings > 10000``. The estimate prices
 the search without reuse, so bowtie k = 9 is refused though reuse would
 try far fewer partial colourings. A cover vertex is priced as at least 2
@@ -200,7 +205,7 @@ class ProfileMap:
 
     tracked: tuple[int, ...]  # flat cell indices, ascending
     width: int
-    counts: dict  # packed key -> number of assignments
+    counts: dict  # packed key -> summed weight of its maps (unweighted: their number)
     visited: int  # partial cover colourings tried; a reused subtree counts once
 
 
@@ -209,15 +214,18 @@ def profile_map(
     n: int,
     tracked_cells,
     caps: dict[int, int] | None = None,
+    weights: dict[int, int] | None = None,
 ) -> ProfileMap:
-    """Count assignments per profile over the tracked cells.
+    """Sum the weights of the maps per profile over the tracked cells.
 
-    ``caps`` limits cell multiplicity (maps beyond a cap are dropped);
-    capped cells must be tracked unless their cap is 0. Refuses with
-    ``SizeGuardError`` before colouring when n^|C| + (isolated vertices),
-    or the profile entries summing the independent set out touches per
-    colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is priced as at
-    least 2 colours, which also bounds the depth of the search at n = 1.
+    A map weighs the product of ``weights[cell]`` (default 1) over its
+    edges; weight 0 kills it. ``caps`` limits cell multiplicity (maps
+    beyond a cap are dropped); capped cells must be tracked unless their
+    cap is 0. Refuses with ``SizeGuardError`` before colouring when n^|C| +
+    (isolated vertices), or the profile entries summing the independent set
+    out touches per colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex
+    is priced as at least 2 colours, which also bounds the depth of the
+    search at n = 1.
     """
     back, closing, isolated = _cover_plan(g)
     depth = len(back)
@@ -242,11 +250,11 @@ def profile_map(
     incs = [0] * ncells
     for t, cell in enumerate(tracked):
         incs[cell] = 1 << (t * width)
-    dead = [False] * ncells  # a weight-zero cell kills the whole map
+    weight = [(weights or {}).get(cell, 1) for cell in range(ncells)]
     capped = []  # (field mask, cap in place) for tracked cells with a binding cap
     for cell, cap in (caps or {}).items():
         if cap <= 0:
-            dead[cell] = True
+            weight[cell] = 0
         elif cap < g.edge_count:
             if cell not in tracked:
                 raise UsageError("capped cell must be tracked")
@@ -265,7 +273,10 @@ def profile_map(
             for q in range(min(set(range(p)).difference(f))):
                 clears[q].append(tables[p])
 
-    cellof = [[pair_index(a, b, n) for b in range(n)] for a in range(n)]
+    # per colour pair: None where the cell kills a map, else the key
+    # increment and weight of one edge landing there
+    edge = [(incs[c], weight[c]) if weight[c] else None for c in range(ncells)]
+    step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
     last = depth - 1
     colors = [0] * depth
     rng = range(n)
@@ -273,17 +284,19 @@ def profile_map(
     visited = 0
 
     def side(nbrs):
-        """{key: colours} for one independent vertex, its neighbours coloured."""
+        """{key: weight} for one independent vertex, its neighbours coloured."""
+        rows = [step[colors[a]] for a in nbrs]
         out: dict[int, int] = {}
         for x in rng:
-            key = 0
-            for a in nbrs:
-                cell = cellof[colors[a]][x]
-                if dead[cell]:
+            key, w = 0, 1
+            for row in rows:
+                s = row[x]
+                if s is None:
                     break
-                key += incs[cell]
+                key += s[0]
+                w *= s[1]
             else:
-                out[key] = out.get(key, 0) + 1
+                out[key] = out.get(key, 0) + w
         return out
 
     def convolve(acc, local, base):
@@ -333,13 +346,15 @@ def profile_map(
         nonlocal visited
         visited += n
         ends: dict[int, int] = {}
+        rows = [step[colors[b]] for b in back[p]]
         for c in rng:
-            key = base
-            for b in back[p]:
-                cell = cellof[colors[b]][c]
-                if dead[cell]:
+            key, w = base, 1
+            for row in rows:
+                s = row[c]
+                if s is None:
                     break
-                key += incs[cell]
+                key += s[0]
+                w *= s[1]
             else:
                 if any(key & mask > cap for mask, cap in capped):
                     continue
@@ -348,7 +363,7 @@ def profile_map(
                     table.clear()
                 # the closing vertices' own sums are small: multiply them
                 # together before touching the carried map
-                local = {0: 1}
+                local = {0: w}
                 for nbrs in closing[p]:
                     local = convolve(local, side(nbrs), key)
                     if not local:
@@ -383,61 +398,47 @@ def _count_polynomial(
     V(H) -> [n] of the product of the cells its edges land on, with symbol
     cells kept as variables.
 
-    The one place a profile map becomes power products. Weight-1 cells are
-    not tracked (they contribute factor 1), weight-0 cells kill a map, and
-    a symbol in ``symbol_caps`` drops every map with more than its cap of
-    edges on one of its cells. The products are formed in integers: the
-    constant cells are b/L with L the lcm of their denominators, every
-    profile is brought to the denominator L^e(H) (an untracked 1-cell
-    counts as L/L), one integer numerator is accumulated per exponent
-    vector, and each coefficient is divided out once at the end.
+    The one place a profile map becomes power products. Only symbol cells
+    are tracked; a symbol in ``symbol_caps`` drops every map with more than
+    its cap of edges on one of its cells. A constant cell b/L, L the lcm of
+    the constant cells' denominators, is the integer weight b (a 1-cell
+    weighs L, weight-1 cells are left out), so a count carries L once per
+    edge on a constant cell: counts are summed per exponent vector, scaled
+    by L^degree to the denominator L^e(H), and each coefficient is divided
+    out once at the end.
     """
     caps = symbol_caps or {}
+    scale = lcm(*(c.denominator for c in t.cells if not isinstance(c, str)))
     tracked = []
     cell_caps = {}
+    weights = {}
     for idx, c in enumerate(t.cells):
         if isinstance(c, str):
             tracked.append(idx)
             if c in caps:
                 cell_caps[idx] = caps[c]
-        elif c == 0:
-            cell_caps[idx] = 0
-        elif c != 1:
-            tracked.append(idx)
-    pm = profile_map(g, t.n, tracked, cell_caps)
-    symbols = t.symbols
-    axis = {s: k for k, s in enumerate(symbols)}
-    cells = [t.cells[idx] for idx in pm.tracked]
-    scale = lcm(*(c.denominator for c in cells if not isinstance(c, str)))
-    edges = g.edge_count
-    scale_pow = [scale**e for e in range(edges + 1)]
-    # per tracked cell: its symbol axis and None, or None and the powers of b
-    slots = []
-    for c in cells:
-        if isinstance(c, str):
-            slots.append((axis[c], None))
         else:
             b = c.numerator * (scale // c.denominator)
-            slots.append((None, [b**e for e in range(edges + 1)]))
+            if b != 1:
+                weights[idx] = b
+    pm = profile_map(g, t.n, tracked, cell_caps, weights)
+    symbols = t.symbols
+    axes = [symbols.index(t.cells[idx]) for idx in pm.tracked]
     mask = (1 << pm.width) - 1
-    shifts = [i * pm.width for i in range(len(slots))]
+    shifts = [i * pm.width for i in range(len(axes))]
     acc: dict[tuple[int, ...], int] = {}
     for key, cnt in pm.counts.items():
         exp = [0] * len(symbols)
-        const = 0  # edges on constant cells, each carrying 1/L
-        for (ax, pw), shift in zip(slots, shifts):
-            m = (key >> shift) & mask
-            if m:
-                if ax is None:
-                    cnt *= pw[m]
-                    const += m
-                else:
-                    exp[ax] += m
+        for ax, shift in zip(axes, shifts):
+            exp[ax] += (key >> shift) & mask
         exp = tuple(exp)
-        acc[exp] = acc.get(exp, 0) + cnt * scale_pow[edges - const]
-    den = scale_pow[edges]
+        acc[exp] = acc.get(exp, 0) + cnt
+    # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
+    scale_pow = [scale**e for e in range(g.edge_count + 1)]
+    den = scale_pow[-1]
     return SparsePoly(
-        symbols, {exp: Fraction(num, den) for exp, num in acc.items() if num}
+        symbols,
+        {exp: Fraction(num * scale_pow[sum(exp)], den) for exp, num in acc.items() if num},
     )
 
 

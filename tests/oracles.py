@@ -12,7 +12,7 @@ share its count-polynomial builder with ``hessian_matrix``.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from graphnorms import Graph, SymRationalMatrix
@@ -32,19 +32,23 @@ def brute_hom_count(g: Graph, rows) -> Fraction:
     return total
 
 
-def brute_profile_map(g: Graph, n: int, tracked, caps=None) -> dict:
-    """{profile: number of maps} over all n^v(H) vertex maps, naively.
+def brute_profile_map(g: Graph, n: int, tracked, caps=None, weights=None) -> dict:
+    """{profile: summed weight of the maps} over all n^v(H) vertex maps, naively.
 
     A profile lists, for each tracked cell in ascending cell order, how many
     edges land on it. Cells are the unordered pairs {i, j} of [n], numbered
-    row by row through the upper triangle. A map with more edges on a cell
-    than ``caps`` allows for it is left out (a cap of 0 forbids the cell).
+    row by row through the upper triangle. A map weighs the product of
+    ``weights[cell]`` (1 where absent) over its edges, so without weights
+    the sums are numbers of maps. A map with more edges on a cell than
+    ``caps`` allows for it is left out (a cap of 0 forbids the cell).
+    Profiles whose weights sum to 0 are dropped.
     """
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     number = {}
     for idx, (i, j) in enumerate(cells):
         number[(i, j)] = number[(j, i)] = idx
     caps = dict(caps or {})
+    weights = dict(weights or {})
     tracked = sorted(tracked)
     out = {}
     for phi in product(range(n), repeat=g.n):
@@ -53,9 +57,84 @@ def brute_profile_map(g: Graph, n: int, tracked, caps=None) -> dict:
             mult[number[(phi[u], phi[v])]] += 1
         if any(mult[c] > cap for c, cap in caps.items()):
             continue
+        w = 1
+        for c, m in enumerate(mult):
+            w *= weights.get(c, 1) ** m
         profile = tuple(mult[c] for c in tracked)
-        out[profile] = out.get(profile, 0) + 1
-    return out
+        out[profile] = out.get(profile, 0) + w
+    return {profile: w for profile, w in out.items() if w}
+
+
+def brute_count_polynomial(g: Graph, cells, caps=None) -> dict:
+    """{exponent vector: coefficient} of the count polynomial, naively.
+
+    ``cells`` lists a template's cells, numbers or symbol names, for the
+    unordered pairs {i, j} of [n] row by row through the upper triangle;
+    exponent vectors follow the sorted symbol names. Every vertex map adds
+    the product of the numbers its edges land on to the monomial of the
+    symbols they land on, and is left out when it puts more edges on a cell
+    of a symbol in ``caps`` than that symbol's cap. Zero coefficients are
+    dropped.
+    """
+    n = 0
+    while n * (n + 1) // 2 < len(cells):
+        n += 1
+    number = {}
+    for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
+        number[(i, j)] = number[(j, i)] = idx
+    symbols = sorted({c for c in cells if isinstance(c, str)})
+    caps = dict(caps or {})
+    out = {}
+    for phi in product(range(n), repeat=g.n):
+        mult = [0] * len(cells)
+        for (u, v) in g.edges:
+            mult[number[(phi[u], phi[v])]] += 1
+        w = Fraction(1)
+        exp = dict.fromkeys(symbols, 0)
+        for c, m in zip(cells, mult):
+            if isinstance(c, str):
+                if m > caps.get(c, m):
+                    break
+                exp[c] += m
+            else:
+                w *= Fraction(c) ** m
+        else:
+            mono = tuple(exp[s] for s in symbols)
+            out[mono] = out.get(mono, 0) + w
+    return {mono: c for mono, c in out.items() if c}
+
+
+def brute_bowtie_structure(g: Graph) -> dict:
+    """The two conditions of ``verify_bowtie_structure`` as its JSON report,
+    by scanning the edge list for every vertex set.
+
+    (i) the first edge, in edge-list order, whose exterior neighbourhood
+    spans exactly one edge; (ii) whether every vertex set spanning exactly
+    two edges has an edge inside its exterior neighbourhood, and the first
+    set that has none, sets visited by size and then in ``combinations``
+    order.
+    """
+    def spanned(vertices):
+        return sum(1 for (u, v) in g.edges if u in vertices and v in vertices)
+
+    def exterior(vertices):
+        out = {w for (u, v) in g.edges if u in vertices or v in vertices for w in (u, v)}
+        return out - vertices
+
+    edge = next((e for e in g.edges if spanned(exterior(set(e))) == 1), None)
+    counterexample = None
+    for size in range(2, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            if spanned(set(subset)) == 2 and not spanned(exterior(set(subset))):
+                counterexample = sorted(subset)
+                break
+        if counterexample is not None:
+            break
+    return {
+        "edge_in_unique_4cycle": None if edge is None else list(edge),
+        "two_edge_sets_ok": counterexample is None,
+        "counterexample": counterexample,
+    }
 
 
 def brute_template_coefficients(g: Graph, rows, max_degree: int = 2) -> dict:

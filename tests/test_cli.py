@@ -26,6 +26,13 @@ def c4_file(tmp_path, capsys):
 
 
 @pytest.fixture
+def p4_file(tmp_path):
+    path = tmp_path / "p4.json"
+    path.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+    return str(path)
+
+
+@pytest.fixture
 def pm_file(tmp_path):
     path = tmp_path / "pm.json"
     path.write_text('{"n": 2, "entries": [["1", "-1"], ["-1", "1"]]}')
@@ -220,6 +227,18 @@ def test_certify_search_trial_count(capsys, c4_file):
     code, data = run_json(capsys, *args, "--trials", "0")
     assert code == 1
     assert data == {"found": False, "mode": "weakly_norming", "trials": 0, "seed": 0}
+
+
+@pytest.mark.parametrize("trials", ["0", "5"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_certify_search_refuses_an_empty_matrix(capsys, p4_file, n, trials):
+    # no step matrix has n < 1 cells, whether or not a trial would sample one
+    code, data = run_json(
+        capsys, "certify", "search", "-g", p4_file, "--mode", "weak",
+        "--n", n, "--trials", trials,
+    )
+    assert code == 3
+    assert data == {"error": f"n must be >= 1, got {n}", "kind": "usage"}
 
 
 def test_hessian_empty_pair_selection_is_a_usage_error(capsys, c4_file, pm_file):

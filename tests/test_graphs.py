@@ -20,7 +20,7 @@ from graphnorms import (
     verify_bowtie_structure,
 )
 from graphnorms.graphs import load_graph_text
-from oracles import random_graph
+from oracles import brute_bowtie_structure, random_graph
 
 
 def test_cycle_4():
@@ -191,6 +191,21 @@ def test_bowtie_structure_holds_above_four(k):
 def test_bowtie_structure_fails_first_condition_small(k):
     rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
     assert rep.edge_in_unique_4cycle is None
+
+
+def test_bowtie_structure_matches_brute_force():
+    # random graphs, dense enough that condition (ii) often fails, so the
+    # counterexample's order is checked as well as the verdicts
+    reports = []
+    for seed in range(150):
+        g = random_graph(seed, 2 + seed % 9, (0.2, 0.35, 0.5, 0.8)[seed % 4])
+        rep = verify_bowtie_structure(g).to_json()
+        assert rep == brute_bowtie_structure(g), (seed, g)
+        reports.append(rep)
+    assert sum(r["counterexample"] is not None for r in reports) > 20
+    assert sum(r["edge_in_unique_4cycle"] is not None for r in reports) > 20
+    for g in (bowtie_blowup(cycle_graph(4)), bowtie_blowup(cycle_graph(5)), kpm_graph(4)):
+        assert verify_bowtie_structure(g).to_json() == brute_bowtie_structure(g)
 
 
 def test_sparse_adjacency_reads_the_edge_list_alone():

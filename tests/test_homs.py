@@ -33,9 +33,10 @@ from graphnorms import (
 )
 from graphnorms import homs
 from graphnorms.graphs import cartesian_k2
-from graphnorms.homs import ENUMERATION_GUARD, _cover_plan, profile_map
+from graphnorms.homs import ENUMERATION_GUARD, _count_polynomial, _cover_plan, profile_map
 from graphnorms.matrices import block_pm_ones
 from oracles import (
+    brute_count_polynomial,
     brute_hom_count,
     brute_profile_map,
     eulerian,
@@ -132,22 +133,40 @@ STAR_PAST = (
 
 def test_star_leaves_count_towards_the_limit():
     # one cover vertex, but the leaves' summed map grows with their number:
-    # at n = 3 with every cell tracked the estimate is 3 C(m + 2, 3)
-    generic = SymRationalMatrix.from_rows([
+    # at n = 3 with every cell a symbol the estimate is 3 C(m + 2, 3)
+    values = [
         [Fraction(1, 5), Fraction(1, 2), Fraction(1, 7)],
         [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)],
         [Fraction(1, 7), Fraction(2, 3), Fraction(3, 4)],
-    ])
-    m = 26  # 3 * 3276 = 9828 entries, at the limit
-    expected = sum(sum(row) ** m for row in generic.rows()) / Fraction(3) ** (m + 1)
-    assert density(star(m), generic) == expected
-    for leaves in (27, 2000, 10**5):
-        g = star(leaves)  # built before the clock: only the refusal is timed
+    ]
+    generic = SymRationalMatrix.from_rows(values)
+    names = [["a", "b", "c"], ["b", "d", "e"], ["c", "e", "f"]]
+    symbols = SymbolicTemplate.from_rows(names)
+    point = {names[i][j]: values[i][j] for i in range(3) for j in range(3)}
+
+    def closed_form(m):
+        """The star's count polynomial at ``generic`` over 3^(m + 1)."""
+        return sum(sum(row) ** m for row in values) / Fraction(3) ** (m + 1)
+
+    def refused_at_once(call):
         start = time.perf_counter()
         with pytest.raises(SizeGuardError) as err:
-            density(g, generic)
+            call()
         assert time.perf_counter() - start < 0.5
         assert str(err.value) == STAR_PAST
+
+    m = 26  # 3 * 3276 = 9828 entries, at the limit
+    count = symbolic_profile(star(m), symbols).evaluate(point)
+    assert count / Fraction(3) ** (m + 1) == closed_form(m)
+    for leaves in (27, 2000, 10**5):
+        g = star(leaves)  # built before the clock: only the refusal is timed
+        refused_at_once(lambda: symbolic_profile(g, symbols))
+    # a density tracks no cell: its constant weights are multiplied into
+    # the counts, so a leaf touches n entries, 3 * 3333 = 9999 at the limit
+    assert density(star(3333), generic) == closed_form(3333)
+    for leaves in (3334, 10**5):
+        g = star(leaves)
+        refused_at_once(lambda: density(g, generic))
 
 
 def test_norm_powers():
@@ -238,17 +257,19 @@ def test_all_ones_counts_everything(n_vertices, n):
 
 
 def _profiles(pm):
-    """{profile: count} with each packed key cut into its per-cell fields."""
+    """{profile: count} with each packed key cut into its per-cell fields;
+    a profile whose signed weights cancel is left out."""
     mask = (1 << pm.width) - 1
     return {
         tuple((key >> (t * pm.width)) & mask for t in range(len(pm.tracked))): count
         for key, count in pm.counts.items()
+        if count
     }
 
 
 def test_profile_map_matches_brute_force_on_random_cases():
     rng = _random.Random(20191018)
-    for case in range(60):
+    for case in range(80):
         n = rng.randint(1, 4)
         nv = rng.randint(1, 8 if n <= 3 else 7)
         edge_prob = rng.choice((0.0, 0.2, 0.5, 0.9))
@@ -257,19 +278,29 @@ def test_profile_map_matches_brute_force_on_random_cases():
         ]
         g = Graph.from_edges(nv, edges)
         ncells = n * (n + 1) // 2
-        tracked, caps = [], {}
+        tracked, caps, weights = [], {}, {}
         for cell in range(ncells):
-            kind = rng.choice(("tracked", "capped", "zero", "one"))
+            kind = rng.choice(("tracked", "capped", "zero", "one", "weighted"))
             if kind == "zero":
-                caps[cell] = 0  # a weight-0 cell, untracked
+                # a dead cell, untracked: cap 0 or weight 0
+                if rng.random() < 0.5:
+                    caps[cell] = 0
+                else:
+                    weights[cell] = 0
             elif kind == "capped":
                 tracked.append(cell)
                 caps[cell] = rng.randint(0, 3)
             elif kind == "tracked":
                 tracked.append(cell)
+            elif kind == "weighted":
+                # an untracked constant cell, now and then also a tracked one
+                weights[cell] = rng.choice((-3, -1, 2, 5, 12))
+                if rng.random() < 0.25:
+                    tracked.append(cell)
             # "one": an untracked weight-1 cell, free to take any edges
-        got = _profiles(profile_map(g, n, tracked, caps))
-        assert got == brute_profile_map(g, n, tracked, caps), (case, g, n, tracked, caps)
+        got = _profiles(profile_map(g, n, tracked, caps, weights))
+        want = brute_profile_map(g, n, tracked, caps, weights)
+        assert got == want, (case, g, n, tracked, caps, weights)
 
 
 @pytest.mark.parametrize(
@@ -283,6 +314,37 @@ def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
     # zero cells, capped at the two copies a second derivative can remove
     got = _profiles(profile_map(g, 3, range(6), caps))
     assert got == brute_profile_map(g, 3, range(6), caps)
+
+
+def test_count_polynomial_matches_brute_force():
+    # templates mixing uncapped and capped symbols (some shared by several
+    # cells) with the constants 0, 1, -1 and rationals over unequal
+    # denominators: constant cells are weights in the counts, symbol cells
+    # keys, and the builder must give back the plain enumeration's terms
+    rng = _random.Random(20191020)
+    constants = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
+                 Fraction(5, 4), Fraction(3, 7), Fraction(-9, 10), Fraction(4)]
+    seen = {"bind": 0, "shared": 0, "mixed": 0, "constant_only": 0}
+    for case in range(70):
+        n = rng.randint(1, 4)
+        g = random_graph(rng.randrange(10**6), rng.randint(1, 5 if n == 4 else 7),
+                         rng.choice((0.3, 0.6, 0.9)))
+        names = ["x", "y", "z"][: rng.randint(0, 3)]
+        cells = tuple(
+            rng.choice(names) if names and rng.random() < 0.4 else rng.choice(constants)
+            for _ in range(n * (n + 1) // 2)
+        )
+        used = sorted({c for c in cells if isinstance(c, str)})
+        caps = {s: rng.randint(0, 3) for s in used if rng.random() < 0.5}
+        want = brute_count_polynomial(g, cells, caps)
+        poly = _count_polynomial(g, SymbolicTemplate(n, cells), caps)
+        assert poly.symbols == tuple(used)
+        assert poly.terms == want, (case, g, cells, caps)
+        seen["bind"] += want != brute_count_polynomial(g, cells)
+        seen["shared"] += len(used) < sum(isinstance(c, str) for c in cells)
+        seen["mixed"] += len({c.denominator for c in cells if not isinstance(c, str)}) > 1
+        seen["constant_only"] += not used
+    assert min(seen.values()) >= 5, seen
 
 
 def _full_tree(g, n):

@@ -89,3 +89,29 @@ def test_size_guards_only_at_the_remaining_limits():
         "certificates.random_witness_search",
     }
     assert knobs == []
+
+
+def test_profile_map_is_read_only_by_the_count_polynomial():
+    # one builder turns the enumeration into numbers; a second reader of
+    # profile_map (a call, an import or an alias) would be a second numeric
+    # engine beside it
+    root = Path(graphnorms.__file__).parent
+    readers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            named = (
+                (isinstance(child, ast.Name) and child.id == "profile_map")
+                or (isinstance(child, ast.Attribute) and child.attr == "profile_map")
+                or (isinstance(child, ast.alias) and "profile_map" in (child.name, child.asname))
+            )
+            if named:
+                readers.append(where)
+            visit(child, inner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert readers == ["homs._count_polynomial"]
