@@ -45,14 +45,12 @@ from .hessians import (
     hessian_matrix,
     psd_certify,
     quadratic_form,
-    two_var_hessian_at_origin,
 )
 from .certificates import (
     Certificate,
     Refusal,
     certify_bowtie_cycle,
     certify_kpm,
-    convexity_violation,
     positivize_witness,
     random_witness_search,
     screen_necessary,

@@ -20,13 +20,8 @@ from .graphs import (
     is_eulerian,
     kpm_graph,
 )
-from .hessians import (
-    hessian_matrix,
-    psd_certify,
-    quadratic_form,
-    two_var_hessian_at_origin,
-)
-from .homs import SymbolicTemplate, _count_polynomial, density, symbolic_profile
+from .hessians import hessian_matrix, psd_certify, quadratic_form
+from .homs import SymbolicTemplate, _count_polynomial, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
@@ -198,11 +193,13 @@ def _pair_symbols(template: SymbolicTemplate, pairs):
     return syms
 
 
+POSITIVIZE_STEPS = 24
+
+
 def positivize_witness(
     g: Graph,
     template: SymbolicTemplate,
     pairs,
-    max_steps: int = 24,
     profile: SparsePoly | None = None,
 ) -> PositivizeResult | None:
     """Push a boundary witness into the strictly positive orthant.
@@ -210,26 +207,18 @@ def positivize_witness(
     Non-PSD-ness is an open condition, so whenever the 2x2 principal Hessian
     at the all-zeros substitution is non-PSD, filling every zero/symbol cell
     with a small eta = 2^-j keeps a negative direction. Returns None when no
-    step in 1..max_steps works (consistent with the Hessian being PSD on the
-    positive orthant). A template that is already an all-positive constant
-    matrix is checked once and returned unchanged at step 0.
+    step in 1..POSITIVIZE_STEPS works (consistent with the Hessian being PSD
+    on the positive orthant). The two target cells must hold distinct
+    symbols, so a template without symbols is refused.
     """
     pairs = tuple((min(i, j), max(i, j)) for (i, j) in pairs)
-    if not template.symbols and all(c > 0 for c in template.cells):
-        mat = template.substitute({})
-        sub = hessian_matrix(g, mat, pairs)
-        res = psd_certify(sub.matrix)
-        if res.is_psd:
-            return None
-        return PositivizeResult(mat, res.witness, res.value, Fraction(0), 0)
-
     sym_template = _symbolized(template)
     sx, sy = _pair_symbols(sym_template, pairs)
     symbols = sym_template.symbols
     if profile is None:
         profile = symbolic_profile(g, sym_template)
 
-    for j in range(1, max_steps + 1):
+    for j in range(1, POSITIVIZE_STEPS + 1):
         eta = Fraction(1, 2**j)
         point = {s: eta for s in symbols}
         m = profile.hessian((sx, sy), point)
@@ -255,11 +244,7 @@ def _bowtie_template() -> SymbolicTemplate:
     )
 
 
-def certify_bowtie_cycle(
-    k: int,
-    threads: int = 1,
-    max_steps: int = 24,
-) -> Certificate | Refusal:
+def certify_bowtie_cycle(k: int, threads: int = 1) -> Certificate | Refusal:
     """Refute weak norming for the cycle blow-up C_k^bowtie.
 
     At the boundary witness the 2x2 Hessian in the (2,2) and (0,2) cells is
@@ -297,9 +282,7 @@ def certify_bowtie_cycle(
             evidence=evidence,
         )
 
-    pos = positivize_witness(
-        g, template, BOWTIE_PAIRS, max_steps=max_steps, profile=profile
-    )
+    pos = positivize_witness(g, template, BOWTIE_PAIRS, profile=profile)
     if pos is None:
         return Refusal(
             operation=f"certify_bowtie_cycle({k})",
@@ -324,6 +307,7 @@ def certify_bowtie_cycle(
 
 
 KPM_PAIRS = ((0, 0), (0, 1))
+KPM_EPS_STEPS = 64
 
 
 def _kpm_template() -> SymbolicTemplate:
@@ -332,11 +316,7 @@ def _kpm_template() -> SymbolicTemplate:
     )
 
 
-def certify_kpm(
-    m: int,
-    threads: int = 1,
-    max_eps_steps: int = 64,
-) -> Certificate | Refusal:
+def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
     """Refute norming for K_{m,m} minus a perfect matching.
 
     Even m fails the eulerian screen outright. For odd m = 2s+1 the graph is
@@ -383,12 +363,12 @@ def certify_kpm(
             evidence=evidence,
         )
 
-    # the boundary Hessian [[2q, l], [l, 2r]], its entries polynomials in eps
-    boundary = two_var_hessian_at_origin(profile)
+    # the boundary Hessian [[2q, l], [l, 2r]], read at x = y = 0 for each
+    # eps (q, l, r the x^2, xy, y^2 coefficients, polynomials in eps)
     chosen = None
-    for j in range(1, max_eps_steps + 1):
+    for j in range(1, KPM_EPS_STEPS + 1):
         eps = Fraction(1, 2**j)
-        rows = [[c.evaluate({"eps": eps}) for c in row] for row in boundary]
+        rows = profile.hessian(("x", "y"), {"x": 0, "y": 0, "eps": eps})
         if rows[0][0] * rows[1][1] - rows[0][1] ** 2 < 0:
             chosen = (eps, rows)
             break
@@ -494,38 +474,6 @@ def random_witness_search(
                 ),
                 seed=seed,
             )
-    return None
-
-
-def convexity_violation(
-    g: Graph,
-    a: SymRationalMatrix,
-    direction: SymRationalMatrix,
-    step: Fraction,
-    mode: str = "weakly_norming",
-):
-    """Exhibit a midpoint convexity failure of the density along a direction.
-
-    Returns (a_plus, a_minus, densities) when the density at A strictly
-    exceeds the average at A +/- step * D; None otherwise.
-    """
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}")
-    step = Fraction(step)
-    lo, hi = (Fraction(0), Fraction(1)) if mode == "weakly_norming" else (
-        Fraction(-1),
-        Fraction(1),
-    )
-    a_plus = a.add(direction.scale(step))
-    a_minus = a.sub(direction.scale(step))
-    for mat in (a_plus, a_minus):
-        if not mat.entries_in(lo, hi):
-            raise UsageError("perturbed matrix leaves the admissible range")
-    mid = density(g, a)
-    d_plus = density(g, a_plus)
-    d_minus = density(g, a_minus)
-    if 2 * mid > d_plus + d_minus:
-        return a_plus, a_minus, {"mid": mid, "plus": d_plus, "minus": d_minus}
     return None
 
 

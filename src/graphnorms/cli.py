@@ -37,7 +37,6 @@ from .graphs import (
 from .hessians import allones_hessian, annihilates_ones, hessian_matrix, psd_certify
 from .homs import (
     counting_lemma_check,
-    density,
     eulerian_indicator_check,
     hatami_box_check,
     norm_powers,

@@ -78,10 +78,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Apply the vertex bijection i -> perm[i]."""
-        return Graph.from_edges(self.n, ((perm[u], perm[v]) for (u, v) in self.edges))
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 

@@ -23,7 +23,6 @@ from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
 from .homs import SymbolicTemplate, _count_polynomial
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
-from .polys import SparsePoly
 
 
 @dataclass(frozen=True)
@@ -176,24 +175,6 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
             lift[j] = [update(x, y, app, ajp) for x, y in zip(lift[j], col)]
         prev = app
     return PsdResult("psd")
-
-
-def two_var_hessian_at_origin(p: SparsePoly, x: str = "x", y: str = "y"):
-    """The 2x2 Hessian of a bivariate polynomial at the origin.
-
-    Entries are [[2 c(x^2), c(xy)], [c(xy), 2 c(y^2)]]. When extra symbols
-    are present (a parameter like eps), each entry is returned as a
-    polynomial in those symbols instead of a plain rational.
-    """
-    if x not in p.symbols or y not in p.symbols:
-        raise UsageError(f"polynomial must involve {x!r} and {y!r}")
-    xx = p.section({x: 2, y: 0}).scale(2)
-    xy = p.section({x: 1, y: 1})
-    yy = p.section({x: 0, y: 2}).scale(2)
-    if len(p.symbols) == 2:
-        const = lambda q: q.coefficient(())
-        return [[const(xx), const(xy)], [const(xy), const(yy)]]
-    return [[xx, xy], [xy, yy]]
 
 
 def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:

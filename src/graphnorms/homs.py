@@ -8,7 +8,9 @@ the count polynomial of H over a template (a ``SparsePoly`` in the
 template's symbols), and everything else reads it: a density is its
 constant term over a matrix without symbols, a symbolic profile is the
 polynomial itself, and a Hessian opens the selected cells as symbols and
-evaluates second derivatives at the matrix (``SparsePoly.hessian``). Only
+evaluates second derivatives at the matrix (``SparsePoly.hessian``). The
+kpm boundary Hessian is the same read of a symbolic profile, at x = y = 0
+for each trial eps. Only
 symbol cells are tracked: a constant cell b/L (L the lcm of the constant
 denominators) weighs b and is multiplied in as its edges land, as in
 Dechter's bucket elimination over a weighted semiring. The builder reads

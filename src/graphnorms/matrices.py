@@ -90,20 +90,6 @@ class SymRationalMatrix:
         lo, hi = Fraction(lo), Fraction(hi)
         return all(lo <= x <= hi for x in self.tri)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.tri)
-
-    def permuted(self, perm: list[int]) -> "SymRationalMatrix":
-        """Conjugate by the permutation i -> perm[i]."""
-        return SymRationalMatrix.from_pairs(
-            self.n,
-            {
-                (min(perm[i], perm[j]), max(perm[i], perm[j])): self.at(i, j)
-                for i in range(self.n)
-                for j in range(i, self.n)
-            },
-        )
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

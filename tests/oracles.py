@@ -6,6 +6,9 @@ itertools and exact Fractions, independent of the library's engine;
 cross-checks route through the library (a symbolic profile in every cell
 differentiated formally, or finite differences of plain counts), so they
 share its count-polynomial builder with ``hessian_matrix``.
+``formal_hessian`` differentiates a polynomial's terms twice and sums them
+at a point, the reference for ``SparsePoly.hessian``; ``sparse_poly``,
+``relabel`` and ``permuted`` build the inputs the tests need.
 ``fraction_psd_certify`` is the PSD decision by elimination over
 ``Fraction``s that ``psd_certify`` replaced with integer elimination.
 """
@@ -15,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from graphnorms import Graph, SymRationalMatrix
+from graphnorms import Graph, SparsePoly, SymRationalMatrix
 
 
 def brute_hom_count(g: Graph, rows) -> Fraction:
@@ -264,6 +267,66 @@ def eulerian(g: Graph) -> bool:
     return all(d % 2 == 0 for d in g.degrees())
 
 
+def sparse_poly(symbols, items) -> SparsePoly:
+    """The polynomial summing (exponents, coefficient) pairs over the sorted
+    ``symbols``, zero sums dropped."""
+    acc = {}
+    for exp, c in items:
+        exp = tuple(exp)
+        acc[exp] = acc.get(exp, 0) + Fraction(c)
+    return SparsePoly(tuple(symbols), {e: c for e, c in acc.items() if c})
+
+
+def formal_derivative(symbols, terms: dict, symbol) -> dict:
+    """d/d``symbol`` of {exponents: coefficient}, term by term."""
+    axis = list(symbols).index(symbol)
+    out = {}
+    for exp, c in terms.items():
+        e = exp[axis]
+        if e:
+            lower = exp[:axis] + (e - 1,) + exp[axis + 1 :]
+            out[lower] = out.get(lower, 0) + c * e
+    return {e: c for e, c in out.items() if c}
+
+
+def evaluate_terms(symbols, terms: dict, point) -> Fraction:
+    """The sum of {exponents: coefficient} at ``point``, with 0^0 = 1."""
+    total = Fraction(0)
+    for exp, c in terms.items():
+        value = Fraction(c)
+        for s, e in zip(symbols, exp):
+            value *= Fraction(point[s]) ** e
+        total += value
+    return total
+
+
+def formal_hessian(poly: SparsePoly, chosen, point) -> list[list[Fraction]]:
+    """Second derivatives of ``poly`` in ``chosen`` at ``point``: its terms
+    differentiated twice, one symbol at a time, then summed at the point."""
+    rows = []
+    for a in chosen:
+        first = formal_derivative(poly.symbols, poly.terms, a)
+        rows.append([
+            evaluate_terms(poly.symbols, formal_derivative(poly.symbols, first, b), point)
+            for b in chosen
+        ])
+    return rows
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """H with vertex i renamed perm[i]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for (u, v) in g.edges])
+
+
+def permuted(a: SymRationalMatrix, perm) -> SymRationalMatrix:
+    """A with rows and columns moved by i -> perm[i]."""
+    rows = [[None] * a.n for _ in range(a.n)]
+    for i in range(a.n):
+        for j in range(a.n):
+            rows[perm[i]][perm[j]] = a.at(i, j)
+    return SymRationalMatrix.from_rows(rows)
+
+
 def symbolic_hessian_entry(g: Graph, a: SymRationalMatrix, p, q) -> Fraction:
     """Materialize the count polynomial in all cell symbols and differentiate
     twice; an independent route to a single Hessian entry."""
@@ -275,7 +338,8 @@ def symbolic_hessian_entry(g: Graph, a: SymRationalMatrix, p, q) -> Fraction:
     rows = [[names[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
     poly = symbolic_profile(g, SymbolicTemplate.from_rows(rows))
     point = {names[(i, j)]: a.at(i, j) for (i, j) in pair_list(n)}
-    return poly.derivative(names[p]).derivative(names[q]).evaluate(point)
+    first = formal_derivative(poly.symbols, poly.terms, names[p])
+    return evaluate_terms(poly.symbols, formal_derivative(poly.symbols, first, names[q]), point)
 
 
 def fd_hessian_entry(g: Graph, a: SymRationalMatrix, p, q, h=Fraction(1, 10**4)):

@@ -14,7 +14,6 @@ from graphnorms import (
     certify_bowtie_cycle,
     certify_kpm,
     complete_bipartite,
-    convexity_violation,
     cycle_graph,
     kpm_graph,
     path_graph,
@@ -156,24 +155,21 @@ def test_certify_kpm_refusals_and_screen():
         certify_kpm(1)
 
 
-def test_positivize_returns_input_when_already_positive():
+def test_positivize_needs_symbols_in_the_target_cells():
+    # a positive constant matrix (the bowtie certificate's witness) has no
+    # symbol in the probed cells to fill, so it is refused, not re-checked
     cert = certify_bowtie_cycle(5)
     t = SymbolicTemplate.from_matrix(cert.witness)
-    res = positivize_witness(cert.graph, t, cert.pairs)
-    assert res is not None
-    assert res.steps == 0
-    assert res.witness == cert.witness
-    assert res.value < 0
+    with pytest.raises(UsageError, match="holds no symbol"):
+        positivize_witness(cert.graph, t, cert.pairs)
 
 
 def test_positivize_fails_for_weakly_norming_graphs():
     t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])
     # the 3-cube and C_4 both keep a PSD Hessian on positive matrices
-    res = positivize_witness(
-        bowtie_blowup(cycle_graph(4)), t, ((2, 2), (0, 2)), max_steps=10
-    )
+    res = positivize_witness(bowtie_blowup(cycle_graph(4)), t, ((2, 2), (0, 2)))
     assert res is None
-    res = positivize_witness(cycle_graph(4), t, ((2, 2), (0, 2)), max_steps=10)
+    res = positivize_witness(cycle_graph(4), t, ((2, 2), (0, 2)))
     assert res is None
 
 
@@ -184,6 +180,14 @@ def test_positivize_succeeds_for_mobius():
     assert 0 < res.eta <= Fraction(1, 2)
     assert res.steps <= 20
     assert all(x > 0 for x in res.witness.tri)
+
+
+def test_direction_to_matrix_spreads_a_certificate_direction():
+    cert = certify_bowtie_cycle(5)
+    d = direction_to_matrix(3, cert.pairs, cert.direction)
+    for (i, j), x in zip(cert.pairs, cert.direction):
+        assert d.at(i, j) == d.at(j, i) == x
+    assert sum(1 for x in d.tri if x) == sum(1 for x in cert.direction if x)
 
 
 def test_random_search_finds_p4_witness():
@@ -214,46 +218,6 @@ def test_random_search_bounds_its_zero_pattern_cache():
     # search would keep up to 2^10 of them, one per zero pattern
     with pytest.raises(SizeGuardError, match="zero-pattern cache"):
         random_witness_search(cycle_graph(4), 4, 10, "weakly_norming")
-
-
-def test_convexity_violation_from_certificate():
-    cert = certify_bowtie_cycle(5)
-    d = direction_to_matrix(3, cert.pairs, cert.direction)
-    biggest = max(abs(x) for x in d.tri)
-    eta = Fraction(cert.degree_evidence["eta"])
-    delta = eta / (2 * biggest)
-    found = None
-    for _ in range(60):
-        got = convexity_violation(cert.graph, cert.witness, d, delta)
-        if got is not None:
-            found = got
-            break
-        delta /= 2
-    assert found is not None
-    a_plus, a_minus, dens = found
-    assert dens["mid"] > (dens["plus"] + dens["minus"]) / 2
-    assert a_plus.entries_in(0, 1) and a_minus.entries_in(0, 1)
-
-
-def test_convexity_no_violation_cases():
-    from oracles import random_sym_matrix
-
-    c4 = cycle_graph(4)
-    a = random_sym_matrix(2, 2, lo=0, hi=1).scale(Fraction(1, 2)).add(
-        random_sym_matrix(3, 2, lo=0, hi=1).scale(Fraction(1, 4))
-    )
-    d = random_sym_matrix(4, 2)
-    # zero direction gives exact equality, never a violation
-    zero = d.scale(0)
-    assert convexity_violation(c4, a, zero, Fraction(1, 8)) is None
-    small = Fraction(1, 64)
-    try:
-        res = convexity_violation(c4, a, d, small)
-    except UsageError:
-        res = None
-    assert res is None
-    with pytest.raises(UsageError):
-        convexity_violation(c4, a, d.scale(0), Fraction(1, 8), mode="bogus")
 
 
 def _trial_matrices(n, mode, seed, trials, denominator_bound=8):

@@ -7,29 +7,31 @@ from hypothesis import strategies as st
 
 from graphnorms import (
     SizeGuardError,
-    SparsePoly,
     SymbolicTemplate,
     SymRationalMatrix,
     UsageError,
     allones_hessian,
     annihilates_ones,
     bowtie_blowup,
+    certify_kpm,
     cycle_graph,
     hessian_matrix,
+    kpm_graph,
     path_graph,
     psd_certify,
     quadratic_form,
     symbolic_profile,
-    two_var_hessian_at_origin,
 )
 from graphnorms.matrices import block_pm_ones, pair_list
 from oracles import (
     brute_hessian,
+    brute_template_coefficients,
     fd_hessian_entry,
     fraction_psd_certify,
     random_graph,
     random_rational_rows,
     random_sym_matrix,
+    sparse_poly,
     symbolic_hessian_entry,
 )
 
@@ -158,7 +160,7 @@ def test_mobius_boundary_principal_submatrix():
     assert p.coefficient_of(x=2) == 0
     assert p.coefficient_of(x=1, y=1) == 20
     assert p.coefficient_of(y=2) == 470
-    assert two_var_hessian_at_origin(p) == [[0, 20], [20, 940]]
+    assert p.hessian(("x", "y"), {"x": 0, "y": 0}) == [[0, 20], [20, 940]]
     assert not psd_certify(h.matrix).is_psd
 
 
@@ -266,33 +268,44 @@ def test_non_psd_principal_submatrix_extends_by_zero_padding():
                 assert not res_full.is_psd
 
 
+ORIGIN = {"x": 0, "y": 0}
+
+
 def test_two_var_hessian_examples():
-    p = SparsePoly.build(
-        ("x", "y"), [((2, 0), 3), ((1, 1), 5), ((0, 2), 7)]
-    )
-    assert two_var_hessian_at_origin(p) == [[6, 5], [5, 14]]
-    cubic = SparsePoly.build(("x", "y"), [((3, 1), 1)])
-    assert two_var_hessian_at_origin(cubic) == [[0, 0], [0, 0]]
+    # at the origin the Hessian is [[2 c(x^2), c(xy)], [c(xy), 2 c(y^2)]]
+    p = sparse_poly(("x", "y"), [((2, 0), 3), ((1, 1), 5), ((0, 2), 7)])
+    assert p.hessian(("x", "y"), ORIGIN) == [[6, 5], [5, 14]]
+    cubic = sparse_poly(("x", "y"), [((3, 1), 1)])
+    assert cubic.hessian(("x", "y"), ORIGIN) == [[0, 0], [0, 0]]
     with pytest.raises(UsageError):
-        two_var_hessian_at_origin(SparsePoly.variable("x"))
+        sparse_poly(("x",), [((1,), 1)]).hessian(("x", "y"), {"x": 0})
 
 
 def test_two_var_hessian_mobius_top_left_zero():
     t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])
     profile = symbolic_profile(bowtie_blowup(cycle_graph(5)), t)
-    m = two_var_hessian_at_origin(profile)
+    m = profile.hessian(("x", "y"), ORIGIN)
     assert m[0][0] == 0
     assert m[0][1] == m[1][0] >= 1
 
 
 def test_two_var_hessian_with_parameter():
-    p = SparsePoly.build(
-        ("eps", "x", "y"), [((2, 2, 0), 1), ((1, 1, 1), 4)]
-    )  # x^2 eps^2 + 4 x y eps
-    m = two_var_hessian_at_origin(p)
-    assert m[0][0].terms == {(2,): 2}
-    assert m[0][1].terms == {(1,): 4}
-    assert m[1][1].is_zero()
+    # the kpm pipeline reads its boundary Hessian off the symbolic profile
+    # at x = y = 0 for a fixed eps; a direct enumeration of every map gives
+    # its entries [[2 c(x^2), c(xy)], [c(xy), 2 c(y^2)]]
+    g = kpm_graph(5)
+    eps = Fraction(1, 2)
+    rows = [["x", "y", "eps"], ["y", 1, 1], ["eps", 1, -1]]
+    profile = symbolic_profile(g, SymbolicTemplate.from_rows(rows))
+    h = profile.hessian(("x", "y"), {**ORIGIN, "eps": eps})
+    fixed = [[eps if c == "eps" else c for c in row] for row in rows]
+    coeffs = brute_template_coefficients(g, fixed)
+    c = lambda *mono: coeffs.get(mono, 0)
+    assert h == [[2 * c("x", "x"), c("x", "y")], [c("x", "y"), 2 * c("y", "y")]]
+    # the certificate's negative direction is one of this matrix
+    cert = certify_kpm(5)
+    assert cert.degree_evidence["epsilon"] == "1/2"
+    assert quadratic_form(SymRationalMatrix.from_rows(h), cert.direction) == cert.value < 0
 
 
 @pytest.mark.parametrize("g,half", [(C4, 1), (C4, 2), (cycle_graph(6), 1)])

@@ -13,7 +13,7 @@ from graphnorms import (
     sample_matrix,
 )
 from graphnorms.matrices import load_matrix_text, pair_index, pair_list
-from oracles import brute_cut_norm, random_rational_rows, random_sym_matrix
+from oracles import brute_cut_norm, permuted, random_rational_rows, random_sym_matrix
 
 
 def test_pair_index_order():
@@ -115,9 +115,9 @@ def test_arithmetic_helpers():
     a = SymRationalMatrix.from_rows([[1, Fraction(-1, 2)], [Fraction(-1, 2), 0]])
     assert a.entrywise_abs().at(0, 1) == Fraction(1, 2)
     assert a.add(a).at(0, 0) == 2
-    assert a.sub(a).is_zero()
+    assert a.sub(a) == SymRationalMatrix.from_rows([[0, 0], [0, 0]])
     assert a.scale(Fraction(1, 3)).at(0, 1) == Fraction(-1, 6)
     assert a.entries_in(-1, 1)
     assert not a.entries_in(0, 1)
-    perm = a.permuted([1, 0])
+    perm = permuted(a, [1, 0])
     assert perm.at(1, 1) == 1 and perm.at(0, 0) == 0

@@ -115,3 +115,26 @@ def test_profile_map_is_read_only_by_the_count_polynomial():
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
     assert readers == ["homs._count_polynomial"]
+
+
+def test_sparse_poly_is_read_only():
+    # the count polynomial is an IR the pipelines only read; arithmetic,
+    # substitution or serialization on it would be a second engine beside
+    # the one builder, homs._count_polynomial
+    from graphnorms.polys import SparsePoly
+
+    reads = {"hessian", "coefficient", "coefficient_of", "restrict_min_degree"}
+    public = {
+        name
+        for name in dir(SparsePoly)
+        if not name.startswith("_") and callable(getattr(SparsePoly, name))
+    }
+    assert public == reads
+    path = Path(graphnorms.__file__).parent / "polys.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [node.name for node in tree.body if hasattr(node, "name")] == ["SparsePoly"]
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in defined if not name.startswith("_")} == reads
+    # dunders such as __add__ or __mul__ would bring operators back
+    assert {name for name in defined if name.startswith("__")} == {"__post_init__"}
