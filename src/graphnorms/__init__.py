@@ -14,9 +14,7 @@ from .graphs import (
     bowtie_blowup,
     cartesian_k2,
     complete_bipartite,
-    construct_family,
     cycle_graph,
-    exterior_neighbourhood,
     hypercube_graph,
     is_isomorphic,
     kpm_graph,

@@ -133,24 +133,6 @@ def hypercube_graph(d: int) -> Graph:
     return Graph.from_edges(1 << d, edges)
 
 
-FAMILIES = ("cycle", "complete_bipartite", "kpm", "hypercube", "edge_list")
-
-
-def construct_family(family: str, *params) -> Graph:
-    """Dispatch on a family name; ``edge_list`` takes (n, edges)."""
-    if family == "cycle":
-        return cycle_graph(*params)
-    if family == "complete_bipartite":
-        return complete_bipartite(*params)
-    if family == "kpm":
-        return kpm_graph(*params)
-    if family == "hypercube":
-        return hypercube_graph(*params)
-    if family == "edge_list":
-        return Graph.from_edges(*params)
-    raise UsageError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
 def bowtie_blowup(h: Graph) -> Graph:
     """Blow up every vertex into an edge, joining blown-up pairs crosswise.
 
@@ -329,18 +311,6 @@ def structural_report(g: Graph) -> StructuralReport:
         eulerian=is_eulerian(g),
         regular=deg[0] if len(set(deg)) == 1 else None,
     )
-
-
-def exterior_neighbourhood(g: Graph, members) -> frozenset[int]:
-    """Union of the neighbourhoods of the members, minus the members."""
-    members = frozenset(members)
-    if not all(0 <= v < g.n for v in members):
-        raise UsageError("vertex set out of range")
-    adj = g.adjacency()
-    out = set()
-    for v in members:
-        out |= adj[v]
-    return frozenset(out - members)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,8 @@ class HessianMatrix:
     """Second derivatives of the count polynomial at a fixed base matrix,
     restricted to the listed variable pairs."""
 
-    base: SymRationalMatrix
     pairs: tuple[tuple[int, int], ...]
     matrix: SymRationalMatrix  # len(pairs) x len(pairs)
-
-    def entry(self, p: int, q: int) -> Fraction:
-        return self.matrix.at(p, q)
 
 
 def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
@@ -76,7 +72,7 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps)
     point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
     entries = poly.hessian(names, point)
-    return HessianMatrix(a, tuple(selected), SymRationalMatrix.from_rows(entries))
+    return HessianMatrix(tuple(selected), SymRationalMatrix.from_rows(entries))
 
 
 @dataclass(frozen=True)

@@ -21,24 +21,26 @@ does the same with the point, and each output entry becomes a
 A profile is packed into one integer key, one bit field per tracked cell,
 so joining two partial maps is adding their keys; fields are wide enough
 for e(H) edges and never carry. The engine takes a maximal independent set
-I of H; its complement C is a vertex cover. Only C is coloured depth-first.
-Given the colours of its neighbours, a vertex of I is independent of every
-other vertex of I, so its n colours collapse to a {key: count} map of at
-most n entries, which is convolved into the {key: count} map carried down
-the search as soon as its last neighbour is coloured (a cover vertex's back
-edges seed it with their weight). Weight-zero cells kill a map outright
-and multiplicity caps are checked on every sum, since multiplicities only
-grow along the search.
+I of H; its complement C is a vertex cover. Only C is coloured, depth-first,
+by one recursive function: given the colours before cover position p and
+the packed edges among them (its base), it returns the subtree's map, a
+{key relative to base: weight} sum over the colourings of positions p, p+1,
+... Given the colours of its neighbours, a vertex of I is independent of
+every other vertex of I, so its n colours collapse to a {key: weight} map
+of at most n entries. At the position of its last neighbour that map is
+multiplied into a small local map seeded with the back edges' weight, and
+the local map is convolved with the map returned for the next position.
+Weight-zero cells kill a map outright, and multiplicity caps are checked on
+each cover colour, local map and returned map, since multiplicities only
+grow down the search.
 
-The search also reuses subtrees, the bounded-width dynamic programme of
-Diaz-Serna-Thilikos (counting H-colourings of partial k-trees) run inside
-the same depth-first search. The subtree under cover position p reads only
-its frontier F_p, the earlier positions adjacent to a cover vertex or a
-closing independent vertex at p or later. Where F_p is not the whole
-prefix, the subtree's own map (nothing summed out above it, keys relative
-to its base, the weights of the edges inside it included) depends only on
-the colours on F_p and the capped fields of the base, so it is made once
-per such key and convolved with the carried map at every visit; a table
+Subtrees are reused by memoising that function, the bounded-width dynamic
+programme of Diaz-Serna-Thilikos (counting H-colourings of partial
+k-trees). The subtree under cover position p reads only its frontier F_p,
+the earlier positions adjacent to a cover vertex or a closing independent
+vertex at p or later. Where F_p is not the whole prefix, the subtree's map
+depends only on the colours on F_p and the capped fields of its base, so it
+is made once per such key and returned again at every later visit; a table
 is dropped when the prefix below its frontier's first gap changes, since
 its keys cannot recur. A cycle blow-up's frontier stays at 4 positions, so
 bowtie k = 7 tries 849 partial colourings where the plain search tries
@@ -160,15 +162,16 @@ def _cover_plan(g: Graph):
 
 def _summing_entries(closing, n: int, tracked: int) -> int:
     """Profile entries that summing the independent set out touches per
-    cover colouring, estimated from above and counted only until it passes
-    ``ENUMERATION_GUARD``.
+    cover colouring, estimated in cover order and counted only until it
+    passes ``ENUMERATION_GUARD``.
 
-    Summing out a vertex convolves its n colours into the carried map, so
-    it touches n entries per key carried. The carried map holds at most one
-    key per multiset of colours of the vertices sharing a neighbourhood,
-    that is prod C(j + n - 1, j) over neighbourhoods shared by j vertices
-    summed so far, and at most C(e + T, T) keys, the vectors of e edges
-    spread over T tracked cells.
+    Summing out a vertex convolves its n colours with a map over the other
+    summed vertices, so it touches n entries per key of that map. A map
+    over the vertices summed so far holds at most one key per multiset of
+    colours of the vertices sharing a neighbourhood, that is
+    prod C(j + n - 1, j) over neighbourhoods shared by j of them, and at
+    most C(e + T, T) keys, the vectors of e edges spread over T tracked
+    cells.
     """
     entries = edges = 0
     multisets = 1
@@ -279,10 +282,8 @@ def profile_map(
     # increment and weight of one edge landing there
     edge = [(incs[c], weight[c]) if weight[c] else None for c in range(ncells)]
     step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
-    last = depth - 1
     colors = [0] * depth
     rng = range(n)
-    counts: dict[int, int] = {}
     visited = 0
 
     def side(nbrs):
@@ -301,53 +302,33 @@ def profile_map(
                 out[key] = out.get(key, 0) + w
         return out
 
-    def convolve(acc, local, base):
-        """Product of two {key: count} maps; keys add field by field."""
-        if not local:
-            return local
-        pairs = iter(local.items())
-        k2, c2 = next(pairs)
-        out = {k + k2: c * c2 for k, c in acc.items()}
+    def convolve(out, a, b):
+        """Add the product of two {key: weight} maps into ``out``; keys add
+        field by field, and the inner loop runs over the bigger map."""
+        if len(a) < len(b):
+            a, b = b, a
         get = out.get
-        for k2, c2 in pairs:
-            for k, c in acc.items():
+        for k2, c2 in b.items():
+            for k, c in a.items():
                 k += k2
                 out[k] = get(k, 0) + c * c2
-        for mask, cap in capped:
-            out = {k: c for k, c in out.items() if (base + k) & mask <= cap}
         return out
 
-    def add(sink, acc, local, base, origin):
-        """Add the product of two maps at ``base`` to sink, relative to origin."""
-        shift = base - origin
-        for k, cnt in convolve(acc, local, base).items():
-            k += shift
-            sink[k] = sink.get(k, 0) + cnt
-
-    def rec(p, base, acc, origin, sink):
-        """Colour cover position p on and add the finished maps to ``sink``,
-        keyed relative to ``origin``. ``base`` packs the edges inside the
-        coloured cover, ``acc`` the vertices summed out so far. Where the
-        subtree reads only a frontier of the prefix, its own result (with
-        nothing summed out above it) is looked up or made once and
-        convolved with ``acc``."""
-        f = frontier[p]
-        if f is None:
-            descend(p, base, acc, origin, sink)
-            return
-        tkey = (tuple(colors[q] for q in f), base & capmask)
-        sub = tables[p].get(tkey)
-        if sub is None:
-            sub = {}
-            descend(p, base, {0: 1}, base, sub)
-            tables[p][tkey] = sub
-        add(sink, acc, sub, base, origin)
-
-    def descend(p, base, acc, origin, sink):
-        """rec's colour loop at position p."""
+    def sub(p, base):
+        """{key relative to base: weight} over the colourings of cover
+        positions p.. and the independent vertices they close, ``base``
+        packing the edges inside the coloured prefix. Where p reads only a
+        frontier of the prefix, the map is made once per key of its table."""
         nonlocal visited
+        if p == depth:
+            return {0: 1}
+        table = tables[p]
+        if table is not None:
+            tkey = (tuple(colors[q] for q in frontier[p]), base & capmask)
+            if tkey in table:
+                return table[tkey]
         visited += n
-        ends: dict[int, int] = {}
+        out: dict[int, int] = {}
         rows = [step[colors[b]] for b in back[p]]
         for c in rng:
             key, w = base, 1
@@ -361,30 +342,28 @@ def profile_map(
                 if any(key & mask > cap for mask, cap in capped):
                     continue
                 colors[p] = c
-                for table in clears[p]:
-                    table.clear()
+                for stale in clears[p]:
+                    stale.clear()
                 # the closing vertices' own sums are small: multiply them
-                # together before touching the carried map
-                local = {0: w}
+                # together before touching the subtree's map
+                local = {key - base: w}
                 for nbrs in closing[p]:
-                    local = convolve(local, side(nbrs), key)
+                    local = convolve({}, local, side(nbrs))
+                    for mask, cap in capped:
+                        local = {
+                            k: v for k, v in local.items() if (base + k) & mask <= cap
+                        }
                     if not local:
                         break
                 else:
-                    if p < last:
-                        rec(p + 1, key, convolve(acc, local, key), origin, sink)
-                    else:
-                        # the last cover vertex is summed out like the others
-                        for k, cnt in local.items():
-                            k += key - base
-                            ends[k] = ends.get(k, 0) + cnt
-        if ends:
-            add(sink, acc, ends, base, origin)
+                    convolve(out, sub(p + 1, key), local)
+        for mask, cap in capped:
+            out = {k: v for k, v in out.items() if (base + k) & mask <= cap}
+        if table is not None:
+            table[tkey] = out
+        return out
 
-    if back:
-        rec(0, 0, {0: 1}, 0, counts)
-    else:
-        counts[0] = 1
+    counts = sub(0, 0)
     if isolated:
         factor = n**isolated
         counts = {k: c * factor for k, c in counts.items()}

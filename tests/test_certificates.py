@@ -125,6 +125,7 @@ GOLDEN = {
     ("bowtie", 5): "83999373b058ce9df1974ccc5dbcc593b265c008c75f53581af9f9adc0561206",
     ("bowtie", 6): "6189eb6b44e43d709db14f92576c02a2e3f7e7785d1acb2ee3cf221993bd1e99",
     ("bowtie", 7): "5c17387f89bace0206cb9f09aaae7341d2dff740fbd68f8d1f2b8f63bec017a7",
+    ("bowtie", 8): "c33542367ca035381f641fa3d2a24b29124ccb55bf3c77fd3965aee95762cc75",
     ("kpm", 4): "054aa36dc4a994229f2f33f5247d104a485fb0186cf2a5a8f858206053b6730a",
     ("kpm", 5): "8775cd0b18f45ac4eaf6de0dd5321b49d9f52d99c30e0ba404bce363e0552c9c",
     ("kpm", 6): "d58b4ba0b66db96648bd22ebe5b1f9abfc30b463fa55bcd402d98a77b6d91bce",

@@ -9,9 +9,7 @@ from graphnorms import (
     bowtie_blowup,
     cartesian_k2,
     complete_bipartite,
-    construct_family,
     cycle_graph,
-    exterior_neighbourhood,
     hypercube_graph,
     is_isomorphic,
     kpm_graph,
@@ -47,18 +45,6 @@ def test_kpm_3_is_a_six_cycle():
     assert is_isomorphic(g, cycle_graph(6))
 
 
-def test_construct_family_dispatch():
-    assert construct_family("cycle", 5) == cycle_graph(5)
-    assert construct_family("kpm", 3) == kpm_graph(3)
-    assert construct_family("edge_list", 3, [(0, 1)]) == Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(UsageError):
-        construct_family("petersen")
-    with pytest.raises(UsageError):
-        construct_family("cycle", 2)
-    with pytest.raises(UsageError):
-        kpm_graph(1)
-
-
 def test_graph_validation():
     with pytest.raises(UsageError):
         Graph(3, ((0, 0),))
@@ -66,6 +52,10 @@ def test_graph_validation():
         Graph(2, ((0, 5),))
     with pytest.raises(UsageError):
         Graph.from_edges(0, [])
+    with pytest.raises(UsageError):
+        cycle_graph(2)
+    with pytest.raises(UsageError):
+        kpm_graph(1)
 
 
 def test_bowtie_blowup_shape():
@@ -168,15 +158,6 @@ def test_structural_report_examples():
     assert not rep.eulerian
     assert not structural_report(cycle_graph(5)).bipartite
     assert structural_report(cycle_graph(6)).eulerian
-
-
-def test_exterior_neighbourhood():
-    c4 = cycle_graph(4)
-    assert exterior_neighbourhood(c4, {0}) == frozenset({1, 3})
-    assert exterior_neighbourhood(c4, {0, 1}) == frozenset({2, 3})
-    assert exterior_neighbourhood(c4, {0, 1, 2, 3}) == frozenset()
-    with pytest.raises(UsageError):
-        exterior_neighbourhood(c4, {7})
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8])

@@ -131,7 +131,7 @@ def test_pair_restriction_agrees_with_full():
     full = hessian_matrix(g, a)
     sub = hessian_matrix(g, a, pairs=[(2, 2), (0, 2)])
     at = [full.pairs.index(p) for p in sub.pairs]
-    assert sub.matrix.rows() == [[full.entry(r, s) for s in at] for r in at]
+    assert sub.matrix.rows() == [[full.matrix.at(r, s) for s in at] for r in at]
     with pytest.raises(UsageError):
         hessian_matrix(g, a, pairs=[(0, 0), (0, 0)])
 
@@ -259,7 +259,10 @@ def test_non_psd_principal_submatrix_extends_by_zero_padding():
     res_full = psd_certify(full.matrix)
     for r in range(len(full.pairs)):
         for s in range(r + 1, len(full.pairs)):
-            sub = [[full.entry(r, r), full.entry(r, s)], [full.entry(s, r), full.entry(s, s)]]
+            sub = [
+                [full.matrix.at(r, r), full.matrix.at(r, s)],
+                [full.matrix.at(s, r), full.matrix.at(s, s)],
+            ]
             res = psd_certify(SymRationalMatrix.from_rows(sub))
             if not res.is_psd:
                 padded = [Fraction(0)] * len(full.pairs)

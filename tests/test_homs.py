@@ -389,8 +389,9 @@ def test_reused_subtrees_match_brute_force(g, n, caps):
 
 
 def test_visited_counts_reuse_on_cycle_blowups_only(monkeypatch):
-    # bowtie k = 7 reuses the subtrees under its last two cover positions;
-    # every cover position of K_{m,m} minus a matching reads the whole prefix
+    # bowtie k = 7 reuses the subtrees under its last two cover positions,
+    # and each further k adds 243 partial colourings; every cover position
+    # of K_{m,m} minus a matching reads the whole prefix
     seen = []
 
     def spy(*args):
@@ -399,9 +400,11 @@ def test_visited_counts_reuse_on_cycle_blowups_only(monkeypatch):
         return pm
 
     monkeypatch.setattr(homs, "profile_map", spy)
-    cert = certify_bowtie_cycle(7)
-    assert verify_certificate(cert)
-    assert len(seen) == 2 and max(seen) <= 849
+    for k, bound in ((7, 849), (8, 1092)):
+        seen.clear()
+        cert = certify_bowtie_cycle(k)
+        assert verify_certificate(cert)
+        assert len(seen) == 2 and max(seen) <= bound
     kpm = kpm_graph(7)
     assert profile_map(kpm, 3, range(6)).visited == _full_tree(kpm, 3) == 3279
 

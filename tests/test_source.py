@@ -138,3 +138,33 @@ def test_sparse_poly_is_read_only():
     assert {name for name in defined if not name.startswith("_")} == reads
     # dunders such as __add__ or __mul__ would bring operators back
     assert {name for name in defined if name.startswith("__")} == {"__post_init__"}
+
+
+def test_profile_map_has_one_recursion():
+    # the search is one memoised function returning its subtree's map; a
+    # second search convention (a map carried down and added into a sink)
+    # would bring back a second engine beside it
+    path = Path(graphnorms.__file__).parent / "homs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (engine,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "profile_map"
+    ]
+    nested = [
+        node
+        for node in ast.walk(engine)
+        if isinstance(node, ast.FunctionDef) and node is not engine
+    ]
+    assert sorted(node.name for node in nested) == ["convolve", "side", "sub"]
+    recursive = [
+        node.name
+        for node in nested
+        if any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert recursive == ["sub"]
