@@ -30,23 +30,30 @@ every other vertex of I, so its n colours collapse to a {key: weight} map
 of at most n entries. At the position of its last neighbour that map is
 multiplied into a small local map seeded with the back edges' weight, and
 the local map is convolved with the map returned for the next position.
-Weight-zero cells kill a map outright, and multiplicity caps are checked on
+Weight-zero cells kill a map outright, an independent vertex's entries
+whose signed weights cancel are dropped, and multiplicity caps are checked on
 each cover colour, local map and returned map, since multiplicities only
 grow down the search.
 
 Subtrees are reused by memoising that function, the bounded-width dynamic
 programme of Diaz-Serna-Thilikos (counting H-colourings of partial
-k-trees). The subtree under cover position p reads only its frontier F_p,
-the earlier positions adjacent to a cover vertex or a closing independent
-vertex at p or later. Where F_p is not the whole prefix, the subtree's map
-depends only on the colours on F_p and the capped fields of its base, so it
-is made once per such key and returned again at every later visit; a table
-is dropped when the prefix below its frontier's first gap changes, since
-its keys cannot recur. A cycle blow-up's frontier stays at 4 positions, so
+k-trees). The subtree under cover position p reads the prefix only through
+its later vertices, the cover positions from p on and the independent
+vertices closing there, each reading its neighbours before p. Edge keys add
+and weights multiply, so the subtree's map depends only on the multiset of
+colours each later vertex reads, and on the capped fields of its base;
+independent vertices with the same neighbours from p on are interchangeable,
+so their multisets are compared as one multiset. Where the later vertices
+miss a prefix position, the map is kept per such key, and the table is
+dropped when the prefix below the first missed position changes, since
+most of its keys cannot recur. Where they read the whole prefix, a table is
+kept at a position that does work of its own and has two interchangeable
+prefix positions. A cycle blow-up's later vertices read 4 positions, so
 bowtie k = 7 tries 849 partial colourings where the plain search tries
-3 + 9 + ... + 3^7 = 3279, and each further k adds 243; K_{m,m} minus a
-matching reads its whole prefix at every depth and is searched exactly as
-without reuse.
+3 + 9 + ... + 3^7 = 3279, and each further k adds 243. K_{m,m} minus a
+matching reads its whole prefix at every depth, but its closing vertices
+read it symmetrically, so the count collapses to colour multiplicities:
+kpm m = 7 tries 510 partial colourings, the plain search 3279.
 ``ProfileMap.visited`` counts the partial colourings tried.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
@@ -59,16 +66,18 @@ carry a map that grows with their number unless no cell is tracked);
 when either exceeds the limit it raises ``SizeGuardError`` with the
 estimate in the message:
 ``enumeration guard: 3^9 = 19683 colourings > 10000``. The estimate prices
-the search without reuse, so bowtie k = 9 is refused though reuse would
-try far fewer partial colourings. A cover vertex is priced as at least 2
+the search without reuse, so bowtie k = 9 and kpm m = 9 are refused
+though reuse would try far fewer partial colourings. A cover vertex is priced as at least 2
 colours (at n = 1 the message reads ``1^14 colourings priced as 2^14 =
 16384``), which keeps the search depth at 13 or less for every n. Every
 density, profile and Hessian is read off this engine, so they all refuse
 at the same point.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
@@ -188,20 +197,71 @@ def _summing_entries(closing, n: int, tracked: int) -> int:
     return entries
 
 
-def _frontiers(back, closing):
-    """Per cover position p, the earlier positions that colouring p on
-    reads (through back edges and closing independent vertices at positions
-    >= p), or None where that is every earlier position, so the subtree
-    under p is never reused."""
-    read: set[int] = set()
-    out = []
-    for p in reversed(range(len(back))):
-        read.update(back[p])
-        for nbrs in closing[p]:
-            read.update(nbrs)
-        f = tuple(sorted(q for q in read if q < p))
-        out.append(f if len(f) < p else None)
-    return out[::-1]
+def _memo_plan(back, closing):
+    """Per cover position p, how the subtree under p is memoised: None, or
+    the prefix reads its key is made from and the positions whose colouring
+    clears its table.
+
+    A later vertex, a cover position q >= p or an independent vertex
+    closing at q >= p, reads its neighbours in [0, p); the subtree depends
+    on the prefix only through the multiset of colours each later vertex
+    reads. Independent vertices with the same neighbours in [p, depth) are
+    interchangeable, so they form one group whose reads are compared as a
+    multiset; every other later vertex is a group of its own. Where the
+    reads miss a prefix position (a frontier gap) a table is kept and
+    cleared when a position below the first gap is coloured, since most of
+    its keys cannot recur. Where they read the whole prefix, a table is kept
+    only at a position doing work of its own (a back edge or a closing
+    vertex) where two prefix positions are interchangeable, that is, where
+    swapping them maps every group's reads onto themselves. Without such a
+    pair few keys repeat, and a position that only adds up its children's
+    maps would keep the biggest maps for little reuse.
+    """
+    depth = len(back)
+    plan = []
+    for p in range(depth):
+        groups: dict = {}  # cover position, or later neighbours shared -> reads
+        for q in range(p, depth):
+            r = back[q][: bisect_left(back[q], p)]
+            if r:
+                groups[q] = [r]
+            for nbrs in closing[q]:
+                cut = bisect_left(nbrs, p)
+                if cut:
+                    groups.setdefault(nbrs[cut:], []).append(nbrs[:cut])
+        reads = tuple(tuple(sorted(group)) for group in groups.values())
+        read = {a for group in reads for r in group for a in r}
+        if len(read) < p:
+            plan.append((reads, min(set(range(p)) - read)))
+        elif (back[p] or closing[p]) and _interchangeable(reads, p):
+            plan.append((reads, 0))
+        else:
+            plan.append(None)
+    return plan
+
+
+def _interchangeable(reads, p: int) -> bool:
+    """Whether swapping two positions of [0, p) maps every group of
+    ``reads`` onto itself; only positions that lie in as many reads of each
+    group are tried as a pair."""
+    seen: list[list[int]] = [[] for _ in range(p)]
+    for i, group in enumerate(reads):
+        for r in group:
+            for a in r:
+                seen[a].append(i)
+    alike: dict[tuple, list] = {}
+    for a, where in enumerate(seen):
+        alike.setdefault(tuple(where), []).append(a)
+    for positions in alike.values():
+        for a, b in combinations(positions, 2):
+            swap = {a: b, b: a}
+            if all(
+                sorted(tuple(sorted(swap.get(x, x) for x in r)) for r in group)
+                == list(group)
+                for group in reads
+            ):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -267,16 +327,18 @@ def profile_map(
             capped.append((((1 << width) - 1) << shift, cap << shift))
     capmask = sum(mask for mask, _ in capped)  # the fields are disjoint
 
-    # a reusable subtree keeps one result per (colours on its frontier,
-    # capped fields of base); a key cannot recur once the prefix below the
-    # frontier's first gap changes, so colouring a position there clears it
-    frontier = _frontiers(back, closing)
-    tables = [None if f is None else {} for f in frontier]
+    # a memoised subtree keeps one result per (capped fields of base,
+    # multisets of colours its later vertices read); a multiset of colours
+    # c is one int, the sum of (depth + 1)^c, whose digits never carry since
+    # a vertex reads fewer than depth positions, and a group's ints are sorted
+    plan = _memo_plan(back, closing)
+    tables = [None if m is None else {} for m in plan]
     clears = [[] for _ in back]
-    for p, f in enumerate(frontier):
-        if f is not None:
-            for q in range(min(set(range(p)).difference(f))):
+    for p, m in enumerate(plan):
+        if m is not None:
+            for q in range(m[1]):
                 clears[q].append(tables[p])
+    power = [(depth + 1) ** c for c in range(n)]
 
     # per colour pair: None where the cell kills a map, else the key
     # increment and weight of one edge landing there
@@ -300,7 +362,8 @@ def profile_map(
                 w *= s[1]
             else:
                 out[key] = out.get(key, 0) + w
-        return out
+        # signed weights may cancel; an emptied map prunes the colouring
+        return out if all(out.values()) else {k: v for k, v in out.items() if v}
 
     def convolve(out, a, b):
         """Add the product of two {key: weight} maps into ``out``; keys add
@@ -317,14 +380,21 @@ def profile_map(
     def sub(p, base):
         """{key relative to base: weight} over the colourings of cover
         positions p.. and the independent vertices they close, ``base``
-        packing the edges inside the coloured prefix. Where p reads only a
-        frontier of the prefix, the map is made once per key of its table."""
+        packing the edges inside the coloured prefix. Where p keeps a table,
+        the map is made once per key: the colour multisets its later
+        vertices read and the capped fields of base."""
         nonlocal visited
         if p == depth:
             return {0: 1}
         table = tables[p]
         if table is not None:
-            tkey = (tuple(colors[q] for q in frontier[p]), base & capmask)
+            tkey = [base & capmask]
+            for group in plan[p][0]:
+                codes = [sum([power[colors[a]] for a in r]) for r in group]
+                if len(codes) > 1:
+                    codes.sort()
+                tkey += codes
+            tkey = tuple(tkey)
             if tkey in table:
                 return table[tkey]
         visited += n

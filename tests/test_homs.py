@@ -16,6 +16,7 @@ from graphnorms import (
     bowtie_blowup,
     certify_bowtie_cycle,
     certify_kpm,
+    complete_bipartite,
     counting_lemma_check,
     kpm_graph,
     cycle_graph,
@@ -33,7 +34,14 @@ from graphnorms import (
 )
 from graphnorms import homs
 from graphnorms.graphs import cartesian_k2
-from graphnorms.homs import ENUMERATION_GUARD, _count_polynomial, _cover_plan, profile_map
+from graphnorms.homs import (
+    ENUMERATION_GUARD,
+    _count_polynomial,
+    _cover_plan,
+    _interchangeable,
+    _memo_plan,
+    profile_map,
+)
 from graphnorms.matrices import block_pm_ones
 from oracles import (
     brute_count_polynomial,
@@ -388,10 +396,75 @@ def test_reused_subtrees_match_brute_force(g, n, caps):
         assert _profiles(profile_map(g, n, tracked, cap)) == expected
 
 
-def test_visited_counts_reuse_on_cycle_blowups_only(monkeypatch):
+@pytest.mark.parametrize(
+    "g, visited",
+    [
+        (complete_bipartite(3, 3), 30),
+        (complete_bipartite(2, 5), 12),
+        (kpm_graph(4), 60),
+        (kpm_graph(5), 114),
+        (Graph.from_edges(9, complete_bipartite(3, 3).edges + ((0, 6), (6, 7), (7, 8))), 102),
+        # every colour multiset of 3 from 3 colours is read by 4 vertices
+        (complete_bipartite(4, 4), 69),
+        # C_5 and a vertex on three consecutive cycle vertices: two vertices
+        # close together but only one is adjacent to the cover position
+        # before, so they form a group only from that position on
+        (Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 3), (5, 4)]), 93),
+    ],
+    ids=["k33", "k25", "kpm4", "kpm5", "k33path", "k44", "c5fan"],
+)
+def test_interchangeable_vertices_match_brute_force(g, visited):
+    # independent vertices closing on the same neighbours are interchangeable,
+    # so a memo key compares their colour multisets as one sorted multiset;
+    # binding caps (in the key as base's capped fields), signed weights that
+    # cancel and weight-0 cells change what a memoised map may hold. K_{2,5}
+    # has two cover positions, too few to swap, so it keeps no table and
+    # tries the whole tree; the others reuse
+    n, cells = 3, range(6)
+    pm = profile_map(g, n, cells)
+    assert pm.visited == visited
+    assert (visited < _full_tree(g, n)) == (len(_cover_plan(g)[0]) > 2)
+    assert _profiles(pm) == brute_profile_map(g, n, cells)
+    for caps, weights, tracked in (
+        # a vertex next to colour 0 weighs 1 - 1 + 0: its own sum cancels
+        ({3: 1, 4: 2}, {1: -1, 2: 0, 5: 3}, [3, 4]),
+        ({1: 0, 4: 3}, {0: -2, 2: 2, 3: -1}, [2, 4]),
+    ):
+        expected = brute_profile_map(g, n, tracked, caps, weights)
+        assert expected != brute_profile_map(g, n, tracked, {}, weights)  # the caps bind
+        assert _profiles(profile_map(g, n, tracked, caps, weights)) == expected
+
+
+def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
+    # K_{7,7} minus a matching reads its whole prefix at every cover
+    # position; its closing positions 5 and 6 read it symmetrically, so they
+    # keep tables, never cleared, and positions 0..4 do no work of their own
+    back, closing, _ = _cover_plan(kpm_graph(7))
+    plan = _memo_plan(back, closing)
+    assert [p for p, m in enumerate(plan) if m] == [5, 6]
+    assert plan[5][1] == plan[6][1] == 0
+    # bowtie k = 7 keeps its frontier-gap tables at 5 and 6; positions 2..4
+    # close a vertex each but no two earlier positions can be swapped
+    back, closing, _ = _cover_plan(bowtie_blowup(cycle_graph(7)))
+    plan = _memo_plan(back, closing)
+    assert [p for p, m in enumerate(plan) if m] == [5, 6]
+    assert all(closing[p] for p in (2, 3, 4))
+    assert plan[5][1] == plan[6][1] == 2
+    # one vertex reading both positions lets them swap; a second vertex
+    # reading only one of them, or a cover position apart from a group,
+    # tells them apart
+    assert _interchangeable((((0, 1),),), 2)
+    assert _interchangeable((((0, 1), (0, 1)), ((0, 1, 2),)), 3)
+    assert not _interchangeable((((0, 1),), ((0,),)), 2)
+    assert not _interchangeable((((0,), (1,)), ((0,),)), 2)
+    assert _interchangeable((((0,), (1,)),), 2)
+
+
+def test_visited_counts_pin_reuse(monkeypatch):
     # bowtie k = 7 reuses the subtrees under its last two cover positions,
-    # and each further k adds 243 partial colourings; every cover position
-    # of K_{m,m} minus a matching reads the whole prefix
+    # and each further k adds 243 partial colourings; K_{m,m} minus a
+    # matching reads its whole prefix, but its last two cover positions
+    # are keyed on colour multiplicities
     seen = []
 
     def spy(*args):
@@ -406,7 +479,11 @@ def test_visited_counts_reuse_on_cycle_blowups_only(monkeypatch):
         assert verify_certificate(cert)
         assert len(seen) == 2 and max(seen) <= bound
     kpm = kpm_graph(7)
-    assert profile_map(kpm, 3, range(6)).visited == _full_tree(kpm, 3) == 3279
+    assert profile_map(kpm, 3, range(6)).visited == 510 < _full_tree(kpm, 3) == 3279
+    for m, visited in zip(range(3, 8), (30, 60, 114, 228, 510)):
+        assert profile_map(kpm_graph(m), 3, range(6)).visited == visited
+    for k, visited in zip(range(3, 9), (30, 60, 363, 606, 849, 1092)):
+        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).visited == visited
 
 
 def test_parallel_matches_serial():
