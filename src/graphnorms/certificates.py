@@ -21,7 +21,7 @@ from .graphs import (
     kpm_graph,
 )
 from .hessians import hessian_matrix, psd_certify, quadratic_form
-from .homs import SymbolicTemplate, _count_polynomial, symbolic_profile
+from .homs import SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
@@ -418,11 +418,10 @@ def random_witness_search(
     accepted and ignored.
 
     The graph is enumerated once, into the count polynomial with every
-    cell a symbol and no caps. The Hessian at a sampled matrix is read from
-    that polynomial with the terms dropped that carry more than two edges
-    on one of the matrix's zero cells, which is term for term the capped
-    polynomial ``hessian_matrix`` builds, so one filtered copy is kept per
-    zero pattern.
+    cell a symbol and no caps, and each trial's Hessian is read from it at
+    the sampled matrix. The read skips the terms with more than two edges
+    on one of the matrix's zero cells, which vanish twice differentiated;
+    they are the terms the caps of ``hessian_matrix`` leave out.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
@@ -431,11 +430,11 @@ def random_witness_search(
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if n > 3:
-        # the filtered copies below, one per zero pattern, number up to
-        # 2^(n(n+1)/2) of one polynomial: 64 at n = 3
+        # the work limit prices one enumeration, but every trial reads the
+        # polynomial in all n(n+1)/2 cell symbols: 6 at n = 3
         raise SizeGuardError(
-            f"search guard: n={n} > 3, the bound on its zero-pattern cache "
-            "(at most 64 count polynomials)"
+            f"search guard: n={n} > 3, the bound on the symbols it reads "
+            "every trial (6 at n = 3)"
         )
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
@@ -443,20 +442,12 @@ def random_witness_search(
     # zero-padded names sort in cell order, so a cell's axis is its index
     names = [f"c{idx:02d}" for idx in range(len(pairs))]
     full = None  # the uncapped polynomial, built at the first trial
-    by_zeros: dict[tuple[bool, ...], SparsePoly] = {}
     for trial in range(trials):
         trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
         a = sample_matrix(n, matrix_class, 8, trial_seed)  # denominators <= 8
-        zeros = tuple(x == 0 for x in a.tri)
-        if zeros not in by_zeros:
-            if full is None:
-                full = _count_polynomial(g, SymbolicTemplate(n, tuple(names)))
-            axes = [idx for idx, z in enumerate(zeros) if z]
-            by_zeros[zeros] = SparsePoly(
-                full.symbols,
-                {e: c for e, c in full.terms.items() if all(e[ax] <= 2 for ax in axes)},
-            )
-        hess = by_zeros[zeros].hessian(names, dict(zip(names, a.tri)))
+        if full is None:
+            full = symbolic_profile(g, SymbolicTemplate(n, tuple(names)))
+        hess = full.hessian(names, dict(zip(names, a.tri)))
         res = psd_certify(SymRationalMatrix.from_rows(hess))
         if not res.is_psd:
             return Certificate(

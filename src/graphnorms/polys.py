@@ -6,9 +6,10 @@ exact ``Fraction`` coefficients in a hash map that never stores a zero.
 Every pipeline only reads it: coefficients (``coefficient``,
 ``coefficient_of``), the least degree of one symbol among the terms with
 fixed exponents in others (``restrict_min_degree``), and second derivatives
-at a point (``hessian``). The hot read, ``hessian``, runs on Python ints
-over one common denominator and builds a ``Fraction`` once per output
-entry.
+at a point (``hessian``). The hot read, ``hessian``, skips the terms that
+vanish twice differentiated at the point, runs on Python ints over one
+common denominator and builds a ``Fraction`` once per output entry, so a
+witness search reads every trial's Hessian from one uncapped polynomial.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +51,10 @@ class SparsePoly:
         theirs, and a term of total degree d is brought to the common
         denominator D L^(dmax - 2) by the factor L^(dmax - d), so each
         entry becomes a Fraction once, at the end. Terms of degree below 2
-        have no second derivative and are skipped.
+        have no second derivative and are skipped, and so are terms with
+        more than two factors of a symbol that is 0 at the point: at least
+        one factor survives two differentiations. Over a matrix's zero
+        cells this is the multiplicity cap ``hessian_matrix`` puts on them.
         """
         axes = [self._axis(s) for s in symbols]
         if len(set(axes)) != len(axes):
@@ -59,11 +63,14 @@ class SparsePoly:
         if missing:
             raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
         k = len(axes)
+        values = [Fraction(point[s]) for s in self.symbols]
         terms = [(exp, sum(exp), c) for exp, c in self.terms.items()]
         terms = [t for t in terms if t[1] >= 2]
+        for ax, v in enumerate(values):
+            if not v:
+                terms = [t for t in terms if t[0][ax] <= 2]
         if not terms:
             return [[Fraction(0)] * k for _ in range(k)]
-        values = [Fraction(point[s]) for s in self.symbols]
         scale = lcm(*(v.denominator for v in values))
         dmax = max(d for _, d, _ in terms)
         cden = lcm(*(c.denominator for _, _, c in terms))

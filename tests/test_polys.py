@@ -107,10 +107,12 @@ def test_hessian_selected_symbols_and_rational_coefficients():
 
 
 # non-homogeneous polynomials in three symbols: rational coefficients with
-# unrelated denominators, and terms of every degree from 0 up
+# unrelated denominators, and terms of every degree from 0 up; exponents up
+# to 4 on every symbol reach the terms the read skips at a zero coordinate
+# (3 or more factors) and the ones it keeps (2 or fewer)
 mixed_polys = st.lists(
     st.tuples(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
         st.fractions(min_value=-4, max_value=4, max_denominator=12),
     ),
     max_size=8,

@@ -55,9 +55,9 @@ def test_broad_exception_handlers_only_in_cli_main():
 
 def test_size_guards_only_at_the_remaining_limits():
     # one work limit on the enumeration engine (also pricing a dense
-    # Hessian and the dense block matrix), one sweep limit, and the bound
-    # on the search's zero-pattern cache; a size knob on any function would
-    # bring back per-call limits
+    # Hessian and the dense block matrix), one sweep limit, and the search's
+    # bound on the symbols it reads every trial; a size knob on any function
+    # would bring back per-call limits
     root = Path(graphnorms.__file__).parent
     raising, knobs = set(), []
     for path in sorted(root.rglob("*.py")):
@@ -91,30 +91,51 @@ def test_size_guards_only_at_the_remaining_limits():
     assert knobs == []
 
 
-def test_profile_map_is_read_only_by_the_count_polynomial():
-    # one builder turns the enumeration into numbers; a second reader of
-    # profile_map (a call, an import or an alias) would be a second numeric
-    # engine beside it
+def _scopes_holding(matches):
+    """The scopes (module, then nested defs) of every node in the package
+    source that ``matches``, one entry per node."""
     root = Path(graphnorms.__file__).parent
-    readers = []
+    found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{where}.{child.name}"
-            named = (
-                (isinstance(child, ast.Name) and child.id == "profile_map")
-                or (isinstance(child, ast.Attribute) and child.attr == "profile_map")
-                or (isinstance(child, ast.alias) and "profile_map" in (child.name, child.asname))
-            )
-            if named:
-                readers.append(where)
+            if matches(child):
+                found.append(where)
             visit(child, inner)
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
-    assert readers == ["homs._count_polynomial"]
+    return found
+
+
+def test_profile_map_is_read_only_by_the_count_polynomial():
+    # one builder turns the enumeration into numbers; a second reader of
+    # profile_map (a call, an import or an alias) would be a second numeric
+    # engine beside it
+    def named(node):
+        return (
+            (isinstance(node, ast.Name) and node.id == "profile_map")
+            or (isinstance(node, ast.Attribute) and node.attr == "profile_map")
+            or (isinstance(node, ast.alias) and "profile_map" in (node.name, node.asname))
+        )
+
+    assert _scopes_holding(named) == ["homs._count_polynomial"]
+
+
+def test_sparse_poly_is_built_only_by_the_count_polynomial():
+    # every pipeline reads the one polynomial the builder returns; a
+    # SparsePoly made anywhere else (a filtered or rescaled copy) would be
+    # a second polynomial beside it
+    def built(node):
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "SparsePoly")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "SparsePoly")
+        )
+
+    assert _scopes_holding(built) == ["homs._count_polynomial"]
 
 
 def test_sparse_poly_is_read_only():
