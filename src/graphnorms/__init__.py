@@ -49,7 +49,6 @@ from .certificates import (
     Refusal,
     certify_bowtie_cycle,
     certify_kpm,
-    positivize_witness,
     random_witness_search,
     screen_necessary,
     verify_certificate,

@@ -5,6 +5,13 @@ direction whose quadratic form against the exact Hessian of the count
 polynomial is negative; verification recomputes everything from scratch.
 Structural screening certificates record a reason (non-bipartite,
 non-eulerian, odd edge count) that is re-checkable from the graph alone.
+
+Every curvature certificate comes out of one refutation loop,
+``_first_non_psd``: the count polynomial is built once by
+``symbolic_profile``, and its Hessian is read at a sequence of points until
+one is not PSD. The bowtie pipeline walks its template with every symbol at
+eta = 2^-j, the kpm pipeline walks eps = 2^-j at x = y = 0, and the witness
+search walks its sampled matrices.
 """
 
 from dataclasses import dataclass
@@ -157,112 +164,49 @@ def screen_necessary(g: Graph, mode: str) -> Certificate | None:
     )
 
 
-@dataclass(frozen=True)
-class PositivizeResult:
-    witness: SymRationalMatrix
-    direction: tuple[Fraction, ...]
-    value: Fraction
-    eta: Fraction
-    steps: int
-
-
-ZERO_FILL_SYMBOL = "_fill"
-
-
-def _symbolized(template: SymbolicTemplate) -> SymbolicTemplate:
-    """Replace exact-zero constant cells by a shared fresh symbol."""
-    cells = tuple(
-        ZERO_FILL_SYMBOL if (not isinstance(c, str) and c == 0) else c
-        for c in template.cells
-    )
-    return SymbolicTemplate(template.n, cells)
-
-
-def _pair_symbols(template: SymbolicTemplate, pairs):
-    """The two target cells must each hold a distinct single-cell symbol."""
-    syms = []
-    for (i, j) in pairs:
-        c = template.cell(i, j)
-        if not isinstance(c, str):
-            raise UsageError(f"target cell ({i},{j}) holds no symbol")
-        if sum(1 for cell in template.cells if cell == c) != 1:
-            raise UsageError(f"symbol {c!r} occupies more than one cell")
-        syms.append(c)
-    if len(pairs) != 2 or syms[0] == syms[1]:
-        raise UsageError("need two distinct symbol cells")
-    return syms
-
-
-POSITIVIZE_STEPS = 24
-
-
-def positivize_witness(
-    g: Graph,
-    template: SymbolicTemplate,
-    pairs,
-    profile: SparsePoly | None = None,
-) -> PositivizeResult | None:
-    """Push a boundary witness into the strictly positive orthant.
-
-    Non-PSD-ness is an open condition, so whenever the 2x2 principal Hessian
-    at the all-zeros substitution is non-PSD, filling every zero/symbol cell
-    with a small eta = 2^-j keeps a negative direction. Returns None when no
-    step in 1..POSITIVIZE_STEPS works (consistent with the Hessian being PSD
-    on the positive orthant). The two target cells must hold distinct
-    symbols, so a template without symbols is refused.
-    """
-    pairs = tuple((min(i, j), max(i, j)) for (i, j) in pairs)
-    sym_template = _symbolized(template)
-    sx, sy = _pair_symbols(sym_template, pairs)
-    symbols = sym_template.symbols
-    if profile is None:
-        profile = symbolic_profile(g, sym_template)
-
-    for j in range(1, POSITIVIZE_STEPS + 1):
-        eta = Fraction(1, 2**j)
-        point = {s: eta for s in symbols}
-        m = profile.hessian((sx, sy), point)
-        res = psd_certify(SymRationalMatrix.from_rows(m))
+def _first_non_psd(profile: SparsePoly, symbols, points):
+    """The first of ``points`` at which the Hessian of ``profile`` in
+    ``symbols`` is not PSD, as (index, point, PsdResult); None when there is
+    none."""
+    for index, point in enumerate(points):
+        res = psd_certify(SymRationalMatrix.from_rows(profile.hessian(symbols, point)))
         if not res.is_psd:
-            return PositivizeResult(
-                witness=sym_template.substitute(point),
-                direction=res.witness,
-                value=res.value,
-                eta=eta,
-                steps=j,
-            )
+            return index, point, res
     return None
 
 
 BOWTIE_PAIRS = ((2, 2), (0, 2))
+POSITIVIZE_STEPS = 24
 
 
 def _bowtie_template() -> SymbolicTemplate:
-    # boundary witness [[1,1,0],[1,0,1],[0,1,0]] with the probed cells opened
+    # boundary witness [[1,1,0],[1,0,1],[0,1,0]] with the probed cells
+    # opened as x and y and its zero cell as z
     return SymbolicTemplate.from_rows(
-        [[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]]
+        [[1, 1, "y"], [1, "z", 1], ["y", 1, "x"]]
     )
 
 
 def certify_bowtie_cycle(k: int, threads: int = 1) -> Certificate | Refusal:
     """Refute weak norming for the cycle blow-up C_k^bowtie.
 
-    At the boundary witness the 2x2 Hessian in the (2,2) and (0,2) cells is
-    [[2 q, l], [l, 2 r]] with q the x^2-coefficient and l the xy-coefficient
-    of the count polynomial; q = 0 together with l >= 1 forces determinant
-    -l^2 < 0, and a positivization step turns that into a strictly positive
-    witness. Refuses (with the computed coefficients) when the conditions
-    fail, as they do for k in {3, 4}: there q = 0 holds but l = 0, which
-    leaves the boundary Hessian diag(0, 2 r), a PSD matrix, as it must be
-    for the weakly norming K_{3,3} and 3-cube. ``threads`` is accepted and
-    ignored.
+    At the boundary witness (every symbol 0) the 2x2 Hessian in the (2,2)
+    and (0,2) cells is [[2 q, l], [l, 2 r]] with q the x^2-coefficient and l
+    the xy-coefficient of the count polynomial; q = 0 together with l >= 1
+    forces determinant -l^2 < 0. Non-PSD-ness is an open condition, so
+    positivization sets every symbol to eta = 1/2, 1/4, ... (at most
+    POSITIVIZE_STEPS steps) and stops at the first strictly positive matrix
+    whose Hessian is not PSD. Refuses (with the computed coefficients) when
+    the conditions fail, as they do for k in {3, 4}: there q = 0 holds but
+    l = 0, which leaves the boundary Hessian diag(0, 2 r), a PSD matrix, as
+    it must be for the weakly norming K_{3,3} and 3-cube. ``threads`` is
+    accepted and ignored.
     """
     if k < 3:
         raise UsageError("cycle blow-up needs k >= 3")
     g = bowtie_blowup(cycle_graph(k))
     template = _bowtie_template()
-    sym_template = _symbolized(template)
-    profile = symbolic_profile(g, sym_template)
+    profile = symbolic_profile(g, template)
 
     x2 = profile.coefficient_of(x=2)
     xy = profile.coefficient_of(x=1, y=1)
@@ -282,22 +226,27 @@ def certify_bowtie_cycle(k: int, threads: int = 1) -> Certificate | Refusal:
             evidence=evidence,
         )
 
-    pos = positivize_witness(g, template, BOWTIE_PAIRS, profile=profile)
-    if pos is None:
+    steps = (
+        {s: Fraction(1, 2**j) for s in template.symbols}
+        for j in range(1, POSITIVIZE_STEPS + 1)
+    )
+    found = _first_non_psd(profile, ("x", "y"), steps)
+    if found is None:
         return Refusal(
             operation=f"certify_bowtie_cycle({k})",
             reason="positivization found no strictly positive witness",
             evidence=evidence,
         )
-    evidence.update({"eta": format_rational(pos.eta), "steps": pos.steps})
+    index, point, res = found
+    evidence.update({"eta": format_rational(point["x"]), "steps": index + 1})
     return Certificate(
         kind="not_weakly_norming",
         graph=g,
         n=3,
-        witness=pos.witness,
+        witness=template.substitute(point),
         pairs=BOWTIE_PAIRS,
-        direction=pos.direction,
-        value=pos.value,
+        direction=res.witness,
+        value=res.value,
         theorem=(
             "weak-norming refutation: the count-polynomial Hessian has a "
             "negative direction at a strictly positive step matrix"
@@ -323,8 +272,11 @@ def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
     2s-regular; every x^2-monomial of the count polynomial must carry
     eps-degree >= 6s-4, the xy-monomials >= 4s-3 with a nonzero coefficient
     at exactly 4s-3, and the y^2-coefficients must vanish through eps-degree
-    2s-2. The 2x2 boundary Hessian determinant is then negative for a small
-    explicit eps* in {1/2, 1/4, ...}. ``threads`` is accepted and ignored.
+    2s-2. The 2x2 boundary Hessian at x = y = 0 is then not PSD for small
+    eps, and the walk eps = 1/2, 1/4, ... (at most KPM_EPS_STEPS steps)
+    stops at the first eps where it is not. Every read has x- plus
+    y-degree 2, so the profile is built with both capped at 2.
+    ``threads`` is accepted and ignored.
     """
     if m < 2:
         raise UsageError("kpm needs m >= 2")
@@ -336,7 +288,7 @@ def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
     s = (m - 1) // 2
     thresholds = {"x2": 6 * s - 4, "xy": 4 * s - 3, "y2_vanish_upto": 2 * s - 2}
     template = _kpm_template()
-    profile = symbolic_profile(g, template)
+    profile = symbolic_profile(g, template, {"x": 2, "y": 2})
 
     min_x2 = profile.restrict_min_degree({"x": 2, "y": 0}, "eps")
     min_xy = profile.restrict_min_degree({"x": 1, "y": 1}, "eps")
@@ -365,30 +317,23 @@ def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
 
     # the boundary Hessian [[2q, l], [l, 2r]], read at x = y = 0 for each
     # eps (q, l, r the x^2, xy, y^2 coefficients, polynomials in eps)
-    chosen = None
-    for j in range(1, KPM_EPS_STEPS + 1):
-        eps = Fraction(1, 2**j)
-        rows = profile.hessian(("x", "y"), {"x": 0, "y": 0, "eps": eps})
-        if rows[0][0] * rows[1][1] - rows[0][1] ** 2 < 0:
-            chosen = (eps, rows)
-            break
-    if chosen is None:
+    steps = (
+        {"x": 0, "y": 0, "eps": Fraction(1, 2**j)} for j in range(1, KPM_EPS_STEPS + 1)
+    )
+    found = _first_non_psd(profile, ("x", "y"), steps)
+    if found is None:
         return Refusal(
             operation=f"certify_kpm({m})",
-            reason="no eps with negative boundary Hessian determinant",
+            reason="no eps with a non-PSD boundary Hessian",
             evidence=evidence,
         )
-
-    eps, rows = chosen
-    res = psd_certify(SymRationalMatrix.from_rows(rows))
-    if res.is_psd:
-        raise RuntimeError("negative determinant but the boundary Hessian is PSD")
-    evidence["epsilon"] = format_rational(eps)
+    _, point, res = found
+    evidence["epsilon"] = format_rational(point["eps"])
     return Certificate(
         kind="not_norming",
         graph=g,
         n=3,
-        witness=template.substitute({"x": 0, "y": 0, "eps": eps}),
+        witness=template.substitute(point),
         pairs=KPM_PAIRS,
         direction=res.witness,
         value=res.value,
@@ -421,7 +366,8 @@ def random_witness_search(
     cell a symbol and no caps, and each trial's Hessian is read from it at
     the sampled matrix. The read skips the terms with more than two edges
     on one of the matrix's zero cells, which vanish twice differentiated;
-    they are the terms the caps of ``hessian_matrix`` leave out.
+    they are the terms the caps of ``hessian_matrix`` leave out. With no
+    trials nothing is enumerated.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
@@ -436,44 +382,37 @@ def random_witness_search(
             f"search guard: n={n} > 3, the bound on the symbols it reads "
             "every trial (6 at n = 3)"
         )
+    if trials == 0:
+        return None
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     kind = "not_weakly_norming" if mode == "weakly_norming" else "not_norming"
-    pairs = tuple(pair_list(n))
     # zero-padded names sort in cell order, so a cell's axis is its index
-    names = [f"c{idx:02d}" for idx in range(len(pairs))]
-    full = None  # the uncapped polynomial, built at the first trial
-    for trial in range(trials):
-        trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
-        a = sample_matrix(n, matrix_class, 8, trial_seed)  # denominators <= 8
-        if full is None:
-            full = symbolic_profile(g, SymbolicTemplate(n, tuple(names)))
-        hess = full.hessian(names, dict(zip(names, a.tri)))
-        res = psd_certify(SymRationalMatrix.from_rows(hess))
-        if not res.is_psd:
-            return Certificate(
-                kind=kind,
-                graph=g,
-                n=n,
-                witness=a,
-                pairs=pairs,
-                direction=res.witness,
-                value=res.value,
-                theorem=(
-                    "randomized refutation: the count-polynomial Hessian has a "
-                    f"negative direction at a {matrix_class} step matrix "
-                    f"(trial {trial})"
-                ),
-                seed=seed,
-            )
-    return None
-
-
-def direction_to_matrix(n: int, pairs, direction) -> SymRationalMatrix:
-    """Spread a pair-indexed direction vector into a symmetric matrix."""
-    values = {}
-    for (i, j), x in zip(pairs, direction):
-        values[(min(i, j), max(i, j))] = Fraction(x)
-    return SymRationalMatrix.from_pairs(n, values)
+    names = tuple(f"c{idx:02d}" for idx in range(n * (n + 1) // 2))
+    template = SymbolicTemplate(n, names)
+    samples = (  # denominators <= 8
+        sample_matrix(n, matrix_class, 8, (seed * 0x9E3779B1 + trial) % 2**63)
+        for trial in range(trials)
+    )
+    points = (dict(zip(names, a.tri)) for a in samples)
+    found = _first_non_psd(symbolic_profile(g, template), names, points)
+    if found is None:
+        return None
+    trial, point, res = found
+    return Certificate(
+        kind=kind,
+        graph=g,
+        n=n,
+        witness=template.substitute(point),
+        pairs=tuple(pair_list(n)),
+        direction=res.witness,
+        value=res.value,
+        theorem=(
+            "randomized refutation: the count-polynomial Hessian has a "
+            f"negative direction at a {matrix_class} step matrix "
+            f"(trial {trial})"
+        ),
+        seed=seed,
+    )
 
 
 def verify_certificate(cert: Certificate, threads: int = 1) -> bool:

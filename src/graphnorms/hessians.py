@@ -3,10 +3,10 @@
 The count polynomial lives on the n(n+1)/2 upper-triangle entries of a
 symmetric matrix; Hessian coordinates follow the same row-major pair order
 (0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. A Hessian is
-read by ``SparsePoly.hessian`` from the count polynomial that ``homs``
-builds with the selected cells left symbolic. Building and reading both
-run on Python ints over one common denominator, so each Hessian entry is a
-single division at the end. PSD is decided by pivoted symmetric
+read by ``SparsePoly.hessian`` from the count polynomial that
+``homs.symbolic_profile`` builds with the selected cells left symbolic.
+Building and reading both run on Python ints over one common denominator,
+so each Hessian entry is a single division at the end. PSD is decided by pivoted symmetric
 elimination, never by eigenvalues, so a failure always comes with a
 rational direction whose quadratic form is negative and re-checkable by
 direct multiplication. The elimination is fraction-free (Bareiss): it runs
@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
-from .homs import SymbolicTemplate, _count_polynomial
+from .homs import SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 
 
@@ -69,7 +69,7 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     for idx, name in zip(opened, names):
         cells[idx] = name
     caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
-    poly = _count_polynomial(g, SymbolicTemplate(n, tuple(cells)), caps)
+    poly = symbolic_profile(g, SymbolicTemplate(n, tuple(cells)), caps)
     point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
     entries = poly.hessian(names, point)
     return HessianMatrix(tuple(selected), SymRationalMatrix.from_rows(entries))

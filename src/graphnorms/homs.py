@@ -3,17 +3,17 @@
 The single enumeration primitive is a *profile map*: for every map
 phi: V(H) -> [n] it records how many edges of H land on each tracked cell
 {i, j} of the target matrix, and sums the maps' integer weights per
-profile. One builder, ``_count_polynomial``, turns that integer map into
+profile. One builder, ``symbolic_profile``, turns that integer map into
 the count polynomial of H over a template (a ``SparsePoly`` in the
 template's symbols), and everything else reads it: a density is its
-constant term over a matrix without symbols, a symbolic profile is the
-polynomial itself, and a Hessian opens the selected cells as symbols and
-evaluates second derivatives at the matrix (``SparsePoly.hessian``). The
-kpm boundary Hessian is the same read of a symbolic profile, at x = y = 0
-for each trial eps. Only
-symbol cells are tracked: a constant cell b/L (L the lcm of the constant
-denominators) weighs b and is multiplied in as its edges land, as in
-Dechter's bucket elimination over a weighted semiring. The builder reads
+constant term over a matrix without symbols, and a Hessian opens the
+selected cells as symbols and evaluates second derivatives at the matrix
+(``SparsePoly.hessian``). Every curvature certificate is the same read at
+a sequence of points: the bowtie positivization, the kpm boundary at
+x = y = 0 for each trial eps, and the witness search. Only symbol cells
+are tracked: a constant cell b/L (L the lcm of the constant denominators)
+weighs b and is multiplied in as its edges land, as in Dechter's bucket
+elimination over a weighted semiring. The builder reads
 an integer numerator over L^e(H) per exponent vector, the Hessian read
 does the same with the point, and each output entry becomes a
 ``Fraction`` once, at the end.
@@ -122,9 +122,6 @@ class SymbolicTemplate:
     @property
     def symbols(self) -> tuple[str, ...]:
         return tuple(sorted({c for c in self.cells if isinstance(c, str)}))
-
-    def cell(self, i: int, j: int):
-        return self.cells[pair_index(i, j, self.n)]
 
     def substitute(self, assignment: dict) -> SymRationalMatrix:
         """Replace every symbol by a rational value."""
@@ -440,14 +437,15 @@ def profile_map(
     return ProfileMap(tracked, width, counts, visited)
 
 
-def _count_polynomial(
+def symbolic_profile(
     g: Graph,
     t: SymbolicTemplate,
     symbol_caps: dict[str, int] | None = None,
 ) -> SparsePoly:
     """The count polynomial of H over the template: the sum over all maps
     V(H) -> [n] of the product of the cells its edges land on, with symbol
-    cells kept as variables.
+    cells kept as variables. Substituting rationals for the symbols and
+    evaluating gives ``weighted_hom_count`` of the substituted matrix.
 
     The one place a profile map becomes power products. Only symbol cells
     are tracked; a symbol in ``symbol_caps`` drops every map with more than
@@ -500,7 +498,7 @@ def weighted_hom_count(g: Graph, a: SymRationalMatrix) -> Fraction:
     normalization; dividing by n^{v(H)} gives the density.
     """
     t = SymbolicTemplate.from_matrix(a)
-    return _count_polynomial(g, t).coefficient(())
+    return symbolic_profile(g, t).coefficient(())
 
 
 def density(g: Graph, a: SymRationalMatrix) -> Fraction:
@@ -521,15 +519,6 @@ def norm_powers(g: Graph, a: SymRationalMatrix) -> dict[str, Fraction]:
         "norm_pow": abs(d),
         "weak_norm_pow": density(g, a.entrywise_abs()) if signed else d,
     }
-
-
-def symbolic_profile(g: Graph, t: SymbolicTemplate) -> SparsePoly:
-    """Exact polynomial in the template symbols accumulated over all maps.
-
-    Substituting rationals for the symbols and evaluating equals
-    weighted_hom_count on the substituted matrix.
-    """
-    return _count_polynomial(g, t)
 
 
 def sidorenko_check(g: Graph, a: SymRationalMatrix) -> bool:

@@ -55,14 +55,6 @@ class SymRationalMatrix:
         tri = tuple(rows[i][j] for i in range(n) for j in range(i, n))
         return cls(n, tri)
 
-    @classmethod
-    def from_pairs(cls, n: int, values) -> "SymRationalMatrix":
-        """Build from a {(i, j): value} mapping over i <= j; missing pairs are 0."""
-        tri = [Fraction(0)] * (n * (n + 1) // 2)
-        for (i, j), x in values.items():
-            tri[pair_index(i, j, n)] = Fraction(x)
-        return cls(n, tuple(tri))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.tri[pair_index(i, j, self.n)]
 

@@ -1,6 +1,6 @@
 """The count polynomial as a read-only sparse multivariate polynomial.
 
-A ``SparsePoly`` is the output of ``homs._count_polynomial``: symbols sorted
+A ``SparsePoly`` is the output of ``homs.symbolic_profile``: symbols sorted
 by name, exponent vectors as plain integer tuples aligned with them, and
 exact ``Fraction`` coefficients in a hash map that never stores a zero.
 Every pipeline only reads it: coefficients (``coefficient``,

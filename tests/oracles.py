@@ -349,7 +349,9 @@ def fd_hessian_entry(g: Graph, a: SymRationalMatrix, p, q, h=Fraction(1, 10**4))
     def shifted(dp, dq):
         delta = {p: dp * h}
         delta[q] = delta.get(q, 0) + dq * h
-        shift = SymRationalMatrix.from_pairs(a.n, delta)
+        shift = SymRationalMatrix.from_rows(
+            [[delta.get((min(i, j), max(i, j)), 0) for j in range(a.n)] for i in range(a.n)]
+        )
         return weighted_hom_count(g, a.add(shift))
 
     if p == q:

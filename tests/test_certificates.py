@@ -9,6 +9,7 @@ from graphnorms import (
     Refusal,
     SizeGuardError,
     SymbolicTemplate,
+    SymRationalMatrix,
     UsageError,
     bowtie_blowup,
     certify_bowtie_cycle,
@@ -17,12 +18,12 @@ from graphnorms import (
     cycle_graph,
     kpm_graph,
     path_graph,
-    positivize_witness,
+    psd_certify,
     random_witness_search,
     screen_necessary,
+    symbolic_profile,
     verify_certificate,
 )
-from graphnorms.certificates import direction_to_matrix
 
 
 def test_screen_necessary():
@@ -156,39 +157,16 @@ def test_certify_kpm_refusals_and_screen():
         certify_kpm(1)
 
 
-def test_positivize_needs_symbols_in_the_target_cells():
-    # a positive constant matrix (the bowtie certificate's witness) has no
-    # symbol in the probed cells to fill, so it is refused, not re-checked
-    cert = certify_bowtie_cycle(5)
-    t = SymbolicTemplate.from_matrix(cert.witness)
-    with pytest.raises(UsageError, match="holds no symbol"):
-        positivize_witness(cert.graph, t, cert.pairs)
-
-
 def test_positivize_fails_for_weakly_norming_graphs():
-    t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])
-    # the 3-cube and C_4 both keep a PSD Hessian on positive matrices
-    res = positivize_witness(bowtie_blowup(cycle_graph(4)), t, ((2, 2), (0, 2)))
-    assert res is None
-    res = positivize_witness(cycle_graph(4), t, ((2, 2), (0, 2)))
-    assert res is None
-
-
-def test_positivize_succeeds_for_mobius():
-    t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, 0, 1], ["y", 1, "x"]])
-    res = positivize_witness(bowtie_blowup(cycle_graph(5)), t, ((2, 2), (0, 2)))
-    assert res is not None
-    assert 0 < res.eta <= Fraction(1, 2)
-    assert res.steps <= 20
-    assert all(x > 0 for x in res.witness.tri)
-
-
-def test_direction_to_matrix_spreads_a_certificate_direction():
-    cert = certify_bowtie_cycle(5)
-    d = direction_to_matrix(3, cert.pairs, cert.direction)
-    for (i, j), x in zip(cert.pairs, cert.direction):
-        assert d.at(i, j) == d.at(j, i) == x
-    assert sum(1 for x in d.tri if x) == sum(1 for x in cert.direction if x)
+    # the 3-cube and C_4 both keep a PSD Hessian on positive matrices: no
+    # step of the bowtie template's eta walk gives a non-PSD (x, y) Hessian
+    t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, "z", 1], ["y", 1, "x"]])
+    for g in (bowtie_blowup(cycle_graph(4)), cycle_graph(4)):
+        profile = symbolic_profile(g, t)
+        for j in range(1, 25):
+            point = dict.fromkeys(t.symbols, Fraction(1, 2**j))
+            h = profile.hessian(("x", "y"), point)
+            assert psd_certify(SymRationalMatrix.from_rows(h)).is_psd
 
 
 def test_random_search_finds_p4_witness():

@@ -229,6 +229,25 @@ def test_certify_search_trial_count(capsys, c4_file):
     assert data == {"found": False, "mode": "weakly_norming", "trials": 0, "seed": 0}
 
 
+def test_certify_search_with_no_trials_enumerates_nothing(capsys, tmp_path):
+    # bowtie(C_9) is past the work limit, so only a search that enumerates
+    # reaches the guard
+    c9 = tmp_path / "c9.json"
+    c9.write_text(run(capsys, "construct", "cycle", "9")[1])
+    graph = tmp_path / "bowtie9.json"
+    graph.write_text(run(capsys, "construct", "bowtie", "-g", str(c9))[1])
+    args = ("certify", "search", "-g", str(graph), "--mode", "weak", "--n", "3")
+    code, data = run_json(capsys, *args, "--trials", "0")
+    assert code == 1
+    assert data == {"found": False, "mode": "weakly_norming", "trials": 0, "seed": 0}
+    code, data = run_json(capsys, *args, "--trials", "1")
+    assert code == 2
+    assert data == {
+        "error": "enumeration guard: 3^9 = 19683 colourings > 10000",
+        "kind": "inconclusive",
+    }
+
+
 @pytest.mark.parametrize("trials", ["0", "5"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_certify_search_refuses_an_empty_matrix(capsys, p4_file, n, trials):

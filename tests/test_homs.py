@@ -36,7 +36,6 @@ from graphnorms import homs
 from graphnorms.graphs import cartesian_k2
 from graphnorms.homs import (
     ENUMERATION_GUARD,
-    _count_polynomial,
     _cover_plan,
     _interchangeable,
     _memo_plan,
@@ -350,7 +349,7 @@ def test_count_polynomial_matches_brute_force():
         used = sorted({c for c in cells if isinstance(c, str)})
         caps = {s: rng.randint(0, 3) for s in used if rng.random() < 0.5}
         want = brute_count_polynomial(g, cells, caps)
-        poly = _count_polynomial(g, SymbolicTemplate(n, cells), caps)
+        poly = symbolic_profile(g, SymbolicTemplate(n, cells), caps)
         assert poly.symbols == tuple(used)
         assert poly.terms == want, (case, g, cells, caps)
         seen["bind"] += want != brute_count_polynomial(g, cells)

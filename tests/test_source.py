@@ -122,7 +122,7 @@ def test_profile_map_is_read_only_by_the_count_polynomial():
             or (isinstance(node, ast.alias) and "profile_map" in (node.name, node.asname))
         )
 
-    assert _scopes_holding(named) == ["homs._count_polynomial"]
+    assert _scopes_holding(named) == ["homs.symbolic_profile"]
 
 
 def test_sparse_poly_is_built_only_by_the_count_polynomial():
@@ -135,13 +135,33 @@ def test_sparse_poly_is_built_only_by_the_count_polynomial():
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "SparsePoly")
         )
 
-    assert _scopes_holding(built) == ["homs._count_polynomial"]
+    assert _scopes_holding(built) == ["homs.symbolic_profile"]
+
+
+def test_certificates_read_hessians_only_in_the_refutation_loop():
+    # every curvature certificate is the first non-PSD Hessian that the one
+    # loop finds; a Hessian read or PSD decision elsewhere in the pipelines
+    # would be a second refutation loop beside it
+    def calls(name):
+        def matches(node):
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            return (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            )
+
+        return matches
+
+    for name in ("psd_certify", "hessian"):
+        scopes = [s for s in _scopes_holding(calls(name)) if s.startswith("certificates.")]
+        assert scopes == ["certificates._first_non_psd"], name
 
 
 def test_sparse_poly_is_read_only():
     # the count polynomial is an IR the pipelines only read; arithmetic,
     # substitution or serialization on it would be a second engine beside
-    # the one builder, homs._count_polynomial
+    # the one builder, homs.symbolic_profile
     from graphnorms.polys import SparsePoly
 
     reads = {"hessian", "coefficient", "coefficient_of", "restrict_min_degree"}
