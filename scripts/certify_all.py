@@ -3,11 +3,13 @@
 
 Certificates are written as JSON next to each other in --out (default
 ./certificates) and re-verified from those files, so the directory is a
-self-contained audit trail.
+self-contained audit trail. Exits 1 when a written certificate fails to
+verify, 0 otherwise.
 """
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -27,12 +29,13 @@ from graphnorms import (
 
 
 def run_pipeline(label, fn, out_dir):
+    """Run one pipeline; False only when its certificate fails to verify."""
     t0 = time.perf_counter()
     result = fn()
     elapsed = time.perf_counter() - t0
     if isinstance(result, Refusal):
         print(f"{label:24s} REFUSED  {elapsed:7.2f}s  {result.reason}")
-        return
+        return True
     path = out_dir / f"{label.replace(' ', '_')}.json"
     path.write_text(json.dumps(result.to_json(), indent=2) + "\n")
     reloaded = Certificate.from_json(json.loads(path.read_text()))
@@ -41,25 +44,31 @@ def run_pipeline(label, fn, out_dir):
         f"{label:24s} {result.kind:20s} {elapsed:7.2f}s  "
         f"verified={ok}  -> {path.name}"
     )
+    return ok
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="certificates")
     parser.add_argument("--k-max", type=int, default=7, help="largest cycle blow-up")
     parser.add_argument("--m-max", type=int, default=7, help="largest matching complement")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    unverified = []
     print("== cycle blow-up pipelines ==")
     for k in range(3, args.k_max + 1):
-        run_pipeline(f"bowtie k={k}", lambda k=k: certify_bowtie_cycle(k), out_dir)
+        label = f"bowtie k={k}"
+        if not run_pipeline(label, lambda k=k: certify_bowtie_cycle(k), out_dir):
+            unverified.append(label)
 
     print("\n== complete bipartite minus matching ==")
     for m in range(3, args.m_max + 1):
-        run_pipeline(f"kpm m={m}", lambda m=m: certify_kpm(m), out_dir)
+        label = f"kpm m={m}"
+        if not run_pipeline(label, lambda m=m: certify_kpm(m), out_dir):
+            unverified.append(label)
 
     print("\n== structural checks on blow-ups ==")
     for k in range(3, args.k_max + 1):
@@ -76,6 +85,11 @@ def main():
         verdict = psd_certify(h).verdict
         print(f"C_{g.n} at half={half}: kernel annihilated={kernel}, hessian {verdict}")
 
+    if unverified:
+        print(f"failed to verify: {', '.join(unverified)}", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -61,14 +61,14 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def sparse_adjacency(self) -> dict[int, set[int]]:
-        """Neighbours of every non-isolated vertex, read off the edge list
-        alone so the cost does not grow with n; keys in order of first
-        appearance in the sorted edge list."""
-        adj: dict[int, set[int]] = {}
+    def sparse_adjacency(self) -> dict[int, list[int]]:
+        """Neighbours of every non-isolated vertex, ascending, read off the
+        edge list alone so the cost does not grow with n; keys in order of
+        first appearance in the sorted edge list."""
+        adj: dict[int, list[int]] = {}
         for (u, v) in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         return adj
 
     def degrees(self) -> list[int]:

@@ -43,18 +43,17 @@ vertices closing there, each reading its neighbours before p. Edge keys add
 and weights multiply, so the subtree's map depends only on the multiset of
 colours each later vertex reads, and on the capped fields of its base;
 independent vertices with the same neighbours from p on are interchangeable,
-so their multisets are compared as one multiset. Where the later vertices
-miss a prefix position, the map is kept per such key, and the table is
-dropped when the prefix below the first missed position changes, since
-most of its keys cannot recur. Where they read the whole prefix, a table is
-kept at a position that does work of its own and has two interchangeable
-prefix positions. A cycle blow-up's later vertices read 4 positions, so
-bowtie k = 7 tries 849 partial colourings where the plain search tries
-3 + 9 + ... + 3^7 = 3279, and each further k adds 243. K_{m,m} minus a
-matching reads its whole prefix at every depth, but its closing vertices
-read it symmetrically, so the count collapses to colour multiplicities:
-kpm m = 7 tries 510 partial colourings, the plain search 3279.
-``ProfileMap.visited`` counts the partial colourings tried.
+so their multisets are compared as one multiset. One rule places the
+tables: a position keeps one wherever its key can repeat, that is, where
+the later vertices miss a prefix position or two prefix positions are
+interchangeable, and every table lives for the whole call. A cycle
+blow-up's later vertices read 4 positions, so bowtie k = 7 tries 708
+partial colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279,
+and each further k adds 243. K_{m,m} minus a matching reads its whole
+prefix at every depth, but symmetrically from the third position on, so
+the count collapses to colour multiplicities: kpm m = 7 tries 252 partial
+colourings, the plain search 3279. ``ProfileMap.visited`` counts the
+partial colourings tried.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
 read off the edge list alone (so a graph claiming 10^12 mostly isolated
@@ -148,20 +147,29 @@ def _cover_plan(g: Graph):
     not grow with g.n.
     """
     adj = g.sparse_adjacency()
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    order = sorted(adj)
+    order.sort(key=degree.__getitem__)  # stable: ties stay in vertex order
     indep, taken = [], set()
-    for v in sorted(adj, key=lambda v: (len(adj[v]), v)):
+    for v in order:
         if taken.isdisjoint(adj[v]):
             indep.append(v)
             taken.add(v)
-    cover = sorted(adj.keys() - taken, key=lambda v: (-len(adj[v]), v))
+    cover = sorted(adj.keys() - taken)
+    cover.sort(key=degree.__getitem__, reverse=True)
     pos = {v: p for p, v in enumerate(cover)}
     back = [
         tuple(sorted(pos[u] for u in adj[v] if u in pos and pos[u] < p))
         for p, v in enumerate(cover)
     ]
     closing = [[] for _ in cover]
+    at = pos.__getitem__
+    # one tuple per neighbourhood: a 10^5-leaf star keeps one, not 10^5
+    # (fewer live objects, fewer garbage collector passes)
+    seen: dict[tuple, tuple] = {}
     for v in indep:
-        nbrs = tuple(sorted(pos[u] for u in adj[v]))
+        nbrs = tuple(sorted(map(at, adj[v])))
+        nbrs = seen.setdefault(nbrs, nbrs)
         closing[nbrs[-1]].append(nbrs)
     return back, closing, g.n - len(adj)
 
@@ -195,24 +203,19 @@ def _summing_entries(closing, n: int, tracked: int) -> int:
 
 
 def _memo_plan(back, closing):
-    """Per cover position p, how the subtree under p is memoised: None, or
-    the prefix reads its key is made from and the positions whose colouring
-    clears its table.
+    """Per cover position p, the prefix reads the key of its subtree's
+    table is made from, or None where that key cannot repeat.
 
     A later vertex, a cover position q >= p or an independent vertex
     closing at q >= p, reads its neighbours in [0, p); the subtree depends
     on the prefix only through the multiset of colours each later vertex
     reads. Independent vertices with the same neighbours in [p, depth) are
     interchangeable, so they form one group whose reads are compared as a
-    multiset; every other later vertex is a group of its own. Where the
-    reads miss a prefix position (a frontier gap) a table is kept and
-    cleared when a position below the first gap is coloured, since most of
-    its keys cannot recur. Where they read the whole prefix, a table is kept
-    only at a position doing work of its own (a back edge or a closing
-    vertex) where two prefix positions are interchangeable, that is, where
-    swapping them maps every group's reads onto themselves. Without such a
-    pair few keys repeat, and a position that only adds up its children's
-    maps would keep the biggest maps for little reuse.
+    multiset; every other later vertex is a group of its own. A key can
+    repeat, and a table is kept, where the reads miss a prefix position or
+    where two prefix positions are interchangeable, that is, where swapping
+    them maps every group's reads onto themselves. Otherwise every prefix
+    colouring has its own key.
     """
     depth = len(back)
     plan = []
@@ -228,12 +231,8 @@ def _memo_plan(back, closing):
                     groups.setdefault(nbrs[cut:], []).append(nbrs[:cut])
         reads = tuple(tuple(sorted(group)) for group in groups.values())
         read = {a for group in reads for r in group for a in r}
-        if len(read) < p:
-            plan.append((reads, min(set(range(p)) - read)))
-        elif (back[p] or closing[p]) and _interchangeable(reads, p):
-            plan.append((reads, 0))
-        else:
-            plan.append(None)
+        repeats = len(read) < p or _interchangeable(reads, p)
+        plan.append(reads if repeats else None)
     return plan
 
 
@@ -325,16 +324,12 @@ def profile_map(
     capmask = sum(mask for mask, _ in capped)  # the fields are disjoint
 
     # a memoised subtree keeps one result per (capped fields of base,
-    # multisets of colours its later vertices read); a multiset of colours
-    # c is one int, the sum of (depth + 1)^c, whose digits never carry since
-    # a vertex reads fewer than depth positions, and a group's ints are sorted
+    # multisets of colours its later vertices read) for the whole call; a
+    # multiset of colours c is one int, the sum of (depth + 1)^c, whose
+    # digits never carry since a vertex reads fewer than depth positions,
+    # and a group's ints are sorted
     plan = _memo_plan(back, closing)
-    tables = [None if m is None else {} for m in plan]
-    clears = [[] for _ in back]
-    for p, m in enumerate(plan):
-        if m is not None:
-            for q in range(m[1]):
-                clears[q].append(tables[p])
+    tables = [None if reads is None else {} for reads in plan]
     power = [(depth + 1) ** c for c in range(n)]
 
     # per colour pair: None where the cell kills a map, else the key
@@ -386,7 +381,7 @@ def profile_map(
         table = tables[p]
         if table is not None:
             tkey = [base & capmask]
-            for group in plan[p][0]:
+            for group in plan[p]:
                 codes = [sum([power[colors[a]] for a in r]) for r in group]
                 if len(codes) > 1:
                     codes.sort()
@@ -409,8 +404,6 @@ def profile_map(
                 if any(key & mask > cap for mask, cap in capped):
                     continue
                 colors[p] = c
-                for stale in clears[p]:
-                    stale.clear()
                 # the closing vertices' own sums are small: multiply them
                 # together before touching the subtree's map
                 local = {key - base: w}

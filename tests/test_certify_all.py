@@ -1,0 +1,40 @@
+"""scripts/certify_all.py: every certificate it writes must verify, or it
+exits 1."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("certify_all", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkeypatch, capsys):
+    script = _load_script()
+    args = ["--k-max", "5", "--m-max", "5"]
+    assert script.main(["--out", str(tmp_path / "ok"), *args]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("verified=True") == 3 and "verified=False" not in out
+    assert err == ""
+
+    # one failing certificate is enough; the rest of the sweep still runs
+    verify = script.verify_certificate
+    monkeypatch.setattr(
+        script, "verify_certificate",
+        lambda cert: cert.kind != "not_norming" and verify(cert),
+    )
+    assert script.main(["--out", str(tmp_path / "bad"), *args]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("verified=True") == 2 and out.count("verified=False") == 1
+    assert "C_6 at half=1" in out
+    assert err == "failed to verify: kpm m=5\n"
+    # the certificates written are the same either way
+    written = sorted(p.name for p in (tmp_path / "ok").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "bad").iterdir())
+    for name in written:
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()

@@ -1,5 +1,6 @@
 import random as _random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -377,13 +378,17 @@ def _full_tree(g, n):
         (bowtie_blowup(cycle_graph(7)), 2, [{0: 3, 2: 4}, {1: 0, 2: 5}]),
         (cartesian_k2(cycle_graph(6)), 2, [{0: 3, 2: 4}, {0: 0, 1: 9}]),
         (cartesian_k2(cycle_graph(7)), 2, [{0: 3, 2: 4}, {0: 0, 1: 9}]),
+        # reads the whole prefix at every position, but positions 2..5 have
+        # two prefix positions to swap, so their tables are kept
+        (kpm_graph(6), 2, [{0: 3, 2: 4}, {1: 0, 2: 5}]),
     ],
-    ids=["c8", "c10", "c7chord", "bowtie6", "bowtie7", "ladder6", "ladder7"],
+    ids=["c8", "c10", "c7chord", "bowtie6", "bowtie7", "ladder6", "ladder7", "kpm6"],
 )
 def test_reused_subtrees_match_brute_force(g, n, caps):
     # each case has a cover position whose subtree reads only part of the
-    # prefix, so its result is reused; binding caps and weight-0 cells
-    # change what a reused subtree may hold, and caps are part of its key
+    # prefix, or reads two prefix positions alike, so its result is reused;
+    # binding caps and weight-0 cells change what a reused subtree may hold,
+    # and caps are part of its key
     cells = range(n * (n + 1) // 2)
     pm = profile_map(g, n, cells)
     assert pm.visited < _full_tree(g, n)
@@ -401,10 +406,10 @@ def test_reused_subtrees_match_brute_force(g, n, caps):
         (complete_bipartite(3, 3), 30),
         (complete_bipartite(2, 5), 12),
         (kpm_graph(4), 60),
-        (kpm_graph(5), 114),
+        (kpm_graph(5), 105),
         (Graph.from_edges(9, complete_bipartite(3, 3).edges + ((0, 6), (6, 7), (7, 8))), 102),
         # every colour multiset of 3 from 3 colours is read by 4 vertices
-        (complete_bipartite(4, 4), 69),
+        (complete_bipartite(4, 4), 60),
         # C_5 and a vertex on three consecutive cycle vertices: two vertices
         # close together but only one is adjacent to the cover position
         # before, so they form a group only from that position on
@@ -436,19 +441,17 @@ def test_interchangeable_vertices_match_brute_force(g, visited):
 
 def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
     # K_{7,7} minus a matching reads its whole prefix at every cover
-    # position; its closing positions 5 and 6 read it symmetrically, so they
-    # keep tables, never cleared, and positions 0..4 do no work of their own
+    # position; from position 2 on two prefix positions can be swapped, so
+    # positions 2..6 keep tables, and positions 0 and 1 have nothing to swap
     back, closing, _ = _cover_plan(kpm_graph(7))
     plan = _memo_plan(back, closing)
-    assert [p for p, m in enumerate(plan) if m] == [5, 6]
-    assert plan[5][1] == plan[6][1] == 0
+    assert [p for p, m in enumerate(plan) if m is not None] == [2, 3, 4, 5, 6]
     # bowtie k = 7 keeps its frontier-gap tables at 5 and 6; positions 2..4
     # close a vertex each but no two earlier positions can be swapped
     back, closing, _ = _cover_plan(bowtie_blowup(cycle_graph(7)))
     plan = _memo_plan(back, closing)
-    assert [p for p, m in enumerate(plan) if m] == [5, 6]
+    assert [p for p, m in enumerate(plan) if m is not None] == [5, 6]
     assert all(closing[p] for p in (2, 3, 4))
-    assert plan[5][1] == plan[6][1] == 2
     # one vertex reading both positions lets them swap; a second vertex
     # reading only one of them, or a cover position apart from a group,
     # tells them apart
@@ -462,7 +465,7 @@ def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
 def test_visited_counts_pin_reuse(monkeypatch):
     # bowtie k = 7 reuses the subtrees under its last two cover positions,
     # and each further k adds 243 partial colourings; K_{m,m} minus a
-    # matching reads its whole prefix, but its last two cover positions
+    # matching reads its whole prefix, but its cover positions from 2 on
     # are keyed on colour multiplicities
     seen = []
 
@@ -472,17 +475,39 @@ def test_visited_counts_pin_reuse(monkeypatch):
         return pm
 
     monkeypatch.setattr(homs, "profile_map", spy)
-    for k, bound in ((7, 849), (8, 1092)):
+    for k, bound in ((7, 708), (8, 951)):
         seen.clear()
         cert = certify_bowtie_cycle(k)
         assert verify_certificate(cert)
         assert len(seen) == 2 and max(seen) <= bound
     kpm = kpm_graph(7)
-    assert profile_map(kpm, 3, range(6)).visited == 510 < _full_tree(kpm, 3) == 3279
-    for m, visited in zip(range(3, 8), (30, 60, 114, 228, 510)):
+    assert profile_map(kpm, 3, range(6)).visited == 252 < _full_tree(kpm, 3) == 3279
+    for m, visited in zip(range(3, 8), (30, 60, 105, 168, 252)):
         assert profile_map(kpm_graph(m), 3, range(6)).visited == visited
-    for k, visited in zip(range(3, 9), (30, 60, 363, 606, 849, 1092)):
+    for k, visited in zip(range(3, 9), (30, 60, 363, 474, 708, 951)):
         assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).visited == visited
+
+
+@pytest.mark.parametrize(
+    "g, mib",
+    [
+        (bowtie_blowup(cycle_graph(8)), 15),  # traced peak 7.6 MiB
+        (kpm_graph(7), 12.5),  # 6.3 MiB
+        (kpm_graph(8), 35),  # 17.3 MiB
+    ],
+    ids=["bowtie8", "kpm7", "kpm8"],
+)
+def test_memo_tables_stay_within_memory(g, mib):
+    # every table lives for the whole call, so the largest inputs the limit
+    # admits, every cell tracked, hold the most; the bounds leave about 2x
+    # headroom over the traced peak, so keeping more tables shows here
+    tracemalloc.start()
+    try:
+        profile_map(g, 3, range(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 def test_parallel_matches_serial():
