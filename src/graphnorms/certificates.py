@@ -169,7 +169,7 @@ def _first_non_psd(profile: SparsePoly, symbols, points):
     ``symbols`` is not PSD, as (index, point, PsdResult); None when there is
     none."""
     for index, point in enumerate(points):
-        res = psd_certify(SymRationalMatrix.from_rows(profile.hessian(symbols, point)))
+        res = psd_certify(profile.hessian(symbols, point))
         if not res.is_psd:
             return index, point, res
     return None

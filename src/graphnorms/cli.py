@@ -125,7 +125,6 @@ def _root_interval_str(value: Fraction, k: int) -> list[str]:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     common.add_argument("--plain", action="store_true")
 
@@ -193,6 +192,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("weak", "norming"), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
 
     p_verify = sub.add_parser("verify", parents=[common])
     p_verify.add_argument("-c", "--certificate", required=True)

@@ -71,8 +71,7 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     caps = {name: 2 for idx, name in zip(opened, names) if a.tri[idx] == 0}
     poly = symbolic_profile(g, SymbolicTemplate(n, tuple(cells)), caps)
     point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
-    entries = poly.hessian(names, point)
-    return HessianMatrix(tuple(selected), SymRationalMatrix.from_rows(entries))
+    return HessianMatrix(tuple(selected), poly.hessian(names, point))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ a sequence of points: the bowtie positivization, the kpm boundary at
 x = y = 0 for each trial eps, and the witness search. Only symbol cells
 are tracked: a constant cell b/L (L the lcm of the constant denominators)
 weighs b and is multiplied in as its edges land, as in Dechter's bucket
-elimination over a weighted semiring. The builder reads
-an integer numerator over L^e(H) per exponent vector, the Hessian read
-does the same with the point, and each output entry becomes a
-``Fraction`` once, at the end.
+elimination over a weighted semiring. The builder keeps
+an integer numerator per exponent vector over the one denominator L^e(H),
+the Hessian read brings the point to the same footing, and each entry of
+its matrix becomes a ``Fraction`` once, at the end.
 
 A profile is packed into one integer key, one bit field per tracked cell,
 so joining two partial maps is adding their keys; fields are wide enough
@@ -445,9 +445,9 @@ def symbolic_profile(
     its cap of edges on one of its cells. A constant cell b/L, L the lcm of
     the constant cells' denominators, is the integer weight b (a 1-cell
     weighs L, weight-1 cells are left out), so a count carries L once per
-    edge on a constant cell: counts are summed per exponent vector, scaled
-    by L^degree to the denominator L^e(H), and each coefficient is divided
-    out once at the end.
+    edge on a constant cell: counts are summed per exponent vector and
+    scaled by L^degree to numerators over the polynomial's one denominator
+    L^e(H).
     """
     caps = symbol_caps or {}
     scale = lcm(*(c.denominator for c in t.cells if not isinstance(c, str)))
@@ -477,10 +477,10 @@ def symbolic_profile(
         acc[exp] = acc.get(exp, 0) + cnt
     # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
     scale_pow = [scale**e for e in range(g.edge_count + 1)]
-    den = scale_pow[-1]
     return SparsePoly(
         symbols,
-        {exp: Fraction(num * scale_pow[sum(exp)], den) for exp, num in acc.items() if num},
+        {exp: num * scale_pow[sum(exp)] for exp, num in acc.items() if num},
+        scale_pow[-1],
     )
 
 
@@ -491,7 +491,7 @@ def weighted_hom_count(g: Graph, a: SymRationalMatrix) -> Fraction:
     normalization; dividing by n^{v(H)} gives the density.
     """
     t = SymbolicTemplate.from_matrix(a)
-    return symbolic_profile(g, t).coefficient(())
+    return symbolic_profile(g, t).coefficient_of()
 
 
 def density(g: Graph, a: SymRationalMatrix) -> Fraction:

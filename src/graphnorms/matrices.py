@@ -14,7 +14,7 @@ from math import lcm
 from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
 from .rationals import format_rational, parse_rational
 
-MATRIX_CLASSES = ("nonnegative", "positive", "signed")
+MATRIX_CLASSES = ("nonnegative", "signed")
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -177,7 +177,7 @@ def sample_matrix(
 ) -> SymRationalMatrix:
     """Deterministic random symmetric matrix with entries p/q, q <= bound.
 
-    Classes: nonnegative -> [0, 1], positive -> (0, 1], signed -> [-1, 1].
+    Classes: nonnegative -> [0, 1], signed -> [-1, 1].
     """
     if matrix_class not in MATRIX_CLASSES:
         raise UsageError(f"matrix class must be one of {MATRIX_CLASSES}")
@@ -187,11 +187,6 @@ def sample_matrix(
     tri = []
     for _ in range(n * (n + 1) // 2):
         q = rng.randint(1, denominator_bound)
-        if matrix_class == "nonnegative":
-            p = rng.randint(0, q)
-        elif matrix_class == "positive":
-            p = rng.randint(1, q)
-        else:
-            p = rng.randint(-q, q)
-        tri.append(Fraction(p, q))
+        lo = 0 if matrix_class == "nonnegative" else -q
+        tri.append(Fraction(rng.randint(lo, q), q))
     return SymRationalMatrix(n, tuple(tri))

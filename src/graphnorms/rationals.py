@@ -4,6 +4,8 @@ from fractions import Fraction
 
 from .errors import UsageError
 
+ROOT_DIGITS = 12  # decimal places of every root bracket
+
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (lowest terms, q > 0)."""
@@ -49,16 +51,16 @@ def integer_kth_root(m: int, k: int) -> int:
     return r
 
 
-def kth_root_interval(x: Fraction, k: int, digits: int = 12) -> tuple[Fraction, Fraction]:
-    """Bracket x**(1/k) for x >= 0 in an interval of width 10**-digits.
+def kth_root_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """Bracket x**(1/k) for x >= 0 in an interval of width 10**-ROOT_DIGITS.
 
     Returns (lo, hi) with lo <= x**(1/k) <= hi, both exact rationals with
-    denominator 10**digits.
+    denominator 10**ROOT_DIGITS.
     """
     x = Fraction(x)
     if x < 0:
         raise UsageError("kth_root_interval needs x >= 0")
-    scale = 10 ** digits
+    scale = 10 ** ROOT_DIGITS
     # floor((x * scale**k) ** (1/k)) == floor(scale * x**(1/k))
     r = integer_kth_root(x.numerator * scale ** k // x.denominator, k)
     # floor division may undershoot by one; fix with exact comparisons

@@ -8,7 +8,8 @@ differentiated formally, or finite differences of plain counts), so they
 share its count-polynomial builder with ``hessian_matrix``.
 ``formal_hessian`` differentiates a polynomial's terms twice and sums them
 at a point, the reference for ``SparsePoly.hessian``; ``sparse_poly``,
-``relabel`` and ``permuted`` build the inputs the tests need.
+``relabel`` and ``permuted`` build the inputs the tests need, and
+``rational_terms`` reads a polynomial's integer numerators as rationals.
 ``fraction_psd_certify`` is the PSD decision by elimination over
 ``Fraction``s that ``psd_certify`` replaced with integer elimination.
 """
@@ -269,12 +270,20 @@ def eulerian(g: Graph) -> bool:
 
 def sparse_poly(symbols, items) -> SparsePoly:
     """The polynomial summing (exponents, coefficient) pairs over the sorted
-    ``symbols``, zero sums dropped."""
+    ``symbols``, zero sums dropped, as integers over the lcm of the sums'
+    denominators."""
     acc = {}
     for exp, c in items:
         exp = tuple(exp)
         acc[exp] = acc.get(exp, 0) + Fraction(c)
-    return SparsePoly(tuple(symbols), {e: c for e, c in acc.items() if c})
+    acc = {e: c for e, c in acc.items() if c}
+    den = lcm(*(c.denominator for c in acc.values()))
+    return SparsePoly(tuple(symbols), {e: int(c * den) for e, c in acc.items()}, den)
+
+
+def rational_terms(poly: SparsePoly) -> dict:
+    """{exponents: coefficient} of ``poly``, each numerator over its ``den``."""
+    return {e: Fraction(c, poly.den) for e, c in poly.terms.items()}
 
 
 def formal_derivative(symbols, terms: dict, symbol) -> dict:
@@ -305,7 +314,7 @@ def formal_hessian(poly: SparsePoly, chosen, point) -> list[list[Fraction]]:
     differentiated twice, one symbol at a time, then summed at the point."""
     rows = []
     for a in chosen:
-        first = formal_derivative(poly.symbols, poly.terms, a)
+        first = formal_derivative(poly.symbols, rational_terms(poly), a)
         rows.append([
             evaluate_terms(poly.symbols, formal_derivative(poly.symbols, first, b), point)
             for b in chosen
@@ -338,7 +347,7 @@ def symbolic_hessian_entry(g: Graph, a: SymRationalMatrix, p, q) -> Fraction:
     rows = [[names[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
     poly = symbolic_profile(g, SymbolicTemplate.from_rows(rows))
     point = {names[(i, j)]: a.at(i, j) for (i, j) in pair_list(n)}
-    first = formal_derivative(poly.symbols, poly.terms, names[p])
+    first = formal_derivative(poly.symbols, rational_terms(poly), names[p])
     return evaluate_terms(poly.symbols, formal_derivative(poly.symbols, first, names[q]), point)
 
 

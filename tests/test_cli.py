@@ -229,6 +229,16 @@ def test_certify_search_trial_count(capsys, c4_file):
     assert data == {"found": False, "mode": "weakly_norming", "trials": 0, "seed": 0}
 
 
+def test_seed_is_an_option_of_the_search_alone(capsys, c4_file, pm_file):
+    # only the witness search draws random matrices
+    code, data = run_json(capsys, "density", "-g", c4_file, "-m", pm_file, "--seed", "0")
+    assert code == 3 and data["kind"] == "usage"
+    args = ("certify", "search", "-g", c4_file, "--mode", "weak", "--n", "2")
+    code, data = run_json(capsys, *args, "--trials", "5", "--seed", "3")
+    assert code == 1
+    assert data == {"found": False, "mode": "weakly_norming", "trials": 5, "seed": 3}
+
+
 def test_certify_search_with_no_trials_enumerates_nothing(capsys, tmp_path):
     # bowtie(C_9) is past the work limit, so only a search that enumerates
     # reaches the guard

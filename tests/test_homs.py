@@ -2,6 +2,7 @@ import random as _random
 import time
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,7 @@ from oracles import (
     permuted,
     random_graph,
     random_sym_matrix,
+    rational_terms,
     relabel,
     trace_power,
 )
@@ -168,7 +170,7 @@ def test_star_leaves_count_towards_the_limit():
 
     m = 26  # 3 * 3276 = 9828 entries, at the limit
     star_poly = symbolic_profile(star(m), symbols)
-    count = evaluate_terms(star_poly.symbols, star_poly.terms, point)
+    count = evaluate_terms(star_poly.symbols, rational_terms(star_poly), point)
     assert count / Fraction(3) ** (m + 1) == closed_form(m)
     for leaves in (27, 2000, 10**5):
         g = star(leaves)  # built before the clock: only the refusal is timed
@@ -200,7 +202,7 @@ def test_symbolic_profile_single_cell():
     t = SymbolicTemplate.from_rows([["x"]])
     p = symbolic_profile(K2, t)
     assert p.symbols == ("x",)
-    assert p.terms == {(1,): 1}
+    assert p.terms == {(1,): 1} and p.den == 1
 
 
 def test_symbolic_profile_boundary_coefficients():
@@ -224,7 +226,7 @@ def test_profile_evaluation_matches_count(seed, n_vertices):
         "b": Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
     }
     profile = symbolic_profile(g, t)
-    value = evaluate_terms(profile.symbols, profile.terms, point)
+    value = evaluate_terms(profile.symbols, rational_terms(profile), point)
     assert value == weighted_hom_count(g, t.substitute(point))
 
 
@@ -333,7 +335,8 @@ def test_count_polynomial_matches_brute_force():
     # templates mixing uncapped and capped symbols (some shared by several
     # cells) with the constants 0, 1, -1 and rationals over unequal
     # denominators: constant cells are weights in the counts, symbol cells
-    # keys, and the builder must give back the plain enumeration's terms
+    # keys, and the builder must give back the plain enumeration's terms as
+    # integer numerators over L^e(H), L the lcm of the constants' denominators
     rng = _random.Random(20191020)
     constants = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
                  Fraction(5, 4), Fraction(3, 7), Fraction(-9, 10), Fraction(4)]
@@ -352,7 +355,10 @@ def test_count_polynomial_matches_brute_force():
         want = brute_count_polynomial(g, cells, caps)
         poly = symbolic_profile(g, SymbolicTemplate(n, cells), caps)
         assert poly.symbols == tuple(used)
-        assert poly.terms == want, (case, g, cells, caps)
+        scale = lcm(*(c.denominator for c in cells if not isinstance(c, str)))
+        assert poly.den == scale**g.edge_count, (case, g, cells)
+        assert all(type(c) is int for c in poly.terms.values())
+        assert rational_terms(poly) == want, (case, g, cells, caps)
         seen["bind"] += want != brute_count_polynomial(g, cells)
         seen["shared"] += len(used) < sum(isinstance(c, str) for c in cells)
         seen["mixed"] += len({c.denominator for c in cells if not isinstance(c, str)}) > 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphnorms import SparsePoly, UsageError
-from oracles import evaluate_terms, formal_hessian, sparse_poly
+from oracles import evaluate_terms, formal_hessian, rational_terms, sparse_poly
 
 
 def poly_from(terms, symbols=("x", "y")):
@@ -29,25 +29,40 @@ def test_derivative_examples():
     # second derivatives worked by hand, through the read and the oracle
     p = poly_from([((2, 1), 1)])  # x^2 y
     point = {"x": 3, "y": 5}
-    assert p.hessian(("x", "y"), point) == formal_hessian(p, ("x", "y"), point) == [
+    assert p.hessian(("x", "y"), point).rows() == formal_hessian(p, ("x", "y"), point) == [
         [10, 6],
         [6, 0],
     ]
     cube = poly_from([((3, 0), 1)])
-    assert cube.hessian(("x",), {"x": Fraction(1, 2), "y": 0}) == [[3]]
-    assert poly_from([((0, 2), 1)]).hessian(("x",), {"x": 1, "y": 1}) == [[0]]
+    assert cube.hessian(("x",), {"x": Fraction(1, 2), "y": 0}).rows() == [[3]]
+    assert poly_from([((0, 2), 1)]).hessian(("x",), {"x": 1, "y": 1}).rows() == [[0]]
     with pytest.raises(UsageError):
         p.hessian(("z",), point)
 
 
 def test_coefficient_lookup():
-    p = poly_from([((2, 0), 1), ((1, 1), 3)])
-    assert p.coefficient((1, 1)) == 3
-    assert p.coefficient((0, 2)) == 0
+    p = poly_from([((2, 0), 1), ((1, 1), 3), ((0, 1), Fraction(-1, 6))])
     assert p.coefficient_of(x=1, y=1) == 3
+    assert p.coefficient_of(y=2) == 0
     assert p.coefficient_of(x=2) == 1
+    assert p.coefficient_of(y=1) == Fraction(-1, 6)
+    assert p.coefficient_of() == 0
     with pytest.raises(UsageError):
-        p.coefficient((1,))
+        p.coefficient_of(z=1)
+
+
+def test_storage_is_integer_numerators_over_one_denominator():
+    p = sparse_poly(("x", "y"), [((2, 0), Fraction(3, 4)), ((1, 1), Fraction(-5, 6))])
+    assert p.den == 12
+    assert p.terms == {(2, 0): 9, (1, 1): -10}
+    assert rational_terms(p) == {(2, 0): Fraction(3, 4), (1, 1): Fraction(-5, 6)}
+    assert SparsePoly(("x",), {(1,): 3}, 6).coefficient_of(x=1) == Fraction(1, 2)
+    for numerator in (Fraction(1, 2), Fraction(2), 0):
+        with pytest.raises(UsageError):
+            SparsePoly(("x",), {(1,): numerator})
+    for den in (0, -1, Fraction(1)):
+        with pytest.raises(UsageError):
+            SparsePoly(("x",), {(1,): 1}, den)
 
 
 def test_restrict_min_degree():
@@ -62,10 +77,10 @@ def test_restrict_min_degree():
 def test_evaluate():
     # the oracle's evaluation over the terms, with 0^0 = 1
     p = poly_from([((2, 0), 1), ((0, 0), -1)])  # x^2 - 1
-    assert evaluate_terms(p.symbols, p.terms, {"x": 2, "y": 0}) == 3
-    assert evaluate_terms(p.symbols, p.terms, {"x": 0, "y": 5}) == -1
-    xy = poly_from([((1, 1), 1)])
-    assert evaluate_terms(xy.symbols, xy.terms, {"x": 1, "y": Fraction(1, 2)}) == Fraction(1, 2)
+    assert evaluate_terms(p.symbols, rational_terms(p), {"x": 2, "y": 0}) == 3
+    assert evaluate_terms(p.symbols, rational_terms(p), {"x": 0, "y": 5}) == -1
+    xy = poly_from([((1, 1), Fraction(1, 3))])
+    assert evaluate_terms(xy.symbols, rational_terms(xy), {"x": 1, "y": Fraction(1, 2)}) == Fraction(1, 6)
 
 
 @given(small_polys, rationals, rationals)
@@ -75,9 +90,9 @@ def test_derivative_matches_finite_difference(p, ax, ay):
     # in the differenced symbol, as every small_polys term is
     h = Fraction(1, 10**3)
     point = {"x": ax, "y": ay}
-    hess = p.hessian(("x", "y"), point)
+    hess = p.hessian(("x", "y"), point).rows()
     for r, s in enumerate(("x", "y")):
-        at = lambda d: evaluate_terms(p.symbols, p.terms, {**point, s: point[s] + d})
+        at = lambda d: evaluate_terms(p.symbols, rational_terms(p), {**point, s: point[s] + d})
         assert hess[r][r] == (at(h) - 2 * at(0) + at(-h)) / h**2
 
 
@@ -86,7 +101,7 @@ def test_derivative_matches_finite_difference(p, ax, ay):
 def test_hessian_matches_double_derivative(p, ax, ay):
     # zero point values exercise 0^0 = 1 in the one-pass read
     for point in ({"x": ax, "y": ay}, {"x": 0, "y": ay}, {"x": 0, "y": 0}):
-        assert p.hessian(("y", "x"), point) == formal_hessian(p, ("y", "x"), point)
+        assert p.hessian(("y", "x"), point).rows() == formal_hessian(p, ("y", "x"), point)
 
 
 def test_hessian_selected_symbols_and_rational_coefficients():
@@ -95,7 +110,7 @@ def test_hessian_selected_symbols_and_rational_coefficients():
         [((1, 2, 0), Fraction(3, 4)), ((0, 1, 1), 5), ((2, 0, 3), Fraction(-1, 3))],
     )
     point = {"eps": Fraction(1, 2), "x": 0, "y": Fraction(-2, 3)}
-    h = p.hessian(("x", "y"), point)
+    h = p.hessian(("x", "y"), point).rows()
     want = formal_hessian(p, ("x", "y"), point)
     assert h == want == [[Fraction(3, 4), 5], [5, Fraction(1, 3)]]
     with pytest.raises(UsageError):
@@ -127,8 +142,8 @@ mixed_points = st.tuples(
 def test_integer_hessian_read_matches_double_derivative(p, values, chosen):
     point = dict(zip(("e", "x", "y"), values))
     h = p.hessian(chosen, point)
-    assert h == formal_hessian(p, chosen, point)
-    assert all(type(x) is Fraction for row in h for x in row)
+    assert h.rows() == formal_hessian(p, chosen, point)
+    assert all(type(x) is Fraction for x in h.tri)
 
 
 def test_integer_hessian_read_low_degree_and_mixed_denominators():
@@ -140,11 +155,15 @@ def test_integer_hessian_read_low_degree_and_mixed_denominators():
          ((1, 1), Fraction(-5, 6)), ((2, 2), Fraction(3, 7)), ((4, 0), 1)],
     )
     point = {"x": Fraction(-2, 3), "y": Fraction(5, 4)}
-    assert p.hessian(("x", "y"), point) == formal_hessian(p, ("x", "y"), point)
+    assert p.hessian(("x", "y"), point).rows() == formal_hessian(p, ("x", "y"), point)
     # a polynomial of degree at most 1 has the zero Hessian
     linear = sparse_poly(("x", "y"), [((0, 0), 3), ((1, 0), Fraction(1, 2))])
-    assert linear.hessian(("x", "y"), point) == [[0, 0], [0, 0]]
-    assert SparsePoly(("x",), {}).hessian(("x",), {"x": 0}) == [[0]]
+    assert linear.hessian(("x", "y"), point).rows() == [[0, 0], [0, 0]]
+    assert SparsePoly(("x",), {}).hessian(("x",), {"x": 0}).rows() == [[0]]
+    # an empty selection is no matrix, with or without terms to read
+    for poly in (p, linear):
+        with pytest.raises(UsageError):
+            poly.hessian((), point)
 
 
 def test_formal_hessian_sees_a_perturbed_coefficient():
@@ -159,8 +178,8 @@ def test_formal_hessian_sees_a_perturbed_coefficient():
     chosen = ("x", "y")
     quadratic = [(0, 2, 0), (0, 1, 1)]
     for point in ({"e": 0, "x": 0, "y": 0}, {"e": Fraction(1, 2), "x": -1, "y": Fraction(2, 3)}):
-        read = p.hessian(chosen, point)
+        read = p.hessian(chosen, point).rows()
         assert formal_hessian(p, chosen, point) == read
         for exp in quadratic:
-            moved = SparsePoly(p.symbols, {**p.terms, exp: p.terms[exp] + 1})
+            moved = SparsePoly(p.symbols, {**p.terms, exp: p.terms[exp] + p.den}, p.den)
             assert formal_hessian(moved, chosen, point) != read, exp

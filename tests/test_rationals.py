@@ -38,7 +38,7 @@ def test_integer_kth_root(m, k):
 )
 @settings(max_examples=60, deadline=None)
 def test_root_interval_brackets(x, k):
-    lo, hi = kth_root_interval(x, k, digits=12)
+    lo, hi = kth_root_interval(x, k)
     assert hi - lo == Fraction(1, 10**12)
     assert lo**k <= x <= hi**k
 

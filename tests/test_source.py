@@ -138,24 +138,39 @@ def test_sparse_poly_is_built_only_by_the_count_polynomial():
     assert _scopes_holding(built) == ["homs.symbolic_profile"]
 
 
+def _calls(name):
+    """Matches a call of ``name``, plain or as an attribute."""
+
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return matches
+
+
 def test_certificates_read_hessians_only_in_the_refutation_loop():
     # every curvature certificate is the first non-PSD Hessian that the one
     # loop finds; a Hessian read or PSD decision elsewhere in the pipelines
     # would be a second refutation loop beside it
-    def calls(name):
-        def matches(node):
-            if not isinstance(node, ast.Call):
-                return False
-            func = node.func
-            return (isinstance(func, ast.Name) and func.id == name) or (
-                isinstance(func, ast.Attribute) and func.attr == name
-            )
-
-        return matches
-
     for name in ("psd_certify", "hessian"):
-        scopes = [s for s in _scopes_holding(calls(name)) if s.startswith("certificates.")]
+        scopes = [s for s in _scopes_holding(_calls(name)) if s.startswith("certificates.")]
         assert scopes == ["certificates._first_non_psd"], name
+
+
+def test_count_polynomial_denominator_is_chosen_once():
+    # the builder puts every numerator over L^e(H) and the Hessian read
+    # returns the matrix the PSD test takes; a Fraction per term, an lcm
+    # over the coefficients or a re-wrap of the read's rows would make that
+    # format decision a second time
+    assert "homs.symbolic_profile" not in _scopes_holding(_calls("Fraction"))
+    lcms = [s for s in _scopes_holding(_calls("lcm")) if s.startswith("polys.")]
+    assert lcms == ["polys.SparsePoly.hessian"]  # the point's denominators
+    rewraps = set(_scopes_holding(_calls("from_rows")))
+    assert not rewraps & {"certificates._first_non_psd", "hessians.hessian_matrix"}
 
 
 def test_sparse_poly_is_read_only():
@@ -164,7 +179,7 @@ def test_sparse_poly_is_read_only():
     # the one builder, homs.symbolic_profile
     from graphnorms.polys import SparsePoly
 
-    reads = {"hessian", "coefficient", "coefficient_of", "restrict_min_degree"}
+    reads = {"hessian", "coefficient_of", "restrict_min_degree"}
     public = {
         name
         for name in dir(SparsePoly)
