@@ -364,10 +364,11 @@ def random_witness_search(
 
     The graph is enumerated once, into the count polynomial with every
     cell a symbol and no caps, and each trial's Hessian is read from it at
-    the sampled matrix. The read skips the terms with more than two edges
-    on one of the matrix's zero cells, which vanish twice differentiated;
-    they are the terms the caps of ``hessian_matrix`` leave out. With no
-    trials nothing is enumerated.
+    the sampled matrix, through the read plan the first trial makes. At a
+    zero cell an entry keeps only the terms with exactly as many edges on
+    it as the entry differentiates away; the others vanish, among them the
+    terms the caps of ``hessian_matrix`` leave out. With no trials nothing
+    is enumerated.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")

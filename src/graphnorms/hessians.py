@@ -5,8 +5,10 @@ symmetric matrix; Hessian coordinates follow the same row-major pair order
 (0,0), (0,1), ..., (1,1), ... as ``matrices.pair_index``. A Hessian is
 read by ``SparsePoly.hessian`` from the count polynomial that
 ``homs.symbolic_profile`` builds with the selected cells left symbolic.
-Building and reading both run on Python ints over one common denominator,
-so each Hessian entry is a single division at the end. PSD is decided by pivoted symmetric
+Building and reading both run on Python ints over one common denominator:
+the read values each term once at the point and makes each Hessian entry
+one dot product of those values with the entry's integer factors, and a
+single division at the end. PSD is decided by pivoted symmetric
 elimination, never by eigenvalues, so a failure always comes with a
 rational direction whose quadratic form is negative and re-checkable by
 direct multiplication. The elimination is fraction-free (Bareiss): it runs
@@ -43,7 +45,8 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     constants (weight-1 cells untracked, weight-0 cells killing the map).
     A selected zero cell is capped at multiplicity 2, since a term with more
     copies still vanishes after two differentiations. The Hessian is then
-    read off in one pass by ``SparsePoly.hessian``. Its k x k entries are
+    read by ``SparsePoly.hessian``, one dot product per entry over the
+    terms its plan lists for that entry. Its k x k entries are
     dense, a cost the engine's colouring estimate cannot see, so k^2 is held
     to the same work limit.
     """

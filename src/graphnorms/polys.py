@@ -6,16 +6,21 @@ nonzero integer numerators in a hash map over one common denominator
 ``den``, the one its builder computes. Every pipeline only reads it:
 coefficients (``coefficient_of``), the least degree of one symbol among the
 terms with fixed exponents in others (``restrict_min_degree``), and second
-derivatives at a point (``hessian``). The hot read, ``hessian``, skips the
-terms that vanish twice differentiated at the point, runs on Python ints
-over ``den`` times a power of the point's denominator and builds a
-``Fraction`` once per entry of the ``SymRationalMatrix`` it returns, so a
-witness search reads every trial's Hessian from one uncapped polynomial.
+derivatives at a point (``hessian``). The hot read, ``hessian``, follows a
+plan made once per selection of symbols and kept on the polynomial: for
+each entry, the terms that reach it and their integer factors. A read
+values each term once at the point, on Python ints over ``den`` times a
+power of the point's denominator, makes each entry one dot product of its
+factors with those values, and builds a ``Fraction`` once per entry of the
+``SymRationalMatrix`` it returns, so a witness search reads every trial's
+Hessian from one uncapped polynomial through one plan.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from math import lcm
+from operator import mul, sub
 
 from .errors import UsageError
 from .matrices import SymRationalMatrix
@@ -26,6 +31,8 @@ class SparsePoly:
     symbols: tuple[str, ...]
     terms: dict[tuple[int, ...], int] = field(default_factory=dict)
     den: int = 1
+    # read plans of ``hessian``, one per selection of axes
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.den) is not int or self.den < 1:
@@ -47,72 +54,98 @@ class SparsePoly:
             raise UsageError(f"unknown symbol {symbol!r}") from None
 
     def hessian(self, symbols, point: dict[str, object]) -> SymRationalMatrix:
-        """Second partial derivatives in ``symbols`` at ``point``, in one pass.
+        """Second partial derivatives in ``symbols`` at ``point``.
 
         A term c x^m adds c m_p (m_q - [p = q]) x^(m - e_p - e_q) to entry
         (p, q), with 0^0 = 1; rows and columns follow ``symbols``. The read
         runs on Python ints: the point is B/L with B integral and L the lcm
         of its denominators, and a term of total degree d is brought to the
-        common denominator ``den`` L^(dmax - 2) by the factor L^(dmax - d),
-        so each entry becomes a Fraction once, at the end. Terms of degree
-        below 2 have no second derivative and are skipped, and so are terms
-        with more than two factors of a symbol that is 0 at the point: at
-        least one factor survives two differentiations. Over a matrix's zero
-        cells this is the multiplicity cap ``hessian_matrix`` puts on them.
+        common denominator ``den`` L^(dmax - 2) by the factor L^(dmax - d).
+        The terms that reach each entry, with their integer factors, come
+        from a plan made once per selection (``_plan``). A read values every
+        term once, c L^(dmax - d) times B_a^(m_a) over the coordinates a
+        that are not 0 at the point, and makes each entry one dot product
+        of its factors with those values, a Fraction over ``den`` L^(dmax -
+        2) times the powers of B_p and B_q it differentiated away. A
+        coordinate z that is 0 at the point instead keeps, in entry (p, q),
+        exactly the terms with m_z = [z = p] + [z = q]: the others vanish.
         """
-        axes = [self._axis(s) for s in symbols]
+        axes = tuple(self._axis(s) for s in symbols)
         if len(set(axes)) != len(axes):
             raise UsageError("duplicate symbol in Hessian selection")
         missing = set(self.symbols) - set(point)
         if missing:
             raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
+        plan = self._plans.get(axes)
+        if plan is None:
+            plan = self._plans[axes] = self._plan(axes)
+        lift, coeffs, gaps, columns, entries = plan
         k = len(axes)
-        values = [Fraction(point[s]) for s in self.symbols]
-        terms = [(exp, sum(exp), c) for exp, c in self.terms.items()]
-        terms = [t for t in terms if t[1] >= 2]
-        for ax, v in enumerate(values):
-            if not v:
-                terms = [t for t in terms if t[0][ax] <= 2]
-        if not terms:
+        if not coeffs:
             return SymRationalMatrix(k, (Fraction(0),) * (k * (k + 1) // 2))
+        values = [Fraction(point[s]) for s in self.symbols]
         scale = lcm(*(v.denominator for v in values))
-        dmax = max(d for _, d, _ in terms)
-        scale_pow = [scale**e for e in range(dmax - 1)]
-        # powers[ax][e] = B[ax]**e up to the largest exponent of the axis
-        powers = []
-        for ax, v in enumerate(values):
-            b = v.numerator * (scale // v.denominator)
-            powers.append([b**e for e in range(max(t[0][ax] for t in terms) + 1)])
-        rest = [ax for ax in range(len(values)) if ax not in axes]
+        lifted = [v.numerator * (scale // v.denominator) for v in values]
+        pw = list(accumulate(repeat(scale, lift), mul, initial=1))
+        terms = list(map(mul, coeffs, map(pw.__getitem__, gaps)))
+        den = self.den * pw[lift]
+        zeros, keys = [], []
+        for ax, col, top in columns:
+            b = lifted[ax]
+            if not b:
+                zeros.append(ax)
+                keys.append(col)
+            elif b != 1:  # b = 1 changes nothing; every positivization step has it
+                pw = list(accumulate(repeat(b, top), mul, initial=1))
+                terms = list(map(mul, terms, map(pw.__getitem__, col)))
+        # the entries with one zero pattern share one masked copy of the
+        # values: the terms with exactly as many factors of each zero
+        # coordinate as those entries differentiate away
+        keys = list(zip(*keys))
+        kept = {}
+        tri = []
+        for p, q, indices, factors in entries:
+            pattern = tuple((z == p) + (z == q) for z in zeros)
+            reads = kept.get(pattern)
+            if reads is None:
+                reads = kept[pattern] = (
+                    list(map(mul, terms, map(pattern.__eq__, keys))) if zeros else terms
+                )
+            total = sum(map(mul, factors, map(reads.__getitem__, indices)))
+            tri.append(Fraction(total, den * (lifted[p] or 1) * (lifted[q] or 1)))
+        return SymRationalMatrix(k, tuple(tri))
 
-        acc = [[0] * k for _ in range(k)]
-        for exp, d, c in terms:
-            lead = c * scale_pow[dmax - d]
-            for ax in rest:
-                lead *= powers[ax][exp[ax]]
-            # the selected axes the term involves, with the suffix products
-            # of their powers, so entry (r, s) multiplies out the axes
-            # before r, between r and s, and after s in one sweep
-            sel = [(r, exp[ax], powers[ax]) for r, ax in enumerate(axes) if exp[ax]]
-            suffix = [1] * (len(sel) + 1)
-            for i in range(len(sel) - 1, -1, -1):
-                _, m, pw = sel[i]
-                suffix[i] = suffix[i + 1] * pw[m]
-            for i, (r, m, pw) in enumerate(sel):
-                if not lead:
-                    break
-                if m >= 2:
-                    acc[r][r] += lead * m * (m - 1) * pw[m - 2] * suffix[i + 1]
-                w = lead * m * pw[m - 1]
-                for j in range(i + 1, len(sel)):
-                    s, m2, pw2 = sel[j]
-                    acc[r][s] += w * m2 * pw2[m2 - 1] * suffix[j + 1]
-                    w *= pw2[m2]
-                lead *= pw[m]
-        den = self.den * scale_pow[dmax - 2]
-        return SymRationalMatrix(
-            k, tuple(Fraction(acc[r][s], den) for r in range(k) for s in range(r, k))
-        )
+    def _plan(self, axes):
+        """The read plan of the selection ``axes``: (dmax - 2, the terms'
+        numerators, their degree gaps dmax - d, the columns (axis,
+        exponents, largest exponent) of the symbols they hold, and per
+        upper-triangle entry (p, q) its axes with the indices of the terms
+        that reach it and their factors m_p (m_q - [p = q])). It keeps the
+        terms of degree at least 2 in the selected symbols, the ones that
+        reach some entry."""
+        by_axis = list(zip(*self.terms))
+        degrees = map(sum, zip(*(by_axis[ax] for ax in axes))) if by_axis else ()
+        exps = list(compress(self.terms, map((2).__le__, degrees)))
+        if not exps:
+            return 0, (), (), (), ()
+        coeffs = tuple(map(self.terms.__getitem__, exps))
+        degrees = list(map(sum, exps))
+        dmax = max(degrees)
+        gaps = tuple(map(dmax.__sub__, degrees))
+        columns = list(zip(*exps))
+        # a list, so that the index tuples share its int objects
+        positions = list(range(len(exps)))
+        entries = []
+        for i, p in enumerate(axes):
+            mp = columns[p]
+            for q in axes[i:]:
+                second = map(sub, mp, repeat(1)) if p == q else columns[q]
+                factors = list(map(mul, mp, second))
+                entries.append(
+                    (p, q, tuple(compress(positions, factors)), tuple(compress(factors, factors)))
+                )
+        held = tuple((ax, col, max(col)) for ax, col in enumerate(columns) if any(col))
+        return dmax - 2, coeffs, gaps, held, tuple(entries)
 
     def coefficient_of(self, **degrees) -> Fraction:
         """Coefficient lookup by symbol name; unnamed symbols default to 0."""

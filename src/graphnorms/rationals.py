@@ -16,7 +16,10 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" or an integer (int or string) into a Fraction."""
+    """Parse "p/q" or an integer (int or string) into a Fraction. A bool is
+    an int to Python but not a number in the JSON it comes from."""
+    if isinstance(s, bool):
+        raise UsageError(f"expected rational string or integer, got {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, Fraction):

@@ -280,6 +280,30 @@ def test_search_enumerates_once_per_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_search_plans_its_hessian_read_once(monkeypatch):
+    # a deterministic counter in place of a timing: every trial reads its
+    # Hessian through the plan the first trial made
+    from graphnorms.polys import SparsePoly
+
+    plans, reads = [], []
+    real_plan, real_hessian = SparsePoly._plan, SparsePoly.hessian
+
+    def planning(self, axes):
+        plans.append(axes)
+        return real_plan(self, axes)
+
+    def reading(self, symbols, point):
+        reads.append(symbols)
+        return real_hessian(self, symbols, point)
+
+    monkeypatch.setattr(SparsePoly, "_plan", planning)
+    monkeypatch.setattr(SparsePoly, "hessian", reading)
+    g = complete_bipartite(3, 3)  # weakly norming: every trial runs
+    assert random_witness_search(g, 3, 100, "weakly_norming", seed=5) is None
+    assert len(reads) == 100
+    assert plans == [tuple(range(6))]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "g",

@@ -145,6 +145,8 @@ def test_certify_and_verify_round_trip(capsys, tmp_path):
         ("value", [1]),
         ("value", {"a": 1}),
         ("value", "not a rational"),
+        ("value", True),
+        ("direction", [True, 1]),
         ("n", "three"),
     ],
 )
@@ -156,6 +158,14 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, field, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cert))
     code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 3 and data["kind"] == "usage"
+
+
+def test_boolean_matrix_entries_are_a_usage_error(capsys, c4_file, tmp_path):
+    # JSON true and false are ints to Python, not rationals
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 2, "entries": [[true, false], [false, true]]}')
+    code, data = run_json(capsys, "density", "-g", c4_file, "-m", str(path))
     assert code == 3 and data["kind"] == "usage"
 
 

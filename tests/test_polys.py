@@ -99,7 +99,7 @@ def test_derivative_matches_finite_difference(p, ax, ay):
 @given(small_polys, rationals, rationals)
 @settings(max_examples=60, deadline=None)
 def test_hessian_matches_double_derivative(p, ax, ay):
-    # zero point values exercise 0^0 = 1 in the one-pass read
+    # zero point values exercise 0^0 = 1 and the zero masks of the read
     for point in ({"x": ax, "y": ay}, {"x": 0, "y": ay}, {"x": 0, "y": 0}):
         assert p.hessian(("y", "x"), point).rows() == formal_hessian(p, ("y", "x"), point)
 
@@ -123,8 +123,9 @@ def test_hessian_selected_symbols_and_rational_coefficients():
 
 # non-homogeneous polynomials in three symbols: rational coefficients with
 # unrelated denominators, and terms of every degree from 0 up; exponents up
-# to 4 on every symbol reach the terms the read skips at a zero coordinate
-# (3 or more factors) and the ones it keeps (2 or fewer)
+# to 4 on every symbol put terms with 0 to 4 factors of a coordinate that
+# is 0 at the point, of which an entry keeps exactly the ones with as many
+# factors as it differentiates away
 mixed_polys = st.lists(
     st.tuples(
         st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -144,6 +145,45 @@ def test_integer_hessian_read_matches_double_derivative(p, values, chosen):
     h = p.hessian(chosen, point)
     assert h.rows() == formal_hessian(p, chosen, point)
     assert all(type(x) is Fraction for x in h.tri)
+
+
+@given(mixed_polys, mixed_points.filter(lambda v: all(v)))
+@settings(max_examples=80, deadline=None)
+def test_one_plan_reads_every_zero_pattern(p, values):
+    # one polynomial read at a list of points, so the plan made at the
+    # first read serves them all: two zero selected coordinates, a zero
+    # unselected one, all zeros, and back to none
+    chosen = ("y", "x")
+    base = dict(zip(("e", "x", "y"), values))
+    zeroed = [(), ("x",), ("x", "y"), ("e",), ("e", "y"), ("e", "x", "y"), ()]
+    for names in zeroed:
+        point = {**base, **dict.fromkeys(names, 0)}
+        assert p.hessian(chosen, point).rows() == formal_hessian(p, chosen, point), names
+
+
+def test_interleaved_selections_keep_one_plan_each(monkeypatch):
+    p = sparse_poly(
+        ("e", "x", "y"),
+        [((0, 2, 0), 3), ((1, 1, 1), Fraction(-5, 6)), ((2, 0, 3), 7),
+         ((1, 3, 1), Fraction(2, 9)), ((0, 0, 1), 4), ((4, 1, 0), -1)],
+    )
+    plans = []
+    real = SparsePoly._plan
+
+    def planning(self, axes):
+        plans.append(axes)
+        return real(self, axes)
+
+    monkeypatch.setattr(SparsePoly, "_plan", planning)
+    points = [
+        {"e": Fraction(1, 2), "x": -1, "y": Fraction(2, 3)},
+        {"e": 0, "x": Fraction(3, 4), "y": 0},
+        {"e": 2, "x": 0, "y": Fraction(-1, 5)},
+    ]
+    for point in points * 2:
+        for chosen in (("x", "y"), ("y", "e")):
+            assert p.hessian(chosen, point).rows() == formal_hessian(p, chosen, point)
+    assert plans == [(1, 2), (2, 0)]
 
 
 def test_integer_hessian_read_low_degree_and_mixed_denominators():

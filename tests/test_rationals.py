@@ -23,6 +23,9 @@ def test_format_and_parse():
         parse_rational("1/0")
     with pytest.raises(UsageError):
         parse_rational("abc")
+    for flag in (True, False):
+        with pytest.raises(UsageError):
+            parse_rational(flag)
 
 
 @given(st.integers(0, 10**12), st.integers(1, 6))
