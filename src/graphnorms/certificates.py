@@ -390,8 +390,8 @@ def random_witness_search(
     # zero-padded names sort in cell order, so a cell's axis is its index
     names = tuple(f"c{idx:02d}" for idx in range(n * (n + 1) // 2))
     template = SymbolicTemplate(n, names)
-    samples = (  # denominators <= 8
-        sample_matrix(n, matrix_class, 8, (seed * 0x9E3779B1 + trial) % 2**63)
+    samples = (
+        sample_matrix(n, matrix_class, (seed * 0x9E3779B1 + trial) % 2**63)
         for trial in range(trials)
     )
     points = (dict(zip(names, a.tri)) for a in samples)

@@ -4,12 +4,15 @@ Exit codes: 0 = certified / holds, 1 = refuted / refused / violated,
 2 = inconclusive (a size guard fired), 3 = usage error, 4 = internal error
 (a fault in the toolkit, reported on stderr with nothing on stdout). All
 other output is a single JSON document on stdout unless --plain is given.
+
+Each subcommand's handler sits on its own parser as the default ``run``;
+main parses the arguments and calls ``ns.run(ns, state)``.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .certificates import (
@@ -118,9 +121,15 @@ def _emit(payload, plain: bool):
         print(json.dumps(payload, indent=2))
 
 
-def _root_interval_str(value: Fraction, k: int) -> list[str]:
-    lo, hi = kth_root_interval(value, k)
-    return [format_rational(lo), format_rational(hi)]
+# construct family -> (constructor, its integer arguments); none: it reads -g
+FAMILIES = {
+    "cycle": (cycle_graph, ["k"]),
+    "kbip": (complete_bipartite, ["m", "n"]),
+    "kpm": (kpm_graph, ["m"]),
+    "hypercube": (hypercube_graph, ["d"]),
+    "bowtie": (bowtie_blowup, []),
+    "boxk2": (cartesian_k2, []),
+}
 
 
 def build_parser() -> _Parser:
@@ -128,91 +137,80 @@ def build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     common.add_argument("--plain", action="store_true")
 
-    parser = _Parser(prog="graphnorms", description=__doc__)
+    def leaf(sub, name, run):
+        """A subcommand that takes the common options and runs ``run(ns, state)``."""
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(run=run)
+        return p
+
+    # --help shows the docstring but its last paragraph, on the code (None under -OO)
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="graphnorms", description=description)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_construct = sub.add_parser("construct")
-    c_sub = p_construct.add_subparsers(dest="family", required=True)
-    for name, args in (
-        ("cycle", ["k"]),
-        ("kbip", ["m", "n"]),
-        ("kpm", ["m"]),
-        ("hypercube", ["d"]),
-    ):
-        p = c_sub.add_parser(name, parents=[common])
-        for a in args:
+    c_sub = sub.add_parser("construct").add_subparsers(dest="family", required=True)
+    for name, (_, ints) in FAMILIES.items():
+        p = leaf(c_sub, name, _cmd_construct)
+        for a in ints:
             p.add_argument(a, type=int)
-    for name in ("bowtie", "boxk2"):
-        p = c_sub.add_parser(name, parents=[common])
-        p.add_argument("-g", "--graph", required=True)
+        if not ints:
+            p.add_argument("-g", "--graph", required=True)
 
-    p_density = sub.add_parser("density", parents=[common])
+    p_density = leaf(sub, "density", _cmd_density)
     p_density.add_argument("-g", "--graph", required=True)
     p_density.add_argument("-m", "--matrix", required=True)
 
-    p_hessian = sub.add_parser("hessian", parents=[common])
+    p_hessian = leaf(sub, "hessian", _cmd_hessian)
     p_hessian.add_argument("-g", "--graph", required=True)
     p_hessian.add_argument("-m", "--matrix", required=True)
     p_hessian.add_argument("--pairs", help="restrict to pairs, e.g. '0,2;2,2'")
 
-    p_psd = sub.add_parser("psd", parents=[common])
-    p_psd.add_argument("-m", "--matrix", required=True)
+    leaf(sub, "psd", _cmd_psd).add_argument("-m", "--matrix", required=True)
+    leaf(sub, "cutnorm", _cmd_cutnorm).add_argument("-m", "--matrix", required=True)
 
-    p_cut = sub.add_parser("cutnorm", parents=[common])
-    p_cut.add_argument("-m", "--matrix", required=True)
-
-    p_check = sub.add_parser("check")
-    k_sub = p_check.add_subparsers(dest="what", required=True)
-    p = k_sub.add_parser("sidorenko", parents=[common])
+    k_sub = sub.add_parser("check").add_subparsers(dest="what", required=True)
+    p = leaf(k_sub, "sidorenko", _check_sidorenko)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-m", "--matrix", required=True)
-    for name in ("hatami", "counting"):
-        p = k_sub.add_parser(name, parents=[common])
+    pair_checks = (("hatami", hatami_box_check), ("counting", counting_lemma_check))
+    for name, test in pair_checks:
+        p = leaf(k_sub, name, partial(_check_two_kernels, test))
         p.add_argument("-g", "--graph", required=True)
         p.add_argument("-m", "--matrix", required=True)
         p.add_argument("-w", "--second-matrix", required=True)
-    p = k_sub.add_parser("euler-indicator", parents=[common])
+    p = leaf(k_sub, "euler-indicator", _check_euler_indicator)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--n", type=int, default=1, help="half-block size")
-    p = k_sub.add_parser("prop42", parents=[common])
+    p = leaf(k_sub, "prop42", _check_prop42)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--n", type=int, default=1, help="half-block size")
-    p = k_sub.add_parser("bowtie-lemma", parents=[common])
+    p = leaf(k_sub, "bowtie-lemma", _check_bowtie_lemma)
     p.add_argument("-g", "--graph", required=True)
 
-    p_certify = sub.add_parser("certify")
-    y_sub = p_certify.add_subparsers(dest="pipeline", required=True)
-    p = y_sub.add_parser("bowtie-cycle", parents=[common])
+    y_sub = sub.add_parser("certify").add_subparsers(dest="pipeline", required=True)
+    p = leaf(y_sub, "bowtie-cycle", _certify_bowtie_cycle)
     p.add_argument("--k", type=int, required=True)
-    p = y_sub.add_parser("kpm", parents=[common])
+    p = leaf(y_sub, "kpm", _certify_kpm)
     p.add_argument("--m", type=int, required=True)
-    p = y_sub.add_parser("search", parents=[common])
+    p = leaf(y_sub, "search", _certify_search)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--mode", choices=("weak", "norming"), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    p_verify = sub.add_parser("verify", parents=[common])
-    p_verify.add_argument("-c", "--certificate", required=True)
+    leaf(sub, "verify", _cmd_verify).add_argument("-c", "--certificate", required=True)
 
     return parser
 
 
 def _cmd_construct(ns, state) -> tuple[int, dict]:
-    if ns.family == "cycle":
-        g = cycle_graph(ns.k)
-    elif ns.family == "kbip":
-        g = complete_bipartite(ns.m, ns.n)
-    elif ns.family == "kpm":
-        g = kpm_graph(ns.m)
-    elif ns.family == "hypercube":
-        g = hypercube_graph(ns.d)
-    elif ns.family == "bowtie":
-        g = bowtie_blowup(_load_graph(ns.graph, state))
+    make, ints = FAMILIES[ns.family]
+    if ints:
+        g = make(*(getattr(ns, a) for a in ints))
     else:
-        g = cartesian_k2(_load_graph(ns.graph, state))
+        g = make(_load_graph(ns.graph, state))
     payload = g.to_json()
     payload["structure"] = structural_report(g).to_json()
     return 0, payload
@@ -222,18 +220,11 @@ def _cmd_density(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
     a = _load_matrix(ns.matrix, state)
     powers = norm_powers(g, a)
-    e = g.edge_count
-    payload = {
-        "count": format_rational(powers["count"]),
-        "density": format_rational(powers["density"]),
-        "norm_pow": format_rational(powers["norm_pow"]),
-        "weak_norm_pow": format_rational(powers["weak_norm_pow"]),
-    }
-    if e > 0:
-        payload["norm_root_interval"] = _root_interval_str(powers["norm_pow"], e)
-        payload["weak_norm_root_interval"] = _root_interval_str(
-            powers["weak_norm_pow"], e
-        )
+    payload = {key: format_rational(value) for key, value in powers.items()}
+    if g.edge_count > 0:
+        for key in ("norm", "weak_norm"):
+            lo, hi = kth_root_interval(powers[f"{key}_pow"], g.edge_count)
+            payload[f"{key}_root_interval"] = [format_rational(lo), format_rational(hi)]
     return 0, payload
 
 
@@ -242,10 +233,7 @@ def _cmd_hessian(ns, state) -> tuple[int, dict]:
     a = _load_matrix(ns.matrix, state)
     pairs = None if ns.pairs is None else _parse_pairs(ns.pairs)
     h = hessian_matrix(g, a, pairs)
-    return 0, {
-        "pairs": [list(p) for p in h.pairs],
-        "matrix": h.matrix.to_json(),
-    }
+    return 0, {"pairs": [list(p) for p in h.pairs], "matrix": h.matrix.to_json()}
 
 
 def _cmd_psd(ns, state) -> tuple[int, dict]:
@@ -259,68 +247,62 @@ def _cmd_psd(ns, state) -> tuple[int, dict]:
     }
 
 
-def _cmd_check(ns, state) -> tuple[int, dict]:
+def _cmd_cutnorm(ns, state) -> tuple[int, dict]:
+    return 0, {"cut_norm": format_rational(cut_norm(_load_matrix(ns.matrix, state)))}
+
+
+def _verdict(ns, holds: bool, **extra) -> tuple[int, dict]:
+    """The outcome of check ``ns.what``: exit 0 when it holds, else 1."""
+    return (0 if holds else 1), {"check": ns.what, "holds": holds, **extra}
+
+
+def _check_sidorenko(ns, state) -> tuple[int, dict]:
     g = _load_graph(ns.graph, state)
-    if ns.what == "sidorenko":
-        holds = sidorenko_check(g, _load_matrix(ns.matrix, state))
-        return (0 if holds else 1), {"check": "sidorenko", "holds": holds}
-    if ns.what == "hatami":
-        holds = hatami_box_check(
-            g,
-            _load_matrix(ns.matrix, state),
-            _load_matrix(ns.second_matrix, state),
-        )
-        return (0 if holds else 1), {"check": "hatami", "holds": holds}
-    if ns.what == "counting":
-        holds = counting_lemma_check(
-            g,
-            _load_matrix(ns.matrix, state),
-            _load_matrix(ns.second_matrix, state),
-        )
-        return (0 if holds else 1), {"check": "counting", "holds": holds}
-    if ns.what == "euler-indicator":
-        holds = eulerian_indicator_check(g, ns.n)
-        return (0 if holds else 1), {
-            "check": "euler-indicator",
-            "holds": holds,
-            "eulerian": is_eulerian(g),
-        }
-    if ns.what == "prop42":
-        h = allones_hessian(g, ns.n)
-        holds = annihilates_ones(h)
-        verdict = psd_certify(h).verdict
-        return (0 if holds else 1), {
-            "check": "prop42",
-            "kernel_annihilated": holds,
-            "hessian_psd": verdict,
-        }
-    report = verify_bowtie_structure(g)
-    holds = report.edge_in_unique_4cycle is not None and report.two_edge_sets_ok
-    payload = {"check": "bowtie-lemma", "holds": holds}
-    payload.update(report.to_json())
+    return _verdict(ns, sidorenko_check(g, _load_matrix(ns.matrix, state)))
+
+
+def _check_two_kernels(test, ns, state) -> tuple[int, dict]:
+    g = _load_graph(ns.graph, state)
+    a, w = _load_matrix(ns.matrix, state), _load_matrix(ns.second_matrix, state)
+    return _verdict(ns, test(g, a, w))
+
+
+def _check_euler_indicator(ns, state) -> tuple[int, dict]:
+    g = _load_graph(ns.graph, state)
+    return _verdict(ns, eulerian_indicator_check(g, ns.n), eulerian=is_eulerian(g))
+
+
+def _check_prop42(ns, state) -> tuple[int, dict]:
+    h = allones_hessian(_load_graph(ns.graph, state), ns.n)
+    holds = annihilates_ones(h)
+    verdict = psd_certify(h).verdict
+    payload = {"check": "prop42", "kernel_annihilated": holds, "hessian_psd": verdict}
     return (0 if holds else 1), payload
 
 
-def _cmd_certify(ns, state) -> tuple[int, dict]:
-    if ns.pipeline == "bowtie-cycle":
-        result = certify_bowtie_cycle(ns.k)
-    elif ns.pipeline == "kpm":
-        result = certify_kpm(ns.m)
-    else:
-        g = _load_graph(ns.graph, state)
-        mode = "weakly_norming" if ns.mode == "weak" else "norming"
-        found = random_witness_search(g, ns.n, ns.trials, mode, ns.seed)
-        if found is None:
-            return 1, {
-                "found": False,
-                "mode": mode,
-                "trials": ns.trials,
-                "seed": ns.seed,
-            }
-        return 0, found.to_json()
-    if isinstance(result, Refusal):
-        return 1, result.to_json()
-    return 0, result.to_json()
+def _check_bowtie_lemma(ns, state) -> tuple[int, dict]:
+    report = verify_bowtie_structure(_load_graph(ns.graph, state))
+    holds = report.edge_in_unique_4cycle is not None and report.two_edge_sets_ok
+    return _verdict(ns, holds, **report.to_json())
+
+
+def _certify_bowtie_cycle(ns, state) -> tuple[int, dict]:
+    result = certify_bowtie_cycle(ns.k)
+    return (1 if isinstance(result, Refusal) else 0), result.to_json()
+
+
+def _certify_kpm(ns, state) -> tuple[int, dict]:
+    result = certify_kpm(ns.m)
+    return (1 if isinstance(result, Refusal) else 0), result.to_json()
+
+
+def _certify_search(ns, state) -> tuple[int, dict]:
+    g = _load_graph(ns.graph, state)
+    mode = "weakly_norming" if ns.mode == "weak" else "norming"
+    found = random_witness_search(g, ns.n, ns.trials, mode, ns.seed)
+    if found is None:
+        return 1, {"found": False, "mode": mode, "trials": ns.trials, "seed": ns.seed}
+    return 0, found.to_json()
 
 
 def _cmd_verify(ns, state) -> tuple[int, dict]:
@@ -344,24 +326,7 @@ def main(argv=None) -> int:
     state: dict = {}
     try:
         ns = _parser.parse_args(argv)
-        if ns.command == "construct":
-            code, payload = _cmd_construct(ns, state)
-        elif ns.command == "density":
-            code, payload = _cmd_density(ns, state)
-        elif ns.command == "hessian":
-            code, payload = _cmd_hessian(ns, state)
-        elif ns.command == "psd":
-            code, payload = _cmd_psd(ns, state)
-        elif ns.command == "cutnorm":
-            code, payload = 0, {
-                "cut_norm": format_rational(cut_norm(_load_matrix(ns.matrix, state)))
-            }
-        elif ns.command == "check":
-            code, payload = _cmd_check(ns, state)
-        elif ns.command == "certify":
-            code, payload = _cmd_certify(ns, state)
-        else:
-            code, payload = _cmd_verify(ns, state)
+        code, payload = ns.run(ns, state)
     except UsageError as exc:
         _emit({"error": str(exc), "kind": "usage"}, False)
         return 3

@@ -15,6 +15,7 @@ from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
 from .rationals import format_rational, parse_rational
 
 MATRIX_CLASSES = ("nonnegative", "signed")
+SAMPLE_DENOMINATOR = 8  # largest denominator of a sampled entry
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -172,21 +173,18 @@ def cut_norm(a: SymRationalMatrix) -> Fraction:
     return Fraction(best, scale * n * n)
 
 
-def sample_matrix(
-    n: int, matrix_class: str, denominator_bound: int, seed: int
-) -> SymRationalMatrix:
-    """Deterministic random symmetric matrix with entries p/q, q <= bound.
+def sample_matrix(n: int, matrix_class: str, seed: int) -> SymRationalMatrix:
+    """Deterministic random symmetric matrix with entries p/q,
+    q <= SAMPLE_DENOMINATOR.
 
     Classes: nonnegative -> [0, 1], signed -> [-1, 1].
     """
     if matrix_class not in MATRIX_CLASSES:
         raise UsageError(f"matrix class must be one of {MATRIX_CLASSES}")
-    if denominator_bound < 1:
-        raise UsageError("denominator bound must be >= 1")
     rng = random.Random(seed)
     tri = []
     for _ in range(n * (n + 1) // 2):
-        q = rng.randint(1, denominator_bound)
+        q = rng.randint(1, SAMPLE_DENOMINATOR)
         lo = 0 if matrix_class == "nonnegative" else -q
         tri.append(Fraction(rng.randint(lo, q), q))
     return SymRationalMatrix(n, tuple(tri))

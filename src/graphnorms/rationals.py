@@ -64,11 +64,7 @@ def kth_root_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
     if x < 0:
         raise UsageError("kth_root_interval needs x >= 0")
     scale = 10 ** ROOT_DIGITS
-    # floor((x * scale**k) ** (1/k)) == floor(scale * x**(1/k))
+    # floor(scale * x**(1/k)): an integer r has r**k * den <= num * scale**k
+    # exactly when r**k <= floor(num * scale**k / den)
     r = integer_kth_root(x.numerator * scale ** k // x.denominator, k)
-    # floor division may undershoot by one; fix with exact comparisons
-    while (r + 1) ** k * x.denominator <= x.numerator * scale ** k:
-        r += 1
-    while r ** k * x.denominator > x.numerator * scale ** k:
-        r -= 1
     return Fraction(r, scale), Fraction(r + 1, scale)

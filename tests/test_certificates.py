@@ -198,13 +198,13 @@ def test_random_search_bounds_its_zero_pattern_cache():
         random_witness_search(cycle_graph(4), 4, 10, "weakly_norming")
 
 
-def _trial_matrices(n, mode, seed, trials, denominator_bound=8):
+def _trial_matrices(n, mode, seed, trials):
     from graphnorms.matrices import sample_matrix
 
     matrix_class = "nonnegative" if mode == "weakly_norming" else "signed"
     for trial in range(trials):
         trial_seed = (seed * 0x9E3779B1 + trial) % 2**63
-        yield trial, sample_matrix(n, matrix_class, denominator_bound, trial_seed)
+        yield trial, sample_matrix(n, matrix_class, trial_seed)
 
 
 def _plain_search(g, n, trials, mode, seed):

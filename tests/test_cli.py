@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphnorms
 from graphnorms.cli import main
+
+SRC = Path(graphnorms.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -382,10 +391,10 @@ def test_one_colour_kernel_is_held_to_the_limit(capsys, tmp_path, length, messag
 def test_internal_error_is_exit_four_on_stderr(capsys, monkeypatch, pm_file):
     import graphnorms.cli as cli
 
-    def broken(ns, state):
+    def broken(matrix):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(cli, "_cmd_psd", broken)
+    monkeypatch.setattr(cli, "psd_certify", broken)
     code = main(["psd", "-m", pm_file])
     captured = capsys.readouterr()
     assert code == 4
@@ -523,3 +532,48 @@ def test_malformed_nested_field_is_a_usage_error(capsys, tmp_path, path, bad):
     file.write_text(json.dumps(cert))
     code, data = run_json(capsys, "verify", "-c", str(file))
     assert code == 3 and data["kind"] == "usage"
+
+
+def _module_cli(*argv, **kwargs):
+    """``python -m graphnorms.cli argv`` in a fresh interpreter, through
+    entry() and the process's real standard streams."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "graphnorms.cli", *argv]
+    return subprocess.Popen(command, env=env, text=True, **kwargs)
+
+
+def test_module_round_trip_through_a_pipe():
+    certify = _module_cli("certify", "bowtie-cycle", "--k", "5", stdout=subprocess.PIPE)
+    verify = _module_cli(
+        "verify", "-c", "-", stdin=certify.stdout, stdout=subprocess.PIPE
+    )
+    certify.stdout.close()  # verify holds the only read end
+    out, _ = verify.communicate(timeout=60)
+    assert certify.wait(timeout=60) == 0
+    assert verify.returncode == 0
+    assert json.loads(out) == {"valid": True, "kind": "not_weakly_norming"}
+
+
+def test_module_malformed_stdin_exits_three():
+    verify = _module_cli(
+        "verify", "-c", "-", stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    )
+    out, _ = verify.communicate("{not json", timeout=60)
+    assert verify.returncode == 3
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_readme_library_example():
+    # runs README's "Library use" block and checks the values its comments quote
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert "# Fraction(185, 59049), exact" in block
+    assert "# not_psd, direction (47, -1), value -940" in block
+    names = {}
+    exec(block, names)
+    assert names["density"](names["mobius"], names["kernel"]) == Fraction(185, 59049)
+    res = names["psd_certify"](names["h"].matrix)
+    assert (res.verdict, res.witness, res.value) == ("not_psd", (47, -1), -940)
+    assert names["verify_certificate"](names["cert"])

@@ -43,7 +43,7 @@ def test_integer_kth_root(m, k):
 def test_root_interval_brackets(x, k):
     lo, hi = kth_root_interval(x, k)
     assert hi - lo == Fraction(1, 10**12)
-    assert lo**k <= x <= hi**k
+    assert lo**k <= x < hi**k  # lo is the floor
 
 
 def test_root_interval_exact_values():

@@ -224,3 +224,40 @@ def test_profile_map_has_one_recursion():
         )
     ]
     assert recursive == ["sub"]
+
+
+def test_cli_main_compares_no_namespace_attribute_against_a_string():
+    # each subcommand's handler sits on its parser; a string comparison on
+    # the parsed namespace in main would declare the subcommands a second time
+    path = Path(graphnorms.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (main,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    ]
+    found = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) for o in operands) and any(
+                isinstance(o, ast.Constant) and isinstance(o.value, str) for o in operands
+            ):
+                found.append(node.lineno)
+    assert found == []
+
+
+def test_every_cli_leaf_parser_sets_run():
+    import argparse
+
+    from graphnorms.cli import build_parser
+
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [parser]
+        return [leaf for a in subs for p in a.choices.values() for leaf in leaves(p)]
+
+    found = leaves(build_parser())
+    assert len(found) == 20
+    assert [p.prog for p in found if not callable(p.get_default("run"))] == []
