@@ -27,9 +27,13 @@ the packed edges among them (its base), it returns the subtree's map, a
 {key relative to base: weight} sum over the colourings of positions p, p+1,
 ... Given the colours of its neighbours, a vertex of I is independent of
 every other vertex of I, so its n colours collapse to a {key: weight} map
-of at most n entries. At the position of its last neighbour that map is
-multiplied into a small local map seeded with the back edges' weight, and
-the local map is convolved with the map returned for the next position.
+of at most n entries. Edge keys add and weights multiply, so that map
+depends only on the multiset of its neighbours' colours: it is made once
+per multiset and call (``ProfileMap.summed`` counts them) and shared. At
+the position of its last neighbour the first such map, shifted by the back
+edges' key and scaled by their weight, is the local map, the others are
+multiplied into it, and the local map is convolved with the map returned
+for the next position, or, at the last position, added to its map as it is.
 Weight-zero cells kill a map outright, an independent vertex's entries
 whose signed weights cancel are dropped, and multiplicity caps are checked on
 each cover colour, local map and returned map, since multiplicities only
@@ -46,7 +50,8 @@ independent vertices with the same neighbours from p on are interchangeable,
 so their multisets are compared as one multiset. One rule places the
 tables: a position keeps one wherever its key can repeat, that is, where
 the later vertices miss a prefix position or two prefix positions are
-interchangeable, and every table lives for the whole call. A cycle
+interchangeable, and every table lives for the whole call (and is freed at
+its return, not left to the cyclic garbage collector). A cycle
 blow-up's later vertices read 4 positions, so bowtie k = 7 tries 708
 partial colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279,
 and each further k adds 243. K_{m,m} minus a matching reads its whole
@@ -268,6 +273,7 @@ class ProfileMap:
     width: int
     counts: dict  # packed key -> summed weight of its maps (unweighted: their number)
     visited: int  # partial cover colourings tried; a reused subtree counts once
+    summed: int  # independent-vertex sums made, one per colour multiset read
 
 
 def profile_map(
@@ -338,10 +344,17 @@ def profile_map(
     step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
     colors = [0] * depth
     rng = range(n)
-    visited = 0
+    visited = summed = 0
+    sides: dict[int, dict] = {}  # colour multiset of the neighbours -> side map
 
     def side(nbrs):
-        """{key: weight} for one independent vertex, its neighbours coloured."""
+        """{key: weight} for one independent vertex, its neighbours coloured;
+        made once per multiset of their colours and shared, so never mutated."""
+        nonlocal summed
+        code = sum([power[colors[a]] for a in nbrs])
+        if code in sides:
+            return sides[code]
+        summed += 1
         rows = [step[colors[a]] for a in nbrs]
         out: dict[int, int] = {}
         for x in rng:
@@ -355,7 +368,10 @@ def profile_map(
             else:
                 out[key] = out.get(key, 0) + w
         # signed weights may cancel; an emptied map prunes the colouring
-        return out if all(out.values()) else {k: v for k, v in out.items() if v}
+        if not all(out.values()):
+            out = {k: v for k, v in out.items() if v}
+        sides[code] = out
+        return out
 
     def convolve(out, a, b):
         """Add the product of two {key: weight} maps into ``out``; keys add
@@ -405,10 +421,17 @@ def profile_map(
                     continue
                 colors[p] = c
                 # the closing vertices' own sums are small: multiply them
-                # together before touching the subtree's map
-                local = {key - base: w}
+                # together before touching the subtree's map; the first
+                # one's shared map is shifted and scaled only if it must be
+                shift = key - base
+                local = None
                 for nbrs in closing[p]:
-                    local = convolve({}, local, side(nbrs))
+                    if local is not None:
+                        local = convolve({}, local, side(nbrs))
+                    elif shift or w != 1:
+                        local = {k + shift: v * w for k, v in side(nbrs).items()}
+                    else:
+                        local = side(nbrs)
                     for mask, cap in capped:
                         local = {
                             k: v for k, v in local.items() if (base + k) & mask <= cap
@@ -416,7 +439,13 @@ def profile_map(
                     if not local:
                         break
                 else:
-                    convolve(out, sub(p + 1, key), local)
+                    if local is None:
+                        local = {shift: w}
+                    if p + 1 < depth:
+                        convolve(out, sub(p + 1, key), local)
+                    else:  # the leaf's map is {0: 1}: add local as it is
+                        for k, v in local.items():
+                            out[k] = out.get(k, 0) + v
         for mask, cap in capped:
             out = {k: v for k, v in out.items() if (base + k) & mask <= cap}
         if table is not None:
@@ -424,10 +453,11 @@ def profile_map(
         return out
 
     counts = sub(0, 0)
+    del sub  # sub refers to itself: free its tables now, not at a GC pass
     if isolated:
         factor = n**isolated
         counts = {k: c * factor for k, c in counts.items()}
-    return ProfileMap(tracked, width, counts, visited)
+    return ProfileMap(tracked, width, counts, visited, summed)
 
 
 def symbolic_profile(

@@ -1,3 +1,4 @@
+import gc
 import random as _random
 import time
 import tracemalloc
@@ -494,6 +495,61 @@ def test_visited_counts_pin_reuse(monkeypatch):
         assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).visited == visited
 
 
+def test_summed_counts_pin_side_reuse():
+    # an independent vertex's sum depends only on the colour multiset its
+    # neighbours read, so each is made once per call: bowtie k = 5 and 7
+    # both read the 10 triples of 3 colours, and K_{m,m} minus a matching
+    # the multisets of m - 1 colours
+    for k in (5, 7):
+        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).summed == 10
+    for m, summed in ((5, 15), (7, 28)):
+        assert profile_map(kpm_graph(m), 3, range(6)).summed == summed
+
+
+def test_shared_side_maps_match_brute_force():
+    # a triangle cover 0, 1, 2 closing a pendant on 0, a vertex on each edge
+    # and one on all three: independent vertices on different neighbour
+    # sets that read equal colour multisets share one side map; positions 1
+    # and 2 have back edges, so the first side map closing there is shifted
+    # (scaled too, where a back edge weighs other than 1), and position 2,
+    # the last, adds its local map to the result without a leaf to convolve
+    g = Graph.from_edges(8, [
+        (0, 1), (1, 2), (0, 2), (7, 0), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0), (5, 2),
+        (6, 0), (6, 1), (6, 2),
+    ])
+    back, closing, _ = _cover_plan(g)
+    assert back == [(), (0,), (0, 1)]
+    assert closing == [[(0,)], [(0, 1)], [(1, 2), (0, 2), (0, 1, 2)]]
+    n, cells = 3, range(6)
+    pm = profile_map(g, n, cells)
+    assert _profiles(pm) == brute_profile_map(g, n, cells)
+    assert pm.summed == 3 + 6 + 10  # every multiset of 1, 2 and 3 colours, once
+    # cells 0, 1, 2 are {0, 0}, {0, 1}, {0, 2}: the pendant next to colour 0,
+    # its cells untracked, weighs 1 - 1 + 0 and its sum cancels
+    cancel = {1: -1, 2: 0}
+    assert sum(cancel.get(cell, 1) for cell in (0, 1, 2)) == 0
+    for tracked, caps, weights in (
+        # binding caps on a back-edge cell and an independent vertex's cell
+        (cells, {1: 1, 4: 2}, {}),
+        # tracked back edges on weighted cells: shifted and scaled
+        ([0, 1, 3, 5], {}, {1: 2, 2: -3, 3: 5}),
+        # untracked back edges on weighted cells: scaled only
+        ([5], {}, {0: -1, 1: 2, 2: 3, 3: 2, 4: -2}),
+        ([3, 4, 5], {4: 2}, cancel),
+    ):
+        expected = brute_profile_map(g, n, tracked, caps, weights)
+        assert _profiles(profile_map(g, n, tracked, caps, weights)) == expected
+    assert brute_profile_map(g, n, cells, {1: 1, 4: 2}) != brute_profile_map(g, n, cells)
+    # one colour: a single cell, and one side map per neighbourhood size
+    pm = profile_map(g, 1, [0])
+    assert _profiles(pm) == brute_profile_map(g, 1, [0]) == {(13,): 1}
+    assert pm.summed == 3
+    for cap in (12, 13):
+        assert _profiles(profile_map(g, 1, [0], {0: cap})) == brute_profile_map(
+            g, 1, [0], {0: cap}
+        )
+
+
 @pytest.mark.parametrize(
     "g, mib",
     [
@@ -514,6 +570,23 @@ def test_memo_tables_stay_within_memory(g, mib):
     finally:
         tracemalloc.stop()
     assert peak < mib * 2**20
+
+
+def test_memo_tables_are_freed_at_return():
+    # the recursion refers to itself, so its tables would stay alive after
+    # the call until a cyclic collection; with the collector off, nothing
+    # of bowtie k = 8's 7.6 MiB traced peak may outlive the dropped result
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        profile_map(bowtie_blowup(cycle_graph(8)), 3, range(6))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert current < 0.5 * 2**20
 
 
 def test_parallel_matches_serial():
