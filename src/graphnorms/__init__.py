@@ -16,9 +16,7 @@ from .graphs import (
     complete_bipartite,
     cycle_graph,
     hypercube_graph,
-    is_isomorphic,
     kpm_graph,
-    path_graph,
     structural_report,
     verify_bowtie_structure,
 )

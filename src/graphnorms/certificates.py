@@ -417,9 +417,11 @@ def random_witness_search(
 
 
 def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
-    """Independent re-check: rebuild everything named by the certificate and
-    reproduce its negative quadratic form (or structural reason) exactly.
-    ``threads`` is accepted and ignored."""
+    """Re-check by re-running the engine: rebuild everything named by the
+    certificate through the same ``hessian_matrix`` -> ``symbolic_profile``
+    -> ``profile_map`` engine that produced it, and reproduce its negative
+    quadratic form (or structural reason) exactly. A checker independent of
+    that engine is still open. ``threads`` is accepted and ignored."""
     if cert.kind == "screening_failure":
         # decided from the edge list alone: a claimed "n" costs nothing
         if cert.reason == "non-bipartite":

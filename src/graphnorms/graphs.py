@@ -15,7 +15,7 @@ labeling so that certificates are reproducible:
 import json
 from dataclasses import dataclass
 
-from .errors import SWEEP_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def sparse_adjacency(self) -> dict[int, list[int]]:
         """Neighbours of every non-isolated vertex, ascending, read off the
         edge list alone so the cost does not grow with n; keys in order of
@@ -94,21 +87,26 @@ class Graph:
             raise UsageError(f"malformed graph JSON: {exc}") from exc
 
 
+def _check_size(vertices: int, edges: int) -> None:
+    """Refuse, before building it, a graph of more than ENUMERATION_GUARD
+    vertices plus edges; the rule ``block_pm_ones`` applies to a matrix."""
+    if vertices + edges > ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"construct guard: {vertices} vertices + {edges} edges > {ENUMERATION_GUARD}"
+        )
+
+
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise UsageError("cycle needs k >= 3")
+    _check_size(k, k)
     return Graph.from_edges(k, ((i, (i + 1) % k) for i in range(k)))
-
-
-def path_graph(k: int) -> Graph:
-    if k < 2:
-        raise UsageError("path needs k >= 2")
-    return Graph.from_edges(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise UsageError("complete bipartite needs m, n >= 1")
+    _check_size(m + n, m * n)
     return Graph.from_edges(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
@@ -116,6 +114,7 @@ def kpm_graph(m: int) -> Graph:
     """K_{m,m} minus the perfect matching {(i, m+i)}."""
     if m < 2:
         raise UsageError("kpm needs m >= 2")
+    _check_size(2 * m, m * (m - 1))
     return Graph.from_edges(
         2 * m, ((i, m + j) for i in range(m) for j in range(m) if i != j)
     )
@@ -124,6 +123,7 @@ def kpm_graph(m: int) -> Graph:
 def hypercube_graph(d: int) -> Graph:
     if d < 1:
         raise UsageError("hypercube needs d >= 1")
+    _check_size(1 << d, d << (d - 1))
     edges = []
     for v in range(1 << d):
         for b in range(d):
@@ -143,6 +143,7 @@ def bowtie_blowup(h: Graph) -> Graph:
     e = v(H) + 2 e(H).
     """
     n = h.n
+    _check_size(2 * n, n + 2 * h.edge_count)
     edges = [(v, n + v) for v in range(n)]
     for (u, v) in h.edges:
         edges.append((u, n + v))
@@ -153,77 +154,12 @@ def bowtie_blowup(h: Graph) -> Graph:
 def cartesian_k2(h: Graph) -> Graph:
     """Cartesian product with a single edge: two copies of H plus a matching."""
     n = h.n
+    _check_size(2 * n, n + 2 * h.edge_count)
     edges = [(v, n + v) for v in range(n)]
     for (u, v) in h.edges:
         edges.append((u, v))
         edges.append((n + u, n + v))
     return Graph.from_edges(2 * n, edges)
-
-
-def _refine_colors(adj, colors):
-    """Iterate (color, sorted neighbour colors) until the partition stabilizes."""
-    n = len(adj)
-    while True:
-        sig = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [order[sig[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Decide isomorphism by backtracking with iterated degree refinement."""
-    if g.n > SWEEP_GUARD or h.n > SWEEP_GUARD:
-        raise SizeGuardError(
-            f"isomorphism guard: {max(g.n, h.n)} vertices > {SWEEP_GUARD}"
-        )
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    adj_g, adj_h = g.adjacency(), h.adjacency()
-    cols_g = _refine_colors(adj_g, [0] * g.n)
-    cols_h = _refine_colors(adj_h, [0] * h.n)
-    if sorted(cols_g) != sorted(cols_h):
-        return False
-
-    candidates = [[w for w in range(h.n) if cols_h[w] == cols_g[v]] for v in range(g.n)]
-    # start from the most constrained vertex, then grow greedily along edges
-    # so each placement is checked against as many mapped vertices as possible
-    order = []
-    placed = set()
-    while len(order) < g.n:
-        best = min(
-            (v for v in range(g.n) if v not in placed),
-            key=lambda v: (-len(adj_g[v] & placed), len(candidates[v]), v),
-        )
-        order.append(best)
-        placed.add(best)
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:i]:
-                # adjacency and non-adjacency must both be preserved
-                if (u in adj_g[v]) != (mapping[u] in adj_h[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
 
 
 def _two_colouring(g: Graph) -> dict[int, int] | None:

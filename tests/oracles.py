@@ -7,9 +7,11 @@ cross-checks route through the library (a symbolic profile in every cell
 differentiated formally, or finite differences of plain counts), so they
 share its count-polynomial builder with ``hessian_matrix``.
 ``formal_hessian`` differentiates a polynomial's terms twice and sums them
-at a point, the reference for ``SparsePoly.hessian``; ``sparse_poly``,
-``relabel`` and ``permuted`` build the inputs the tests need, and
-``rational_terms`` reads a polynomial's integer numerators as rationals.
+at a point, the reference for ``SparsePoly.hessian``; ``path_graph``,
+``sparse_poly``, ``relabel`` and ``permuted`` build the inputs the tests
+need, and ``rational_terms`` reads a polynomial's integer numerators as
+rationals. ``maps_onto`` checks an isomorphism given as an explicit vertex
+map, such as ``blowup_to_cartesian``'s.
 ``fraction_psd_certify`` is the PSD decision by elimination over
 ``Fraction``s that ``psd_certify`` replaced with integer elimination.
 """
@@ -20,6 +22,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from graphnorms import Graph, SparsePoly, SymRationalMatrix
+from graphnorms.graphs import bipartition
 
 
 def brute_hom_count(g: Graph, rows) -> Fraction:
@@ -248,6 +251,11 @@ def random_graph(seed: int, n: int, edge_prob: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def path_graph(k: int) -> Graph:
+    """The path 0 - 1 - ... - (k-1)."""
+    return Graph.from_edges(k, ((i, i + 1) for i in range(k - 1)))
+
+
 def random_rational_rows(seed: int, n: int, lo: int = -1, hi: int = 1, den: int = 6):
     """Symmetric square of rationals in [lo, hi] with denominators <= den."""
     rng = random.Random(seed)
@@ -325,6 +333,24 @@ def formal_hessian(poly: SparsePoly, chosen, point) -> list[list[Fraction]]:
 def relabel(g: Graph, perm) -> Graph:
     """H with vertex i renamed perm[i]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for (u, v) in g.edges])
+
+
+def maps_onto(g: Graph, perm, h: Graph) -> bool:
+    """Whether i -> perm[i] is a bijection of g's vertices carrying g onto h
+    (``relabel`` alone does not check that the map is a bijection)."""
+    return sorted(perm) == list(range(g.n)) and relabel(g, perm) == h
+
+
+def blowup_to_cartesian(h: Graph) -> list[int]:
+    """For a bipartite H with classes L and R, the map carrying
+    ``bowtie_blowup(H)`` onto ``cartesian_k2(H)``: it fixes v and v(H)+v for
+    v in L and swaps them for v in R, so an edge uv with u in L takes the
+    blow-up's (u, v(H)+v) to (u, v) and (v, v(H)+u) to (v(H)+v, v(H)+u)."""
+    n = h.n
+    perm = list(range(2 * n))
+    for v in bipartition(h)[1]:
+        perm[v], perm[n + v] = n + v, v
+    return perm
 
 
 def permuted(a: SymRationalMatrix, perm) -> SymRationalMatrix:

@@ -17,13 +17,13 @@ from graphnorms import (
     complete_bipartite,
     cycle_graph,
     kpm_graph,
-    path_graph,
     psd_certify,
     random_witness_search,
     screen_necessary,
     symbolic_profile,
     verify_certificate,
 )
+from oracles import path_graph
 
 
 def test_screen_necessary():

@@ -301,7 +301,7 @@ def test_hessian_empty_pair_selection_is_a_usage_error(capsys, c4_file, pm_file)
 def test_stdin_input(capsys, monkeypatch, pm_file):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(open(pm_file).read()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(pm_file).read_text()))
     code, data = run_json(capsys, "cutnorm", "-m", "-")
     assert code == 0 and data["cut_norm"] == "1/4"
 
@@ -386,6 +386,42 @@ def test_one_colour_kernel_is_held_to_the_limit(capsys, tmp_path, length, messag
             assert code == 0 and data["density"] == "1"
     assert code == 2
     assert data == {"error": message, "kind": "inconclusive"}
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["construct", "cycle", "100000000"], "100000000 vertices + 100000000 edges"),
+        (["construct", "kpm", "100000"], "200000 vertices + 9999900000 edges"),
+        (["construct", "kbip", "100000", "100000"], "200000 vertices + 10000000000 edges"),
+        (["construct", "hypercube", "40"], "1099511627776 vertices + 21990232555520 edges"),
+        (["construct", "bowtie", "-g"], "2000000000000 vertices + 1000000000002 edges"),
+        (["construct", "boxk2", "-g"], "2000000000000 vertices + 1000000000002 edges"),
+        (["certify", "kpm", "--m", "100001"], "200002 vertices + 10000100000 edges"),
+        (["certify", "bowtie-cycle", "--k", "100000000"], "100000000 vertices + 100000000 edges"),
+    ],
+    ids=["cycle", "kpm", "kbip", "hypercube", "bowtie", "boxk2", "certify-kpm", "certify-bowtie"],
+)
+def test_oversized_constructed_graph_is_refused_at_once(capsys, tmp_path, argv, sizes):
+    import time
+
+    if argv[-1] == "-g":
+        # one edge among a trillion vertices: cheap to read, too large to build on
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**12, "edges": [[0, 1]]}))
+        argv = argv + [str(path)]
+    start = time.perf_counter()
+    code, data = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert data == {"error": f"construct guard: {sizes} > 10000", "kind": "inconclusive"}
+
+
+def test_constructed_graph_within_the_limit_is_built(capsys):
+    # 5000 vertices + 5000 edges, the limit's own size
+    code, data = run_json(capsys, "construct", "cycle", "5000")
+    assert code == 0
+    assert data["n"] == 5000 and len(data["edges"]) == 5000
 
 
 def test_internal_error_is_exit_four_on_stderr(capsys, monkeypatch, pm_file):

@@ -4,21 +4,28 @@ from hypothesis import strategies as st
 
 from graphnorms import (
     Graph,
-    SizeGuardError,
     UsageError,
     bowtie_blowup,
     cartesian_k2,
     complete_bipartite,
     cycle_graph,
     hypercube_graph,
-    is_isomorphic,
     kpm_graph,
-    path_graph,
     structural_report,
     verify_bowtie_structure,
 )
 from graphnorms.graphs import load_graph_text
-from oracles import brute_bowtie_structure, random_graph, relabel
+from oracles import (
+    blowup_to_cartesian,
+    brute_bowtie_structure,
+    maps_onto,
+    path_graph,
+    random_graph,
+)
+
+# C_4 around the cube in Gray-code order 0, 1, 3, 2, its copy on bit 2: the
+# map carrying cartesian_k2(C_4) onto Q_3
+C4_BOX_K2_TO_CUBE = [0, 1, 3, 2, 4, 5, 7, 6]
 
 
 def test_cycle_4():
@@ -42,7 +49,11 @@ def test_kpm_3_is_a_six_cycle():
         (min(a, b), max(a, b)) for a, b in zip(walk, walk[1:] + walk[:1])
     }
     assert set(g.edges) == cycle_edges
-    assert is_isomorphic(g, cycle_graph(6))
+    # the walk's i-th vertex goes to i (the walk happens to be an involution)
+    to_cycle = [0] * 6
+    for i, v in enumerate(walk):
+        to_cycle[v] = i
+    assert maps_onto(g, to_cycle, cycle_graph(6))
 
 
 def test_graph_validation():
@@ -71,8 +82,11 @@ def test_bowtie_blowup_shape():
 
 
 def test_bowtie_blowup_isomorphism_claims():
-    assert is_isomorphic(bowtie_blowup(cycle_graph(3)), complete_bipartite(3, 3))
-    assert is_isomorphic(bowtie_blowup(cycle_graph(4)), hypercube_graph(3))
+    # C_3's blow-up is K_{3,3} with the same labels; C_4's goes onto the cube
+    # through C_4 box K_2 (fixing 0, 2, 4, 6), then C4_BOX_K2_TO_CUBE
+    assert bowtie_blowup(cycle_graph(3)) == complete_bipartite(3, 3)
+    to_cube = [0, 5, 3, 6, 4, 1, 7, 2]
+    assert maps_onto(bowtie_blowup(cycle_graph(4)), to_cube, hypercube_graph(3))
 
 
 def test_bowtie_c5_is_mobius_ladder():
@@ -81,13 +95,16 @@ def test_bowtie_c5_is_mobius_ladder():
     removed = {(min(u, v), max(u, v)) for (u, v) in ten_cycle}
     mobius = Graph.from_edges(10, set(k55.edges) - removed)
     assert mobius.edge_count == 15
-    assert is_isomorphic(bowtie_blowup(cycle_graph(5)), mobius)
+    # v -> v and 5+v -> 5+(v+2) mod 5
+    to_ladder = [0, 1, 2, 3, 4, 7, 8, 9, 5, 6]
+    assert maps_onto(bowtie_blowup(cycle_graph(5)), to_ladder, mobius)
 
 
 def test_cartesian_k2():
-    assert is_isomorphic(cartesian_k2(path_graph(2)), cycle_graph(4))
-    assert is_isomorphic(cartesian_k2(cycle_graph(4)), hypercube_graph(3))
-    assert is_isomorphic(cartesian_k2(cycle_graph(6)), bowtie_blowup(cycle_graph(6)))
+    assert maps_onto(cartesian_k2(path_graph(2)), [0, 1, 3, 2], cycle_graph(4))
+    assert maps_onto(cartesian_k2(cycle_graph(4)), C4_BOX_K2_TO_CUBE, hypercube_graph(3))
+    c6 = cycle_graph(6)
+    assert maps_onto(bowtie_blowup(c6), blowup_to_cartesian(c6), cartesian_k2(c6))
 
 
 @given(st.integers(0, 400), st.integers(2, 10))
@@ -106,7 +123,7 @@ def test_blowup_edge_count_and_bipartite(seed, n):
 def test_blowup_matches_cartesian_for_bipartite(seed, n):
     h = random_graph(seed, n, 0.4)
     if structural_report(h).bipartite:
-        assert is_isomorphic(bowtie_blowup(h), cartesian_k2(h))
+        assert maps_onto(bowtie_blowup(h), blowup_to_cartesian(h), cartesian_k2(h))
 
 
 @pytest.mark.parametrize(
@@ -123,33 +140,7 @@ def test_blowup_matches_cartesian_for_bipartite(seed, n):
     ],
 )
 def test_blowup_matches_cartesian_bipartite_families(h):
-    assert is_isomorphic(bowtie_blowup(h), cartesian_k2(h))
-
-
-@given(st.integers(0, 400), st.integers(2, 8), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_isomorphism_relabel_invariant(seed, n, perm_seed):
-    import random as _random
-
-    g = random_graph(seed, n)
-    perm = list(range(n))
-    _random.Random(perm_seed).shuffle(perm)
-    assert is_isomorphic(g, relabel(g, perm))
-
-
-@given(st.integers(0, 200), st.integers(0, 200), st.integers(2, 6))
-@settings(max_examples=40, deadline=None)
-def test_isomorphism_symmetric(seed_a, seed_b, n):
-    g = random_graph(seed_a, n)
-    h = random_graph(seed_b, n)
-    assert is_isomorphic(g, h) == is_isomorphic(h, g)
-
-
-def test_isomorphism_negative_and_guard():
-    assert not is_isomorphic(cycle_graph(4), path_graph(4))
-    assert not is_isomorphic(cycle_graph(4), cycle_graph(5))
-    with pytest.raises(SizeGuardError):
-        is_isomorphic(hypercube_graph(5), hypercube_graph(5))
+    assert maps_onto(bowtie_blowup(h), blowup_to_cartesian(h), cartesian_k2(h))
 
 
 def test_structural_report_examples():

@@ -17,7 +17,6 @@ from graphnorms import (
     cycle_graph,
     hessian_matrix,
     kpm_graph,
-    path_graph,
     psd_certify,
     quadratic_form,
     symbolic_profile,
@@ -28,6 +27,7 @@ from oracles import (
     brute_template_coefficients,
     fd_hessian_entry,
     fraction_psd_certify,
+    path_graph,
     random_graph,
     random_rational_rows,
     random_sym_matrix,

@@ -28,7 +28,6 @@ from graphnorms import (
     hatami_box_check,
     hessian_matrix,
     norm_powers,
-    path_graph,
     random_witness_search,
     sidorenko_check,
     symbolic_profile,
@@ -51,6 +50,7 @@ from oracles import (
     brute_profile_map,
     eulerian,
     evaluate_terms,
+    path_graph,
     permuted,
     random_graph,
     random_sym_matrix,

@@ -55,9 +55,10 @@ def test_broad_exception_handlers_only_in_cli_main():
 
 def test_size_guards_only_at_the_remaining_limits():
     # one work limit on the enumeration engine (also pricing a dense
-    # Hessian and the dense block matrix), one sweep limit, and the search's
-    # bound on the symbols it reads every trial; a size knob on any function
-    # would bring back per-call limits
+    # Hessian, the dense block matrix and every graph built from size
+    # parameters), one sweep limit, and the search's bound on the symbols it
+    # reads every trial; a size knob on any function would bring back
+    # per-call limits
     root = Path(graphnorms.__file__).parent
     raising, knobs = set(), []
     for path in sorted(root.rglob("*.py")):
@@ -84,7 +85,7 @@ def test_size_guards_only_at_the_remaining_limits():
         "hessians.hessian_matrix",
         "matrices.block_pm_ones",
         "matrices.cut_norm",
-        "graphs.is_isomorphic",
+        "graphs._check_size",
         "graphs.verify_bowtie_structure",
         "certificates.random_witness_search",
     }
@@ -261,3 +262,37 @@ def test_every_cli_leaf_parser_sets_run():
     found = leaves(build_parser())
     assert len(found) == 20
     assert [p.prog for p in found if not callable(p.get_default("run"))] == []
+
+
+def test_every_package_definition_has_a_caller():
+    # a function, method or class that only the tests reach is surface the
+    # package carries for nothing; re-exports in __init__.py are imports, not
+    # uses, and a reference inside the definition's own body (a recursion)
+    # does not count
+    package = Path(graphnorms.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    defined, references = [], []
+
+    def visit(path, node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if path.parent == package and not dunder:
+                    defined.append((f"{path.stem}.{name}", name, id(child)))
+                inner = enclosing | {id(child)}
+            if isinstance(child, ast.Name):
+                references.append((child.id, enclosing))
+            elif isinstance(child, ast.Attribute):
+                references.append((child.attr, enclosing))
+            visit(path, child, inner)
+
+    for path in sorted([*package.glob("*.py"), *scripts.glob("*.py")]):
+        visit(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+    uncalled = [
+        where
+        for where, name, node in defined
+        if not any(ref == name and node not in around for ref, around in references)
+    ]
+    assert uncalled == []
