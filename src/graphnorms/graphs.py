@@ -91,9 +91,12 @@ def _check_size(vertices: int, edges: int) -> None:
     """Refuse, before building it, a graph of more than ENUMERATION_GUARD
     vertices plus edges; the rule ``block_pm_ones`` applies to a matrix."""
     if vertices + edges > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"construct guard: {vertices} vertices + {edges} edges > {ENUMERATION_GUARD}"
-        )
+        # past 10^18 the counts say no more (and str() refuses 4300 digits)
+        if vertices + edges < 10**18:
+            sizes = f"{vertices} vertices + {edges} edges"
+        else:
+            sizes = "over 10^18 vertices + edges"
+        raise SizeGuardError(f"construct guard: {sizes} > {ENUMERATION_GUARD}")
 
 
 def cycle_graph(k: int) -> Graph:
@@ -123,7 +126,9 @@ def kpm_graph(m: int) -> Graph:
 def hypercube_graph(d: int) -> Graph:
     if d < 1:
         raise UsageError("hypercube needs d >= 1")
-    _check_size(1 << d, d << (d - 1))
+    # past d = 64 the counts are over 10^18 either way: never shift by it
+    priced = min(d, 64)
+    _check_size(1 << priced, priced << (priced - 1))
     edges = []
     for v in range(1 << d):
         for b in range(d):

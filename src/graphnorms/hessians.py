@@ -6,15 +6,15 @@ symmetric matrix; Hessian coordinates follow the same row-major pair order
 read by ``SparsePoly.hessian`` from the count polynomial that
 ``homs.symbolic_profile`` builds with the selected cells left symbolic.
 Building and reading both run on Python ints over one common denominator:
-the read values each term once at the point and makes each Hessian entry
-one dot product of those values with the entry's integer factors, and a
-single division at the end. PSD is decided by pivoted symmetric
-elimination, never by eigenvalues, so a failure always comes with a
-rational direction whose quadratic form is negative and re-checkable by
-direct multiplication. The elimination is fraction-free (Bareiss): it runs
-on integers whose every intermediate is a rational Schur complement times
-a positive leading principal minor, so it takes the same decisions and
-finds the same primitive witnesses as elimination over the rationals.
+the read values each term once at the point and sums each Hessian entry
+by the integer factors of its terms, with a single division at the end.
+PSD is decided by pivoted symmetric elimination, never by eigenvalues, so
+a failure always comes with a rational direction whose quadratic form is
+negative and re-checkable by direct multiplication. The elimination is
+fraction-free (Bareiss): it runs on integers whose every intermediate is a
+rational Schur complement times a positive leading principal minor, so it
+takes the same decisions and finds the same primitive witnesses as
+elimination over the rationals.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     constants (weight-1 cells untracked, weight-0 cells killing the map).
     A selected zero cell is capped at multiplicity 2, since a term with more
     copies still vanishes after two differentiations. The Hessian is then
-    read by ``SparsePoly.hessian``, one dot product per entry over the
+    read by ``SparsePoly.hessian``, each entry summed by factor over the
     terms its plan lists for that entry. Its k x k entries are
     dense, a cost the engine's colouring estimate cannot see, so k^2 is held
     to the same work limit.
@@ -113,26 +113,50 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
     back-substituted to original coordinates and re-verified exactly.
 
     The elimination runs on Python ints in Bareiss' form: M is scaled by
-    the lcm of its denominators, and each step updates every active row and
-    every active column of the lift (the current coordinates in the
-    original basis) as (a_pp x - a_jp y) // prev, prev the previous pivot,
-    an exact division by Sylvester's identity. After a step every active
-    entry is the rational Schur complement times the leading principal
-    minor of the pivots so far, which is positive, so each sign test picks
-    the pivot, negative diagonal or off-diagonal entry that elimination
-    over the rationals picks, and each witness is a positive multiple of
-    its rational counterpart, the same once divided by its gcd.
+    the lcm of its denominators, and each step updates every active entry
+    on or above the diagonal as (a_pp x - a_jp y) // prev, prev the
+    previous pivot, an exact division by Sylvester's identity, and copies
+    the rest by symmetry. After a step every active entry is the
+    rational Schur complement times the leading principal minor of the
+    pivots so far, which is positive, so each sign test picks the pivot,
+    negative diagonal or off-diagonal entry that elimination over the
+    rationals picks, and each witness is a positive multiple of its
+    rational counterpart, the same once divided by its gcd. The lift (the
+    current coordinates in the original basis) is not carried along: each
+    step records its pivot, a_pp, prev and the (j, a_jp) it eliminated, and
+    only a witness replays those steps on the identity, with the same
+    integer operations in the same order, so a PSD matrix never builds it.
     """
     n = m.n
-    rows = m.rows()
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    # lift[j] expresses current coordinate j in the original basis
-    lift = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
+    tri = m.tri
+    scale = lcm(*(x.denominator for x in tri))
+    flat = iter([x.numerator * (scale // x.denominator) for x in tri])
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        row = a[i]
+        for j in range(i, n):
+            row[j] = a[j][i] = next(flat)
     active = list(range(n))
+    steps = []  # (pivot, a_pp, prev, [(j, a_jp), ...]) per elimination step
     prev = 1
 
-    def finish(direction):
+    def finish(i, j=None, sign=0):
+        # the recorded steps replayed on the identity: lift[c] expresses
+        # current coordinate c in the original basis
+        lift = [[int(r == c) for r in range(n)] for c in range(n)]
+        for piv, app, divisor, pairs in steps:
+            col = lift[piv]
+            for c, ajp in pairs:
+                out = []
+                for x, y in zip(lift[c], col):
+                    q, rem = divmod(app * x - ajp * y, divisor)
+                    if rem:
+                        raise RuntimeError("fraction-free elimination left a remainder")
+                    out.append(q)
+                lift[c] = out
+        direction = lift[i]
+        if j is not None:
+            direction = [x - sign * y for x, y in zip(direction, lift[j])]
         # made primitive: divided by the gcd, which keeps the sign
         g = gcd(*direction)
         v = tuple(Fraction(x // g) for x in direction)
@@ -141,36 +165,36 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
             raise RuntimeError(f"PSD witness does not re-check: value {value}")
         return PsdResult("not_psd", v, value)
 
-    def update(x, y, app, ajp):
-        q, rem = divmod(app * x - ajp * y, prev)
-        if rem:
-            raise RuntimeError("fraction-free elimination left a remainder")
-        return q
-
     while active:
-        neg = next((i for i in active if a[i][i] < 0), None)
-        if neg is not None:
-            return finish(lift[neg])
+        for i in active:
+            if a[i][i] < 0:
+                return finish(i)
         piv = next((i for i in active if a[i][i] > 0), None)
         if piv is None:
             # all remaining diagonals are zero
             for i in active:
+                ai = a[i]
                 for j in active:
-                    if i < j and a[i][j] != 0:
-                        sign = 1 if a[i][j] > 0 else -1
-                        return finish(
-                            [x - sign * y for x, y in zip(lift[i], lift[j])]
-                        )
+                    if i < j and ai[j]:
+                        return finish(i, j, 1 if ai[j] > 0 else -1)
             return PsdResult("psd")
         active.remove(piv)
         app = a[piv][piv]
-        row, col = a[piv], lift[piv]
+        row = a[piv]
+        pairs = []
         for j in active:
-            ajp = a[j][piv]
             aj = a[j]
+            ajp = aj[piv]
+            pairs.append((j, ajp))
             for k in active:
-                aj[k] = update(aj[k], row[k], app, ajp)
-            lift[j] = [update(x, y, app, ajp) for x, y in zip(lift[j], col)]
+                if k < j:  # active is ascending: row k is done, and M symmetric
+                    aj[k] = a[k][j]
+                    continue
+                q, rem = divmod(app * aj[k] - ajp * row[k], prev)
+                if rem:
+                    raise RuntimeError("fraction-free elimination left a remainder")
+                aj[k] = q
+        steps.append((piv, app, prev, pairs))
         prev = app
     return PsdResult("psd")
 

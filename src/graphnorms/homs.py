@@ -37,7 +37,10 @@ for the next position, or, at the last position, added to its map as it is.
 Weight-zero cells kill a map outright, an independent vertex's entries
 whose signed weights cancel are dropped, and multiplicity caps are checked on
 each cover colour, local map and returned map, since multiplicities only
-grow down the search.
+grow down the search. One test covers every cap: with a cap, every field
+gets a spare top bit, and a capped field's bias carries into that bit
+exactly when the field passes its cap, so a key passes all its caps when
+(key + bias) & guard is 0; a map is filtered in one pass.
 
 Subtrees are reused by memoising that function, the bounded-width dynamic
 programme of Diaz-Serna-Thilikos (counting H-colourings of partial
@@ -313,21 +316,30 @@ def profile_map(
             f" > {ENUMERATION_GUARD} profile entries per colouring"
         )
     ncells = n * (n + 1) // 2
-    width = max(3, g.edge_count.bit_length())
-    incs = [0] * ncells
-    for t, cell in enumerate(tracked):
-        incs[cell] = 1 << (t * width)
     weight = [(weights or {}).get(cell, 1) for cell in range(ncells)]
-    capped = []  # (field mask, cap in place) for tracked cells with a binding cap
+    binding = {}  # tracked position -> cap, for tracked cells with a binding cap
     for cell, cap in (caps or {}).items():
         if cap <= 0:
             weight[cell] = 0
         elif cap < g.edge_count:
             if cell not in tracked:
                 raise UsageError("capped cell must be tracked")
-            shift = tracked.index(cell) * width
-            capped.append((((1 << width) - 1) << shift, cap << shift))
-    capmask = sum(mask for mask, _ in capped)  # the fields are disjoint
+            binding[tracked.index(cell)] = cap
+    # a field counts up to e(H) < 2^bits edges; with a binding cap every
+    # field gets a spare top bit, and a capped field's bias 2^bits - 1 - cap
+    # carries into it exactly when the field passes its cap, so
+    # (key + bias) & guard tests every cap at once and never carries out
+    bits = max(3, g.edge_count.bit_length())
+    width = bits + 1 if binding else bits
+    incs = [0] * ncells
+    for t, cell in enumerate(tracked):
+        incs[cell] = 1 << (t * width)
+    capmask = bias = guard = 0  # the fields are disjoint
+    for t, cap in binding.items():
+        shift = t * width
+        capmask |= ((1 << bits) - 1) << shift
+        bias |= ((1 << bits) - 1 - cap) << shift
+        guard |= 1 << (shift + bits)
 
     # a memoised subtree keeps one result per (capped fields of base,
     # multisets of colours its later vertices read) for the whole call; a
@@ -417,7 +429,7 @@ def profile_map(
                 key += s[0]
                 w *= s[1]
             else:
-                if any(key & mask > cap for mask, cap in capped):
+                if (key + bias) & guard:
                     continue
                 colors[p] = c
                 # the closing vertices' own sums are small: multiply them
@@ -432,10 +444,9 @@ def profile_map(
                         local = {k + shift: v * w for k, v in side(nbrs).items()}
                     else:
                         local = side(nbrs)
-                    for mask, cap in capped:
-                        local = {
-                            k: v for k, v in local.items() if (base + k) & mask <= cap
-                        }
+                    if guard:
+                        off = base + bias
+                        local = {k: v for k, v in local.items() if not (k + off) & guard}
                     if not local:
                         break
                 else:
@@ -446,8 +457,9 @@ def profile_map(
                     else:  # the leaf's map is {0: 1}: add local as it is
                         for k, v in local.items():
                             out[k] = out.get(k, 0) + v
-        for mask, cap in capped:
-            out = {k: v for k, v in out.items() if (base + k) & mask <= cap}
+        if guard:
+            off = base + bias
+            out = {k: v for k, v in out.items() if not (k + off) & guard}
         if table is not None:
             table[tkey] = out
         return out

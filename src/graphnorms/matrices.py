@@ -124,9 +124,9 @@ def block_pm_ones(n: int) -> SymRationalMatrix:
     if n < 1:
         raise UsageError("block size must be >= 1")
     if 4 * n * n > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"matrix guard: {2 * n}^2 = {4 * n * n} entries > {ENUMERATION_GUARD}"
-        )
+        # past 10^18 the count says no more (and str() refuses 4300 digits)
+        entries = f"{2 * n}^2 = {4 * n * n}" if 4 * n * n < 10**18 else "over 10^18"
+        raise SizeGuardError(f"matrix guard: {entries} entries > {ENUMERATION_GUARD}")
     one = Fraction(1)
     return SymRationalMatrix.from_rows(
         [

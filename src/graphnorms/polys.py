@@ -8,14 +8,17 @@ coefficients (``coefficient_of``), the least degree of one symbol among the
 terms with fixed exponents in others (``restrict_min_degree``), and second
 derivatives at a point (``hessian``). The hot read, ``hessian``, follows a
 plan made once per selection of symbols and kept on the polynomial: for
-each entry, the terms that reach it and their integer factors. A read
-values each term once at the point, on Python ints over ``den`` times a
-power of the point's denominator, makes each entry one dot product of its
-factors with those values, and builds a ``Fraction`` once per entry of the
-``SymRationalMatrix`` it returns, so a witness search reads every trial's
-Hessian from one uncapped polynomial through one plan.
+each entry, the terms that reach it, grouped by their integer factor. A
+read values each term once at the point, on Python ints over ``den`` times
+a power of the point's denominator, sums each entry by factor (one
+addition per term, one multiplication per factor; where the factors have
+few terms each, one multiplication per term), and builds a ``Fraction``
+once per entry of the ``SymRationalMatrix`` it returns, so a witness
+search reads every trial's Hessian from one uncapped polynomial through
+one plan.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
@@ -61,13 +64,17 @@ class SparsePoly:
         runs on Python ints: the point is B/L with B integral and L the lcm
         of its denominators, and a term of total degree d is brought to the
         common denominator ``den`` L^(dmax - 2) by the factor L^(dmax - d).
-        The terms that reach each entry, with their integer factors, come
-        from a plan made once per selection (``_plan``). A read values every
-        term once, c L^(dmax - d) times B_a^(m_a) over the coordinates a
-        that are not 0 at the point, and makes each entry one dot product
-        of its factors with those values, a Fraction over ``den`` L^(dmax -
-        2) times the powers of B_p and B_q it differentiated away. A
-        coordinate z that is 0 at the point instead keeps, in entry (p, q),
+        The terms that reach each entry, grouped by their integer factor,
+        come from a plan made once per selection (``_plan``). A read values
+        every term once, c L^(dmax - d) times B_a^(m_a) over the coordinates
+        a that are not 0 at the point, and sums each entry by factor, the
+        sum over f of f times the sum of its terms with factor f: one
+        addition per term and one multiplication per factor. An entry whose
+        factors have fewer than 6 terms each on average is instead the dot
+        product of its terms' factors with their values, which is cheaper
+        there. The entry is a Fraction over ``den``
+        L^(dmax - 2) times the powers of B_p and B_q it differentiated away.
+        A coordinate z that is 0 at the point instead keeps, in entry (p, q),
         exactly the terms with m_z = [z = p] + [z = q]: the others vanish.
         """
         axes = tuple(self._axis(s) for s in symbols)
@@ -104,14 +111,18 @@ class SparsePoly:
         keys = list(zip(*keys))
         kept = {}
         tri = []
-        for p, q, indices, factors in entries:
-            pattern = tuple((z == p) + (z == q) for z in zeros)
-            reads = kept.get(pattern)
-            if reads is None:
-                reads = kept[pattern] = (
-                    list(map(mul, terms, map(pattern.__eq__, keys))) if zeros else terms
-                )
-            total = sum(map(mul, factors, map(reads.__getitem__, indices)))
+        reads = terms
+        for p, q, factors, members, by_factor in entries:
+            if zeros:
+                pattern = tuple((z == p) + (z == q) for z in zeros)
+                reads = kept.get(pattern)
+                if reads is None:
+                    reads = kept[pattern] = list(map(mul, terms, map(pattern.__eq__, keys)))
+            get = reads.__getitem__
+            if by_factor:  # members: one index list per factor
+                total = sum(map(mul, factors, map(sum, map(map, repeat(get), members))))
+            else:  # members: one index per term, with its own factor
+                total = sum(map(mul, factors, map(get, members)))
             tri.append(Fraction(total, den * (lifted[p] or 1) * (lifted[q] or 1)))
         return SymRationalMatrix(k, tuple(tri))
 
@@ -119,21 +130,31 @@ class SparsePoly:
         """The read plan of the selection ``axes``: (dmax - 2, the terms'
         numerators, their degree gaps dmax - d, the columns (axis,
         exponents, largest exponent) of the symbols they hold, and per
-        upper-triangle entry (p, q) its axes with the indices of the terms
-        that reach it and their factors m_p (m_q - [p = q])). It keeps the
-        terms of degree at least 2 in the selected symbols, the ones that
-        reach some entry."""
-        by_axis = list(zip(*self.terms))
-        degrees = map(sum, zip(*(by_axis[ax] for ax in axes))) if by_axis else ()
-        exps = list(compress(self.terms, map((2).__le__, degrees)))
-        if not exps:
+        upper-triangle entry (p, q) its axes, the factors m_p (m_q - [p = q])
+        of the terms that reach it and those terms, and whether they are
+        summed by factor). An entry summed by factor holds each distinct
+        factor once with the list of its terms' indices; the others hold a
+        factor and an index per term. It keeps the terms of degree at least
+        2 in the selected symbols, the ones that reach some entry."""
+        if not (axes and self.terms):
             return 0, (), (), (), ()
-        coeffs = tuple(map(self.terms.__getitem__, exps))
+        exps = list(self.terms)
         degrees = list(map(sum, exps))
+        columns = list(zip(*exps))
+        if len(axes) == len(columns):  # every symbol selected
+            reach = degrees
+        else:
+            reach = list(map(sum, zip(*map(columns.__getitem__, axes))))
+        coeffs = self.terms.values()
+        if min(reach) < 2:
+            kept = list(map((2).__le__, reach))
+            exps, coeffs, degrees = (list(compress(x, kept)) for x in (exps, coeffs, degrees))
+            if not exps:
+                return 0, (), (), (), ()
+            columns = list(zip(*exps))
         dmax = max(degrees)
         gaps = tuple(map(dmax.__sub__, degrees))
-        columns = list(zip(*exps))
-        # a list, so that the index tuples share its int objects
+        # a list, so that the plan's indices share its int objects
         positions = list(range(len(exps)))
         entries = []
         for i, p in enumerate(axes):
@@ -141,11 +162,25 @@ class SparsePoly:
             for q in axes[i:]:
                 second = map(sub, mp, repeat(1)) if p == q else columns[q]
                 factors = list(map(mul, mp, second))
-                entries.append(
-                    (p, q, tuple(compress(positions, factors)), tuple(compress(factors, factors)))
-                )
-        held = tuple((ax, col, max(col)) for ax, col in enumerate(columns) if any(col))
-        return dmax - 2, coeffs, gaps, held, tuple(entries)
+                distinct = set(factors)
+                distinct.discard(0)  # factor 0: the term does not reach the entry
+                # a factor's sum costs about five multiplications of a term
+                # by its factor, so summing by factor pays from about 6
+                # terms per factor
+                if len(factors) - factors.count(0) >= 6 * len(distinct):
+                    # one index list per factor, filled in one C-level pass
+                    # (lists, since small tuples would outlive the plan in
+                    # the interpreter's free lists)
+                    groups = {f: [] for f in distinct}
+                    groups[0] = []  # the terms that do not reach the entry
+                    deque(map(list.append, map(groups.__getitem__, factors), positions), maxlen=0)
+                    del groups[0]
+                    entries.append((p, q, tuple(groups), tuple(groups.values()), True))
+                else:
+                    indices = tuple(compress(positions, factors))
+                    entries.append((p, q, tuple(compress(factors, factors)), indices, False))
+        held = tuple((ax, col, top) for ax, col in enumerate(columns) if (top := max(col)))
+        return dmax - 2, tuple(coeffs), gaps, held, tuple(entries)
 
     def coefficient_of(self, **degrees) -> Fraction:
         """Coefficient lookup by symbol name; unnamed symbols default to 0."""

@@ -398,7 +398,9 @@ def fd_hessian_entry(g: Graph, a: SymRationalMatrix, p, q, h=Fraction(1, 10**4))
 
 def fraction_psd_certify(rows):
     """The pivoted symmetric elimination over the rationals, as a reference:
-    (verdict, primitive witness or None, its quadratic form or None).
+    (verdict, primitive witness or None, its quadratic form or None, and how
+    the witness arose: ("diagonal" or "off-diagonal", pivots taken before
+    it) or None).
 
     Pivots on the first positive diagonal entry; the first negative one
     gives a coordinate witness, and once every diagonal entry is zero the
@@ -410,7 +412,7 @@ def fraction_psd_certify(rows):
     lift = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     active = list(range(n))
 
-    def finish(direction):
+    def finish(direction, kind):
         scale = lcm(*(x.denominator for x in direction))
         ints = [int(x * scale) for x in direction]
         g = 0
@@ -418,20 +420,22 @@ def fraction_psd_certify(rows):
             g = gcd(g, abs(x))
         v = tuple(Fraction(x // g) for x in ints)
         value = sum(v[i] * a0[i][j] * v[j] for i in range(n) for j in range(n))
-        return "not_psd", v, value
+        return "not_psd", v, value, (kind, n - len(active))
 
     while active:
         neg = next((i for i in active if a[i][i] < 0), None)
         if neg is not None:
-            return finish([lift[r][neg] for r in range(n)])
+            return finish([lift[r][neg] for r in range(n)], "diagonal")
         piv = next((i for i in active if a[i][i] > 0), None)
         if piv is None:
             for i in active:
                 for j in active:
                     if i < j and a[i][j] != 0:
                         sign = 1 if a[i][j] > 0 else -1
-                        return finish([lift[r][i] - sign * lift[r][j] for r in range(n)])
-            return "psd", None, None
+                        return finish(
+                            [lift[r][i] - sign * lift[r][j] for r in range(n)], "off-diagonal"
+                        )
+            return "psd", None, None, None
         active.remove(piv)
         ap = a[piv][piv]
         row = a[piv][:]
@@ -443,4 +447,4 @@ def fraction_psd_certify(rows):
                 a[j][k] -= f * row[k]
             for r in range(n):
                 lift[r][j] -= f * lift[r][piv]
-    return "psd", None, None
+    return "psd", None, None, None

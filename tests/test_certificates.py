@@ -16,6 +16,7 @@ from graphnorms import (
     certify_kpm,
     complete_bipartite,
     cycle_graph,
+    hypercube_graph,
     kpm_graph,
     psd_certify,
     random_witness_search,
@@ -143,6 +144,46 @@ def test_certificates_are_byte_identical_to_golden(family, k):
     del data["tool_version"]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN[family, k]
+    assert verify_certificate(cert)
+
+
+# the same recipe for the witness search, at the benchmark's search panel:
+# a digest where a trial finds a certificate, None where the budget runs out
+SEARCH_GOLDEN = {
+    ("mobius", "weakly_norming", 0, 60): "1d6537c92df202ffcc705e86dc33505c2633a25ab0a0a4686cece2cdca002341",
+    ("mobius", "weakly_norming", 1, 60): "1103167f0c6f70bf5e817c9c682fa5549c31588d6d063b2adb59f3e00bfeeb5d",
+    ("mobius", "weakly_norming", 2, 60): "6e48cef7796b92769b3d96df319024ed34569e0ec80bf35a8af48de1c94ba99c",
+    ("kpm5", "norming", 0, 20): "3c7beb9889b71ede60bf9f61ed985234f4be51843ac24683c158deee5571b7b7",
+    ("kpm5", "norming", 1, 20): "f6faa989b6cf594af04bfb8e4c7366a172f032c9e6027e0831c1564c07ee6108",
+    ("kpm5", "norming", 2, 20): "86bad688b5e7ecebbe4fdff69767f84d4369fe31ed3c9769bb4064150f830725",
+    ("kpm5", "norming", 3, 20): "48b287470e93750b9279766ef084e85bf1a730a9661a3e61627f97682a4e9660",
+    ("k33", "weakly_norming", 2, 100): None,
+    ("q3", "weakly_norming", 2, 50): None,
+    ("c6", "norming", 2, 100): None,
+}
+SEARCH_GRAPHS = {
+    "mobius": lambda: bowtie_blowup(cycle_graph(5)),
+    "kpm5": lambda: kpm_graph(5),
+    "k33": lambda: complete_bipartite(3, 3),
+    "q3": lambda: hypercube_graph(3),
+    "c6": lambda: cycle_graph(6),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode, seed, trials",
+    sorted(SEARCH_GOLDEN),
+    ids=[f"{name}-seed{seed}" for name, _, seed, _ in sorted(SEARCH_GOLDEN)],
+)
+def test_search_certificates_are_byte_identical_to_golden(name, mode, seed, trials):
+    cert = random_witness_search(SEARCH_GRAPHS[name](), 3, trials, mode, seed=seed)
+    if cert is None:
+        assert SEARCH_GOLDEN[name, mode, seed, trials] is None
+        return
+    data = cert.to_json()
+    del data["tool_version"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_GOLDEN[name, mode, seed, trials]
     assert verify_certificate(cert)
 
 

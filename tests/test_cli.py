@@ -388,21 +388,31 @@ def test_one_colour_kernel_is_held_to_the_limit(capsys, tmp_path, length, messag
     assert data == {"error": message, "kind": "inconclusive"}
 
 
+HUGE = str(10**4000)  # below the 4300 digits int() parses, above what str() prints
+
+
 @pytest.mark.parametrize(
-    "argv, sizes",
+    "argv, guard, sizes",
     [
-        (["construct", "cycle", "100000000"], "100000000 vertices + 100000000 edges"),
-        (["construct", "kpm", "100000"], "200000 vertices + 9999900000 edges"),
-        (["construct", "kbip", "100000", "100000"], "200000 vertices + 10000000000 edges"),
-        (["construct", "hypercube", "40"], "1099511627776 vertices + 21990232555520 edges"),
-        (["construct", "bowtie", "-g"], "2000000000000 vertices + 1000000000002 edges"),
-        (["construct", "boxk2", "-g"], "2000000000000 vertices + 1000000000002 edges"),
-        (["certify", "kpm", "--m", "100001"], "200002 vertices + 10000100000 edges"),
-        (["certify", "bowtie-cycle", "--k", "100000000"], "100000000 vertices + 100000000 edges"),
+        (["construct", "cycle", "100000000"], "construct", "100000000 vertices + 100000000 edges"),
+        (["construct", "kpm", "100000"], "construct", "200000 vertices + 9999900000 edges"),
+        (["construct", "kbip", "100000", "100000"], "construct", "200000 vertices + 10000000000 edges"),
+        (["construct", "hypercube", "40"], "construct", "1099511627776 vertices + 21990232555520 edges"),
+        (["construct", "bowtie", "-g"], "construct", "2000000000000 vertices + 1000000000002 edges"),
+        (["construct", "boxk2", "-g"], "construct", "2000000000000 vertices + 1000000000002 edges"),
+        (["certify", "kpm", "--m", "100001"], "construct", "200002 vertices + 10000100000 edges"),
+        (["certify", "bowtie-cycle", "--k", "100000000"], "construct", "100000000 vertices + 100000000 edges"),
+        # past 10^18 no count is printed, and 2^(10^100) is never computed
+        (["construct", "kbip", HUGE, HUGE], "construct", "over 10^18 vertices + edges"),
+        (["construct", "hypercube", str(10**100)], "construct", "over 10^18 vertices + edges"),
+        (["check", "euler-indicator", "--n", str(10**2200), "-g"], "matrix", "over 10^18 entries"),
     ],
-    ids=["cycle", "kpm", "kbip", "hypercube", "bowtie", "boxk2", "certify-kpm", "certify-bowtie"],
+    ids=[
+        "cycle", "kpm", "kbip", "hypercube", "bowtie", "boxk2", "certify-kpm", "certify-bowtie",
+        "kbip-huge", "hypercube-huge", "euler-indicator-huge",
+    ],
 )
-def test_oversized_constructed_graph_is_refused_at_once(capsys, tmp_path, argv, sizes):
+def test_oversized_constructed_graph_is_refused_at_once(capsys, tmp_path, argv, guard, sizes):
     import time
 
     if argv[-1] == "-g":
@@ -414,7 +424,7 @@ def test_oversized_constructed_graph_is_refused_at_once(capsys, tmp_path, argv, 
     code, data = run_json(capsys, *argv)
     assert time.perf_counter() - start < 0.5
     assert code == 2
-    assert data == {"error": f"construct guard: {sizes} > 10000", "kind": "inconclusive"}
+    assert data == {"error": f"{guard} guard: {sizes} > 10000", "kind": "inconclusive"}
 
 
 def test_constructed_graph_within_the_limit_is_built(capsys):

@@ -1,4 +1,5 @@
 import random as _random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -215,11 +216,32 @@ def _reference_cases(seed):
     """Symmetric rationals of the shapes the elimination branches on."""
     rng = _random.Random(seed)
     n = rng.randint(1, 6)
-    shape = seed % 5
+    shape = seed % 6
 
     def entry():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 8))
 
+    if shape == 5:  # two positive pivots, then a zero-diagonal remainder
+        n = max(n, 4)
+        # L D L^T: L unit lower triangular below the first two columns, D
+        # two positive pivots beside a zero-diagonal block S, S != 0
+        low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(1, n):
+            for j in range(min(i, 2)):
+                low[i][j] = entry()
+        d = [[Fraction(0)] * n for _ in range(n)]
+        d[0][0], d[1][1] = Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9), 7)
+        for i in range(2, n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = entry()
+        d[2][3] = d[3][2] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 8))
+        return [
+            [
+                sum(low[i][a] * d[a][b] * low[j][b] for a in range(n) for b in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
     if shape == 0:  # singular Gram matrices, some nudged off PSD
         vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n))]
         rows = [[sum(v[i] * v[j] for v in vecs) for j in range(n)] for i in range(n)]
@@ -244,12 +266,19 @@ def _reference_cases(seed):
 
 def test_psd_matches_the_fraction_reference():
     verdicts = {"psd": 0, "not_psd": 0}
-    for seed in range(3000):
+    late = {"diagonal": 0, "off-diagonal": 0}  # witnesses after two or more pivots
+    for seed in range(3600):
         rows = _reference_cases(seed)
         res = psd_certify(SymRationalMatrix.from_rows(rows))
-        assert (res.verdict, res.witness, res.value) == fraction_psd_certify(rows)
+        verdict, witness, value, how = fraction_psd_certify(rows)
+        assert (res.verdict, res.witness, res.value) == (verdict, witness, value)
         verdicts[res.verdict] += 1
+        if how is not None and how[1] >= 2:
+            late[how[0]] += 1
     assert min(verdicts.values()) > 300
+    # the lift is replayed from the recorded steps: both witness kinds must
+    # be reached after steps that changed it
+    assert min(late.values()) > 50
 
 
 def test_non_psd_principal_submatrix_extends_by_zero_padding():
@@ -351,3 +380,21 @@ def test_c4_hessian_psd_on_signed_matrices():
         n = 2 + seed % 2
         a = random_sym_matrix(seed, n)
         assert psd_certify(hessian_matrix(C4, a).matrix).is_psd
+
+
+def test_single_read_stays_within_memory():
+    # one read of the count polynomial of the C_6 blow-up (53766 terms) at
+    # the +/- block matrix, as hessian_matrix makes it: the plan it builds
+    # holds one index list per factor of each of the 55 entries and no
+    # per-term factors. Traced peak of the read: 21.0 MiB; per-term factor
+    # tuples took it to 33.8 MiB
+    a = block_pm_ones(2)
+    names = tuple(f"c{idx:02d}" for idx in range(len(a.tri)))
+    poly = symbolic_profile(bowtie_blowup(cycle_graph(6)), SymbolicTemplate(a.n, names))
+    tracemalloc.start()
+    try:
+        poly.hessian(names, dict(zip(names, a.tri)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 2**20
