@@ -3,14 +3,15 @@
 
 Certificates are written as JSON next to each other in --out (default
 ./certificates) and re-verified from those files, so the directory is a
-self-contained audit trail. Exits 1 when a written certificate fails to
-verify, 0 otherwise.
+self-contained audit trail; two runs can be compared with `diff -r`. Exits
+1 when a written certificate fails to verify, 0 otherwise.
 """
 
 import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from graphnorms import (
@@ -21,18 +22,38 @@ from graphnorms import (
     bowtie_blowup,
     certify_bowtie_cycle,
     certify_kpm,
+    complete_bipartite,
     cycle_graph,
+    kpm_graph,
     psd_certify,
+    random_witness_search,
     verify_bowtie_structure,
     verify_certificate,
 )
 
+# the random witness search at n = 3: (label, graph, mode, seed, trials).
+# The Moebius ladder and K_{5,5} minus a matching find a certificate at
+# these seeds; K_{3,3} is weakly norming and spends its budget.
+SEARCH_PANEL = (
+    *(
+        (f"search mobius seed={seed}", bowtie_blowup(cycle_graph(5)), "weakly_norming", seed, 60)
+        for seed in (0, 1, 2)
+    ),
+    *((f"search kpm5 seed={seed}", kpm_graph(5), "norming", seed, 20) for seed in range(4)),
+    ("search k33 seed=2", complete_bipartite(3, 3), "weakly_norming", 2, 100),
+)
+
 
 def run_pipeline(label, fn, out_dir):
-    """Run one pipeline; False only when its certificate fails to verify."""
+    """Run one pipeline; False only when its certificate fails to verify.
+    A pipeline that returns None (a search that found nothing) writes no
+    file."""
     t0 = time.perf_counter()
     result = fn()
     elapsed = time.perf_counter() - t0
+    if result is None:
+        print(f"{label:24s} NONE     {elapsed:7.2f}s  no certificate within the budget")
+        return True
     if isinstance(result, Refusal):
         print(f"{label:24s} REFUSED  {elapsed:7.2f}s  {result.reason}")
         return True
@@ -68,6 +89,12 @@ def main(argv=None):
     for m in range(3, args.m_max + 1):
         label = f"kpm m={m}"
         if not run_pipeline(label, lambda m=m: certify_kpm(m), out_dir):
+            unverified.append(label)
+
+    print("\n== random witness search, n = 3 ==")
+    for label, g, mode, seed, trials in SEARCH_PANEL:
+        search = partial(random_witness_search, g, 3, trials, mode, seed)
+        if not run_pipeline(label, search, out_dir):
             unverified.append(label)
 
     print("\n== structural checks on blow-ups ==")

@@ -11,19 +11,18 @@ plan made once per selection of symbols and kept on the polynomial: for
 each entry, the terms that reach it, grouped by their integer factor. A
 read values each term once at the point, on Python ints over ``den`` times
 a power of the point's denominator, sums each entry by factor (one
-addition per term, one multiplication per factor; where the factors have
-few terms each, one multiplication per term), and builds a ``Fraction``
-once per entry of the ``SymRationalMatrix`` it returns, so a witness
-search reads every trial's Hessian from one uncapped polynomial through
-one plan.
+addition per term, one multiplication per factor), and builds a
+``Fraction`` once per entry of the ``SymRationalMatrix`` it returns, so a
+witness search reads every trial's Hessian from one uncapped polynomial
+through one plan.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from math import lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import UsageError
 from .matrices import SymRationalMatrix
@@ -69,13 +68,11 @@ class SparsePoly:
         every term once, c L^(dmax - d) times B_a^(m_a) over the coordinates
         a that are not 0 at the point, and sums each entry by factor, the
         sum over f of f times the sum of its terms with factor f: one
-        addition per term and one multiplication per factor. An entry whose
-        factors have fewer than 6 terms each on average is instead the dot
-        product of its terms' factors with their values, which is cheaper
-        there. The entry is a Fraction over ``den``
-        L^(dmax - 2) times the powers of B_p and B_q it differentiated away.
-        A coordinate z that is 0 at the point instead keeps, in entry (p, q),
-        exactly the terms with m_z = [z = p] + [z = q]: the others vanish.
+        addition per term and one multiplication per factor. The entry is a
+        Fraction over ``den`` L^(dmax - 2) times the powers of B_p and B_q
+        it differentiated away. A coordinate z that is 0 at the point
+        instead keeps, in entry (p, q), exactly the terms with
+        m_z = [z = p] + [z = q]: the others vanish.
         """
         axes = tuple(self._axis(s) for s in symbols)
         if len(set(axes)) != len(axes):
@@ -112,17 +109,14 @@ class SparsePoly:
         kept = {}
         tri = []
         reads = terms
-        for p, q, factors, members, by_factor in entries:
+        for p, q, factors, groups in entries:
             if zeros:
                 pattern = tuple((z == p) + (z == q) for z in zeros)
                 reads = kept.get(pattern)
                 if reads is None:
                     reads = kept[pattern] = list(map(mul, terms, map(pattern.__eq__, keys)))
-            get = reads.__getitem__
-            if by_factor:  # members: one index list per factor
-                total = sum(map(mul, factors, map(sum, map(map, repeat(get), members))))
-            else:  # members: one index per term, with its own factor
-                total = sum(map(mul, factors, map(get, members)))
+            sums = map(sum, map(map, repeat(reads.__getitem__), groups))
+            total = sum(map(mul, factors, sums))
             tri.append(Fraction(total, den * (lifted[p] or 1) * (lifted[q] or 1)))
         return SymRationalMatrix(k, tuple(tri))
 
@@ -130,55 +124,41 @@ class SparsePoly:
         """The read plan of the selection ``axes``: (dmax - 2, the terms'
         numerators, their degree gaps dmax - d, the columns (axis,
         exponents, largest exponent) of the symbols they hold, and per
-        upper-triangle entry (p, q) its axes, the factors m_p (m_q - [p = q])
-        of the terms that reach it and those terms, and whether they are
-        summed by factor). An entry summed by factor holds each distinct
-        factor once with the list of its terms' indices; the others hold a
-        factor and an index per term. It keeps the terms of degree at least
-        2 in the selected symbols, the ones that reach some entry."""
+        upper-triangle entry (p, q) its axes, the distinct factors
+        m_p (m_q - [p = q]) of the terms that reach it and, per factor, the
+        list of those terms' indices). It keeps the terms of degree at
+        least 2 in the selected symbols, the ones that reach some entry."""
         if not (axes and self.terms):
             return 0, (), (), (), ()
-        exps = list(self.terms)
+        exps = self.terms.keys()
+        columns = [tuple(map(itemgetter(ax), exps)) for ax in range(len(self.symbols))]
         degrees = list(map(sum, exps))
-        columns = list(zip(*exps))
+        coeffs = self.terms.values()
         if len(axes) == len(columns):  # every symbol selected
             reach = degrees
         else:
             reach = list(map(sum, zip(*map(columns.__getitem__, axes))))
-        coeffs = self.terms.values()
         if min(reach) < 2:
             kept = list(map((2).__le__, reach))
-            exps, coeffs, degrees = (list(compress(x, kept)) for x in (exps, coeffs, degrees))
-            if not exps:
+            coeffs, degrees = list(compress(coeffs, kept)), list(compress(degrees, kept))
+            if not degrees:
                 return 0, (), (), (), ()
-            columns = list(zip(*exps))
+            columns = [tuple(compress(col, kept)) for col in columns]
         dmax = max(degrees)
         gaps = tuple(map(dmax.__sub__, degrees))
-        # a list, so that the plan's indices share its int objects
-        positions = list(range(len(exps)))
+        # a list, so that the groups share its int objects
+        positions = list(range(len(degrees)))
         entries = []
         for i, p in enumerate(axes):
             mp = columns[p]
             for q in axes[i:]:
                 second = map(sub, mp, repeat(1)) if p == q else columns[q]
-                factors = list(map(mul, mp, second))
-                distinct = set(factors)
-                distinct.discard(0)  # factor 0: the term does not reach the entry
-                # a factor's sum costs about five multiplications of a term
-                # by its factor, so summing by factor pays from about 6
-                # terms per factor
-                if len(factors) - factors.count(0) >= 6 * len(distinct):
-                    # one index list per factor, filled in one C-level pass
-                    # (lists, since small tuples would outlive the plan in
-                    # the interpreter's free lists)
-                    groups = {f: [] for f in distinct}
-                    groups[0] = []  # the terms that do not reach the entry
-                    deque(map(list.append, map(groups.__getitem__, factors), positions), maxlen=0)
-                    del groups[0]
-                    entries.append((p, q, tuple(groups), tuple(groups.values()), True))
-                else:
-                    indices = tuple(compress(positions, factors))
-                    entries.append((p, q, tuple(compress(factors, factors)), indices, False))
+                # one C-level pass files each term's index under its factor
+                groups = defaultdict(list)
+                filing = map(groups.__getitem__, map(mul, mp, second))
+                deque(map(list.append, filing, positions), maxlen=0)
+                groups.pop(0, None)  # factor 0: the term does not reach the entry
+                entries.append((p, q, tuple(groups), tuple(groups.values())))
         held = tuple((ax, col, top) for ax, col in enumerate(columns) if (top := max(col)))
         return dmax - 2, tuple(coeffs), gaps, held, tuple(entries)
 

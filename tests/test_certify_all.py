@@ -19,7 +19,9 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     args = ["--k-max", "5", "--m-max", "5"]
     assert script.main(["--out", str(tmp_path / "ok"), *args]) == 0
     out, err = capsys.readouterr()
-    assert out.count("verified=True") == 3 and "verified=False" not in out
+    # bowtie k=5, kpm m=4 and 5, and the search panel's seven finds
+    assert out.count("verified=True") == 10 and "verified=False" not in out
+    assert out.count(" NONE ") == 1  # K_{3,3} spends its budget
     assert err == ""
 
     # one failing certificate is enough; the rest of the sweep still runs
@@ -30,9 +32,10 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     )
     assert script.main(["--out", str(tmp_path / "bad"), *args]) == 1
     out, err = capsys.readouterr()
-    assert out.count("verified=True") == 2 and out.count("verified=False") == 1
+    assert out.count("verified=True") == 5 and out.count("verified=False") == 5
     assert "C_6 at half=1" in out
-    assert err == "failed to verify: kpm m=5\n"
+    kpm5_searches = ", ".join(f"search kpm5 seed={seed}" for seed in range(4))
+    assert err == f"failed to verify: kpm m=5, {kpm5_searches}\n"
     # the certificates written are the same either way
     written = sorted(p.name for p in (tmp_path / "ok").iterdir())
     assert written == sorted(p.name for p in (tmp_path / "bad").iterdir())
