@@ -2,7 +2,10 @@
 
 A certificate pins an explicit step matrix, a pair selection, and a rational
 direction whose quadratic form against the exact Hessian of the count
-polynomial is negative; verification recomputes everything from scratch.
+polynomial is negative. Verification recomputes that value from scratch
+without the Hessian: it is twice the s^2 coefficient of the count
+polynomial along the line from the witness in the direction, one
+enumeration with s capped at degree 2 (``hessians.line_curvature``).
 Structural screening certificates record a reason (non-bipartite,
 non-eulerian, odd edge count) that is re-checkable from the graph alone.
 
@@ -27,7 +30,7 @@ from .graphs import (
     is_eulerian,
     kpm_graph,
 )
-from .hessians import hessian_matrix, psd_certify, quadratic_form
+from .hessians import line_curvature, psd_certify
 from .homs import SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
@@ -417,11 +420,14 @@ def random_witness_search(
 
 
 def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
-    """Re-check by re-running the engine: rebuild everything named by the
-    certificate through the same ``hessian_matrix`` -> ``symbolic_profile``
-    -> ``profile_map`` engine that produced it, and reproduce its negative
-    quadratic form (or structural reason) exactly. A checker independent of
-    that engine is still open. ``threads`` is accepted and ignored."""
+    """Re-check by re-running the engine: reproduce the certificate's
+    negative quadratic form (or structural reason) exactly. The value is
+    read off one coefficient, v^T H v = 2 [s^2] hom(H, A + sD), the
+    curvature along the line from the witness A in the direction D
+    (``line_curvature``), through the same ``symbolic_profile`` ->
+    ``profile_map`` engine that produced the certificate, with no Hessian
+    built. A checker independent of that engine is still open. ``threads``
+    is accepted and ignored."""
     if cert.kind == "screening_failure":
         # decided from the edge list alone: a claimed "n" costs nothing
         if cert.reason == "non-bipartite":
@@ -442,5 +448,4 @@ def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
         return False
     if cert.kind == "not_weakly_norming" and not cert.witness.entries_in(0, 1):
         return False
-    hess = hessian_matrix(cert.graph, cert.witness, cert.pairs)
-    return quadratic_form(hess.matrix, cert.direction) == cert.value
+    return line_curvature(cert.graph, cert.witness, cert.pairs, cert.direction) == cert.value

@@ -11,6 +11,7 @@ main parses the arguments and calls ``ns.run(ns, state)``.
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -115,10 +116,17 @@ def _render_plain(payload, indent: str = "") -> str:
 
 
 def _emit(payload, plain: bool):
-    if plain:
-        print(_render_plain(payload))
-    else:
-        print(json.dumps(payload, indent=2))
+    """Print the payload. A reader that closed stdout ends the output, not
+    the command: no traceback, the exit code stays the command's, and
+    stdout is pointed at the null device so the flush at shutdown cannot
+    fail again."""
+    try:
+        print(_render_plain(payload) if plain else json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # construct family -> (constructor, its integer arguments); none: it reads -g

@@ -8,9 +8,11 @@ read by ``SparsePoly.hessian`` from the count polynomial that
 Building and reading both run on Python ints over one common denominator:
 the read values each term once at the point and sums each Hessian entry
 by the integer factors of its terms, with a single division at the end.
-PSD is decided by pivoted symmetric elimination, never by eigenvalues, so
-a failure always comes with a rational direction whose quadratic form is
-negative and re-checkable by direct multiplication. The elimination is
+A quadratic form v^T H v needs no Hessian: ``line_curvature`` reads it
+off the count polynomial along the line A + sD as 2 [s^2]. PSD is decided
+by pivoted symmetric elimination, never by eigenvalues, so a failure
+always comes with a rational direction whose quadratic form is negative
+and re-checkable by direct multiplication. The elimination is
 fraction-free (Bareiss): it runs on integers whose every intermediate is a
 rational Schur complement times a positive leading principal minor, so it
 takes the same decisions and finds the same primitive witnesses as
@@ -23,7 +25,7 @@ from math import gcd, lcm
 
 from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
-from .homs import SymbolicTemplate, symbolic_profile
+from .homs import Affine, SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 
 
@@ -36,21 +38,11 @@ class HessianMatrix:
     matrix: SymRationalMatrix  # len(pairs) x len(pairs)
 
 
-def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
-    """The exact Hessian of the count polynomial at ``a`` over the selected
-    pairs (all pairs by default).
-
-    Only the selected cells are opened as symbols, so the count polynomial
-    is materialized in those variables alone: unselected cells enter as
-    constants (weight-1 cells untracked, weight-0 cells killing the map).
-    A selected zero cell is capped at multiplicity 2, since a term with more
-    copies still vanishes after two differentiations. The Hessian is then
-    read by ``SparsePoly.hessian``, each entry summed by factor over the
-    terms its plan lists for that entry. Its k x k entries are
-    dense, a cost the engine's colouring estimate cannot see, so k^2 is held
-    to the same work limit.
-    """
-    n = a.n
+def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
+    """The pair selection (every pair when None) with i <= j, checked in
+    order: no pair twice, every pair in range, and its k^2 dense Hessian
+    entries within the work limit, a cost the engine's colouring estimate
+    cannot see."""
     if pairs is None:
         selected = pair_list(n)
     else:
@@ -65,7 +57,24 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
         raise SizeGuardError(
             f"hessian guard: {k}^2 = {k * k} entries > {ENUMERATION_GUARD}"
         )
+    return selected
 
+
+def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
+    """The exact Hessian of the count polynomial at ``a`` over the selected
+    pairs (all pairs by default), for the CLI's ``hessian`` and ``check
+    prop42``.
+
+    Only the selected cells are opened as symbols, so the count polynomial
+    is materialized in those variables alone: unselected cells enter as
+    constants (weight-1 cells untracked, weight-0 cells killing the map).
+    A selected zero cell is capped at multiplicity 2, since a term with more
+    copies still vanishes after two differentiations. The Hessian is then
+    read by ``SparsePoly.hessian``, each entry summed by factor over the
+    terms its plan lists for that entry.
+    """
+    n = a.n
+    selected = _selected_pairs(n, pairs)
     opened = [pair_index(i, j, n) for (i, j) in selected]
     names = [f"c{idx:02d}" for idx in opened]
     cells = list(a.tri)
@@ -75,6 +84,31 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     poly = symbolic_profile(g, SymbolicTemplate(n, tuple(cells)), caps)
     point = {name: a.at(i, j) for name, (i, j) in zip(names, selected)}
     return HessianMatrix(tuple(selected), poly.hessian(names, point))
+
+
+def line_curvature(g: Graph, a: SymRationalMatrix, pairs, direction) -> Fraction:
+    """v^T H v for the Hessian H of the count polynomial at ``a`` over the
+    selected pairs and the direction v, without building H.
+
+    Along the line A + sD, D holding v on the selected cells, the count
+    polynomial has the Taylor coefficient [s^2] = v^T H v / 2. The template
+    sets each selected cell to a + (M v) s, M the lcm of v's denominators,
+    so every slope is an integer; s is one symbol, one field of the key,
+    and capped at degree 2, so no map of the engine holds more than three
+    keys. Then v^T H v = 2 [s^2] / M^2. The pair selection is checked as
+    ``hessian_matrix`` checks it, then the direction's length.
+    """
+    selected = _selected_pairs(a.n, pairs)
+    v = [Fraction(x) for x in direction]
+    if len(v) != len(selected):
+        raise UsageError("direction length mismatch")
+    scale = lcm(*(x.denominator for x in v))
+    cells = list(a.tri)
+    for (i, j), x in zip(selected, v):
+        idx = pair_index(i, j, a.n)
+        cells[idx] = Affine(cells[idx], x.numerator * (scale // x.denominator), "s")
+    line = symbolic_profile(g, SymbolicTemplate(a.n, tuple(cells)), {"s": 2})
+    return 2 * line.coefficient_of(s=2) / scale**2
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,30 @@
 """Weighted homomorphism counts over step-function kernels, exactly.
 
 The single enumeration primitive is a *profile map*: for every map
-phi: V(H) -> [n] it records how many edges of H land on each tracked cell
-{i, j} of the target matrix, and sums the maps' integer weights per
-profile. One builder, ``symbolic_profile``, turns that integer map into
-the count polynomial of H over a template (a ``SparsePoly`` in the
-template's symbols), and everything else reads it: a density is its
-constant term over a matrix without symbols, and a Hessian opens the
-selected cells as symbols and evaluates second derivatives at the matrix
-(``SparsePoly.hessian``). Every curvature certificate is the same read at
-a sequence of points: the bowtie positivization, the kpm boundary at
-x = y = 0 for each trial eps, and the witness search. Only symbol cells
-are tracked: a constant cell b/L (L the lcm of the constant denominators)
+phi: V(H) -> [n] it records how many edges of H land on each tracked field,
+a set of cells {i, j} of the target matrix, and sums the maps' integer
+weights per profile. One builder, ``symbolic_profile``, turns that integer
+map into the count polynomial of H over a template (a ``SparsePoly`` in
+the template's symbols), and everything else reads it: a density is its
+constant term over a matrix without symbols, a Hessian opens the selected
+cells as symbols and evaluates second derivatives at the matrix
+(``SparsePoly.hessian``), and a certificate's curvature v^T H v is twice
+the s^2 coefficient along the line A + sD, whose template sets each
+selected cell to the ``Affine`` cell a + v s. Every curvature certificate
+is the same Hessian read at a sequence of points: the bowtie
+positivization, the kpm boundary at x = y = 0 for each trial eps, and the
+witness search. Only symbol cells are tracked, one field per symbol, so
+cells that share a symbol add into one field and a symbol's cap bounds its
+total degree: a constant cell b/L (L the lcm of the constant denominators)
 weighs b and is multiplied in as its edges land, as in Dechter's bucket
-elimination over a weighted semiring. The builder keeps
-an integer numerator per exponent vector over the one denominator L^e(H),
-the Hessian read brings the point to the same footing, and each entry of
-its matrix becomes a ``Fraction`` once, at the end.
+elimination over a weighted semiring, and an edge on an affine cell takes
+one of two options, the constant's weight with the key unchanged or the
+slope's with the field's increment. The builder keeps an integer numerator
+per exponent vector over the one denominator L^e(H), the Hessian read
+brings the point to the same footing, and each entry of its matrix becomes
+a ``Fraction`` once, at the end.
 
-A profile is packed into one integer key, one bit field per tracked cell,
+A profile is packed into one integer key, each field its own run of bits,
 so joining two partial maps is adding their keys; fields are wide enough
 for e(H) edges and never carry. The engine takes a maximal independent set
 I of H; its complement C is a vertex cover. Only C is coloured, depth-first,
@@ -34,6 +40,12 @@ the position of its last neighbour the first such map, shifted by the back
 edges' key and scaled by their weight, is the local map, the others are
 multiplied into it, and the local map is convolved with the map returned
 for the next position, or, at the last position, added to its map as it is.
+An affine edge multiplies both of its options into the local map (an
+independent vertex's, into its shared map), and the next position's base
+takes the constant option, so a base is a lower bound on the prefix's
+fields: a cap tested against it drops only maps that must go, and the
+filter at each return, exact at the top, drops the rest. A template
+without affine cells costs the colouring loop one test per colour.
 Weight-zero cells kill a map outright, an independent vertex's entries
 whose signed weights cancel are dropped, and multiplicity caps are checked on
 each cover colour, local map and returned map, since multiplicities only
@@ -81,28 +93,37 @@ density, profile and Hessian is read off this engine, so they all refuse
 at the same point.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
+from typing import NamedTuple
 
 from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_bipartite, is_eulerian
 from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index
+from .plans import _cover_plan, _memo_plan, _summing_entries
 from .polys import SparsePoly
+
+
+class Affine(NamedTuple):
+    """A template cell const + slope * symbol, with an integer slope."""
+
+    const: Fraction
+    slope: int
+    symbol: str
 
 
 @dataclass(frozen=True)
 class SymbolicTemplate:
-    """Symmetric n x n array whose cells are exact rationals or symbol names.
+    """Symmetric n x n array whose cells are exact rationals, symbol names
+    or ``Affine`` cells.
 
     Diagonal cells are loop weights. Distinct cells may share a symbol; the
     symbol's exponent then accumulates across those cells.
     """
 
     n: int
-    cells: tuple  # Fraction | str per unordered pair, pair_index order
+    cells: tuple  # Fraction | str | Affine per unordered pair, pair_index order
 
     def __post_init__(self):
         if len(self.cells) != self.n * (self.n + 1) // 2:
@@ -128,10 +149,11 @@ class SymbolicTemplate:
 
     @property
     def symbols(self) -> tuple[str, ...]:
-        return tuple(sorted({c for c in self.cells if isinstance(c, str)}))
+        return tuple(sorted({_symbol(c) for c in self.cells} - {None}))
 
     def substitute(self, assignment: dict) -> SymRationalMatrix:
-        """Replace every symbol by a rational value."""
+        """Replace every symbol by a rational value (templates of plain
+        symbol cells only)."""
         tri = []
         for c in self.cells:
             if isinstance(c, str):
@@ -143,140 +165,99 @@ class SymbolicTemplate:
         return SymRationalMatrix(self.n, tuple(tri))
 
 
-def _cover_plan(g: Graph):
-    """Split V(H) into a vertex cover, coloured depth-first, and an
-    independent set summed out in closed form.
-
-    The independent set is greedy maximal, lowest degree first; the cover
-    is coloured in descending-degree order. Returns, per cover position,
-    the earlier cover positions adjacent to it and the neighbour positions
-    of each independent vertex whose last neighbour it is, plus the number
-    of isolated vertices. Built from the edge list alone, so the cost does
-    not grow with g.n.
-    """
-    adj = g.sparse_adjacency()
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    order = sorted(adj)
-    order.sort(key=degree.__getitem__)  # stable: ties stay in vertex order
-    indep, taken = [], set()
-    for v in order:
-        if taken.isdisjoint(adj[v]):
-            indep.append(v)
-            taken.add(v)
-    cover = sorted(adj.keys() - taken)
-    cover.sort(key=degree.__getitem__, reverse=True)
-    pos = {v: p for p, v in enumerate(cover)}
-    back = [
-        tuple(sorted(pos[u] for u in adj[v] if u in pos and pos[u] < p))
-        for p, v in enumerate(cover)
-    ]
-    closing = [[] for _ in cover]
-    at = pos.__getitem__
-    # one tuple per neighbourhood: a 10^5-leaf star keeps one, not 10^5
-    # (fewer live objects, fewer garbage collector passes)
-    seen: dict[tuple, tuple] = {}
-    for v in indep:
-        nbrs = tuple(sorted(map(at, adj[v])))
-        nbrs = seen.setdefault(nbrs, nbrs)
-        closing[nbrs[-1]].append(nbrs)
-    return back, closing, g.n - len(adj)
+def _symbol(cell) -> str | None:
+    """The symbol of a template cell, None for a constant."""
+    if isinstance(cell, str):
+        return cell
+    return cell.symbol if isinstance(cell, Affine) else None
 
 
-def _summing_entries(closing, n: int, tracked: int) -> int:
-    """Profile entries that summing the independent set out touches per
-    cover colouring, estimated in cover order and counted only until it
-    passes ``ENUMERATION_GUARD``.
+class ProfileMap(NamedTuple):
+    """Packed edge-multiplicity profiles with assignment counts (a named
+    tuple: cheaper to define at import than a frozen dataclass)."""
 
-    Summing out a vertex convolves its n colours with a map over the other
-    summed vertices, so it touches n entries per key of that map. A map
-    over the vertices summed so far holds at most one key per multiset of
-    colours of the vertices sharing a neighbourhood, that is
-    prod C(j + n - 1, j) over neighbourhoods shared by j of them, and at
-    most C(e + T, T) keys, the vectors of e edges spread over T tracked
-    cells.
-    """
-    entries = edges = 0
-    multisets = 1
-    shared: dict[tuple, int] = {}
-    for group in closing:
-        for nbrs in group:
-            entries += n * min(multisets, comb(edges + tracked, tracked))
-            if entries > ENUMERATION_GUARD:
-                return entries
-            j = shared.get(nbrs, 0)
-            multisets = multisets * (j + n) // (j + 1)
-            shared[nbrs] = j + 1
-            edges += len(nbrs)
-    return entries
-
-
-def _memo_plan(back, closing):
-    """Per cover position p, the prefix reads the key of its subtree's
-    table is made from, or None where that key cannot repeat.
-
-    A later vertex, a cover position q >= p or an independent vertex
-    closing at q >= p, reads its neighbours in [0, p); the subtree depends
-    on the prefix only through the multiset of colours each later vertex
-    reads. Independent vertices with the same neighbours in [p, depth) are
-    interchangeable, so they form one group whose reads are compared as a
-    multiset; every other later vertex is a group of its own. A key can
-    repeat, and a table is kept, where the reads miss a prefix position or
-    where two prefix positions are interchangeable, that is, where swapping
-    them maps every group's reads onto themselves. Otherwise every prefix
-    colouring has its own key.
-    """
-    depth = len(back)
-    plan = []
-    for p in range(depth):
-        groups: dict = {}  # cover position, or later neighbours shared -> reads
-        for q in range(p, depth):
-            r = back[q][: bisect_left(back[q], p)]
-            if r:
-                groups[q] = [r]
-            for nbrs in closing[q]:
-                cut = bisect_left(nbrs, p)
-                if cut:
-                    groups.setdefault(nbrs[cut:], []).append(nbrs[:cut])
-        reads = tuple(tuple(sorted(group)) for group in groups.values())
-        read = {a for group in reads for r in group for a in r}
-        repeats = len(read) < p or _interchangeable(reads, p)
-        plan.append(reads if repeats else None)
-    return plan
-
-
-def _interchangeable(reads, p: int) -> bool:
-    """Whether swapping two positions of [0, p) maps every group of
-    ``reads`` onto itself; only positions that lie in as many reads of each
-    group are tried as a pair."""
-    seen: list[list[int]] = [[] for _ in range(p)]
-    for i, group in enumerate(reads):
-        for r in group:
-            for a in r:
-                seen[a].append(i)
-    alike: dict[tuple, list] = {}
-    for a, where in enumerate(seen):
-        alike.setdefault(tuple(where), []).append(a)
-    for positions in alike.values():
-        for a, b in combinations(positions, 2):
-            swap = {a: b, b: a}
-            if all(
-                sorted(tuple(sorted(swap.get(x, x) for x in r)) for r in group)
-                == list(group)
-                for group in reads
-            ):
-                return True
-    return False
-
-
-@dataclass(frozen=True)
-class ProfileMap:
-    """Packed edge-multiplicity profiles with assignment counts."""
-
-    tracked: tuple[int, ...]  # flat cell indices, ascending
+    tracked: tuple[tuple[int, ...], ...]  # the cells of each field, in key order
     width: int
     counts: dict  # packed key -> summed weight of its maps (unweighted: their number)
     visited: int  # partial cover colourings tried; a reused subtree counts once
     summed: int  # independent-vertex sums made, one per colour multiset read
+
+
+def _options(terms, rows, x, off, guard):
+    """``terms`` ({key: weight}) times the two options of each affine edge
+    that ``rows`` give colour x: the key unchanged at the constant's weight,
+    or the field's increment at the slope's. An increment whose key passes a
+    cap ((key + off) & guard) is not made, and weights that cancel are
+    dropped."""
+    for row in rows:
+        option = row[x]
+        if option is None:
+            continue
+        inc, stay, move = option
+        out: dict[int, int] = {}
+        for k, v in terms.items():
+            out[k] = out.get(k, 0) + v * stay
+            k += inc
+            if not (k + off) & guard:
+                out[k] = out.get(k, 0) + v * move
+        terms = out
+    return {k: v for k, v in terms.items() if v}
+
+
+def _steps(g: Graph, n: int, tracked, caps, weights):
+    """The per-colour-pair steps of ``profile_map``'s search over the fields
+    ``tracked``: (field width, step, split, capmask, bias, guard). ``step``
+    is None where the cell kills a map, else the key increment and weight
+    of one edge landing there; an affine cell with both options steps by
+    (0, 1) and keeps them, (increment, constant's weight, slope's weight),
+    in ``split``, which is None without one."""
+    ncells = n * (n + 1) // 2
+    weight = [(weights or {}).get(cell, 1) for cell in range(ncells)]
+    field = {cell: t for t, cells in enumerate(tracked) for cell in cells}
+    binding = {}  # field -> cap, for fields with a binding cap
+    for cell, cap in (caps or {}).items():
+        if cap <= 0:
+            t = field.get(cell)
+            for c in (cell,) if t is None else tracked[t]:
+                weight[c] = (weight[c][0], 0) if isinstance(weight[c], tuple) else 0
+        elif cap < g.edge_count:
+            if cell not in field:
+                raise UsageError("capped cell must be tracked")
+            t = field[cell]
+            binding[t] = min(cap, binding.get(t, cap))
+    # a field counts up to e(H) < 2^bits edges; with a binding cap every
+    # field gets a spare top bit, and a capped field's bias 2^bits - 1 - cap
+    # carries into it exactly when the field passes its cap, so
+    # (key + bias) & guard tests every cap at once and never carries out
+    bits = max(3, g.edge_count.bit_length())
+    width = bits + 1 if binding else bits
+    incs = [0] * ncells
+    for cell, t in field.items():
+        incs[cell] = 1 << (t * width)
+    capmask = bias = guard = 0  # the fields are disjoint
+    for t, cap in binding.items():
+        shift = t * width
+        capmask |= ((1 << bits) - 1) << shift
+        bias |= ((1 << bits) - 1 - cap) << shift
+        guard |= 1 << (shift + bits)
+    edge, options = [], [None] * ncells
+    for c, w in enumerate(weight):
+        if isinstance(w, tuple):
+            stay, w = w
+            if stay and w:
+                edge.append((0, 1))
+                options[c] = (incs[c], stay, w)
+                continue
+            if not w:  # only the constant's option
+                edge.append((0, stay) if stay else None)
+                continue
+        edge.append((incs[c], w) if w else None)
+    step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
+    split = None
+    if any(options):
+        split = [[options[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
+        split = [row if any(row) else None for row in split]
+    return width, step, split, capmask, bias, guard
 
 
 def profile_map(
@@ -284,18 +265,23 @@ def profile_map(
     n: int,
     tracked_cells,
     caps: dict[int, int] | None = None,
-    weights: dict[int, int] | None = None,
+    weights: dict | None = None,
 ) -> ProfileMap:
-    """Sum the weights of the maps per profile over the tracked cells.
+    """Sum the weights of the maps per profile over the tracked fields.
 
-    A map weighs the product of ``weights[cell]`` (default 1) over its
-    edges; weight 0 kills it. ``caps`` limits cell multiplicity (maps
-    beyond a cap are dropped); capped cells must be tracked unless their
-    cap is 0. Refuses with ``SizeGuardError`` before colouring when n^|C| +
-    (isolated vertices), or the profile entries summing the independent set
-    out touches per colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex
-    is priced as at least 2 colours, which also bounds the depth of the
-    search at n = 1.
+    Each item of ``tracked_cells`` is one field of the key: a cell, or a
+    tuple of cells whose edges add into one field. A map weighs the product
+    of ``weights[cell]`` (default 1) over its edges; weight 0 kills it. A
+    tracked cell whose weight is a pair (a, v) is affine: an edge there
+    either leaves the key unchanged and weighs a, or takes the field's
+    increment and weighs v. ``caps`` bounds the total of the field a cell
+    lies in (maps beyond a cap are dropped); capped cells must be tracked
+    unless their cap is 0, which leaves a cell only its constant option.
+    Refuses with ``SizeGuardError`` before colouring when n^|C| + (isolated
+    vertices), or the profile entries summing the independent set out
+    touches per colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is
+    priced as at least 2 colours, which also bounds the depth of the search
+    at n = 1.
     """
     back, closing, isolated = _cover_plan(g)
     depth = len(back)
@@ -309,37 +295,13 @@ def profile_map(
             what = f"{n}^{depth}{value} colourings"
         extra = f" + {isolated} isolated vertices" if isolated else ""
         raise SizeGuardError(f"enumeration guard: {what}{extra} > {ENUMERATION_GUARD}")
-    tracked = tuple(sorted(tracked_cells))
+    tracked = tuple(sorted(f if isinstance(f, tuple) else (f,) for f in tracked_cells))
     if _summing_entries(closing, n, len(tracked)) > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"enumeration guard: summing out the independent set touches"
             f" > {ENUMERATION_GUARD} profile entries per colouring"
         )
-    ncells = n * (n + 1) // 2
-    weight = [(weights or {}).get(cell, 1) for cell in range(ncells)]
-    binding = {}  # tracked position -> cap, for tracked cells with a binding cap
-    for cell, cap in (caps or {}).items():
-        if cap <= 0:
-            weight[cell] = 0
-        elif cap < g.edge_count:
-            if cell not in tracked:
-                raise UsageError("capped cell must be tracked")
-            binding[tracked.index(cell)] = cap
-    # a field counts up to e(H) < 2^bits edges; with a binding cap every
-    # field gets a spare top bit, and a capped field's bias 2^bits - 1 - cap
-    # carries into it exactly when the field passes its cap, so
-    # (key + bias) & guard tests every cap at once and never carries out
-    bits = max(3, g.edge_count.bit_length())
-    width = bits + 1 if binding else bits
-    incs = [0] * ncells
-    for t, cell in enumerate(tracked):
-        incs[cell] = 1 << (t * width)
-    capmask = bias = guard = 0  # the fields are disjoint
-    for t, cap in binding.items():
-        shift = t * width
-        capmask |= ((1 << bits) - 1) << shift
-        bias |= ((1 << bits) - 1 - cap) << shift
-        guard |= 1 << (shift + bits)
+    width, step, split, capmask, bias, guard = _steps(g, n, tracked, caps, weights)
 
     # a memoised subtree keeps one result per (capped fields of base,
     # multisets of colours its later vertices read) for the whole call; a
@@ -350,10 +312,6 @@ def profile_map(
     tables = [None if reads is None else {} for reads in plan]
     power = [(depth + 1) ** c for c in range(n)]
 
-    # per colour pair: None where the cell kills a map, else the key
-    # increment and weight of one edge landing there
-    edge = [(incs[c], weight[c]) if weight[c] else None for c in range(ncells)]
-    step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
     colors = [0] * depth
     rng = range(n)
     visited = summed = 0
@@ -368,6 +326,7 @@ def profile_map(
             return sides[code]
         summed += 1
         rows = [step[colors[a]] for a in nbrs]
+        splits = [r for r in (split[colors[a]] for a in nbrs) if r] if split else ()
         out: dict[int, int] = {}
         for x in rng:
             key, w = 0, 1
@@ -378,7 +337,11 @@ def profile_map(
                 key += s[0]
                 w *= s[1]
             else:
-                out[key] = out.get(key, 0) + w
+                if splits:
+                    for k, v in _options({key: w}, splits, x, bias, guard).items():
+                        out[k] = out.get(k, 0) + v
+                else:
+                    out[key] = out.get(key, 0) + w
         # signed weights may cancel; an emptied map prunes the colouring
         if not all(out.values()):
             out = {k: v for k, v in out.items() if v}
@@ -420,6 +383,7 @@ def profile_map(
         visited += n
         out: dict[int, int] = {}
         rows = [step[colors[b]] for b in back[p]]
+        splits = [r for r in (split[colors[b]] for b in back[p]) if r] if split else ()
         for c in rng:
             key, w = base, 1
             for row in rows:
@@ -437,6 +401,10 @@ def profile_map(
                 # one's shared map is shifted and scaled only if it must be
                 shift = key - base
                 local = None
+                if splits:  # the affine back edges: base stays a lower bound
+                    local = _options({shift: w}, splits, c, base + bias, guard)
+                    if not local:
+                        continue
                 for nbrs in closing[p]:
                     if local is not None:
                         local = convolve({}, local, side(nbrs))
@@ -483,47 +451,52 @@ def symbolic_profile(
     evaluating gives ``weighted_hom_count`` of the substituted matrix.
 
     The one place a profile map becomes power products. Only symbol cells
-    are tracked; a symbol in ``symbol_caps`` drops every map with more than
-    its cap of edges on one of its cells. A constant cell b/L, L the lcm of
-    the constant cells' denominators, is the integer weight b (a 1-cell
-    weighs L, weight-1 cells are left out), so a count carries L once per
-    edge on a constant cell: counts are summed per exponent vector and
-    scaled by L^degree to numerators over the polynomial's one denominator
-    L^e(H).
+    are tracked, one field per symbol: the edges on every cell of a symbol
+    add into its field, so the field is the symbol's exponent, and a symbol
+    in ``symbol_caps`` drops every map whose exponent of it passes its cap.
+    A constant cell b/L, L the lcm of the denominators of the constants (an
+    ``Affine`` cell's included), is the integer weight b (a 1-cell weighs
+    L, weight-1 cells are left out), and an ``Affine`` cell a + v s has two
+    options per edge, the weight aL with no key or the weight v with s's
+    increment. So a count carries L once per edge off the symbols: counts
+    are scaled by L^degree to numerators over the polynomial's one
+    denominator L^e(H).
     """
     caps = symbol_caps or {}
-    scale = lcm(*(c.denominator for c in t.cells if not isinstance(c, str)))
-    tracked = []
+    consts = [c.const if isinstance(c, Affine) else c for c in t.cells]
+    scale = lcm(*(c.denominator for c in consts if not isinstance(c, str)))
+    fields: dict[str, list] = {}  # symbol -> its cells
     cell_caps = {}
     weights = {}
     for idx, c in enumerate(t.cells):
+        name = _symbol(c)
+        if name is not None:
+            fields.setdefault(name, []).append(idx)
+            if name in caps:
+                cell_caps[idx] = caps[name]
         if isinstance(c, str):
-            tracked.append(idx)
-            if c in caps:
-                cell_caps[idx] = caps[c]
-        else:
-            b = c.numerator * (scale // c.denominator)
-            if b != 1:
-                weights[idx] = b
+            continue
+        b = consts[idx].numerator * (scale // consts[idx].denominator)
+        if isinstance(c, Affine):
+            weights[idx] = (b, c.slope)
+        elif b != 1:
+            weights[idx] = b
+    tracked = [cells[0] if len(cells) == 1 else tuple(cells) for cells in fields.values()]
     pm = profile_map(g, t.n, tracked, cell_caps, weights)
     symbols = t.symbols
-    axes = [symbols.index(t.cells[idx]) for idx in pm.tracked]
+    axes = [symbols.index(_symbol(t.cells[cells[0]])) for cells in pm.tracked]
     mask = (1 << pm.width) - 1
     shifts = [i * pm.width for i in range(len(axes))]
-    acc: dict[tuple[int, ...], int] = {}
-    for key, cnt in pm.counts.items():
-        exp = [0] * len(symbols)
-        for ax, shift in zip(axes, shifts):
-            exp[ax] += (key >> shift) & mask
-        exp = tuple(exp)
-        acc[exp] = acc.get(exp, 0) + cnt
     # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
     scale_pow = [scale**e for e in range(g.edge_count + 1)]
-    return SparsePoly(
-        symbols,
-        {exp: num * scale_pow[sum(exp)] for exp, num in acc.items() if num},
-        scale_pow[-1],
-    )
+    terms = {}
+    for key, cnt in pm.counts.items():
+        if cnt:
+            exp = [0] * len(symbols)
+            for ax, shift in zip(axes, shifts):
+                exp[ax] = (key >> shift) & mask
+            terms[tuple(exp)] = cnt * scale_pow[sum(exp)]
+    return SparsePoly(symbols, terms, scale_pow[-1])
 
 
 def weighted_hom_count(g: Graph, a: SymRationalMatrix) -> Fraction:

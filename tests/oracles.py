@@ -2,7 +2,10 @@
 
 The brute-force helpers enumerate assignments or subsets directly with
 itertools and exact Fractions, independent of the library's engine;
-``brute_hessian`` is the independent Hessian oracle. The other two Hessian
+``brute_hessian`` is the independent Hessian oracle, and
+``brute_count_polynomial`` multiplies out each map's cells (constants,
+symbols and affine cells a + v s) and caps a symbol's total degree over
+all of its cells, the rule the library's one field per symbol follows. The other two Hessian
 cross-checks route through the library (a symbolic profile in every cell
 differentiated formally, or finite differences of plain counts), so they
 share its count-polynomial builder with ``hessian_matrix``.
@@ -20,6 +23,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import add
 
 from graphnorms import Graph, SparsePoly, SymRationalMatrix
 from graphnorms.graphs import bipartition
@@ -75,12 +79,13 @@ def brute_profile_map(g: Graph, n: int, tracked, caps=None, weights=None) -> dic
 def brute_count_polynomial(g: Graph, cells, caps=None) -> dict:
     """{exponent vector: coefficient} of the count polynomial, naively.
 
-    ``cells`` lists a template's cells, numbers or symbol names, for the
-    unordered pairs {i, j} of [n] row by row through the upper triangle;
-    exponent vectors follow the sorted symbol names. Every vertex map adds
-    the product of the numbers its edges land on to the monomial of the
-    symbols they land on, and is left out when it puts more edges on a cell
-    of a symbol in ``caps`` than that symbol's cap. Zero coefficients are
+    ``cells`` lists a template's cells for the unordered pairs {i, j} of [n]
+    row by row through the upper triangle: numbers, symbol names, or
+    (a, v, name) triples for the affine cell a + v * name. Exponent vectors
+    follow the sorted symbol names. Every vertex map multiplies out the
+    cells its edges land on, one edge at a time, and its terms with a
+    higher exponent of a symbol in ``caps`` than that symbol's cap, its
+    total degree over all of its cells, are left out. Zero coefficients are
     dropped.
     """
     n = 0
@@ -89,25 +94,30 @@ def brute_count_polynomial(g: Graph, cells, caps=None) -> dict:
     number = {}
     for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
         number[(i, j)] = number[(j, i)] = idx
-    symbols = sorted({c for c in cells if isinstance(c, str)})
-    caps = dict(caps or {})
+    names = {c if isinstance(c, str) else c[2] for c in cells if isinstance(c, (str, tuple))}
+    symbols = sorted(names)
+    unit = [tuple(int(s == t) for t in symbols) for s in symbols]
+    bound = tuple(dict(caps or {}).get(s, g.edge_count) for s in symbols)
     out = {}
     for phi in product(range(n), repeat=g.n):
-        mult = [0] * len(cells)
+        poly = {(0,) * len(symbols): Fraction(1)}
         for (u, v) in g.edges:
-            mult[number[(phi[u], phi[v])]] += 1
-        w = Fraction(1)
-        exp = dict.fromkeys(symbols, 0)
-        for c, m in zip(cells, mult):
+            c = cells[number[(phi[u], phi[v])]]
             if isinstance(c, str):
-                if m > caps.get(c, m):
-                    break
-                exp[c] += m
-            else:
-                w *= Fraction(c) ** m
-        else:
-            mono = tuple(exp[s] for s in symbols)
-            out[mono] = out.get(mono, 0) + w
+                c = (0, 1, c)
+            elif not isinstance(c, tuple):
+                c = (c, 0, None)
+            a, slope, name = Fraction(c[0]), Fraction(c[1]), c[2]
+            step = {}
+            for mono, w in poly.items():
+                step[mono] = step.get(mono, 0) + w * a
+                if slope:
+                    up = tuple(map(add, mono, unit[symbols.index(name)]))
+                    step[up] = step.get(up, 0) + w * slope
+            poly = step
+        for mono, w in poly.items():
+            if all(m <= b for m, b in zip(mono, bound)):
+                out[mono] = out.get(mono, 0) + w
     return {mono: c for mono, c in out.items() if c}
 
 

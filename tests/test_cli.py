@@ -601,6 +601,29 @@ def test_module_round_trip_through_a_pipe():
     assert json.loads(out) == {"valid": True, "kind": "not_weakly_norming"}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("certify", "bowtie-cycle", "--k", "5"), 0),
+        (("certify", "bowtie-cycle", "--k", "4"), 1),
+        (("certify", "bowtie-cycle", "--k", "2"), 3),
+    ],
+    ids=["certified", "refused", "usage"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # the reader is gone before the command writes: no traceback, and the
+    # exit code is the command's own (exit 1 would read as "refuted")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _module_cli(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == code
+    assert err == ""
+
+
 def test_module_malformed_stdin_exits_three():
     verify = _module_cli(
         "verify", "-c", "-", stdin=subprocess.PIPE, stdout=subprocess.PIPE

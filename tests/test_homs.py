@@ -38,12 +38,11 @@ from graphnorms import homs
 from graphnorms.graphs import cartesian_k2
 from graphnorms.homs import (
     ENUMERATION_GUARD,
-    _cover_plan,
-    _interchangeable,
-    _memo_plan,
+    Affine,
     profile_map,
 )
 from graphnorms.matrices import block_pm_ones
+from graphnorms.plans import _cover_plan, _interchangeable, _memo_plan
 from oracles import (
     brute_count_polynomial,
     brute_hom_count,
@@ -332,16 +331,36 @@ def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
     assert got == brute_profile_map(g, 3, range(6), caps)
 
 
+def _per_cell_capped(g, cells, caps):
+    """The count polynomial under the rule that a cap bounds each cell of
+    its symbol apart: every capped cell gets a symbol of its own, capped
+    alone, whose exponents are added back into its symbol's."""
+    own = [f"{c}.{idx}" if c in caps else c for idx, c in enumerate(cells)]
+    own_caps = {f"{c}.{idx}": caps[c] for idx, c in enumerate(cells) if c in caps}
+    names = sorted({c for c in cells if isinstance(c, str)})
+    apart = sorted({c for c in own if isinstance(c, str)})
+    out = {}
+    for mono, c in brute_count_polynomial(g, own, own_caps).items():
+        merged = [0] * len(names)
+        for name, m in zip(apart, mono):
+            merged[names.index(name.split(".")[0])] += m
+        out[tuple(merged)] = out.get(tuple(merged), 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
 def test_count_polynomial_matches_brute_force():
     # templates mixing uncapped and capped symbols (some shared by several
     # cells) with the constants 0, 1, -1 and rationals over unequal
     # denominators: constant cells are weights in the counts, symbol cells
     # keys, and the builder must give back the plain enumeration's terms as
-    # integer numerators over L^e(H), L the lcm of the constants' denominators
+    # integer numerators over L^e(H), L the lcm of the constants'
+    # denominators; a cap bounds its symbol's total degree over all of its
+    # cells, which differs from bounding each cell apart
     rng = _random.Random(20191020)
     constants = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
                  Fraction(5, 4), Fraction(3, 7), Fraction(-9, 10), Fraction(4)]
     seen = {"bind": 0, "shared": 0, "mixed": 0, "constant_only": 0}
+    differs = 0  # cases where the total and the per-cell cap rules disagree
     for case in range(70):
         n = rng.randint(1, 4)
         g = random_graph(rng.randrange(10**6), rng.randint(1, 5 if n == 4 else 7),
@@ -361,9 +380,43 @@ def test_count_polynomial_matches_brute_force():
         assert all(type(c) is int for c in poly.terms.values())
         assert rational_terms(poly) == want, (case, g, cells, caps)
         seen["bind"] += want != brute_count_polynomial(g, cells)
+        differs += want != _per_cell_capped(g, cells, caps)
         seen["shared"] += len(used) < sum(isinstance(c, str) for c in cells)
         seen["mixed"] += len({c.denominator for c in cells if not isinstance(c, str)}) > 1
         seen["constant_only"] += not used
+    assert min(seen.values()) >= 5, seen
+    assert differs >= 1
+
+
+def test_affine_cells_match_brute_force():
+    # cells a + v s beside constants and plain symbols, some sharing a
+    # symbol with them, now and then capped: each edge on an affine cell
+    # takes the constant a or the slope v times one more power of s
+    rng = _random.Random(20191023)
+    constants = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
+    seen = {"both options": 0, "capped": 0, "plain beside affine": 0}
+    for case in range(60):
+        n = rng.randint(1, 3)
+        g = random_graph(rng.randrange(10**6), rng.randint(1, 6), rng.choice((0.4, 0.7, 0.95)))
+        cells = []
+        for _ in range(n * (n + 1) // 2):
+            kind = rng.random()
+            if kind < 0.45:
+                cells.append(Affine(rng.choice(constants), rng.choice((0, 1, -2, 3)), rng.choice("st")))
+            elif kind < 0.6:
+                cells.append(rng.choice("st"))
+            else:
+                cells.append(rng.choice(constants))
+        cells = tuple(cells)
+        used = sorted({c if isinstance(c, str) else c.symbol for c in cells if not isinstance(c, Fraction)})
+        caps = {s: rng.randint(0, 3) for s in used if rng.random() < 0.5}
+        poly = symbolic_profile(g, SymbolicTemplate(n, cells), caps)
+        assert poly.symbols == tuple(used)
+        assert rational_terms(poly) == brute_count_polynomial(g, cells, caps), (case, g, cells, caps)
+        affine = [c for c in cells if isinstance(c, Affine)]
+        seen["both options"] += any(c.const and c.slope for c in affine)
+        seen["capped"] += bool(caps) and bool(affine)
+        seen["plain beside affine"] += any(c.symbol in cells for c in affine)
     assert min(seen.values()) >= 5, seen
 
 
