@@ -67,7 +67,7 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
 
     Only the selected cells are opened as symbols, so the count polynomial
     is materialized in those variables alone: unselected cells enter as
-    constants (weight-1 cells untracked, weight-0 cells killing the map).
+    constants, the engine's int weights (weight 0 killing the map).
     A selected zero cell is capped at multiplicity 2, since a term with more
     copies still vanishes after two differentiations. The Hessian is then
     read by ``SparsePoly.hessian``, each entry summed by factor over the

@@ -1,28 +1,31 @@
 """Weighted homomorphism counts over step-function kernels, exactly.
 
 The single enumeration primitive is a *profile map*: for every map
-phi: V(H) -> [n] it records how many edges of H land on each tracked field,
-a set of cells {i, j} of the target matrix, and sums the maps' integer
-weights per profile. One builder, ``symbolic_profile``, turns that integer
-map into the count polynomial of H over a template (a ``SparsePoly`` in
-the template's symbols), and everything else reads it: a density is its
-constant term over a matrix without symbols, a Hessian opens the selected
-cells as symbols and evaluates second derivatives at the matrix
-(``SparsePoly.hessian``), and a certificate's curvature v^T H v is twice
-the s^2 coefficient along the line A + sD, whose template sets each
-selected cell to the ``Affine`` cell a + v s. Every curvature certificate
-is the same Hessian read at a sequence of points: the bowtie
+phi: V(H) -> [n] it records how many edges of H take a field's increment,
+and sums the maps' integer weights per profile. It reads one encoding per
+cell {i, j} of the target matrix: an int weight, or a triple (field,
+const, slope) for the cell const + slope * s_field, with caps per field.
+One builder, ``symbolic_profile``, writes a template in that encoding and
+turns the integer map into the count polynomial of H over the template (a
+``SparsePoly`` in the template's symbols), and everything else reads it: a
+density is its constant term over a matrix without symbols, a Hessian
+opens the selected cells as symbols and evaluates second derivatives at
+the matrix (``SparsePoly.hessian``), and a certificate's curvature v^T H v
+is twice the s^2 coefficient along the line A + sD, whose template sets
+each selected cell to the ``Affine`` cell a + v s. Every curvature
+certificate is the same Hessian read at a sequence of points: the bowtie
 positivization, the kpm boundary at x = y = 0 for each trial eps, and the
-witness search. Only symbol cells are tracked, one field per symbol, so
-cells that share a symbol add into one field and a symbol's cap bounds its
-total degree: a constant cell b/L (L the lcm of the constant denominators)
-weighs b and is multiplied in as its edges land, as in Dechter's bucket
-elimination over a weighted semiring, and an edge on an affine cell takes
-one of two options, the constant's weight with the key unchanged or the
-slope's with the field's increment. The builder keeps an integer numerator
-per exponent vector over the one denominator L^e(H), the Hessian read
-brings the point to the same footing, and each entry of its matrix becomes
-a ``Fraction`` once, at the end.
+witness search. Field f is the f-th symbol of the template, so a key's
+fields are the exponent vector in order; cells that share a symbol add
+into one field and a symbol's cap bounds its total degree. A constant cell
+b/L (L the lcm of the constant denominators) weighs b and is multiplied in
+as its edges land, as in Dechter's bucket elimination over a weighted
+semiring, a symbol cell is (field, 0, 1), and an edge on an affine cell
+(field, aL, v) takes one of two options, the constant's weight with the
+key unchanged or the slope's with the field's increment. The builder
+keeps an integer numerator per exponent vector over the one denominator
+L^e(H), the Hessian read brings the point to the same footing, and each
+entry of its matrix becomes a ``Fraction`` once, at the end.
 
 A profile is packed into one integer key, each field its own run of bits,
 so joining two partial maps is adding their keys; fields are wide enough
@@ -47,12 +50,13 @@ fields: a cap tested against it drops only maps that must go, and the
 filter at each return, exact at the top, drops the rest. A template
 without affine cells costs the colouring loop one test per colour.
 Weight-zero cells kill a map outright, an independent vertex's entries
-whose signed weights cancel are dropped, and multiplicity caps are checked on
-each cover colour, local map and returned map, since multiplicities only
-grow down the search. One test covers every cap: with a cap, every field
-gets a spare top bit, and a capped field's bias carries into that bit
-exactly when the field passes its cap, so a key passes all its caps when
-(key + bias) & guard is 0; a map is filtered in one pass.
+whose signed weights cancel are dropped, and field caps are checked on
+each cover colour, local map and returned map, since fields only grow
+down the search. One test covers every cap, 0 included: with a binding
+cap, every field gets a spare top bit, and a capped field's bias carries
+into that bit exactly when the field passes its cap, so a key passes all
+its caps when (key + bias) & guard is 0; a map is filtered in one pass.
+A cap below 0 would carry past its field, so it is refused.
 
 Subtrees are reused by memoising that function, the bounded-width dynamic
 programme of Diaz-Serna-Thilikos (counting H-colourings of partial
@@ -81,7 +85,7 @@ vertices costs nothing to refuse). Before colouring anything,
 ``profile_map`` counts n^|C| colourings plus one factor per isolated
 vertex, and bounds the profile entries that summing the independent set
 out touches per colouring (a star has one cover vertex but its leaves
-carry a map that grows with their number unless no cell is tracked);
+carry a map that grows with their number unless the key has no field);
 when either exceeds the limit it raises ``SizeGuardError`` with the
 estimate in the message:
 ``enumeration guard: 3^9 = 19683 colourings > 10000``. The estimate prices
@@ -152,16 +156,18 @@ class SymbolicTemplate:
         return tuple(sorted({_symbol(c) for c in self.cells} - {None}))
 
     def substitute(self, assignment: dict) -> SymRationalMatrix:
-        """Replace every symbol by a rational value (templates of plain
-        symbol cells only)."""
+        """Replace every symbol by a rational value x: a symbol cell becomes
+        x, an ``Affine`` cell const + slope * x."""
         tri = []
         for c in self.cells:
-            if isinstance(c, str):
-                if c not in assignment:
-                    raise UsageError(f"no value for symbol {c!r}")
-                tri.append(Fraction(assignment[c]))
-            else:
+            name = _symbol(c)
+            if name is None:
                 tri.append(c)
+                continue
+            if name not in assignment:
+                raise UsageError(f"no value for symbol {name!r}")
+            x = Fraction(assignment[name])
+            tri.append(Fraction(c.const) + c.slope * x if isinstance(c, Affine) else x)
         return SymRationalMatrix(self.n, tuple(tri))
 
 
@@ -176,7 +182,7 @@ class ProfileMap(NamedTuple):
     """Packed edge-multiplicity profiles with assignment counts (a named
     tuple: cheaper to define at import than a frozen dataclass)."""
 
-    tracked: tuple[tuple[int, ...], ...]  # the cells of each field, in key order
+    fields: int  # fields of the key, field f in bits f * width on
     width: int
     counts: dict  # packed key -> summed weight of its maps (unweighted: their number)
     visited: int  # partial cover colourings tried; a reused subtree counts once
@@ -204,54 +210,37 @@ def _options(terms, rows, x, off, guard):
     return {k: v for k, v in terms.items() if v}
 
 
-def _steps(g: Graph, n: int, tracked, caps, weights):
-    """The per-colour-pair steps of ``profile_map``'s search over the fields
-    ``tracked``: (field width, step, split, capmask, bias, guard). ``step``
-    is None where the cell kills a map, else the key increment and weight
-    of one edge landing there; an affine cell with both options steps by
-    (0, 1) and keeps them, (increment, constant's weight, slope's weight),
-    in ``split``, which is None without one."""
-    ncells = n * (n + 1) // 2
-    weight = [(weights or {}).get(cell, 1) for cell in range(ncells)]
-    field = {cell: t for t, cells in enumerate(tracked) for cell in cells}
-    binding = {}  # field -> cap, for fields with a binding cap
-    for cell, cap in (caps or {}).items():
-        if cap <= 0:
-            t = field.get(cell)
-            for c in (cell,) if t is None else tracked[t]:
-                weight[c] = (weight[c][0], 0) if isinstance(weight[c], tuple) else 0
-        elif cap < g.edge_count:
-            if cell not in field:
-                raise UsageError("capped cell must be tracked")
-            t = field[cell]
-            binding[t] = min(cap, binding.get(t, cap))
+def _steps(g: Graph, n: int, cells, caps):
+    """The per-colour-pair steps of ``profile_map``'s search: (field width,
+    step, split, capmask, bias, guard). ``step`` is None where the cell
+    kills a map, else the key increment and weight of one edge landing
+    there; a cell with both a constant and a slope steps by (0, 1) and
+    keeps its two options, (increment, constant, slope), in ``split``,
+    which is None without one. An int cell is the constant alone."""
+    binding = {f: cap for f, cap in caps.items() if cap < g.edge_count}
     # a field counts up to e(H) < 2^bits edges; with a binding cap every
     # field gets a spare top bit, and a capped field's bias 2^bits - 1 - cap
     # carries into it exactly when the field passes its cap, so
     # (key + bias) & guard tests every cap at once and never carries out
     bits = max(3, g.edge_count.bit_length())
     width = bits + 1 if binding else bits
-    incs = [0] * ncells
-    for cell, t in field.items():
-        incs[cell] = 1 << (t * width)
     capmask = bias = guard = 0  # the fields are disjoint
-    for t, cap in binding.items():
-        shift = t * width
+    for f, cap in binding.items():
+        shift = f * width
         capmask |= ((1 << bits) - 1) << shift
         bias |= ((1 << bits) - 1 - cap) << shift
         guard |= 1 << (shift + bits)
-    edge, options = [], [None] * ncells
-    for c, w in enumerate(weight):
-        if isinstance(w, tuple):
-            stay, w = w
-            if stay and w:
-                edge.append((0, 1))
-                options[c] = (incs[c], stay, w)
-                continue
-            if not w:  # only the constant's option
-                edge.append((0, stay) if stay else None)
-                continue
-        edge.append((incs[c], w) if w else None)
+    edge, options = [], []
+    for cell in cells:
+        f, const, slope = cell if isinstance(cell, tuple) else (0, cell, 0)
+        inc = 1 << (f * width)
+        options.append((inc, const, slope) if const and slope else None)
+        if const and slope:
+            edge.append((0, 1))
+        elif slope:
+            edge.append((inc, slope))
+        else:
+            edge.append((0, const) if const else None)
     step = [[edge[pair_index(a, b, n)] for b in range(n)] for a in range(n)]
     split = None
     if any(options):
@@ -260,29 +249,24 @@ def _steps(g: Graph, n: int, tracked, caps, weights):
     return width, step, split, capmask, bias, guard
 
 
-def profile_map(
-    g: Graph,
-    n: int,
-    tracked_cells,
-    caps: dict[int, int] | None = None,
-    weights: dict | None = None,
-) -> ProfileMap:
-    """Sum the weights of the maps per profile over the tracked fields.
+def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
+    """Sum the weights of the maps per profile, the edges on each field.
 
-    Each item of ``tracked_cells`` is one field of the key: a cell, or a
-    tuple of cells whose edges add into one field. A map weighs the product
-    of ``weights[cell]`` (default 1) over its edges; weight 0 kills it. A
-    tracked cell whose weight is a pair (a, v) is affine: an edge there
-    either leaves the key unchanged and weighs a, or takes the field's
-    increment and weighs v. ``caps`` bounds the total of the field a cell
-    lies in (maps beyond a cap are dropped); capped cells must be tracked
-    unless their cap is 0, which leaves a cell only its constant option.
-    Refuses with ``SizeGuardError`` before colouring when n^|C| + (isolated
-    vertices), or the profile entries summing the independent set out
-    touches per colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is
-    priced as at least 2 colours, which also bounds the depth of the search
-    at n = 1.
+    ``cells[i]``, in ``pair_index`` order, is what an edge on cell i brings:
+    an int weight, 0 killing the map, or a triple (field, const, slope), the
+    cell const + slope * s_field, whose edge either leaves the key unchanged
+    and weighs const or adds one to the field and weighs slope (a plain
+    symbol is (field, 0, 1)). A map weighs the product over its edges, and
+    field f of its key, bits f * width on, counts its slope options there.
+    ``caps`` maps a field to the most it may count: maps beyond a cap are
+    dropped, and a cap below 0 is a ``UsageError``. Refuses with
+    ``SizeGuardError`` before colouring when n^|C| + (isolated vertices),
+    or the profile entries summing the independent set out touches per
+    colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is priced as
+    at least 2 colours, which also bounds the depth of the search at n = 1.
     """
+    if any(cap < 0 for cap in caps.values()):
+        raise UsageError("a field's cap must be at least 0")
     back, closing, isolated = _cover_plan(g)
     depth = len(back)
     priced = max(n, 2) ** depth
@@ -295,13 +279,13 @@ def profile_map(
             what = f"{n}^{depth}{value} colourings"
         extra = f" + {isolated} isolated vertices" if isolated else ""
         raise SizeGuardError(f"enumeration guard: {what}{extra} > {ENUMERATION_GUARD}")
-    tracked = tuple(sorted(f if isinstance(f, tuple) else (f,) for f in tracked_cells))
-    if _summing_entries(closing, n, len(tracked)) > ENUMERATION_GUARD:
+    fields = max((c[0] + 1 for c in cells if isinstance(c, tuple)), default=0)
+    if _summing_entries(closing, n, fields) > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"enumeration guard: summing out the independent set touches"
             f" > {ENUMERATION_GUARD} profile entries per colouring"
         )
-    width, step, split, capmask, bias, guard = _steps(g, n, tracked, caps, weights)
+    width, step, split, capmask, bias, guard = _steps(g, n, cells, caps)
 
     # a memoised subtree keeps one result per (capped fields of base,
     # multisets of colours its later vertices read) for the whole call; a
@@ -437,7 +421,7 @@ def profile_map(
     if isolated:
         factor = n**isolated
         counts = {k: c * factor for k, c in counts.items()}
-    return ProfileMap(tracked, width, counts, visited, summed)
+    return ProfileMap(fields, width, counts, visited, summed)
 
 
 def symbolic_profile(
@@ -450,52 +434,41 @@ def symbolic_profile(
     cells kept as variables. Substituting rationals for the symbols and
     evaluating gives ``weighted_hom_count`` of the substituted matrix.
 
-    The one place a profile map becomes power products. Only symbol cells
-    are tracked, one field per symbol: the edges on every cell of a symbol
-    add into its field, so the field is the symbol's exponent, and a symbol
-    in ``symbol_caps`` drops every map whose exponent of it passes its cap.
-    A constant cell b/L, L the lcm of the denominators of the constants (an
-    ``Affine`` cell's included), is the integer weight b (a 1-cell weighs
-    L, weight-1 cells are left out), and an ``Affine`` cell a + v s has two
-    options per edge, the weight aL with no key or the weight v with s's
-    increment. So a count carries L once per edge off the symbols: counts
-    are scaled by L^degree to numerators over the polynomial's one
-    denominator L^e(H).
+    The one place a profile map becomes power products, and the one writer
+    of ``profile_map``'s cell encoding. Field f is ``t.symbols[f]``: a
+    symbol cell is (f, 0, 1), the edges on every cell of a symbol add into
+    its field, so a key's fields are the exponent vector in order, and a
+    symbol in ``symbol_caps`` caps its field, dropping every map whose
+    exponent of it passes the cap (caps of symbols not in the template are
+    ignored). A constant cell b/L, L the lcm of the denominators of the
+    constants (an ``Affine`` cell's included), is the int weight b (a 1-cell
+    weighs L), and an ``Affine`` cell a + v s is (f, aL, v): the weight aL
+    with no increment or the weight v with s's. So a count carries L once
+    per edge off the symbols: counts are scaled by L^degree to numerators
+    over the polynomial's one denominator L^e(H).
     """
-    caps = symbol_caps or {}
+    symbols = t.symbols
+    field = {name: f for f, name in enumerate(symbols)}
     consts = [c.const if isinstance(c, Affine) else c for c in t.cells]
     scale = lcm(*(c.denominator for c in consts if not isinstance(c, str)))
-    fields: dict[str, list] = {}  # symbol -> its cells
-    cell_caps = {}
-    weights = {}
-    for idx, c in enumerate(t.cells):
-        name = _symbol(c)
-        if name is not None:
-            fields.setdefault(name, []).append(idx)
-            if name in caps:
-                cell_caps[idx] = caps[name]
+    cells = []
+    for c, a in zip(t.cells, consts):
         if isinstance(c, str):
+            cells.append((field[c], 0, 1))
             continue
-        b = consts[idx].numerator * (scale // consts[idx].denominator)
-        if isinstance(c, Affine):
-            weights[idx] = (b, c.slope)
-        elif b != 1:
-            weights[idx] = b
-    tracked = [cells[0] if len(cells) == 1 else tuple(cells) for cells in fields.values()]
-    pm = profile_map(g, t.n, tracked, cell_caps, weights)
-    symbols = t.symbols
-    axes = [symbols.index(_symbol(t.cells[cells[0]])) for cells in pm.tracked]
+        b = a.numerator * (scale // a.denominator)
+        cells.append((field[c.symbol], b, c.slope) if isinstance(c, Affine) else b)
+    caps = {field[name]: cap for name, cap in (symbol_caps or {}).items() if name in field}
+    pm = profile_map(g, t.n, cells, caps)
     mask = (1 << pm.width) - 1
-    shifts = [i * pm.width for i in range(len(axes))]
+    shifts = [f * pm.width for f in range(pm.fields)]
     # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
     scale_pow = [scale**e for e in range(g.edge_count + 1)]
     terms = {}
     for key, cnt in pm.counts.items():
         if cnt:
-            exp = [0] * len(symbols)
-            for ax, shift in zip(axes, shifts):
-                exp[ax] = (key >> shift) & mask
-            terms[tuple(exp)] = cnt * scale_pow[sum(exp)]
+            exp = tuple([(key >> shift) & mask for shift in shifts])
+            terms[exp] = cnt * scale_pow[sum(exp)]
     return SparsePoly(symbols, terms, scale_pow[-1])
 
 

@@ -53,7 +53,7 @@ def _cover_plan(g: Graph):
     return back, closing, g.n - len(adj)
 
 
-def _summing_entries(closing, n: int, tracked: int) -> int:
+def _summing_entries(closing, n: int, fields: int) -> int:
     """Profile entries that summing the independent set out touches per
     cover colouring, estimated in cover order and counted only until it
     passes ``ENUMERATION_GUARD``.
@@ -63,15 +63,14 @@ def _summing_entries(closing, n: int, tracked: int) -> int:
     over the vertices summed so far holds at most one key per multiset of
     colours of the vertices sharing a neighbourhood, that is
     prod C(j + n - 1, j) over neighbourhoods shared by j of them, and at
-    most C(e + T, T) keys, the vectors of e edges spread over T tracked
-    fields.
+    most C(e + F, F) keys, the vectors of e edges spread over F fields.
     """
     entries = edges = 0
     multisets = 1
     shared: dict[tuple, int] = {}
     for group in closing:
         for nbrs in group:
-            entries += n * min(multisets, comb(edges + tracked, tracked))
+            entries += n * min(multisets, comb(edges + fields, fields))
             if entries > ENUMERATION_GUARD:
                 return entries
             j = shared.get(nbrs, 0)

@@ -2,13 +2,16 @@
 
 The brute-force helpers enumerate assignments or subsets directly with
 itertools and exact Fractions, independent of the library's engine;
-``brute_hessian`` is the independent Hessian oracle, and
-``brute_count_polynomial`` multiplies out each map's cells (constants,
-symbols and affine cells a + v s) and caps a symbol's total degree over
-all of its cells, the rule the library's one field per symbol follows. The other two Hessian
-cross-checks route through the library (a symbolic profile in every cell
-differentiated formally, or finite differences of plain counts), so they
-share its count-polynomial builder with ``hessian_matrix``.
+``brute_hessian`` is the independent Hessian oracle. ``brute_profile_map``
+reads the engine's cell encoding (an int weight, or a (field, const,
+slope) triple per cell, caps per field) and multiplies out each map's
+cells; ``brute_count_polynomial`` does the same for a template's cells
+(constants, symbols and affine cells a + v s) and caps a symbol's total
+degree over all of its cells, the rule the library's one field per symbol
+follows. The other two Hessian cross-checks route through the library (a
+symbolic profile in every cell differentiated formally, or finite
+differences of plain counts), so they share its count-polynomial builder
+with ``hessian_matrix``.
 ``formal_hessian`` differentiates a polynomial's terms twice and sums them
 at a point, the reference for ``SparsePoly.hessian``; ``path_graph``,
 ``sparse_poly``, ``relabel`` and ``permuted`` build the inputs the tests
@@ -22,7 +25,7 @@ map, such as ``blowup_to_cartesian``'s.
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 from graphnorms import Graph, SparsePoly, SymRationalMatrix
@@ -43,36 +46,52 @@ def brute_hom_count(g: Graph, rows) -> Fraction:
     return total
 
 
-def brute_profile_map(g: Graph, n: int, tracked, caps=None, weights=None) -> dict:
+def brute_profile_map(g: Graph, n: int, cells, caps) -> dict:
     """{profile: summed weight of the maps} over all n^v(H) vertex maps, naively.
 
-    A profile lists, for each tracked cell in ascending cell order, how many
-    edges land on it. Cells are the unordered pairs {i, j} of [n], numbered
-    row by row through the upper triangle. A map weighs the product of
-    ``weights[cell]`` (1 where absent) over its edges, so without weights
-    the sums are numbers of maps. A map with more edges on a cell than
-    ``caps`` allows for it is left out (a cap of 0 forbids the cell).
-    Profiles whose weights sum to 0 are dropped.
+    ``cells`` lists what an edge brings on each unordered pair {i, j} of
+    [n], row by row through the upper triangle: an int weight, or a triple
+    (field, const, slope) for the cell const + slope * s_field. Each map
+    counts the edges on every cell and multiplies out (const + slope *
+    s_field)^m for a cell holding m of them by the binomial theorem; a
+    profile is the exponent vector over the fields 0, 1, ... up to the
+    highest named. Terms whose exponent of a field passes ``caps[field]``
+    are left out (a cap below 0 leaves out every term), and profiles whose
+    weights sum to 0 are dropped.
     """
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
     number = {}
-    for idx, (i, j) in enumerate(cells):
+    for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
         number[(i, j)] = number[(j, i)] = idx
-    caps = dict(caps or {})
-    weights = dict(weights or {})
-    tracked = sorted(tracked)
+    fields = max((c[0] + 1 for c in cells if isinstance(c, tuple)), default=0)
+    bound = [caps.get(f, g.edge_count) for f in range(fields)]
+    powers = {}  # (cell, m) -> [(field, k, coefficient of s_field^k)]
+
+    def power(idx, m):
+        """(const + slope * s_f)^m for cell idx, by the binomial theorem."""
+        c = cells[idx]
+        f, const, slope = c if isinstance(c, tuple) else (0, c, 0)
+        terms = [(f, k, comb(m, k) * const ** (m - k) * slope**k) for k in range(m + 1)]
+        return [t for t in terms if t[2]]
+
     out = {}
     for phi in product(range(n), repeat=g.n):
         mult = [0] * len(cells)
         for (u, v) in g.edges:
             mult[number[(phi[u], phi[v])]] += 1
-        if any(mult[c] > cap for c, cap in caps.items()):
-            continue
-        w = 1
-        for c, m in enumerate(mult):
-            w *= weights.get(c, 1) ** m
-        profile = tuple(mult[c] for c in tracked)
-        out[profile] = out.get(profile, 0) + w
+        poly = {(0,) * fields: 1}
+        for idx, m in enumerate(mult):
+            if m and poly:
+                if (idx, m) not in powers:
+                    powers[idx, m] = power(idx, m)
+                step = {}
+                for mono, w in poly.items():
+                    for f, k, term in powers[idx, m]:
+                        up = mono[:f] + (mono[f] + k,) + mono[f + 1:] if k else mono
+                        step[up] = step.get(up, 0) + w * term
+                poly = step
+        for mono, w in poly.items():
+            if all(e <= b for e, b in zip(mono, bound)):
+                out[mono] = out.get(mono, 0) + w
     return {profile: w for profile, w in out.items() if w}
 
 

@@ -314,9 +314,10 @@ def test_search_enumerates_once_per_search(monkeypatch):
         for _, a in _trial_matrices(3, "weakly_norming", 11, 40)
     }
     assert len(patterns) == 19
-    # one uncapped, unweighted enumeration with every cell tracked, read 19 ways
+    # one uncapped enumeration with every cell a plain symbol, field f on
+    # cell f, read 19 ways
     assert len(calls) == 1
-    assert calls[0][1:] == (3, [0, 1, 2, 3, 4, 5], {}, {})
+    assert calls[0][1:] == (3, [(f, 0, 1) for f in range(6)], {})
     assert random_witness_search(g, 3, 0, "weakly_norming", seed=11) is None
     assert len(calls) == 1
 

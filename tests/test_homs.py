@@ -217,13 +217,14 @@ def test_symbolic_profile_boundary_coefficients():
 @settings(max_examples=25, deadline=None)
 def test_profile_evaluation_matches_count(seed, n_vertices):
     g = random_graph(seed, n_vertices)
-    t = SymbolicTemplate.from_rows(
-        [["a", 1, "b"], [1, 0, "a"], ["b", "a", Fraction(1, 2)]]
-    )
+    # the last cell is the affine 1/2 + 3 s
+    cells = ("a", Fraction(1), "b", Fraction(0), "a", Affine(Fraction(1, 2), 3, "s"))
+    t = SymbolicTemplate(3, cells)
     rng = _random.Random(seed)
     point = {
         "a": Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
         "b": Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        "s": Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
     }
     profile = symbolic_profile(g, t)
     value = evaluate_terms(profile.symbols, rational_terms(profile), point)
@@ -272,14 +273,19 @@ def test_all_ones_counts_everything(n_vertices, n):
 
 
 def _profiles(pm):
-    """{profile: count} with each packed key cut into its per-cell fields;
-    a profile whose signed weights cancel is left out."""
+    """{profile: count} with each packed key cut into its fields; a profile
+    whose signed weights cancel is left out."""
     mask = (1 << pm.width) - 1
     return {
-        tuple((key >> (t * pm.width)) & mask for t in range(len(pm.tracked))): count
+        tuple((key >> (f * pm.width)) & mask for f in range(pm.fields)): count
         for key, count in pm.counts.items()
         if count
     }
+
+
+def _plain(ncells):
+    """Every cell a plain symbol of its own: field f on cell f."""
+    return [(f, 0, 1) for f in range(ncells)]
 
 
 def test_profile_map_matches_brute_force_on_random_cases():
@@ -293,29 +299,85 @@ def test_profile_map_matches_brute_force_on_random_cases():
         ]
         g = Graph.from_edges(nv, edges)
         ncells = n * (n + 1) // 2
-        tracked, caps, weights = [], {}, {}
-        for cell in range(ncells):
+        cells, caps = [], {}
+        for _ in range(ncells):
+            field = sum(isinstance(c, tuple) for c in cells)
             kind = rng.choice(("tracked", "capped", "zero", "one", "weighted"))
             if kind == "zero":
-                # a dead cell, untracked: cap 0 or weight 0
+                # a dead cell: a plain field capped at 0, or weight 0
                 if rng.random() < 0.5:
-                    caps[cell] = 0
+                    cells.append((field, 0, 1))
+                    caps[field] = 0
                 else:
-                    weights[cell] = 0
+                    cells.append(0)
             elif kind == "capped":
-                tracked.append(cell)
-                caps[cell] = rng.randint(0, 3)
+                cells.append((field, 0, 1))
+                caps[field] = rng.randint(0, 3)
             elif kind == "tracked":
-                tracked.append(cell)
+                cells.append((field, 0, 1))
             elif kind == "weighted":
-                # an untracked constant cell, now and then also a tracked one
-                weights[cell] = rng.choice((-3, -1, 2, 5, 12))
-                if rng.random() < 0.25:
-                    tracked.append(cell)
-            # "one": an untracked weight-1 cell, free to take any edges
-        got = _profiles(profile_map(g, n, tracked, caps, weights))
-        want = brute_profile_map(g, n, tracked, caps, weights)
-        assert got == want, (case, g, n, tracked, caps, weights)
+                # a constant cell, now and then a field with that slope
+                w = rng.choice((-3, -1, 2, 5, 12))
+                cells.append((field, 0, w) if rng.random() < 0.25 else w)
+            else:  # a weight-1 cell, free to take any edges
+                cells.append(1)
+        got = _profiles(profile_map(g, n, cells, caps))
+        want = brute_profile_map(g, n, cells, caps)
+        assert got == want, (case, g, n, cells, caps)
+
+
+def test_affine_and_shared_fields_match_brute_force():
+    # cells const + slope * s_f beside plain symbols, weighted symbols and
+    # constants, with a few fields each shared by cells of different
+    # constants and slopes; caps of 0 on plain and on affine fields leave
+    # only the constant options, and signed weights may cancel
+    rng = _random.Random(20191025)
+    seen = {"cap 0 on a plain field": 0, "cap 0 on an affine field": 0,
+            "shared by unlike cells": 0, "both options": 0}
+    for case in range(60):
+        n = rng.randint(1, 3)
+        g = random_graph(rng.randrange(10**6), rng.randint(1, 7), rng.choice((0.4, 0.7, 0.95)))
+        nfields = rng.randint(1, 3)
+        cells = []
+        for _ in range(n * (n + 1) // 2):
+            kind = rng.random()
+            if kind < 0.5:
+                cells.append((rng.randrange(nfields), rng.choice((0, 1, -1, 3)),
+                              rng.choice((0, 1, -2, 3))))
+            elif kind < 0.7:
+                cells.append((rng.randrange(nfields), 0, 1))
+            else:
+                cells.append(rng.choice((0, 1, -1, 2, 5)))
+        caps = {f: rng.choice((0, 0, 1, 2, 3)) for f in range(nfields) if rng.random() < 0.5}
+        got = _profiles(profile_map(g, n, cells, caps))
+        assert got == brute_profile_map(g, n, cells, caps), (case, g, n, cells, caps)
+        triples = [c for c in cells if isinstance(c, tuple)]
+        for f, cap in caps.items():
+            on = {c[1:] for c in triples if c[0] == f}
+            if cap == 0 and (0, 1) in on:
+                seen["cap 0 on a plain field"] += 1
+            if cap == 0 and any(a and v for a, v in on):
+                seen["cap 0 on an affine field"] += 1
+        seen["shared by unlike cells"] += any(
+            len({c[1:] for c in triples if c[0] == f}) > 1 for f in range(nfields)
+        )
+        seen["both options"] += any(a and v for _, a, v in triples)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_negative_caps_are_refused():
+    # both oracles drop every term under a cap below 0; the engine refuses
+    # it where every cap enters, before a negative bias could carry into
+    # the next field
+    g = cycle_graph(4)
+    assert brute_profile_map(g, 2, [(0, 0, 1), 1, 1], {0: -1}) == {}
+    with pytest.raises(UsageError):
+        profile_map(g, 2, [(0, 0, 1), 1, 1], {0: -1})
+    with pytest.raises(UsageError):
+        profile_map(g, 2, [(0, 0, 1), (1, 1, 2), 1], {0: 2, 1: -3})
+    assert brute_count_polynomial(g, ("x", 1, 1), {"x": -1}) == {}
+    with pytest.raises(UsageError):
+        symbolic_profile(g, SymbolicTemplate.from_rows([["x", 1], [1, 1]]), {"x": -1})
 
 
 @pytest.mark.parametrize(
@@ -325,10 +387,11 @@ def test_profile_map_matches_brute_force_on_random_cases():
     ids=[f"bowtie{k}" for k in (3, 4, 5, 6)] + [f"kpm{m}" for m in (3, 4, 5)],
 )
 def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
-    # every cell tracked, as verification enumerates; the kpm witness has two
-    # zero cells, capped at the two copies a second derivative can remove
-    got = _profiles(profile_map(g, 3, range(6), caps))
-    assert got == brute_profile_map(g, 3, range(6), caps)
+    # every cell a plain symbol, as verification enumerates; the kpm witness
+    # has two zero cells, capped at the two copies a second derivative can
+    # remove
+    got = _profiles(profile_map(g, 3, _plain(6), caps))
+    assert got == brute_profile_map(g, 3, _plain(6), caps)
 
 
 def _per_cell_capped(g, cells, caps):
@@ -447,17 +510,16 @@ def _full_tree(g, n):
 def test_reused_subtrees_match_brute_force(g, n, caps):
     # each case has a cover position whose subtree reads only part of the
     # prefix, or reads two prefix positions alike, so its result is reused;
-    # binding caps and weight-0 cells change what a reused subtree may hold,
-    # and caps are part of its key
-    cells = range(n * (n + 1) // 2)
-    pm = profile_map(g, n, cells)
+    # binding caps and fields capped at 0 change what a reused subtree may
+    # hold, and caps are part of its key
+    cells = _plain(n * (n + 1) // 2)
+    pm = profile_map(g, n, cells, {})
     assert pm.visited < _full_tree(g, n)
-    assert _profiles(pm) == brute_profile_map(g, n, cells)
+    assert _profiles(pm) == brute_profile_map(g, n, cells, {})
     for cap in caps:
-        tracked = [c for c in cells if cap.get(c) != 0]
-        expected = brute_profile_map(g, n, tracked, cap)
-        assert expected != brute_profile_map(g, n, tracked)  # the caps bind
-        assert _profiles(profile_map(g, n, tracked, cap)) == expected
+        expected = brute_profile_map(g, n, cells, cap)
+        assert expected != brute_profile_map(g, n, cells, {})  # the caps bind
+        assert _profiles(profile_map(g, n, cells, cap)) == expected
 
 
 @pytest.mark.parametrize(
@@ -481,22 +543,22 @@ def test_interchangeable_vertices_match_brute_force(g, visited):
     # independent vertices closing on the same neighbours are interchangeable,
     # so a memo key compares their colour multisets as one sorted multiset;
     # binding caps (in the key as base's capped fields), signed weights that
-    # cancel and weight-0 cells change what a memoised map may hold. K_{2,5}
-    # has two cover positions, too few to swap, so it keeps no table and
-    # tries the whole tree; the others reuse
-    n, cells = 3, range(6)
-    pm = profile_map(g, n, cells)
+    # cancel, weight-0 cells and a field capped at 0 change what a memoised
+    # map may hold. K_{2,5} has two cover positions, too few to swap, so it
+    # keeps no table and tries the whole tree; the others reuse
+    n = 3
+    pm = profile_map(g, n, _plain(6), {})
     assert pm.visited == visited
     assert (visited < _full_tree(g, n)) == (len(_cover_plan(g)[0]) > 2)
-    assert _profiles(pm) == brute_profile_map(g, n, cells)
-    for caps, weights, tracked in (
+    assert _profiles(pm) == brute_profile_map(g, n, _plain(6), {})
+    for cells, caps in (
         # a vertex next to colour 0 weighs 1 - 1 + 0: its own sum cancels
-        ({3: 1, 4: 2}, {1: -1, 2: 0, 5: 3}, [3, 4]),
-        ({1: 0, 4: 3}, {0: -2, 2: 2, 3: -1}, [2, 4]),
+        ([1, -1, 0, (0, 0, 1), (1, 0, 1), 3], {0: 1, 1: 2}),
+        ([-2, (0, 0, 1), (1, 0, 2), -1, (2, 0, 1), 1], {0: 0, 2: 3}),
     ):
-        expected = brute_profile_map(g, n, tracked, caps, weights)
-        assert expected != brute_profile_map(g, n, tracked, {}, weights)  # the caps bind
-        assert _profiles(profile_map(g, n, tracked, caps, weights)) == expected
+        expected = brute_profile_map(g, n, cells, caps)
+        assert expected != brute_profile_map(g, n, cells, {})  # the caps bind
+        assert _profiles(profile_map(g, n, cells, caps)) == expected
 
 
 def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
@@ -541,11 +603,11 @@ def test_visited_counts_pin_reuse(monkeypatch):
         assert verify_certificate(cert)
         assert len(seen) == 2 and max(seen) <= bound
     kpm = kpm_graph(7)
-    assert profile_map(kpm, 3, range(6)).visited == 252 < _full_tree(kpm, 3) == 3279
+    assert profile_map(kpm, 3, _plain(6), {}).visited == 252 < _full_tree(kpm, 3) == 3279
     for m, visited in zip(range(3, 8), (30, 60, 105, 168, 252)):
-        assert profile_map(kpm_graph(m), 3, range(6)).visited == visited
+        assert profile_map(kpm_graph(m), 3, _plain(6), {}).visited == visited
     for k, visited in zip(range(3, 9), (30, 60, 363, 474, 708, 951)):
-        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).visited == visited
+        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, _plain(6), {}).visited == visited
 
 
 def test_summed_counts_pin_side_reuse():
@@ -554,9 +616,9 @@ def test_summed_counts_pin_side_reuse():
     # both read the 10 triples of 3 colours, and K_{m,m} minus a matching
     # the multisets of m - 1 colours
     for k in (5, 7):
-        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, range(6)).summed == 10
+        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, _plain(6), {}).summed == 10
     for m, summed in ((5, 15), (7, 28)):
-        assert profile_map(kpm_graph(m), 3, range(6)).summed == summed
+        assert profile_map(kpm_graph(m), 3, _plain(6), {}).summed == summed
 
 
 def test_shared_side_maps_match_brute_force():
@@ -573,33 +635,33 @@ def test_shared_side_maps_match_brute_force():
     back, closing, _ = _cover_plan(g)
     assert back == [(), (0,), (0, 1)]
     assert closing == [[(0,)], [(0, 1)], [(1, 2), (0, 2), (0, 1, 2)]]
-    n, cells = 3, range(6)
-    pm = profile_map(g, n, cells)
-    assert _profiles(pm) == brute_profile_map(g, n, cells)
+    n, cells = 3, _plain(6)
+    pm = profile_map(g, n, cells, {})
+    assert _profiles(pm) == brute_profile_map(g, n, cells, {})
     assert pm.summed == 3 + 6 + 10  # every multiset of 1, 2 and 3 colours, once
     # cells 0, 1, 2 are {0, 0}, {0, 1}, {0, 2}: the pendant next to colour 0,
-    # its cells untracked, weighs 1 - 1 + 0 and its sum cancels
-    cancel = {1: -1, 2: 0}
-    assert sum(cancel.get(cell, 1) for cell in (0, 1, 2)) == 0
-    for tracked, caps, weights in (
+    # its cells constants, weighs 1 - 1 + 0 and its sum cancels
+    cancel = [1, -1, 0]
+    assert sum(cancel) == 0
+    for weighted, caps in (
         # binding caps on a back-edge cell and an independent vertex's cell
-        (cells, {1: 1, 4: 2}, {}),
-        # tracked back edges on weighted cells: shifted and scaled
-        ([0, 1, 3, 5], {}, {1: 2, 2: -3, 3: 5}),
-        # untracked back edges on weighted cells: scaled only
-        ([5], {}, {0: -1, 1: 2, 2: 3, 3: 2, 4: -2}),
-        ([3, 4, 5], {4: 2}, cancel),
+        (cells, {1: 1, 4: 2}),
+        # back edges on fields with slopes: shifted and scaled
+        ([(0, 0, 1), (1, 0, 2), -3, (2, 0, 5), 1, (3, 0, 1)], {}),
+        # back edges on constant cells: scaled only
+        ([-1, 2, 3, 2, -2, (0, 0, 1)], {}),
+        (cancel + [(0, 0, 1), (1, 0, 1), (2, 0, 1)], {1: 2}),
     ):
-        expected = brute_profile_map(g, n, tracked, caps, weights)
-        assert _profiles(profile_map(g, n, tracked, caps, weights)) == expected
-    assert brute_profile_map(g, n, cells, {1: 1, 4: 2}) != brute_profile_map(g, n, cells)
+        expected = brute_profile_map(g, n, weighted, caps)
+        assert _profiles(profile_map(g, n, weighted, caps)) == expected
+    assert brute_profile_map(g, n, cells, {1: 1, 4: 2}) != brute_profile_map(g, n, cells, {})
     # one colour: a single cell, and one side map per neighbourhood size
-    pm = profile_map(g, 1, [0])
-    assert _profiles(pm) == brute_profile_map(g, 1, [0]) == {(13,): 1}
+    pm = profile_map(g, 1, [(0, 0, 1)], {})
+    assert _profiles(pm) == brute_profile_map(g, 1, [(0, 0, 1)], {}) == {(13,): 1}
     assert pm.summed == 3
     for cap in (12, 13):
-        assert _profiles(profile_map(g, 1, [0], {0: cap})) == brute_profile_map(
-            g, 1, [0], {0: cap}
+        assert _profiles(profile_map(g, 1, [(0, 0, 1)], {0: cap})) == brute_profile_map(
+            g, 1, [(0, 0, 1)], {0: cap}
         )
 
 
@@ -614,11 +676,11 @@ def test_shared_side_maps_match_brute_force():
 )
 def test_memo_tables_stay_within_memory(g, mib):
     # every table lives for the whole call, so the largest inputs the limit
-    # admits, every cell tracked, hold the most; the bounds leave about 2x
+    # admits, every cell a field, hold the most; the bounds leave about 2x
     # headroom over the traced peak, so keeping more tables shows here
     tracemalloc.start()
     try:
-        profile_map(g, 3, range(6))
+        profile_map(g, 3, _plain(6), {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -633,7 +695,7 @@ def test_memo_tables_are_freed_at_return():
     gc.disable()
     tracemalloc.start()
     try:
-        profile_map(bowtie_blowup(cycle_graph(8)), 3, range(6))
+        profile_map(bowtie_blowup(cycle_graph(8)), 3, _plain(6), {})
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
