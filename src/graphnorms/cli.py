@@ -90,8 +90,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise UsageError(f"bad pair {chunk!r}: {exc}") from exc
-    if not pairs:
-        raise UsageError("empty pair selection")
     return pairs
 
 

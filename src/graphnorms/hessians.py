@@ -40,13 +40,15 @@ class HessianMatrix:
 
 def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
     """The pair selection (every pair when None) with i <= j, checked in
-    order: no pair twice, every pair in range, and its k^2 dense Hessian
-    entries within the work limit, a cost the engine's colouring estimate
-    cannot see."""
+    order: at least one pair, no pair twice, every pair in range, and its
+    k^2 dense Hessian entries within the work limit, a cost the engine's
+    colouring estimate cannot see."""
     if pairs is None:
         selected = pair_list(n)
     else:
         selected = [(min(i, j), max(i, j)) for (i, j) in pairs]
+        if not selected:
+            raise UsageError("empty pair selection")
         if len(set(selected)) != len(selected):
             raise UsageError("duplicate pair selection")
         for (i, j) in selected:

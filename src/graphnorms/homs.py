@@ -5,7 +5,8 @@ phi: V(H) -> [n] it records how many edges of H take a field's increment,
 and sums the maps' integer weights per profile. It reads one encoding per
 cell {i, j} of the target matrix: an int weight, or a triple (field,
 const, slope) for the cell const + slope * s_field, with caps per field.
-One builder, ``symbolic_profile``, writes a template in that encoding and
+One builder, ``symbolic_profile``, writes a template, whose cells are
+constants or ``Affine`` cells const + slope * s, in that encoding and
 turns the integer map into the count polynomial of H over the template (a
 ``SparsePoly`` in the template's symbols), and everything else reads it: a
 density is its constant term over a matrix without symbols, a Hessian
@@ -20,9 +21,9 @@ fields are the exponent vector in order; cells that share a symbol add
 into one field and a symbol's cap bounds its total degree. A constant cell
 b/L (L the lcm of the constant denominators) weighs b and is multiplied in
 as its edges land, as in Dechter's bucket elimination over a weighted
-semiring, a symbol cell is (field, 0, 1), and an edge on an affine cell
-(field, aL, v) takes one of two options, the constant's weight with the
-key unchanged or the slope's with the field's increment. The builder
+semiring, and an edge on an affine cell a + v s, (field, aL, v), takes
+one of two options, the constant's weight with the key unchanged or the
+slope's with the field's increment (a symbol s is 0 + 1 s). The builder
 keeps an integer numerator per exponent vector over the one denominator
 L^e(H), the Hessian read brings the point to the same footing, and each
 entry of its matrix becomes a ``Fraction`` once, at the end.
@@ -67,9 +68,11 @@ and weights multiply, so the subtree's map depends only on the multiset of
 colours each later vertex reads, and on the capped fields of its base;
 independent vertices with the same neighbours from p on are interchangeable,
 so their multisets are compared as one multiset. One rule places the
-tables: a position keeps one wherever its key can repeat, that is, where
-the later vertices miss a prefix position or two prefix positions are
-interchangeable, and every table lives for the whole call (and is freed at
+tables: a position keeps one where the later vertices miss a prefix
+position or swapping two prefix positions keeps every group's reads, so
+two prefix colourings share a key (where only a larger permutation keeps
+them, as at bowtie k = 5's position 4, keys repeat but no table is kept),
+and every table lives for the whole call (and is freed at
 its return, not left to the cyclic garbage collector). A cycle
 blow-up's later vertices read 4 positions, so bowtie k = 7 tries 708
 partial colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279,
@@ -104,7 +107,7 @@ from typing import NamedTuple
 
 from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
 from .graphs import Graph, is_bipartite, is_eulerian
-from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index
+from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index, symmetric_cells
 from .plans import _cover_plan, _memo_plan, _summing_entries
 from .polys import SparsePoly
 
@@ -119,63 +122,49 @@ class Affine(NamedTuple):
 
 @dataclass(frozen=True)
 class SymbolicTemplate:
-    """Symmetric n x n array whose cells are exact rationals, symbol names
-    or ``Affine`` cells.
+    """Symmetric n x n array whose cells are ``Fraction``s or ``Affine``
+    cells; made from a symbol name, a cell is ``Affine(0, 1, name)``.
 
     Diagonal cells are loop weights. Distinct cells may share a symbol; the
     symbol's exponent then accumulates across those cells.
     """
 
     n: int
-    cells: tuple  # Fraction | str | Affine per unordered pair, pair_index order
+    cells: tuple  # Fraction | Affine per unordered pair, pair_index order
 
     def __post_init__(self):
         if len(self.cells) != self.n * (self.n + 1) // 2:
             raise UsageError("wrong template cell count")
+        object.__setattr__(self, "cells", tuple(map(_cell, self.cells)))
 
     @classmethod
     def from_rows(cls, rows) -> "SymbolicTemplate":
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise UsageError("template is not square")
-        norm = [
-            [x if isinstance(x, str) else Fraction(x) for x in row] for row in rows
-        ]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if norm[i][j] != norm[j][i]:
-                    raise UsageError(f"template not symmetric at ({i},{j})")
-        return cls(n, tuple(norm[i][j] for i in range(n) for j in range(i, n)))
-
-    @classmethod
-    def from_matrix(cls, a: SymRationalMatrix) -> "SymbolicTemplate":
-        return cls(a.n, a.tri)
+        return cls(*symmetric_cells(rows, _cell, "template"))
 
     @property
     def symbols(self) -> tuple[str, ...]:
-        return tuple(sorted({_symbol(c) for c in self.cells} - {None}))
+        return tuple(sorted({c.symbol for c in self.cells if isinstance(c, Affine)}))
 
     def substitute(self, assignment: dict) -> SymRationalMatrix:
-        """Replace every symbol by a rational value x: a symbol cell becomes
-        x, an ``Affine`` cell const + slope * x."""
+        """Replace every symbol by a rational value x: an ``Affine`` cell
+        becomes const + slope * x."""
         tri = []
         for c in self.cells:
-            name = _symbol(c)
-            if name is None:
-                tri.append(c)
-                continue
-            if name not in assignment:
-                raise UsageError(f"no value for symbol {name!r}")
-            x = Fraction(assignment[name])
-            tri.append(Fraction(c.const) + c.slope * x if isinstance(c, Affine) else x)
+            if isinstance(c, Affine):
+                if c.symbol not in assignment:
+                    raise UsageError(f"no value for symbol {c.symbol!r}")
+                c = c.const + c.slope * Fraction(assignment[c.symbol])
+            tri.append(c)
         return SymRationalMatrix(self.n, tuple(tri))
 
 
-def _symbol(cell) -> str | None:
-    """The symbol of a template cell, None for a constant."""
-    if isinstance(cell, str):
-        return cell
-    return cell.symbol if isinstance(cell, Affine) else None
+def _cell(x) -> Fraction | Affine:
+    """A template cell with a ``Fraction`` constant; a name is ``Affine(0, 1, name)``."""
+    if isinstance(x, str):
+        return Affine(Fraction(0), 1, x)
+    if isinstance(x, Affine):
+        return x._replace(const=Fraction(x.const))
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class ProfileMap(NamedTuple):
@@ -435,30 +424,31 @@ def symbolic_profile(
     evaluating gives ``weighted_hom_count`` of the substituted matrix.
 
     The one place a profile map becomes power products, and the one writer
-    of ``profile_map``'s cell encoding. Field f is ``t.symbols[f]``: a
-    symbol cell is (f, 0, 1), the edges on every cell of a symbol add into
-    its field, so a key's fields are the exponent vector in order, and a
-    symbol in ``symbol_caps`` caps its field, dropping every map whose
-    exponent of it passes the cap (caps of symbols not in the template are
-    ignored). A constant cell b/L, L the lcm of the denominators of the
-    constants (an ``Affine`` cell's included), is the int weight b (a 1-cell
-    weighs L), and an ``Affine`` cell a + v s is (f, aL, v): the weight aL
-    with no increment or the weight v with s's. So a count carries L once
-    per edge off the symbols: counts are scaled by L^degree to numerators
-    over the polynomial's one denominator L^e(H).
+    of ``profile_map``'s cell encoding. Field f is ``t.symbols[f]``: the
+    edges on every cell of a symbol add into its field, so a key's fields
+    are the exponent vector in order, and a symbol in ``symbol_caps`` caps
+    its field, dropping every map whose exponent of it passes the cap (a
+    cap on a symbol not in the template is a ``UsageError``). A constant
+    cell b/L, L the lcm of the denominators of the constants (an ``Affine``
+    cell's included), is the int weight b (a 1-cell weighs L), and an
+    ``Affine`` cell a + v s is (f, aL, v): the weight aL with no increment
+    or the weight v with s's. So a count carries L once per edge off the
+    symbols: counts are scaled by L^degree to numerators over the
+    polynomial's one denominator L^e(H).
     """
     symbols = t.symbols
     field = {name: f for f, name in enumerate(symbols)}
+    caps = {}
+    for name, cap in (symbol_caps or {}).items():
+        if name not in field:
+            raise UsageError(f"cap on {name!r}, which is no symbol of the template")
+        caps[field[name]] = cap
     consts = [c.const if isinstance(c, Affine) else c for c in t.cells]
-    scale = lcm(*(c.denominator for c in consts if not isinstance(c, str)))
+    scale = lcm(*(c.denominator for c in consts))
     cells = []
     for c, a in zip(t.cells, consts):
-        if isinstance(c, str):
-            cells.append((field[c], 0, 1))
-            continue
         b = a.numerator * (scale // a.denominator)
         cells.append((field[c.symbol], b, c.slope) if isinstance(c, Affine) else b)
-    caps = {field[name]: cap for name, cap in (symbol_caps or {}).items() if name in field}
     pm = profile_map(g, t.n, cells, caps)
     mask = (1 << pm.width) - 1
     shifts = [f * pm.width for f in range(pm.fields)]
@@ -478,8 +468,7 @@ def weighted_hom_count(g: Graph, a: SymRationalMatrix) -> Fraction:
     This is the homogeneous degree-e(H) evaluation without the n^{-v(H)}
     normalization; dividing by n^{v(H)} gives the density.
     """
-    t = SymbolicTemplate.from_matrix(a)
-    return symbolic_profile(g, t).coefficient_of()
+    return symbolic_profile(g, SymbolicTemplate(a.n, a.tri)).coefficient_of()
 
 
 def density(g: Graph, a: SymRationalMatrix) -> Fraction:

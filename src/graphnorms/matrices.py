@@ -30,6 +30,24 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def symmetric_cells(rows, read, what: str) -> tuple[int, tuple]:
+    """n and the cells in ``pair_index`` order of a square symmetric array,
+    each made by ``read``; a ragged or asymmetric ``what``, or a cell that
+    ``read`` cannot make, is a ``UsageError``."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise UsageError(f"{what} is not square")
+    try:
+        rows = [[read(x) for x in r] for r in rows]
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"bad {what} cell: {exc}") from exc
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise UsageError(f"{what} not symmetric at ({i},{j})")
+    return n, tuple(rows[i][j] for i in range(n) for j in range(i, n))
+
+
 @dataclass(frozen=True)
 class SymRationalMatrix:
     """n x n symmetric matrix of exact rationals (upper-triangle storage)."""
@@ -45,16 +63,7 @@ class SymRationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "SymRationalMatrix":
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise UsageError("matrix is not square")
-        rows = [[Fraction(x) for x in r] for r in rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise UsageError(f"matrix not symmetric at ({i},{j})")
-        tri = tuple(rows[i][j] for i in range(n) for j in range(i, n))
-        return cls(n, tri)
+        return cls(*symmetric_cells(rows, Fraction, "matrix"))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.tri[pair_index(i, j, self.n)]

@@ -89,11 +89,11 @@ def _memo_plan(back, closing):
     on the prefix only through the multiset of colours each later vertex
     reads. Independent vertices with the same neighbours in [p, depth) are
     interchangeable, so they form one group whose reads are compared as a
-    multiset; every other later vertex is a group of its own. A key can
-    repeat, and a table is kept, where the reads miss a prefix position or
-    where two prefix positions are interchangeable, that is, where swapping
-    them maps every group's reads onto themselves. Otherwise every prefix
-    colouring has its own key.
+    multiset; every other later vertex is a group of its own. A table is
+    kept where the reads miss a prefix position or two prefix positions are
+    interchangeable (swapping them maps every group's reads onto
+    themselves), so two prefix colourings share a key; where only a larger
+    permutation keeps the reads, keys repeat but no table is kept.
     """
     depth = len(back)
     plan = []

@@ -3,6 +3,7 @@ import random as _random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -380,6 +381,54 @@ def test_negative_caps_are_refused():
         symbolic_profile(g, SymbolicTemplate.from_rows([["x", 1], [1, 1]]), {"x": -1})
 
 
+def test_template_rows_take_affine_cells():
+    # from_rows reads an Affine cell as the constructor does, its constant
+    # made a Fraction, and the two templates give the same polynomial
+    rows = [[Affine(1, 2, "s"), "x"], ["x", Affine("1/3", -1, "s")]]
+    t = SymbolicTemplate.from_rows(rows)
+    built = SymbolicTemplate(2, (Affine(Fraction(1), 2, "s"), "x", Affine(Fraction(1, 3), -1, "s")))
+    assert t == built
+    assert [type(c.const) for c in t.cells if isinstance(c, Affine)] == [Fraction] * 3
+    g = bowtie_blowup(cycle_graph(4))
+    assert symbolic_profile(g, t) == symbolic_profile(g, built)
+    assert symbolic_profile(g, t, {"s": 2}) == symbolic_profile(g, built, {"s": 2})
+
+
+def test_symbol_names_are_affine_cells():
+    # a symbol name is the cell 0 + 1 * name from the moment the template
+    # is made, whichever way it is made
+    names = SymbolicTemplate.from_rows([[1, "y"], ["y", "x"]])
+    cells = SymbolicTemplate(2, (Fraction(1), Affine(0, 1, "y"), Affine(0, 1, "x")))
+    assert names == cells == SymbolicTemplate(2, (1, "y", "x"))
+    assert all(isinstance(c, (Fraction, Affine)) for c in names.cells)
+    g = bowtie_blowup(cycle_graph(5))
+    assert symbolic_profile(g, names, {"x": 2}) == symbolic_profile(g, cells, {"x": 2})
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[None]], [[1, object()], [object(), 1]], [[Affine(None, 1, "s")]], [[float("inf")]]],
+    ids=["none", "object", "affine-none", "inf"],
+)
+def test_junk_cells_are_usage_errors(rows):
+    # the one symmetric-array parser turns a cell it cannot read into a
+    # UsageError for matrices and templates alike
+    with pytest.raises(UsageError, match="bad template cell"):
+        SymbolicTemplate.from_rows(rows)
+    with pytest.raises(UsageError, match="bad matrix cell"):
+        SymRationalMatrix.from_rows(rows)
+
+
+def test_cap_on_a_symbol_not_in_the_template_is_refused():
+    # a misspelt or stale cap would otherwise change nothing, silently
+    t = SymbolicTemplate.from_rows([["x", 1], [1, 1]])
+    for caps in ({"q": -1}, {"q": 2}, {"x": 2, "y": 1}):
+        with pytest.raises(UsageError, match="no symbol of the template"):
+            symbolic_profile(cycle_graph(4), t, caps)
+    with pytest.raises(UsageError, match="'s', which is no symbol"):
+        symbolic_profile(cycle_graph(4), SymbolicTemplate(1, (Fraction(2),)), {"s": 2})
+
+
 @pytest.mark.parametrize(
     "g, caps",
     [(bowtie_blowup(cycle_graph(k)), {}) for k in (3, 4, 5, 6)]
@@ -582,6 +631,38 @@ def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
     assert not _interchangeable((((0, 1),), ((0,),)), 2)
     assert not _interchangeable((((0,), (1,)), ((0,),)), 2)
     assert _interchangeable((((0,), (1,)),), 2)
+
+
+def _prefix_keys(reads, p, n):
+    """The table keys of the n^p colourings of a position p's prefix,
+    without caps: per group, the sorted colour multisets its reads give."""
+    return [
+        tuple(tuple(sorted(tuple(sorted(c[a] for a in r)) for r in group)) for group in reads)
+        for c in product(range(n), repeat=p)
+    ]
+
+
+def test_every_memo_table_has_a_key_that_repeats():
+    # the rule keeps a table where a prefix position is unread or where two
+    # prefix positions interchange; either way two prefix colourings share
+    # a key once there are two colours. The converse fails: at n = 3
+    # bowtie k = 5 has 37 keys for the 81 colourings of its position 4
+    # (the reflection (0 3)(1 2) is no single swap), and keeps no table
+    rng = _random.Random(20191019)
+    graphs = [bowtie_blowup(cycle_graph(k)) for k in range(3, 8)]
+    graphs += [kpm_graph(m) for m in range(3, 8)]
+    graphs += [
+        random_graph(rng.randrange(10**6), rng.randint(3, 10), rng.choice((0.3, 0.5, 0.8)))
+        for _ in range(150)
+    ]
+    tables = 0
+    for g in graphs:
+        back, closing, _ = _cover_plan(g)
+        for p, reads in enumerate(_memo_plan(back, closing)):
+            if reads is not None:
+                tables += 1
+                assert len(set(_prefix_keys(reads, p, 2))) < 2**p, (g, p)
+    assert tables >= 100
 
 
 def test_visited_counts_pin_reuse(monkeypatch):

@@ -156,6 +156,7 @@ def test_line_checks_the_selection_as_the_hessian_does():
     g = bowtie_blowup(cycle_graph(5))
     a = SymRationalMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 0]])
     for pairs, message in (
+        ([], "empty pair selection"),
         ([(0, 2), (2, 0)], "duplicate pair selection"),
         ([(0, 3)], "pair (0,3) out of range"),
     ):
