@@ -8,13 +8,18 @@ polynomial along the line from the witness in the direction, one
 enumeration with s capped at degree 2 (``hessians.line_curvature``).
 Structural screening certificates record a reason (non-bipartite,
 non-eulerian, odd edge count) that is re-checkable from the graph alone.
+One table, ``SCREENS``, gives each reason its theorem, the modes it
+refutes and its test on the graph, for ``screen_necessary`` and
+``verify_certificate`` alike.
 
 Every curvature certificate comes out of one refutation loop,
 ``_first_non_psd``: the count polynomial is built once by
 ``symbolic_profile``, and its Hessian is read at a sequence of points until
 one is not PSD. The bowtie pipeline walks its template with every symbol at
 eta = 2^-j, the kpm pipeline walks eps = 2^-j at x = y = 0, and the witness
-search walks its sampled matrices.
+search walks its sampled matrices. One assembly, ``_curvature_certificate``,
+makes every curvature certificate from what the loop found, its pairs read
+off the template: the one cell each read symbol opens.
 """
 
 from dataclasses import dataclass
@@ -31,17 +36,27 @@ from .graphs import (
     kpm_graph,
 )
 from .hessians import line_curvature, psd_certify
-from .homs import SymbolicTemplate, symbolic_profile
+from .homs import Affine, SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
 from .rationals import format_rational, parse_rational
 
 MODES = ("weakly_norming", "norming")
 
-SCREEN_REASONS = {
-    "non-bipartite": "structural screen: a weakly norming graph is bipartite",
-    "non-eulerian": "structural screen: a norming graph is eulerian",
-    "odd edge count": "structural screen: a norming graph has an even number of edges",
+# reason -> (theorem, the modes it refutes, the test a graph of those modes
+# passes), in the order the screens run
+SCREENS = {
+    "non-bipartite": (
+        "structural screen: a weakly norming graph is bipartite", MODES, is_bipartite
+    ),
+    "non-eulerian": (
+        "structural screen: a norming graph is eulerian", ("norming",), is_eulerian
+    ),
+    "odd edge count": (
+        "structural screen: a norming graph has an even number of edges",
+        ("norming",),
+        lambda g: g.edge_count % 2 == 0,
+    ),
 }
 
 
@@ -150,21 +165,12 @@ def screen_necessary(g: Graph, mode: str) -> Certificate | None:
     """Cheap necessary-condition screens; a failure refutes outright."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")
-    reason = None
-    if not is_bipartite(g):
-        reason = "non-bipartite"
-    elif mode == "norming" and not is_eulerian(g):
-        reason = "non-eulerian"
-    elif mode == "norming" and g.edge_count % 2 != 0:
-        reason = "odd edge count"
-    if reason is None:
-        return None
-    return Certificate(
-        kind="screening_failure",
-        graph=g,
-        reason=reason,
-        theorem=SCREEN_REASONS[reason],
-    )
+    for reason, (theorem, modes, passes) in SCREENS.items():
+        if mode in modes and not passes(g):
+            return Certificate(
+                kind="screening_failure", graph=g, reason=reason, theorem=theorem
+            )
+    return None
 
 
 def _first_non_psd(profile: SparsePoly, symbols, points):
@@ -178,7 +184,27 @@ def _first_non_psd(profile: SparsePoly, symbols, points):
     return None
 
 
-BOWTIE_PAIRS = ((2, 2), (0, 2))
+def _curvature_certificate(
+    kind: str, g: Graph, template: SymbolicTemplate, symbols, point, res, theorem, **extra
+) -> Certificate:
+    """The certificate of what ``_first_non_psd`` found at ``point`` (``res``)
+    reading ``symbols`` over ``template``: the witness is the template at the
+    point, and each symbol's pair, in reading order, is the one bare cell
+    ``Affine(0, 1, s)`` it opens; any other symbol is a ``RuntimeError``,
+    since its certificate could not verify."""
+    cells = pair_list(template.n)
+    pairs = []
+    for s in symbols:
+        at = [i for i, c in enumerate(template.cells) if isinstance(c, Affine) and c.symbol == s]
+        if len(at) != 1 or template.cells[at[0]] != Affine(0, 1, s):
+            raise RuntimeError(f"read symbol {s!r} is not one bare template cell")
+        pairs.append(cells[at[0]])
+    return Certificate(
+        kind=kind, graph=g, n=template.n, witness=template.substitute(point),
+        pairs=tuple(pairs), direction=res.witness, value=res.value, theorem=theorem, **extra,
+    )
+
+
 POSITIVIZE_STEPS = 24
 
 
@@ -242,23 +268,14 @@ def certify_bowtie_cycle(k: int, threads: int = 1) -> Certificate | Refusal:
         )
     index, point, res = found
     evidence.update({"eta": format_rational(point["x"]), "steps": index + 1})
-    return Certificate(
-        kind="not_weakly_norming",
-        graph=g,
-        n=3,
-        witness=template.substitute(point),
-        pairs=BOWTIE_PAIRS,
-        direction=res.witness,
-        value=res.value,
-        theorem=(
-            "weak-norming refutation: the count-polynomial Hessian has a "
-            "negative direction at a strictly positive step matrix"
-        ),
+    return _curvature_certificate(
+        "not_weakly_norming", g, template, ("x", "y"), point, res,
+        "weak-norming refutation: the count-polynomial Hessian has a "
+        "negative direction at a strictly positive step matrix",
         degree_evidence=evidence,
     )
 
 
-KPM_PAIRS = ((0, 0), (0, 1))
 KPM_EPS_STEPS = 64
 
 
@@ -293,9 +310,11 @@ def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
     template = _kpm_template()
     profile = symbolic_profile(g, template, {"x": 2, "y": 2})
 
-    min_x2 = profile.restrict_min_degree({"x": 2, "y": 0}, "eps")
-    min_xy = profile.restrict_min_degree({"x": 1, "y": 1}, "eps")
-    min_y2 = profile.restrict_min_degree({"x": 0, "y": 2}, "eps")
+    def least(**part):  # the least eps-degree of a part, None where it is 0
+        degrees = range(g.edge_count + 1)  # no term passes total degree e(H)
+        return next((d for d in degrees if profile.coefficient_of(eps=d, **part)), None)
+
+    min_x2, min_xy, min_y2 = least(x=2), least(x=1, y=1), least(y=2)
     xy_at_threshold = profile.coefficient_of(x=1, y=1, eps=thresholds["xy"])
     evidence = {
         "regularity": s,
@@ -332,18 +351,10 @@ def certify_kpm(m: int, threads: int = 1) -> Certificate | Refusal:
         )
     _, point, res = found
     evidence["epsilon"] = format_rational(point["eps"])
-    return Certificate(
-        kind="not_norming",
-        graph=g,
-        n=3,
-        witness=template.substitute(point),
-        pairs=KPM_PAIRS,
-        direction=res.witness,
-        value=res.value,
-        theorem=(
-            "norming refutation: the count-polynomial Hessian has a negative "
-            "direction at a signed step matrix"
-        ),
+    return _curvature_certificate(
+        "not_norming", g, template, ("x", "y"), point, res,
+        "norming refutation: the count-polynomial Hessian has a negative "
+        "direction at a signed step matrix",
         degree_evidence=evidence,
     )
 
@@ -402,19 +413,10 @@ def random_witness_search(
     if found is None:
         return None
     trial, point, res = found
-    return Certificate(
-        kind=kind,
-        graph=g,
-        n=n,
-        witness=template.substitute(point),
-        pairs=tuple(pair_list(n)),
-        direction=res.witness,
-        value=res.value,
-        theorem=(
-            "randomized refutation: the count-polynomial Hessian has a "
-            f"negative direction at a {matrix_class} step matrix "
-            f"(trial {trial})"
-        ),
+    return _curvature_certificate(
+        kind, g, template, names, point, res,
+        "randomized refutation: the count-polynomial Hessian has a "
+        f"negative direction at a {matrix_class} step matrix (trial {trial})",
         seed=seed,
     )
 
@@ -429,14 +431,12 @@ def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
     built. A checker independent of that engine is still open. ``threads``
     is accepted and ignored."""
     if cert.kind == "screening_failure":
-        # decided from the edge list alone: a claimed "n" costs nothing
-        if cert.reason == "non-bipartite":
-            return not is_bipartite(cert.graph)
-        if cert.reason == "non-eulerian":
-            return not is_eulerian(cert.graph)
-        if cert.reason == "odd edge count":
-            return cert.graph.edge_count % 2 == 1
-        raise UsageError(f"unknown screening reason {cert.reason!r}")
+        # decided from the edge list alone, by the screen that made it: a
+        # claimed "n" costs nothing
+        if cert.reason not in SCREENS:
+            raise UsageError(f"unknown screening reason {cert.reason!r}")
+        _, _, passes = SCREENS[cert.reason]
+        return not passes(cert.graph)
 
     if cert.kind not in ("not_weakly_norming", "not_norming"):
         raise UsageError(f"unknown certificate kind {cert.kind!r}")

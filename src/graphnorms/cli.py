@@ -195,10 +195,10 @@ def build_parser() -> _Parser:
     p.add_argument("-g", "--graph", required=True)
 
     y_sub = sub.add_parser("certify").add_subparsers(dest="pipeline", required=True)
-    p = leaf(y_sub, "bowtie-cycle", _certify_bowtie_cycle)
-    p.add_argument("--k", type=int, required=True)
-    p = leaf(y_sub, "kpm", _certify_kpm)
-    p.add_argument("--m", type=int, required=True)
+    families = (("bowtie-cycle", certify_bowtie_cycle, "k"), ("kpm", certify_kpm, "m"))
+    for name, pipeline, arg in families:
+        p = leaf(y_sub, name, partial(_certify_family, pipeline, arg))
+        p.add_argument(f"--{arg}", type=int, required=True)
     p = leaf(y_sub, "search", _certify_search)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--mode", choices=("weak", "norming"), required=True)
@@ -292,13 +292,8 @@ def _check_bowtie_lemma(ns, state) -> tuple[int, dict]:
     return _verdict(ns, holds, **report.to_json())
 
 
-def _certify_bowtie_cycle(ns, state) -> tuple[int, dict]:
-    result = certify_bowtie_cycle(ns.k)
-    return (1 if isinstance(result, Refusal) else 0), result.to_json()
-
-
-def _certify_kpm(ns, state) -> tuple[int, dict]:
-    result = certify_kpm(ns.m)
+def _certify_family(pipeline, arg, ns, state) -> tuple[int, dict]:
+    result = pipeline(getattr(ns, arg))
     return (1 if isinstance(result, Refusal) else 0), result.to_json()
 
 

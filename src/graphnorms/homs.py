@@ -159,12 +159,18 @@ class SymbolicTemplate:
 
 
 def _cell(x) -> Fraction | Affine:
-    """A template cell with a ``Fraction`` constant; a name is ``Affine(0, 1, name)``."""
-    if isinstance(x, str):
-        return Affine(Fraction(0), 1, x)
-    if isinstance(x, Affine):
-        return x._replace(const=Fraction(x.const))
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """A template cell with a ``Fraction`` constant; a name is ``Affine(0, 1, name)``.
+    A cell that does not convert, or an ``Affine`` without an int slope (not
+    a bool) and a non-empty str symbol, is a ``UsageError`` naming it."""
+    c = Affine(0, 1, x) if isinstance(x, str) else x
+    try:
+        if not isinstance(c, Affine):
+            return c if isinstance(c, Fraction) else Fraction(c)
+        if type(c.slope) is not int or not (isinstance(c.symbol, str) and c.symbol):
+            raise TypeError("an Affine needs an int slope and a non-empty str symbol")
+        return c._replace(const=Fraction(c.const))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"bad template cell {x!r}: {exc}") from None
 
 
 class ProfileMap(NamedTuple):

@@ -39,6 +39,8 @@ def symmetric_cells(rows, read, what: str) -> tuple[int, tuple]:
         raise UsageError(f"{what} is not square")
     try:
         rows = [[read(x) for x in r] for r in rows]
+    except UsageError:  # a reader's own refusal already names the cell
+        raise
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"bad {what} cell: {exc}") from exc
     for i in range(n):

@@ -3,9 +3,9 @@
 A ``SparsePoly`` is the output of ``homs.symbolic_profile``: symbols sorted
 by name, exponent vectors as plain integer tuples aligned with them, and
 nonzero integer numerators in a hash map over one common denominator
-``den``, the one its builder computes. Every pipeline only reads it:
-coefficients (``coefficient_of``), the least degree of one symbol among the
-terms with fixed exponents in others (``restrict_min_degree``), and second
+``den``, the one its builder computes. Every pipeline only reads it, in
+two ways: a coefficient (``coefficient_of``, which also gives the kpm
+pipeline the least eps-degree of a part, degree by degree) and the second
 derivatives at a point (``hessian``). The hot read, ``hessian``, follows a
 plan made once per selection of symbols and kept on the polynomial: for
 each entry, the terms that reach it, grouped by their integer factor. A
@@ -168,15 +168,3 @@ class SparsePoly:
             self._axis(name)
         exp = tuple(degrees.get(s, 0) for s in self.symbols)
         return Fraction(self.terms.get(exp, 0), self.den)
-
-    def restrict_min_degree(self, fixed: dict[str, int], probe: str):
-        """Among terms whose exponents match ``fixed`` exactly, the minimum
-        exponent of ``probe``; None when no term matches."""
-        axes = {self._axis(s): d for s, d in fixed.items()}
-        probe_axis = self._axis(probe)
-        best = None
-        for exp in self.terms:
-            if all(exp[a] == d for a, d in axes.items()):
-                if best is None or exp[probe_axis] < best:
-                    best = exp[probe_axis]
-        return best

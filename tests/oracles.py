@@ -20,6 +20,8 @@ rationals. ``maps_onto`` checks an isomorphism given as an explicit vertex
 map, such as ``blowup_to_cartesian``'s.
 ``fraction_psd_certify`` is the PSD decision by elimination over
 ``Fraction``s that ``psd_certify`` replaced with integer elimination.
+``brute_screen_failures`` reads the three structural screens off the edge
+list by brute force.
 """
 
 import random
@@ -303,6 +305,24 @@ def random_sym_matrix(seed: int, n: int, lo: int = -1, hi: int = 1, den: int = 6
 
 def eulerian(g: Graph) -> bool:
     return all(d % 2 == 0 for d in g.degrees())
+
+
+def brute_screen_failures(g: Graph) -> dict:
+    """{screening reason: whether ``g`` fails that screen}, read plainly: no
+    2-colouring among all 2^v(H) vertex colourings, a vertex of odd degree
+    counted off the edge list, an odd number of edges."""
+    two_colourable = any(
+        all(side[u] != side[v] for (u, v) in g.edges) for side in product((0, 1), repeat=g.n)
+    )
+    degree = [0] * g.n
+    for (u, v) in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return {
+        "non-bipartite": not two_colourable,
+        "non-eulerian": any(d % 2 for d in degree),
+        "odd edge count": len(g.edges) % 2 == 1,
+    }
 
 
 def sparse_poly(symbols, items) -> SparsePoly:

@@ -6,6 +6,7 @@ import pytest
 
 from graphnorms import (
     Certificate,
+    Graph,
     Refusal,
     SizeGuardError,
     SymbolicTemplate,
@@ -24,7 +25,9 @@ from graphnorms import (
     symbolic_profile,
     verify_certificate,
 )
-from oracles import path_graph
+from graphnorms.certificates import SCREENS, _curvature_certificate
+from graphnorms.homs import Affine
+from oracles import brute_screen_failures, path_graph
 
 
 def test_screen_necessary():
@@ -55,6 +58,70 @@ def test_screen_odd_edge_count_reason_verifies():
     assert not verify_certificate(cert)
     triangle = screen_necessary(cycle_graph(3), "norming")
     assert triangle.reason == "non-bipartite"  # bipartite screen fires first
+
+
+SCREEN_PANEL = {
+    "C3": cycle_graph(3),
+    "C5": cycle_graph(5),
+    "C6": cycle_graph(6),
+    "K23": complete_bipartite(2, 3),
+    "K13": complete_bipartite(1, 3),
+    "kpm4": kpm_graph(4),
+    "edgeless": Graph(3, ()),
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_PANEL)
+@pytest.mark.parametrize("mode", ["weakly_norming", "norming"])
+def test_screens_match_the_brute_force_oracle(name, mode):
+    # the first screen of the mode that the graph fails, bipartite first and
+    # the two norming screens only in norming mode; and verification decides
+    # every reason by the same test as the oracle
+    g = SCREEN_PANEL[name]
+    fails = brute_screen_failures(g)
+    order = ["non-bipartite"] + (["non-eulerian", "odd edge count"] if mode == "norming" else [])
+    expected = next((reason for reason in order if fails[reason]), None)
+    cert = screen_necessary(g, mode)
+    assert (cert and cert.reason) == expected
+    if cert is not None:
+        assert cert.theorem == SCREENS[expected][0]
+        assert verify_certificate(Certificate.from_json(cert.to_json()))
+    assert set(SCREENS) == set(fails)
+    for reason, failed in fails.items():
+        claim = Certificate(kind="screening_failure", graph=g, reason=reason)
+        assert verify_certificate(claim) == failed
+
+
+def _non_psd():
+    return psd_certify(SymRationalMatrix.from_rows([[-1]]))
+
+
+@pytest.mark.parametrize(
+    "rows,symbol",
+    [
+        ([["x", "x"], ["x", 1]], "x"),  # one symbol in two cells
+        ([[1, Affine(1, 1, "x")], [Affine(1, 1, "x"), 1]], "x"),  # a constant
+        ([[Affine(0, 2, "x"), 1], [1, 1]], "x"),  # a slope other than 1
+        ([[Affine(0, -1, "x"), 1], [1, 1]], "x"),
+        ([["x", 1], [1, 1]], "y"),  # no cell at all
+    ],
+    ids=["two-cells", "constant", "slope-2", "slope-minus-1", "absent"],
+)
+def test_certificate_assembly_refuses_symbols_that_are_not_one_bare_cell(rows, symbol):
+    # a direction along such a symbol is no direction in the certificate's
+    # pairs, so the certificate could not verify
+    t = SymbolicTemplate.from_rows(rows)
+    with pytest.raises(RuntimeError, match="not one bare template cell"):
+        _curvature_certificate("not_norming", cycle_graph(4), t, (symbol,), {"x": 0}, _non_psd(), "")
+
+
+def test_certificate_assembly_reads_pairs_in_the_order_of_the_symbols():
+    t = SymbolicTemplate.from_rows([[1, 1, "y"], [1, "z", 1], ["y", 1, "x"]])
+    point = {"x": Fraction(1, 2), "y": Fraction(1, 3), "z": 0}
+    for symbols, pairs in ((("x", "y"), ((2, 2), (0, 2))), (("y", "z"), ((0, 2), (1, 1)))):
+        cert = _curvature_certificate("not_norming", cycle_graph(4), t, symbols, point, _non_psd(), "")
+        assert cert.pairs == pairs
+        assert cert.n == 3 and cert.witness == t.substitute(point)
 
 
 def test_certify_bowtie_five():

@@ -339,17 +339,17 @@ def test_two_var_hessian_with_parameter():
     assert cert.degree_evidence["epsilon"] == "1/2"
     assert quadratic_form(h, cert.direction) == cert.value < 0
     # every read of the pipeline has x- plus y-degree 2, so capping x and y
-    # at 2, as the pipeline builds its profile, changes none of them
+    # at 2, as the pipeline builds its profile, changes none of them: the
+    # x^2, xy and y^2 parts agree at every eps-degree
     t = SymbolicTemplate.from_rows(rows)
     for m in (3, 5, 7):
         s = (m - 1) // 2
         full = symbolic_profile(kpm_graph(m), t)
         capped = symbolic_profile(kpm_graph(m), t, {"x": 2, "y": 2})
         assert len(capped.terms) < len(full.terms)
-        for fixed in ({"x": 2, "y": 0}, {"x": 1, "y": 1}, {"x": 0, "y": 2}):
-            assert capped.restrict_min_degree(fixed, "eps") == full.restrict_min_degree(
-                fixed, "eps"
-            )
+        for part in ({"x": 2}, {"x": 1, "y": 1}, {"y": 2}):
+            for d in range(kpm_graph(m).edge_count + 1):
+                assert capped.coefficient_of(eps=d, **part) == full.coefficient_of(eps=d, **part)
         threshold = {"x": 1, "y": 1, "eps": 4 * s - 3}
         assert capped.coefficient_of(**threshold) == full.coefficient_of(**threshold)
         for j in range(1, 12):

@@ -1,5 +1,6 @@
 import gc
 import random as _random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -417,6 +418,31 @@ def test_junk_cells_are_usage_errors(rows):
         SymbolicTemplate.from_rows(rows)
     with pytest.raises(UsageError, match="bad matrix cell"):
         SymRationalMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        Affine(1, Fraction(1, 2), "s"),
+        Affine(1, 1.5, "s"),
+        Affine(1, True, "s"),
+        Affine(1, 1, ""),
+        Affine(1, 1, 5),
+        Affine("x", 1, "s"),
+        "",
+        None,
+    ],
+    ids=["slope-fraction", "slope-float", "slope-bool", "symbol-empty", "symbol-int",
+         "const-junk", "name-empty", "none"],
+)
+def test_bad_template_cells_are_refused_at_construction(cell):
+    # both ways of making a template refuse the cell by name, before any
+    # build could fail on it later with a message about something else
+    named = re.escape(f"bad template cell {cell!r}")
+    with pytest.raises(UsageError, match=named):
+        SymbolicTemplate(1, (cell,))
+    with pytest.raises(UsageError, match=named):
+        SymbolicTemplate.from_rows([[1, cell], [cell, 1]])
 
 
 def test_cap_on_a_symbol_not_in_the_template_is_refused():

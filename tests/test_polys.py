@@ -65,15 +65,6 @@ def test_storage_is_integer_numerators_over_one_denominator():
             SparsePoly(("x",), {(1,): 1}, den)
 
 
-def test_restrict_min_degree():
-    p = sparse_poly(
-        ("eps", "x"), [((3, 2), 1), ((5, 2), 1)]
-    )  # x^2 eps^3 + x^2 eps^5
-    assert p.restrict_min_degree({"x": 2}, "eps") == 3
-    q = sparse_poly(("eps", "x", "y"), [((0, 0, 2), 1)])
-    assert q.restrict_min_degree({"x": 2}, "eps") is None
-
-
 def test_evaluate():
     # the oracle's evaluation over the terms, with 0^0 = 1
     p = poly_from([((2, 0), 1), ((0, 0), -1)])  # x^2 - 1

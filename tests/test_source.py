@@ -153,6 +153,13 @@ def _calls(name):
     return matches
 
 
+def test_certificates_are_made_in_one_assembly_and_the_screens():
+    # every curvature certificate reads its pairs off its template in one
+    # function; a pipeline that made its own would state its cells twice
+    scopes = [s for s in _scopes_holding(_calls("Certificate")) if s.startswith("certificates.")]
+    assert sorted(scopes) == ["certificates._curvature_certificate", "certificates.screen_necessary"]
+
+
 def test_certificates_read_hessians_only_in_the_refutation_loop():
     # every curvature certificate is the first non-PSD Hessian that the one
     # loop finds; a Hessian read or PSD decision elsewhere in the pipelines
@@ -180,7 +187,7 @@ def test_sparse_poly_is_read_only():
     # the one builder, homs.symbolic_profile
     from graphnorms.polys import SparsePoly
 
-    reads = {"hessian", "coefficient_of", "restrict_min_degree"}
+    reads = {"hessian", "coefficient_of"}
     public = {
         name
         for name in dir(SparsePoly)
