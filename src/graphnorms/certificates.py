@@ -440,11 +440,12 @@ def verify_certificate(cert: Certificate, threads: int = 1) -> bool:
 
     if cert.kind not in ("not_weakly_norming", "not_norming"):
         raise UsageError(f"unknown certificate kind {cert.kind!r}")
-    if not (cert.witness and cert.pairs and cert.direction):
+    if not (cert.witness and cert.pairs and cert.direction) or None in (cert.n, cert.value):
         raise UsageError("curvature certificate is missing fields")
-    if cert.value is None or cert.value >= 0:
-        return False
     if cert.witness.n != cert.n:
+        size = cert.witness.n
+        raise UsageError(f"certificate n = {cert.n} disagrees with its {size}x{size} witness")
+    if cert.value >= 0:
         return False
     if cert.kind == "not_weakly_norming" and not cert.witness.entries_in(0, 1):
         return False

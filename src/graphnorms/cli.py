@@ -5,8 +5,10 @@ Exit codes: 0 = certified / holds, 1 = refuted / refused / violated,
 (a fault in the toolkit, reported on stderr with nothing on stdout). All
 other output is a single JSON document on stdout unless --plain is given.
 
-Each subcommand's handler sits on its own parser as the default ``run``;
-main parses the arguments and calls ``ns.run(ns, state)``.
+Each subcommand's parser carries its handler as the default ``run`` and
+its inputs, keys of ``INPUTS``, as ``inputs``. main parses the arguments,
+reads each input in that order (at most one from stdin, ``-``), puts what
+it holds on the namespace in place of its path, and calls ``ns.run(ns)``.
 """
 
 import argparse
@@ -26,7 +28,6 @@ from .certificates import (
 )
 from .errors import SizeGuardError, UsageError
 from .graphs import (
-    Graph,
     bowtie_blowup,
     cartesian_k2,
     complete_bipartite,
@@ -46,7 +47,7 @@ from .homs import (
     norm_powers,
     sidorenko_check,
 )
-from .matrices import SymRationalMatrix, cut_norm, load_matrix_text
+from .matrices import cut_norm, load_matrix_text
 from .rationals import format_rational, kth_root_interval
 
 
@@ -55,25 +56,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_input(path: str, state: dict) -> str:
-    if path == "-":
-        if state.get("stdin_used"):
-            raise UsageError("stdin ('-') may be used for at most one input")
-        state["stdin_used"] = True
-        return sys.stdin.read()
+def _load_certificate(text: str) -> Certificate:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
+        raise UsageError(f"bad certificate JSON: {exc}") from exc
+    return Certificate.from_json(data)
 
 
-def _load_graph(path: str, state: dict) -> Graph:
-    return load_graph_text(_read_input(path, state))
-
-
-def _load_matrix(path: str, state: dict) -> SymRationalMatrix:
-    return load_matrix_text(_read_input(path, state))
+# input -> (its flags, the reader of its text), in the order main reads them
+INPUTS = {
+    "graph": (("-g", "--graph"), load_graph_text),
+    "matrix": (("-m", "--matrix"), load_matrix_text),
+    "second_matrix": (("-w", "--second-matrix"), load_matrix_text),
+    "certificate": (("-c", "--certificate"), _load_certificate),
+}
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -93,23 +90,27 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _one_line(value) -> bool:
+    """A scalar, or a list of scalars (shown with its items space-separated)."""
+    if isinstance(value, list):
+        return not any(isinstance(v, (dict, list)) for v in value)
+    return not isinstance(value, dict)
+
+
 def _render_plain(payload, indent: str = "") -> str:
+    """``key: value`` per line; a list of scalars is one line, any other
+    container sits indented under its key, a list's items one per line."""
+    if _one_line(payload):
+        items = payload if isinstance(payload, list) else [payload]
+        return indent + " ".join(map(str, items))
+    if isinstance(payload, list):
+        return "\n".join(_render_plain(value, indent) for value in payload)
     lines = []
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.append(_render_plain(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                lines.append(_render_plain(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{value}")
-    else:
-        lines.append(f"{indent}{payload}")
+    for key, value in payload.items():
+        if _one_line(value):
+            lines.append(f"{indent}{key}: {_render_plain(value)}")
+        else:
+            lines += [f"{indent}{key}:", _render_plain(value, indent + "  ")]
     return "\n".join(lines)
 
 
@@ -127,7 +128,7 @@ def _emit(payload, plain: bool):
         os.close(devnull)
 
 
-# construct family -> (constructor, its integer arguments); none: it reads -g
+# construct family -> (constructor, its integer arguments); none: it takes the graph
 FAMILIES = {
     "cycle": (cycle_graph, ["k"]),
     "kbip": (complete_bipartite, ["m", "n"]),
@@ -143,10 +144,13 @@ def build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     common.add_argument("--plain", action="store_true")
 
-    def leaf(sub, name, run):
-        """A subcommand that takes the common options and runs ``run(ns, state)``."""
+    def leaf(sub, name, run, *inputs):
+        """A subcommand that takes the common options and ``inputs`` (keys of
+        INPUTS, in INPUTS order) and runs ``run(ns)``."""
         p = sub.add_parser(name, parents=[common])
-        p.set_defaults(run=run)
+        for key in inputs:
+            p.add_argument(*INPUTS[key][0], required=True)
+        p.set_defaults(run=run, inputs=inputs)
         return p
 
     # --help shows the docstring but its last paragraph, on the code (None under -OO)
@@ -157,75 +161,56 @@ def build_parser() -> _Parser:
 
     c_sub = sub.add_parser("construct").add_subparsers(dest="family", required=True)
     for name, (_, ints) in FAMILIES.items():
-        p = leaf(c_sub, name, _cmd_construct)
+        p = leaf(c_sub, name, _cmd_construct, *(() if ints else ("graph",)))
         for a in ints:
             p.add_argument(a, type=int)
-        if not ints:
-            p.add_argument("-g", "--graph", required=True)
 
-    p_density = leaf(sub, "density", _cmd_density)
-    p_density.add_argument("-g", "--graph", required=True)
-    p_density.add_argument("-m", "--matrix", required=True)
-
-    p_hessian = leaf(sub, "hessian", _cmd_hessian)
-    p_hessian.add_argument("-g", "--graph", required=True)
-    p_hessian.add_argument("-m", "--matrix", required=True)
-    p_hessian.add_argument("--pairs", help="restrict to pairs, e.g. '0,2;2,2'")
-
-    leaf(sub, "psd", _cmd_psd).add_argument("-m", "--matrix", required=True)
-    leaf(sub, "cutnorm", _cmd_cutnorm).add_argument("-m", "--matrix", required=True)
+    leaf(sub, "density", _cmd_density, "graph", "matrix")
+    p = leaf(sub, "hessian", _cmd_hessian, "graph", "matrix")
+    p.add_argument("--pairs", help="restrict to pairs, e.g. '0,2;2,2'")
+    leaf(sub, "psd", _cmd_psd, "matrix")
+    leaf(sub, "cutnorm", _cmd_cutnorm, "matrix")
 
     k_sub = sub.add_parser("check").add_subparsers(dest="what", required=True)
-    p = leaf(k_sub, "sidorenko", _check_sidorenko)
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-m", "--matrix", required=True)
-    pair_checks = (("hatami", hatami_box_check), ("counting", counting_lemma_check))
-    for name, test in pair_checks:
-        p = leaf(k_sub, name, partial(_check_two_kernels, test))
-        p.add_argument("-g", "--graph", required=True)
-        p.add_argument("-m", "--matrix", required=True)
-        p.add_argument("-w", "--second-matrix", required=True)
-    p = leaf(k_sub, "euler-indicator", _check_euler_indicator)
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--n", type=int, default=1, help="half-block size")
-    p = leaf(k_sub, "prop42", _check_prop42)
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--n", type=int, default=1, help="half-block size")
-    p = leaf(k_sub, "bowtie-lemma", _check_bowtie_lemma)
-    p.add_argument("-g", "--graph", required=True)
+    kernel_checks = (
+        ("sidorenko", sidorenko_check, ("graph", "matrix")),
+        ("hatami", hatami_box_check, ("graph", "matrix", "second_matrix")),
+        ("counting", counting_lemma_check, ("graph", "matrix", "second_matrix")),
+    )
+    for name, test, inputs in kernel_checks:
+        leaf(k_sub, name, partial(_check_inputs, test), *inputs)
+    for name, run in (("euler-indicator", _check_euler_indicator), ("prop42", _check_prop42)):
+        p = leaf(k_sub, name, run, "graph")
+        p.add_argument("--n", type=int, default=1, help="half-block size")
+    leaf(k_sub, "bowtie-lemma", _check_bowtie_lemma, "graph")
 
     y_sub = sub.add_parser("certify").add_subparsers(dest="pipeline", required=True)
     families = (("bowtie-cycle", certify_bowtie_cycle, "k"), ("kpm", certify_kpm, "m"))
     for name, pipeline, arg in families:
         p = leaf(y_sub, name, partial(_certify_family, pipeline, arg))
         p.add_argument(f"--{arg}", type=int, required=True)
-    p = leaf(y_sub, "search", _certify_search)
-    p.add_argument("-g", "--graph", required=True)
+    p = leaf(y_sub, "search", _certify_search, "graph")
     p.add_argument("--mode", choices=("weak", "norming"), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    leaf(sub, "verify", _cmd_verify).add_argument("-c", "--certificate", required=True)
+    leaf(sub, "verify", _cmd_verify, "certificate")
 
     return parser
 
 
-def _cmd_construct(ns, state) -> tuple[int, dict]:
+def _cmd_construct(ns) -> tuple[int, dict]:
     make, ints = FAMILIES[ns.family]
-    if ints:
-        g = make(*(getattr(ns, a) for a in ints))
-    else:
-        g = make(_load_graph(ns.graph, state))
+    g = make(*(getattr(ns, a) for a in ints)) if ints else make(ns.graph)
     payload = g.to_json()
     payload["structure"] = structural_report(g).to_json()
     return 0, payload
 
 
-def _cmd_density(ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
-    a = _load_matrix(ns.matrix, state)
-    powers = norm_powers(g, a)
+def _cmd_density(ns) -> tuple[int, dict]:
+    g = ns.graph
+    powers = norm_powers(g, ns.matrix)
     payload = {key: format_rational(value) for key, value in powers.items()}
     if g.edge_count > 0:
         for key in ("norm", "weak_norm"):
@@ -234,16 +219,14 @@ def _cmd_density(ns, state) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_hessian(ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
-    a = _load_matrix(ns.matrix, state)
+def _cmd_hessian(ns) -> tuple[int, dict]:
     pairs = None if ns.pairs is None else _parse_pairs(ns.pairs)
-    h = hessian_matrix(g, a, pairs)
+    h = hessian_matrix(ns.graph, ns.matrix, pairs)
     return 0, {"pairs": [list(p) for p in h.pairs], "matrix": h.matrix.to_json()}
 
 
-def _cmd_psd(ns, state) -> tuple[int, dict]:
-    res = psd_certify(_load_matrix(ns.matrix, state))
+def _cmd_psd(ns) -> tuple[int, dict]:
+    res = psd_certify(ns.matrix)
     if res.is_psd:
         return 0, {"verdict": "psd"}
     return 1, {
@@ -253,8 +236,8 @@ def _cmd_psd(ns, state) -> tuple[int, dict]:
     }
 
 
-def _cmd_cutnorm(ns, state) -> tuple[int, dict]:
-    return 0, {"cut_norm": format_rational(cut_norm(_load_matrix(ns.matrix, state)))}
+def _cmd_cutnorm(ns) -> tuple[int, dict]:
+    return 0, {"cut_norm": format_rational(cut_norm(ns.matrix))}
 
 
 def _verdict(ns, holds: bool, **extra) -> tuple[int, dict]:
@@ -262,59 +245,46 @@ def _verdict(ns, holds: bool, **extra) -> tuple[int, dict]:
     return (0 if holds else 1), {"check": ns.what, "holds": holds, **extra}
 
 
-def _check_sidorenko(ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
-    return _verdict(ns, sidorenko_check(g, _load_matrix(ns.matrix, state)))
+def _check_inputs(test, ns) -> tuple[int, dict]:
+    """Check ``test`` on the subcommand's inputs, in order."""
+    return _verdict(ns, test(*(getattr(ns, key) for key in ns.inputs)))
 
 
-def _check_two_kernels(test, ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
-    a, w = _load_matrix(ns.matrix, state), _load_matrix(ns.second_matrix, state)
-    return _verdict(ns, test(g, a, w))
-
-
-def _check_euler_indicator(ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
+def _check_euler_indicator(ns) -> tuple[int, dict]:
+    g = ns.graph
     return _verdict(ns, eulerian_indicator_check(g, ns.n), eulerian=is_eulerian(g))
 
 
-def _check_prop42(ns, state) -> tuple[int, dict]:
-    h = allones_hessian(_load_graph(ns.graph, state), ns.n)
+def _check_prop42(ns) -> tuple[int, dict]:
+    h = allones_hessian(ns.graph, ns.n)
     holds = annihilates_ones(h)
     verdict = psd_certify(h).verdict
     payload = {"check": "prop42", "kernel_annihilated": holds, "hessian_psd": verdict}
     return (0 if holds else 1), payload
 
 
-def _check_bowtie_lemma(ns, state) -> tuple[int, dict]:
-    report = verify_bowtie_structure(_load_graph(ns.graph, state))
+def _check_bowtie_lemma(ns) -> tuple[int, dict]:
+    report = verify_bowtie_structure(ns.graph)
     holds = report.edge_in_unique_4cycle is not None and report.two_edge_sets_ok
     return _verdict(ns, holds, **report.to_json())
 
 
-def _certify_family(pipeline, arg, ns, state) -> tuple[int, dict]:
+def _certify_family(pipeline, arg, ns) -> tuple[int, dict]:
     result = pipeline(getattr(ns, arg))
     return (1 if isinstance(result, Refusal) else 0), result.to_json()
 
 
-def _certify_search(ns, state) -> tuple[int, dict]:
-    g = _load_graph(ns.graph, state)
+def _certify_search(ns) -> tuple[int, dict]:
     mode = "weakly_norming" if ns.mode == "weak" else "norming"
-    found = random_witness_search(g, ns.n, ns.trials, mode, ns.seed)
+    found = random_witness_search(ns.graph, ns.n, ns.trials, mode, ns.seed)
     if found is None:
         return 1, {"found": False, "mode": mode, "trials": ns.trials, "seed": ns.seed}
     return 0, found.to_json()
 
 
-def _cmd_verify(ns, state) -> tuple[int, dict]:
-    text = _read_input(ns.certificate, state)
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
-        raise UsageError(f"bad certificate JSON: {exc}") from exc
-    cert = Certificate.from_json(data)
-    ok = verify_certificate(cert)
-    return (0 if ok else 1), {"valid": ok, "kind": cert.kind}
+def _cmd_verify(ns) -> tuple[int, dict]:
+    ok = verify_certificate(ns.certificate)
+    return (0 if ok else 1), {"valid": ok, "kind": ns.certificate.kind}
 
 
 _parser = None  # built on the first main() call, not at import
@@ -324,10 +294,24 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    state: dict = {}
     try:
         ns = _parser.parse_args(argv)
-        code, payload = ns.run(ns, state)
+        stdin_used = False
+        for key in ns.inputs:
+            path = getattr(ns, key)
+            if path == "-":
+                if stdin_used:
+                    raise UsageError("stdin ('-') may be used for at most one input")
+                stdin_used = True
+                text = sys.stdin.read()
+            else:
+                try:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise UsageError(f"cannot read {path}: {exc}") from exc
+            setattr(ns, key, INPUTS[key][1](text))
+        code, payload = ns.run(ns)
     except UsageError as exc:
         _emit({"error": str(exc), "kind": "usage"}, False)
         return 3

@@ -26,6 +26,7 @@ from graphnorms import (
     verify_certificate,
 )
 from graphnorms.certificates import SCREENS, _curvature_certificate
+from graphnorms.hessians import line_curvature
 from graphnorms.homs import Affine
 from oracles import brute_screen_failures, path_graph
 
@@ -170,6 +171,19 @@ def test_tampered_certificate_fails():
     data = cert.to_json()
     data["value"] = "5"  # a non-negative value can never certify
     assert not verify_certificate(Certificate.from_json(data))
+
+
+def test_weak_certificate_needs_a_witness_in_the_unit_interval():
+    # kpm 5's certificate relabelled as a weak-norming refutation: its value
+    # still matches exactly, but its witness holds -1, so it is no graphon
+    cert = certify_kpm(5)
+    data = cert.to_json()
+    data["kind"] = "not_weakly_norming"
+    relabelled = Certificate.from_json(data)
+    assert line_curvature(cert.graph, cert.witness, cert.pairs, cert.direction) == cert.value
+    assert relabelled.value == cert.value
+    assert not relabelled.witness.entries_in(0, 1)
+    assert not verify_certificate(relabelled)
 
 
 def test_certify_kpm_five():

@@ -157,6 +157,10 @@ def test_certify_and_verify_round_trip(capsys, tmp_path):
         ("value", True),
         ("direction", [True, 1]),
         ("n", "three"),
+        # JSON null reads as a missing field; n must agree with the 3x3 witness
+        ("value", None),
+        ("n", None),
+        ("n", 4),
     ],
 )
 def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, field, bad):
@@ -306,6 +310,44 @@ def test_stdin_input(capsys, monkeypatch, pm_file):
     assert code == 0 and data["cut_norm"] == "1/4"
 
 
+def test_stdin_names_at_most_one_input(capsys, monkeypatch, c4_file):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(c4_file).read_text()))
+    code, data = run_json(capsys, "density", "-g", "-", "-m", "-")
+    assert code == 3
+    assert data == {"error": "stdin ('-') may be used for at most one input", "kind": "usage"}
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ("0,1,2", "bad pair '0,1,2'; expected 'i,j'"),
+        ("a,b", "bad pair 'a,b': invalid literal for int() with base 10: 'a'"),
+    ],
+    ids=["three-indices", "not-ints"],
+)
+def test_bad_pair_selection_is_a_usage_error(capsys, c4_file, pm_file, pairs, message):
+    code, data = run_json(capsys, "hessian", "-g", c4_file, "-m", pm_file, "--pairs", pairs)
+    assert code == 3
+    assert data == {"error": message, "kind": "usage"}
+
+
+def test_inputs_are_read_in_order_and_the_first_error_is_reported(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, data = run_json(capsys, "density", "-g", str(bad), "-m", str(bad))
+    assert code == 3
+    assert data["error"].startswith("bad graph JSON: ")
+    # a graph that cannot be read is reported before a matrix that cannot
+    # be parsed, and before the pair selection
+    missing = tmp_path / "missing.json"
+    argv = ("hessian", "-g", str(missing), "-m", str(bad), "--pairs", "a,b")
+    code, data = run_json(capsys, *argv)
+    assert code == 3
+    assert data["error"].startswith(f"cannot read {missing}: ")
+
+
 def test_usage_and_guard_exit_codes(capsys, tmp_path, pm_file):
     code, data = run_json(capsys, "nonsense")
     assert code == 3
@@ -326,6 +368,49 @@ def test_plain_output(capsys, pm_file):
     code, out = run(capsys, "cutnorm", "-m", pm_file, "--plain")
     assert code == 0
     assert "cut_norm: 1/4" in out
+
+
+def test_plain_output_keeps_each_list_of_scalars_on_one_line(capsys):
+    code, out = run(capsys, "construct", "cycle", "4", "--plain")
+    assert code == 0
+    assert out.splitlines() == [
+        "n: 4",
+        "edges:",
+        "  0 1",
+        "  0 3",
+        "  1 2",
+        "  2 3",
+        "structure:",
+        "  vertices: 4",
+        "  edges: 4",
+        "  degree_sequence: 2 2 2 2",
+        "  bipartite: True",
+        "  classes:",
+        "    0 2",
+        "    1 3",
+        "  eulerian: True",
+        "  regular: 2",
+    ]
+
+
+def test_plain_certificate_keeps_witness_rows_and_pairs(capsys):
+    code, out = run(capsys, "certify", "kpm", "--m", "5", "--plain")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("witness:")
+    assert lines[start : start + 10] == [
+        "witness:",
+        "  n: 3",
+        "  entries:",
+        "    0 0 1/2",
+        "    0 1 1",
+        "    1/2 1 -1",
+        "pairs:",
+        "  0 0",
+        "  0 1",
+        "direction: -1600 199",
+    ]
+    assert "  edges:" in lines and "    0 6" in lines
 
 
 def test_threads_do_not_change_output(capsys, tmp_path):

@@ -255,6 +255,19 @@ def test_cli_main_compares_no_namespace_attribute_against_a_string():
     assert found == []
 
 
+def test_each_cli_input_option_is_declared_once():
+    # one table declares the inputs and main reads them; a flag spelled out
+    # again at a subcommand would declare, and read, that input a second time
+    path = Path(graphnorms.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    flags = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("-g", "-m", "-w", "-c")
+    ]
+    assert sorted(flags) == ["-c", "-g", "-m", "-w"]
+
+
 def test_every_cli_leaf_parser_sets_run():
     import argparse
 
