@@ -101,8 +101,8 @@ def main(argv=None):
     for k in range(3, args.k_max + 1):
         rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
         print(
-            f"blow-up k={k}: unique-4-cycle edge={rep.edge_in_unique_4cycle}  "
-            f"two-edge sets ok={rep.two_edge_sets_ok}"
+            f"blow-up k={k}: unique-4-cycle edge={rep['edge_in_unique_4cycle']}  "
+            f"two-edge sets ok={rep['two_edge_sets_ok']}"
         )
 
     print("\n== singular Hessian kernel at the +/- block matrix ==")

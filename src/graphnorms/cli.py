@@ -204,7 +204,7 @@ def _cmd_construct(ns) -> tuple[int, dict]:
     make, ints = FAMILIES[ns.family]
     g = make(*(getattr(ns, a) for a in ints)) if ints else make(ns.graph)
     payload = g.to_json()
-    payload["structure"] = structural_report(g).to_json()
+    payload["structure"] = structural_report(g)
     return 0, payload
 
 
@@ -265,8 +265,8 @@ def _check_prop42(ns) -> tuple[int, dict]:
 
 def _check_bowtie_lemma(ns) -> tuple[int, dict]:
     report = verify_bowtie_structure(ns.graph)
-    holds = report.edge_in_unique_4cycle is not None and report.two_edge_sets_ok
-    return _verdict(ns, holds, **report.to_json())
+    holds = report["edge_in_unique_4cycle"] is not None and report["two_edge_sets_ok"]
+    return _verdict(ns, holds, **report)
 
 
 def _certify_family(pipeline, arg, ns) -> tuple[int, dict]:

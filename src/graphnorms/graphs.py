@@ -10,6 +10,9 @@ labeling so that certificates are reproducible:
 * ``hypercube_graph(d)``: vertices are d-bit integers, edges flip one bit.
 * ``bowtie_blowup(H)``: vertex v of H becomes the edge (v, v(H)+v); the
   two copies are the bipartition classes.
+
+The two structure reports, ``structural_report`` and
+``verify_bowtie_structure``, return the JSON the CLI prints.
 """
 
 import json
@@ -206,82 +209,40 @@ def is_eulerian(g: Graph) -> bool:
     return not odd
 
 
-def bipartition(g: Graph):
-    """Two-color by BFS; returns (class0, class1) as sorted tuples or None.
-    Isolated vertices go to class 0."""
-    color = _two_colouring(g)
-    if color is None:
-        return None
-    side0 = tuple(v for v in range(g.n) if color.get(v, 0) == 0)
-    side1 = tuple(sorted(v for v, c in color.items() if c == 1))
-    return side0, side1
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    vertex_count: int
-    edge_count: int
-    degree_sequence: tuple[int, ...]
-    bipartite: bool
-    classes: tuple[tuple[int, ...], tuple[int, ...]] | None
-    eulerian: bool
-    regular: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.vertex_count,
-            "edges": self.edge_count,
-            "degree_sequence": list(self.degree_sequence),
-            "bipartite": self.bipartite,
-            "classes": [list(c) for c in self.classes] if self.classes else None,
-            "eulerian": self.eulerian,
-            "regular": self.regular,
-        }
-
-
-def structural_report(g: Graph) -> StructuralReport:
-    """Bipartiteness, eulerian-ness (all degrees even), regularity, degrees."""
+def structural_report(g: Graph) -> dict:
+    """Bipartiteness, eulerian-ness (all degrees even), regularity, degrees,
+    as the JSON the CLI prints. ``classes`` is the two colour classes,
+    isolated vertices in the first, or None when g is not bipartite;
+    ``regular`` is the common degree, or None when degrees differ."""
     deg = g.degrees()
-    classes = bipartition(g)
-    return StructuralReport(
-        vertex_count=g.n,
-        edge_count=g.edge_count,
-        degree_sequence=tuple(sorted(deg)),
-        bipartite=classes is not None,
-        classes=classes,
-        eulerian=is_eulerian(g),
-        regular=deg[0] if len(set(deg)) == 1 else None,
-    )
+    color = _two_colouring(g)
+    classes = None
+    if color is not None:
+        classes = [
+            [v for v in range(g.n) if color.get(v, 0) == 0],
+            sorted(v for v, c in color.items() if c == 1),
+        ]
+    return {
+        "vertices": g.n,
+        "edges": g.edge_count,
+        "degree_sequence": sorted(deg),
+        "bipartite": color is not None,
+        "classes": classes,
+        "eulerian": is_eulerian(g),
+        "regular": deg[0] if len(set(deg)) == 1 else None,
+    }
 
 
-@dataclass(frozen=True)
-class BowtieStructureReport:
-    """Outcome of the two structural conditions used by the blow-up proofs.
+def verify_bowtie_structure(g: Graph) -> dict:
+    """Check by exhaustive enumeration (v <= 16) the two structural
+    conditions the blow-up proofs use, as the JSON the CLI prints.
 
     Condition (i): some edge lies in exactly one 4-cycle, i.e. its exterior
-    neighbourhood induces exactly one edge. Condition (ii): every vertex
-    subset spanning exactly two edges has an edge inside its exterior
-    neighbourhood.
-    """
-
-    edge_in_unique_4cycle: tuple[int, int] | None
-    two_edge_sets_ok: bool
-    counterexample: frozenset[int] | None
-
-    def to_json(self) -> dict:
-        return {
-            "edge_in_unique_4cycle": list(self.edge_in_unique_4cycle)
-            if self.edge_in_unique_4cycle
-            else None,
-            "two_edge_sets_ok": self.two_edge_sets_ok,
-            "counterexample": sorted(self.counterexample)
-            if self.counterexample is not None
-            else None,
-        }
-
-
-def verify_bowtie_structure(g: Graph) -> BowtieStructureReport:
-    """Check conditions (i) and (ii) by exhaustive enumeration (v <= 16).
+    neighbourhood induces exactly one edge; ``edge_in_unique_4cycle`` is the
+    first such edge or None. Condition (ii): every vertex subset spanning
+    exactly two edges has an edge inside its exterior neighbourhood;
+    ``two_edge_sets_ok`` says whether it holds and ``counterexample`` is the
+    first set that breaks it, sorted, or None.
 
     Vertex sets are bitmasks with vertex v at bit n - 1 - v, so among sets
     of one size a larger mask comes earlier in ``combinations`` order, the
@@ -309,7 +270,7 @@ def verify_bowtie_structure(g: Graph) -> BowtieStructureReport:
     for (u, v) in g.edges:
         pair = bit[u] | bit[v]
         if spanned[reach[pair] & ~pair] == 1:
-            witness_edge = (u, v)
+            witness_edge = [u, v]
             break
 
     # sets spanning exactly two edges whose exterior spans none; sweeping
@@ -319,10 +280,12 @@ def verify_bowtie_structure(g: Graph) -> BowtieStructureReport:
         if spanned[mask] == 2 and not spanned[reach[mask] & ~mask]:
             if first is None or mask.bit_count() < first.bit_count():
                 first = mask
-    counterexample = (
-        None if first is None else frozenset(v for v in range(n) if first & bit[v])
-    )
-    return BowtieStructureReport(witness_edge, first is None, counterexample)
+    counterexample = None if first is None else [v for v in range(n) if first & bit[v]]
+    return {
+        "edge_in_unique_4cycle": witness_edge,
+        "two_edge_sets_ok": first is None,
+        "counterexample": counterexample,
+    }
 
 
 def load_graph_text(text: str) -> Graph:

@@ -40,9 +40,7 @@ class HessianMatrix:
 
 def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
     """The pair selection (every pair when None) with i <= j, checked in
-    order: at least one pair, no pair twice, every pair in range, and its
-    k^2 dense Hessian entries within the work limit, a cost the engine's
-    colouring estimate cannot see."""
+    order: at least one pair, no pair twice, every pair in range."""
     if pairs is None:
         selected = pair_list(n)
     else:
@@ -54,11 +52,6 @@ def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
         for (i, j) in selected:
             if not (0 <= i <= j < n):
                 raise UsageError(f"pair ({i},{j}) out of range")
-    k = len(selected)
-    if k * k > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"hessian guard: {k}^2 = {k * k} entries > {ENUMERATION_GUARD}"
-        )
     return selected
 
 
@@ -73,10 +66,17 @@ def hessian_matrix(g: Graph, a: SymRationalMatrix, pairs=None) -> HessianMatrix:
     A selected zero cell is capped at multiplicity 2, since a term with more
     copies still vanishes after two differentiations. The Hessian is then
     read by ``SparsePoly.hessian``, each entry summed by factor over the
-    terms its plan lists for that entry.
+    terms its plan lists for that entry. The k^2 dense entries of k selected
+    pairs must be within the work limit, a cost the engine's colouring
+    estimate cannot see.
     """
     n = a.n
     selected = _selected_pairs(n, pairs)
+    k = len(selected)
+    if k * k > ENUMERATION_GUARD:
+        raise SizeGuardError(
+            f"hessian guard: {k}^2 = {k * k} entries > {ENUMERATION_GUARD}"
+        )
     opened = [pair_index(i, j, n) for (i, j) in selected]
     names = [f"c{idx:02d}" for idx in opened]
     cells = list(a.tri)
@@ -98,7 +98,8 @@ def line_curvature(g: Graph, a: SymRationalMatrix, pairs, direction) -> Fraction
     so every slope is an integer; s is one symbol, one field of the key,
     and capped at degree 2, so no map of the engine holds more than three
     keys. Then v^T H v = 2 [s^2] / M^2. The pair selection is checked as
-    ``hessian_matrix`` checks it, then the direction's length.
+    ``hessian_matrix`` checks it, then the direction's length; no Hessian
+    is built, so its k^2 limit does not apply.
     """
     selected = _selected_pairs(a.n, pairs)
     v = [Fraction(x) for x in direction]

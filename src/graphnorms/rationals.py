@@ -16,8 +16,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" or an integer (int or string) into a Fraction. A bool is
-    an int to Python but not a number in the JSON it comes from."""
+    """Parse "p/q" or an integer (int or string) into a Fraction. A string
+    is an optional "-" and ASCII digits, then optionally "/" and ASCII
+    digits; ``int`` would also take underscores, spaces, "+" and other
+    scripts' digits, which ``format_rational`` never writes. A bool is an
+    int to Python but not a number in the JSON it comes from."""
     if isinstance(s, bool):
         raise UsageError(f"expected rational string or integer, got {s!r}")
     if isinstance(s, int):
@@ -26,11 +29,12 @@ def parse_rational(s) -> Fraction:
         return s
     if not isinstance(s, str):
         raise UsageError(f"expected rational string or integer, got {type(s).__name__}")
-    try:
-        if "/" in s:
-            p, q = s.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(s))
+    p, slash, q = s.partition("/")
+    digits = [p.removeprefix("-")] + ([q] if slash else [])
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise UsageError(f"malformed rational {s!r}")
+    try:  # int() refuses over 4300 digits, and q may be 0
+        return Fraction(int(p), int(q) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed rational {s!r}") from exc
 

@@ -21,7 +21,9 @@ map, such as ``blowup_to_cartesian``'s.
 ``fraction_psd_certify`` is the PSD decision by elimination over
 ``Fraction``s that ``psd_certify`` replaced with integer elimination.
 ``brute_screen_failures`` reads the three structural screens off the edge
-list by brute force.
+list by brute force, and ``brute_structure`` reads ``structural_report``'s
+JSON off ``brute_degrees`` and ``brute_colouring``, which count degrees and
+two-colour by sweeps over the edge list.
 """
 
 import random
@@ -31,7 +33,6 @@ from math import comb, gcd, lcm
 from operator import add
 
 from graphnorms import Graph, SparsePoly, SymRationalMatrix
-from graphnorms.graphs import bipartition
 
 
 def brute_hom_count(g: Graph, rows) -> Fraction:
@@ -303,8 +304,56 @@ def random_sym_matrix(seed: int, n: int, lo: int = -1, hi: int = 1, den: int = 6
     return SymRationalMatrix.from_rows(random_rational_rows(seed, n, lo, hi, den))
 
 
+def brute_degrees(g: Graph) -> list[int]:
+    """The degree of every vertex: the edges of the edge list that hold it."""
+    return [sum(v in edge for edge in g.edges) for v in range(g.n)]
+
+
+def brute_colouring(g: Graph) -> list[int] | None:
+    """Colour 0/1 of every vertex, the parity of its distance from the
+    smallest vertex of its component (so isolated vertices are 0), or None
+    when some edge joins two equal colours. Each component grows by sweeps
+    over the whole edge list until a sweep colours nothing new."""
+    colour = [None] * g.n
+    for root in range(g.n):
+        if colour[root] is not None:
+            continue
+        colour[root] = 0
+        grown = True
+        while grown:
+            grown = False
+            for (u, v) in g.edges:
+                for (a, b) in ((u, v), (v, u)):
+                    if colour[a] is not None and colour[b] is None:
+                        colour[b] = 1 - colour[a]
+                        grown = True
+    if any(colour[u] == colour[v] for (u, v) in g.edges):
+        return None
+    return colour
+
+
 def eulerian(g: Graph) -> bool:
-    return all(d % 2 == 0 for d in g.degrees())
+    return all(d % 2 == 0 for d in brute_degrees(g))
+
+
+def brute_structure(g: Graph) -> dict:
+    """``structural_report``'s JSON, read off ``brute_degrees`` and
+    ``brute_colouring``: the colour classes in ascending order, and the
+    common degree when there is one."""
+    deg = brute_degrees(g)
+    colour = brute_colouring(g)
+    classes = None
+    if colour is not None:
+        classes = [[v for v in range(g.n) if colour[v] == c] for c in (0, 1)]
+    return {
+        "vertices": g.n,
+        "edges": len(g.edges),
+        "degree_sequence": sorted(deg),
+        "bipartite": colour is not None,
+        "classes": classes,
+        "eulerian": all(d % 2 == 0 for d in deg),
+        "regular": deg[0] if min(deg) == max(deg) else None,
+    }
 
 
 def brute_screen_failures(g: Graph) -> dict:
@@ -397,8 +446,10 @@ def blowup_to_cartesian(h: Graph) -> list[int]:
     blow-up's (u, v(H)+v) to (u, v) and (v, v(H)+u) to (v(H)+v, v(H)+u)."""
     n = h.n
     perm = list(range(2 * n))
-    for v in bipartition(h)[1]:
-        perm[v], perm[n + v] = n + v, v
+    colour = brute_colouring(h)
+    for v in range(n):
+        if colour[v] == 1:
+            perm[v], perm[n + v] = n + v, v
     return perm
 
 

@@ -328,11 +328,11 @@ def test_criterion_11_structure_suite():
         problems.append("blow-up of C6 is not C6 box K2")
     for k in (5, 6, 7, 8):
         rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
-        if rep.edge_in_unique_4cycle is None or not rep.two_edge_sets_ok:
+        if rep["edge_in_unique_4cycle"] is None or not rep["two_edge_sets_ok"]:
             problems.append(f"structure conditions failed for k={k}")
     for k in (3, 4):
         rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
-        if rep.edge_in_unique_4cycle is not None:
+        if rep["edge_in_unique_4cycle"] is not None:
             problems.append(f"condition (i) unexpectedly holds for k={k}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:

@@ -182,6 +182,15 @@ def test_boolean_matrix_entries_are_a_usage_error(capsys, c4_file, tmp_path):
     assert code == 3 and data["kind"] == "usage"
 
 
+def test_rational_spellings_format_rational_never_writes_are_a_usage_error(capsys, tmp_path):
+    # int() reads "1_0" as 10; a matrix holding it is malformed
+    path = tmp_path / "underscore.json"
+    path.write_text('{"n": 2, "entries": [["1_0", "0"], ["0", "1"]]}')
+    code, data = run_json(capsys, "psd", "-m", str(path))
+    assert code == 3 and data["kind"] == "usage"
+    assert "malformed rational '1_0'" in data["error"]
+
+
 def test_density_enumerates_once_per_kernel(capsys, monkeypatch, c4_file, pm_file, tmp_path):
     import graphnorms.homs as homs
 

@@ -18,6 +18,7 @@ from graphnorms.graphs import load_graph_text
 from oracles import (
     blowup_to_cartesian,
     brute_bowtie_structure,
+    brute_structure,
     maps_onto,
     path_graph,
     random_graph,
@@ -38,7 +39,7 @@ def test_hypercube_3():
     g = hypercube_graph(3)
     assert g.n == 8
     assert g.edge_count == 12
-    assert structural_report(g).regular == 3
+    assert structural_report(g)["regular"] == 3
 
 
 def test_kpm_3_is_a_six_cycle():
@@ -75,10 +76,10 @@ def test_bowtie_blowup_shape():
     assert g.n == 10
     assert g.edge_count == h.n + 2 * h.edge_count == 15
     rep = structural_report(g)
-    assert rep.bipartite
-    assert rep.classes == (tuple(range(5)), tuple(range(5, 10)))
-    assert rep.regular == 3
-    assert not rep.eulerian
+    assert rep["bipartite"]
+    assert rep["classes"] == [list(range(5)), list(range(5, 10))]
+    assert rep["regular"] == 3
+    assert not rep["eulerian"]
 
 
 def test_bowtie_blowup_isomorphism_claims():
@@ -114,15 +115,15 @@ def test_blowup_edge_count_and_bipartite(seed, n):
     g = bowtie_blowup(h)
     assert g.edge_count == h.n + 2 * h.edge_count
     rep = structural_report(g)
-    assert rep.bipartite
-    assert len(rep.classes[0]) == len(rep.classes[1]) == h.n
+    assert rep["bipartite"]
+    assert len(rep["classes"][0]) == len(rep["classes"][1]) == h.n
 
 
 @given(st.integers(0, 400), st.integers(2, 7))
 @settings(max_examples=40, deadline=None)
 def test_blowup_matches_cartesian_for_bipartite(seed, n):
     h = random_graph(seed, n, 0.4)
-    if structural_report(h).bipartite:
+    if structural_report(h)["bipartite"]:
         assert maps_onto(bowtie_blowup(h), blowup_to_cartesian(h), cartesian_k2(h))
 
 
@@ -145,24 +146,45 @@ def test_blowup_matches_cartesian_bipartite_families(h):
 
 def test_structural_report_examples():
     rep = structural_report(kpm_graph(4))
-    assert rep.regular == 3
-    assert not rep.eulerian
-    assert not structural_report(cycle_graph(5)).bipartite
-    assert structural_report(cycle_graph(6)).eulerian
+    assert rep["regular"] == 3
+    assert not rep["eulerian"]
+    assert not structural_report(cycle_graph(5))["bipartite"]
+    assert structural_report(cycle_graph(6))["eulerian"]
+
+
+def test_structural_report_matches_brute_force():
+    # random graphs, some with isolated vertices appended, plus edgeless
+    # graphs and odd cycles; each whole report, keys in order, against the
+    # oracle's
+    graphs = [Graph(1, ()), Graph(4, ()), cycle_graph(5), cycle_graph(7)]
+    for seed in range(200):
+        g = random_graph(seed, 1 + seed % 9, (0.15, 0.3, 0.5, 0.8)[seed % 4])
+        graphs.append(Graph(g.n + seed % 3, g.edges))
+    reports = []
+    for g in graphs:
+        rep = structural_report(g)
+        assert list(rep.items()) == list(brute_structure(g).items()), g
+        reports.append(rep)
+    degrees = [rep["degree_sequence"] for rep in reports]
+    assert sum(0 in d and max(d) > 0 for d in degrees) > 20  # isolated vertices
+    assert sum(rep["regular"] == 0 for rep in reports) > 5  # edgeless
+    assert sum(rep["classes"] is None for rep in reports) > 20  # odd cycles
+    assert sum(rep["regular"] is None for rep in reports) > 20  # irregular
+    assert sum(rep["classes"] is not None and rep["edges"] > 2 for rep in reports) > 20
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_bowtie_structure_holds_above_four(k):
     rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
-    assert rep.edge_in_unique_4cycle is not None
-    assert rep.two_edge_sets_ok
-    assert rep.counterexample is None
+    assert rep["edge_in_unique_4cycle"] is not None
+    assert rep["two_edge_sets_ok"]
+    assert rep["counterexample"] is None
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_bowtie_structure_fails_first_condition_small(k):
     rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
-    assert rep.edge_in_unique_4cycle is None
+    assert rep["edge_in_unique_4cycle"] is None
 
 
 def test_bowtie_structure_matches_brute_force():
@@ -171,13 +193,13 @@ def test_bowtie_structure_matches_brute_force():
     reports = []
     for seed in range(150):
         g = random_graph(seed, 2 + seed % 9, (0.2, 0.35, 0.5, 0.8)[seed % 4])
-        rep = verify_bowtie_structure(g).to_json()
+        rep = verify_bowtie_structure(g)
         assert rep == brute_bowtie_structure(g), (seed, g)
         reports.append(rep)
     assert sum(r["counterexample"] is not None for r in reports) > 20
     assert sum(r["edge_in_unique_4cycle"] is not None for r in reports) > 20
     for g in (bowtie_blowup(cycle_graph(4)), bowtie_blowup(cycle_graph(5)), kpm_graph(4)):
-        assert verify_bowtie_structure(g).to_json() == brute_bowtie_structure(g)
+        assert verify_bowtie_structure(g) == brute_bowtie_structure(g)
 
 
 def test_sparse_adjacency_reads_the_edge_list_alone():

@@ -11,6 +11,7 @@ import pytest
 import graphnorms.homs as homs
 from graphnorms import (
     Certificate,
+    SizeGuardError,
     SymRationalMatrix,
     UsageError,
     bowtie_blowup,
@@ -26,7 +27,7 @@ from graphnorms.hessians import line_curvature
 from graphnorms.matrices import pair_list
 from graphnorms.plans import _cover_plan
 from graphnorms.polys import SparsePoly
-from oracles import random_graph
+from oracles import brute_count_polynomial, random_graph
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
 
@@ -167,3 +168,30 @@ def test_line_checks_the_selection_as_the_hessian_does():
     with pytest.raises(UsageError) as err:
         line_curvature(g, a, [(2, 2), (0, 2)], [1, 2, 3])
     assert str(err.value) == "direction length mismatch"
+
+
+def test_verification_builds_no_hessian_so_has_no_pair_limit():
+    # all 105 pairs of a 14 x 14 signed witness: 105^2 dense entries pass
+    # the Hessian's work limit, but the line read builds no Hessian
+    rng = _random.Random(14)
+    n = 14
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(-1)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice((-1, 0, 1)), 3)
+    pairs = tuple(pair_list(n))
+    direction = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in pairs)
+    g = cycle_graph(3)
+    a = SymRationalMatrix.from_rows(rows)
+    with pytest.raises(SizeGuardError):
+        hessian_matrix(g, a)
+    affine = [(rows[i][j], x, "s") for (i, j), x in zip(pairs, direction)]
+    want = 2 * brute_count_polynomial(g, affine, {"s": 2})[(2,)]
+    assert want < 0
+    assert line_curvature(g, a, pairs, direction) == want
+    cert = Certificate(
+        kind="not_norming", graph=g, n=n, witness=a, pairs=pairs,
+        direction=direction, value=want,
+    )
+    assert verify_certificate(Certificate.from_json(cert.to_json()))

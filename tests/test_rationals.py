@@ -23,6 +23,13 @@ def test_format_and_parse():
         parse_rational("1/0")
     with pytest.raises(UsageError):
         parse_rational("abc")
+    # int() reads each of these, but format_rational writes none of them
+    for text in ("1_0", " 1 ", "1/ 2", "+3", "١/٢", "２", "1/-2", "-", "1/", "/2", "--1", "1/2/3"):
+        with pytest.raises(UsageError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"malformed rational {text!r}"
+    assert parse_rational("-0") == 0
+    assert parse_rational("-12/18") == Fraction(-2, 3)
     for flag in (True, False):
         with pytest.raises(UsageError):
             parse_rational(flag)

@@ -82,7 +82,7 @@ def test_size_guards_only_at_the_remaining_limits():
             ]
     assert raising == {
         "homs.profile_map",
-        "hessians._selected_pairs",  # the dense Hessian's k^2, checked on every selection
+        "hessians.hessian_matrix",  # the dense Hessian's k^2 entries
         "matrices.block_pm_ones",
         "matrices.cut_norm",
         "graphs._check_size",
