@@ -22,11 +22,10 @@ makes every curvature certificate from what the loop found, its pairs read
 off the template: the one cell each read symbol opens.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import SizeGuardError, UsageError
+from .errors import Record, SizeGuardError, UsageError
 from .graphs import (
     Graph,
     bowtie_blowup,
@@ -60,19 +59,17 @@ SCREENS = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # not_weakly_norming | not_norming | screening_failure
-    graph: Graph
-    n: int | None = None
-    witness: SymRationalMatrix | None = None
-    pairs: tuple[tuple[int, int], ...] | None = None
-    direction: tuple[Fraction, ...] | None = None
-    value: Fraction | None = None
-    reason: str | None = None  # structural screening reason
-    theorem: str = ""
-    degree_evidence: dict | None = None
-    seed: int | None = None
+class Certificate(Record):
+    # kind: not_weakly_norming | not_norming | screening_failure; graph: Graph;
+    # then each optional: n: int; witness: SymRationalMatrix; pairs: tuple of
+    # (i, j); direction: tuple of Fractions; value: Fraction; reason: the
+    # structural screening reason; theorem: str; degree_evidence: dict;
+    # seed: int
+    __slots__ = (
+        "kind", "graph", "n", "witness", "pairs", "direction", "value", "reason",
+        "theorem", "degree_evidence", "seed",
+    )
+    _defaults = (None, None, None, None, None, None, "", None, None)
 
     def to_json(self) -> dict:
         return {
@@ -143,14 +140,11 @@ class Certificate:
         )
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     """A pipeline declined to certify; evidence is consistent with (but not a
     proof of) the graph having the property."""
 
-    operation: str
-    reason: str
-    evidence: dict
+    __slots__ = ("operation", "reason", "evidence")  # str; str; dict
 
     def to_json(self) -> dict:
         return {

@@ -16,17 +16,14 @@ The two structure reports, ``structural_report`` and
 """
 
 import json
-from dataclasses import dataclass
 
-from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph: vertex count plus canonically sorted edge list."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")  # int; tuple of (int, int) pairs
 
     def __post_init__(self):
         if self.n < 1:
@@ -289,7 +286,9 @@ def verify_bowtie_structure(g: Graph) -> dict:
 
 
 def load_graph_text(text: str) -> Graph:
-    """Parse a graph from JSON or a plain "u v" edge list (n = max index + 1)."""
+    """Parse a graph from JSON or a plain "u v" edge list (n = max index + 1).
+    An endpoint is ASCII digits alone, with no sign: ``int`` would also take
+    underscores, "+" and other scripts' digits."""
     text = text.strip()
     if not text:
         raise UsageError("empty graph input")
@@ -305,7 +304,7 @@ def load_graph_text(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise UsageError(f"bad edge line {line!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))

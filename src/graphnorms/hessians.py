@@ -19,23 +19,21 @@ takes the same decisions and finds the same primitive witnesses as
 elimination over the rationals.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, Record, SizeGuardError, UsageError
 from .graphs import Graph, is_eulerian
 from .homs import Affine, SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, block_pm_ones, pair_index, pair_list
 
 
-@dataclass(frozen=True)
-class HessianMatrix:
+class HessianMatrix(Record):
     """Second derivatives of the count polynomial at a fixed base matrix,
     restricted to the listed variable pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
-    matrix: SymRationalMatrix  # len(pairs) x len(pairs)
+    # tuple of (i, j) pairs; SymRationalMatrix, len(pairs) x len(pairs)
+    __slots__ = ("pairs", "matrix")
 
 
 def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
@@ -114,11 +112,11 @@ def line_curvature(g: Graph, a: SymRationalMatrix, pairs, direction) -> Fraction
     return 2 * line.coefficient_of(s=2) / scale**2
 
 
-@dataclass(frozen=True)
-class PsdResult:
-    verdict: str  # "psd" | "not_psd"
-    witness: tuple[Fraction, ...] | None = None
-    value: Fraction | None = None
+class PsdResult(Record):
+    # "psd" | "not_psd"; a direction (tuple of Fractions) and its negative
+    # quadratic form, or None, None
+    __slots__ = ("verdict", "witness", "value")
+    _defaults = (None, None)
 
     @property
     def is_psd(self) -> bool:

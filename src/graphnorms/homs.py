@@ -100,12 +100,11 @@ density, profile and Hessian is read off this engine, so they all refuse
 at the same point.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import ENUMERATION_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, Record, SizeGuardError, UsageError
 from .graphs import Graph, is_bipartite, is_eulerian
 from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index, symmetric_cells
 from .plans import _cover_plan, _memo_plan, _summing_entries
@@ -120,8 +119,7 @@ class Affine(NamedTuple):
     symbol: str
 
 
-@dataclass(frozen=True)
-class SymbolicTemplate:
+class SymbolicTemplate(Record):
     """Symmetric n x n array whose cells are ``Fraction``s or ``Affine``
     cells; made from a symbol name, a cell is ``Affine(0, 1, name)``.
 
@@ -129,8 +127,7 @@ class SymbolicTemplate:
     symbol's exponent then accumulates across those cells.
     """
 
-    n: int
-    cells: tuple  # Fraction | Affine per unordered pair, pair_index order
+    __slots__ = ("n", "cells")  # int; Fraction | Affine per unordered pair, pair_index order
 
     def __post_init__(self):
         if len(self.cells) != self.n * (self.n + 1) // 2:
@@ -174,8 +171,7 @@ def _cell(x) -> Fraction | Affine:
 
 
 class ProfileMap(NamedTuple):
-    """Packed edge-multiplicity profiles with assignment counts (a named
-    tuple: cheaper to define at import than a frozen dataclass)."""
+    """Packed edge-multiplicity profiles with assignment counts."""
 
     fields: int  # fields of the key, field f in bits f * width on
     width: int

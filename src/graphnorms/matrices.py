@@ -7,11 +7,10 @@ index pair, row-major over the upper triangle: (0,0), (0,1), ..., (0,n-1),
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ENUMERATION_GUARD, SWEEP_GUARD, SizeGuardError, UsageError
+from .errors import ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError
 from .rationals import format_rational, parse_rational
 
 MATRIX_CLASSES = ("nonnegative", "signed")
@@ -50,12 +49,10 @@ def symmetric_cells(rows, read, what: str) -> tuple[int, tuple]:
     return n, tuple(rows[i][j] for i in range(n) for j in range(i, n))
 
 
-@dataclass(frozen=True)
-class SymRationalMatrix:
+class SymRationalMatrix(Record):
     """n x n symmetric matrix of exact rationals (upper-triangle storage)."""
 
-    n: int
-    tri: tuple[Fraction, ...]
+    __slots__ = ("n", "tri")  # int; tuple of Fractions in pair_index order
 
     def __post_init__(self):
         if self.n < 1:

@@ -18,23 +18,20 @@ through one plan.
 """
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from math import lcm
 from operator import itemgetter, mul, sub
 
-from .errors import UsageError
+from .errors import Record, UsageError
 from .matrices import SymRationalMatrix
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    symbols: tuple[str, ...]
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
-    den: int = 1
-    # read plans of ``hessian``, one per selection of axes
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class SparsePoly(Record):
+    # symbols: tuple of str; terms: {exponent tuple: int numerator}; den: int;
+    # _plans: the read plans of ``hessian``, one per selection of axes
+    __slots__ = ("symbols", "terms", "den", "_plans")
+    _defaults = (dict, 1)
 
     def __post_init__(self):
         if type(self.den) is not int or self.den < 1:
@@ -48,6 +45,7 @@ class SparsePoly:
                 raise UsageError("exponent vector length mismatch")
             if type(c) is not int or c == 0:
                 raise UsageError("numerators must be nonzero ints")
+        object.__setattr__(self, "_plans", {})
 
     def _axis(self, symbol: str) -> int:
         try:

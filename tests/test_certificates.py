@@ -173,6 +173,24 @@ def test_tampered_certificate_fails():
     assert not verify_certificate(Certificate.from_json(data))
 
 
+def test_zero_value_certificate_does_not_verify():
+    # the curvature of K_2 at [[1/2]] along [1] is exactly 0: the value
+    # matches, but a curvature of 0 refutes nothing
+    k2 = Graph(2, ((0, 1),))
+    witness = SymRationalMatrix.from_rows([[Fraction(1, 2)]])
+    assert line_curvature(k2, witness, ((0, 0),), (1,)) == 0
+    cert = Certificate(
+        kind="not_weakly_norming",
+        graph=k2,
+        n=1,
+        witness=witness,
+        pairs=((0, 0),),
+        direction=(Fraction(1),),
+        value=Fraction(0),
+    )
+    assert verify_certificate(cert) is False
+
+
 def test_weak_certificate_needs_a_witness_in_the_unit_interval():
     # kpm 5's certificate relabelled as a weak-norming refutation: its value
     # still matches exactly, but its witness holds -1, so it is no graphon

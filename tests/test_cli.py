@@ -9,6 +9,7 @@ import pytest
 
 import graphnorms
 from graphnorms.cli import main
+from graphnorms.graphs import Graph, load_graph_text
 
 SRC = Path(graphnorms.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -189,6 +190,38 @@ def test_rational_spellings_format_rational_never_writes_are_a_usage_error(capsy
     code, data = run_json(capsys, "psd", "-m", str(path))
     assert code == 3 and data["kind"] == "usage"
     assert "malformed rational '1_0'" in data["error"]
+
+
+@pytest.mark.parametrize("line", ["0 1_0", "+1 ٢", " 1 ２"])
+def test_edge_list_endpoints_are_ascii_digits(capsys, tmp_path, line):
+    # int() reads "1_0" as 10, "+1" as 1 and "٢" or "２" as 2
+    path = tmp_path / "edges.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, data = run_json(capsys, "construct", "bowtie", "-g", str(path))
+    assert code == 3 and data["kind"] == "usage"
+    assert "bad edge line" in data["error"]
+    path.write_text("0 1\n")
+    assert load_graph_text(path.read_text()) == Graph(2, ((0, 1),))
+    code, data = run_json(capsys, "construct", "bowtie", "-g", str(path))
+    assert code == 0 and data["n"] == 4  # the blow-up of K_2
+
+
+def test_zero_value_certificate_is_invalid(capsys, tmp_path):
+    # the curvature of K_2 at [[1/2]] along [1] really is 0, so the value
+    # matches and only its sign refuses it
+    cert = {
+        "kind": "not_weakly_norming",
+        "graph": {"n": 2, "edges": [[0, 1]]},
+        "n": 1,
+        "witness": {"n": 1, "entries": [["1/2"]]},
+        "pairs": [[0, 0]],
+        "direction": ["1"],
+        "value": "0",
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cert))
+    code, data = run_json(capsys, "verify", "-c", str(path))
+    assert code == 1 and data["valid"] is False
 
 
 def test_density_enumerates_once_per_kernel(capsys, monkeypatch, c4_file, pm_file, tmp_path):

@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import graphnorms
@@ -19,6 +22,32 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_cold_import_loads_no_dataclasses():
+    # dataclasses imports inspect (and with it ast, dis and tokenize), and
+    # every start of a one-shot command pays for that import; the records
+    # are slotted classes over errors.Record instead
+    root = Path(graphnorms.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert found == []
+    # -S keeps site's own imports out, so what is loaded is the package's doing
+    probe = "import sys, graphnorms.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(root.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def _broad_handler(node) -> bool:
@@ -202,6 +231,31 @@ def test_sparse_poly_is_read_only():
     assert {name for name in defined if not name.startswith("_")} == reads
     # dunders such as __add__ or __mul__ would bring operators back
     assert {name for name in defined if name.startswith("__")} == {"__post_init__"}
+
+
+def test_sparse_poly_inherits_no_operator():
+    # the record base lives in errors.py, which the AST check above never
+    # reads: every dunder method SparsePoly has beyond object's, inherited
+    # ones included, is a record's, never an operator
+    from graphnorms.polys import SparsePoly
+
+    methods = {
+        name
+        for klass in SparsePoly.__mro__[:-1]
+        for name, value in vars(klass).items()
+        if name.startswith("__") and (callable(value) or isinstance(value, classmethod))
+    }
+    assert methods == {
+        "__post_init__",
+        "__init__",
+        "__init_subclass__",
+        "__eq__",
+        "__hash__",
+        "__repr__",
+        "__reduce__",
+        "__setattr__",
+        "__delattr__",
+    }
 
 
 def test_profile_map_has_one_recursion():
