@@ -16,6 +16,7 @@ from pathlib import Path
 
 from graphnorms import (
     Certificate,
+    Graph,
     Refusal,
     allones_hessian,
     annihilates_ones,
@@ -31,9 +32,28 @@ from graphnorms import (
     verify_certificate,
 )
 
+
+def heawood_graph():
+    """The Heawood graph, the incidence graph of the Fano plane: points 0-6,
+    lines 7-13, and line 7 + j holds the points j, j + 1 and j + 3 mod 7."""
+    return Graph.from_edges(14, [((j + d) % 7, 7 + j) for j in range(7) for d in (0, 1, 3)])
+
+
+def mobius_kantor_graph():
+    """The Moebius-Kantor graph, the generalized Petersen graph GP(8, 3):
+    the outer cycle 0-7, the spokes (i, 8 + i) and the inner edges
+    (8 + i, 8 + (i + 3) mod 8)."""
+    outer = [(i, (i + 1) % 8) for i in range(8)]
+    spokes = [(i, 8 + i) for i in range(8)]
+    inner = [(8 + i, 8 + (i + 3) % 8) for i in range(8)]
+    return Graph.from_edges(16, outer + spokes + inner)
+
+
 # the random witness search at n = 3: (label, graph, mode, seed, trials).
 # The Moebius ladder and K_{5,5} minus a matching find a certificate at
-# these seeds; K_{3,3} is weakly norming and spends its budget.
+# these seeds; K_{3,3} is weakly norming and spends its budget. The
+# edge-transitive Heawood and Moebius-Kantor graphs find one at trials 24
+# and 8 of these seeds.
 SEARCH_PANEL = (
     *(
         (f"search mobius seed={seed}", bowtie_blowup(cycle_graph(5)), "weakly_norming", seed, 60)
@@ -41,6 +61,8 @@ SEARCH_PANEL = (
     ),
     *((f"search kpm5 seed={seed}", kpm_graph(5), "norming", seed, 20) for seed in range(4)),
     ("search k33 seed=2", complete_bipartite(3, 3), "weakly_norming", 2, 100),
+    ("search heawood seed=23", heawood_graph(), "weakly_norming", 23, 30),
+    ("search mkantor seed=22", mobius_kantor_graph(), "weakly_norming", 22, 10),
 )
 
 

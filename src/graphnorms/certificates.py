@@ -15,11 +15,15 @@ refutes and its test on the graph, for ``screen_necessary`` and
 Every curvature certificate comes out of one refutation loop,
 ``_first_non_psd``: the count polynomial is built once by
 ``symbolic_profile``, and its Hessian is read at a sequence of points until
-one is not PSD. The bowtie pipeline walks its template with every symbol at
-eta = 2^-j, the kpm pipeline walks eps = 2^-j at x = y = 0, and the witness
-search walks its sampled matrices. One assembly, ``_curvature_certificate``,
-makes every curvature certificate from what the loop found, its pairs read
-off the template: the one cell each read symbol opens.
+one is not PSD. Each point is decided on the read's integer totals by the
+elimination ``psd_certify`` runs, and only the point that is not PSD
+becomes the ``Fraction`` matrix whose ``psd_certify`` result the
+certificate states. The bowtie pipeline walks its template with every
+symbol at eta = 2^-j, the kpm pipeline walks eps = 2^-j at x = y = 0, and
+the witness search walks its sampled matrices. One assembly,
+``_curvature_certificate``, makes every curvature certificate from what
+the loop found, its pairs read off the template: the one cell each read
+symbol opens.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ from .graphs import (
     is_eulerian,
     kpm_graph,
 )
-from .hessians import line_curvature, psd_certify
+from .hessians import _eliminate, line_curvature, psd_certify
 from .homs import Affine, SymbolicTemplate, symbolic_profile
 from .matrices import SymRationalMatrix, pair_list, sample_matrix
 from .polys import SparsePoly
@@ -170,11 +174,15 @@ def screen_necessary(g: Graph, mode: str) -> Certificate | None:
 def _first_non_psd(profile: SparsePoly, symbols, points):
     """The first of ``points`` at which the Hessian of ``profile`` in
     ``symbols`` is not PSD, as (index, point, PsdResult); None when there is
-    none."""
+    none. Each point is decided on the integer totals of the read, a
+    positive multiple of D H D with D diagonal and nonsingular, so PSD
+    exactly when H is; only the point that is not PSD becomes the
+    ``Fraction`` matrix whose ``psd_certify`` gives the certificate."""
     for index, point in enumerate(points):
-        res = psd_certify(profile.hessian(symbols, point))
-        if not res.is_psd:
-            return index, point, res
+        k, totals, divisors = profile._integer_hessian(symbols, point)
+        if _eliminate(k, totals) is not None:
+            hessian = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
+            return index, point, psd_certify(hessian)
     return None
 
 
@@ -371,7 +379,8 @@ def random_witness_search(
     accepted and ignored.
 
     The graph is enumerated once, into the count polynomial with every
-    cell a symbol and no caps, and each trial's Hessian is read from it at
+    cell a symbol and no caps (one colour class of its first cover vertex
+    and that part's images), and each trial's Hessian is read from it at
     the sampled matrix, through the read plan the first trial makes. At a
     zero cell an entry keeps only the terms with exactly as many edges on
     it as the entry differentiates away; the others vanish, among them the

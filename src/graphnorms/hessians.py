@@ -16,7 +16,9 @@ and re-checkable by direct multiplication. The elimination is
 fraction-free (Bareiss): it runs on integers whose every intermediate is a
 rational Schur complement times a positive leading principal minor, so it
 takes the same decisions and finds the same primitive witnesses as
-elimination over the rationals.
+elimination over the rationals. One routine, ``_eliminate``, runs it on an
+int matrix: ``psd_certify`` on the matrix scaled by the lcm of its
+denominators, and the refutation loop on a Hessian read's integer totals.
 """
 
 from fractions import Fraction
@@ -141,69 +143,78 @@ def quadratic_form(m: SymRationalMatrix, v) -> Fraction:
 def psd_certify(m: SymRationalMatrix) -> PsdResult:
     """Total PSD decision by pivoted symmetric elimination, fraction-free.
 
-    Eliminates on strictly positive diagonal pivots; a negative diagonal
-    entry yields a coordinate witness, and once every remaining diagonal
-    entry is zero the matrix is PSD iff the remainder vanishes (a surviving
-    off-diagonal entry gives an explicit negative direction). Witnesses are
-    back-substituted to original coordinates and re-verified exactly.
-
-    The elimination runs on Python ints in Bareiss' form: M is scaled by
-    the lcm of its denominators, and each step updates every active entry
-    on or above the diagonal as (a_pp x - a_jp y) // prev, prev the
-    previous pivot, an exact division by Sylvester's identity, and copies
-    the rest by symmetry. After a step every active entry is the
-    rational Schur complement times the leading principal minor of the
-    pivots so far, which is positive, so each sign test picks the pivot,
-    negative diagonal or off-diagonal entry that elimination over the
-    rationals picks, and each witness is a positive multiple of its
-    rational counterpart, the same once divided by its gcd. The lift (the
+    M is scaled by the lcm of its denominators and eliminated on integers
+    (``_eliminate``). A witness is back-substituted to original
+    coordinates, made primitive and re-verified exactly. The lift (the
     current coordinates in the original basis) is not carried along: each
     step records its pivot, a_pp, prev and the (j, a_jp) it eliminated, and
     only a witness replays those steps on the identity, with the same
     integer operations in the same order, so a PSD matrix never builds it.
     """
     n = m.n
-    tri = m.tri
-    scale = lcm(*(x.denominator for x in tri))
-    flat = iter([x.numerator * (scale // x.denominator) for x in tri])
+    scale = lcm(*(x.denominator for x in m.tri))
+    found = _eliminate(n, [x.numerator * (scale // x.denominator) for x in m.tri])
+    if found is None:
+        return PsdResult("psd")
+    steps, i, j, sign = found
+    # the recorded steps replayed on the identity: lift[c] expresses
+    # current coordinate c in the original basis
+    lift = [[int(r == c) for r in range(n)] for c in range(n)]
+    for piv, app, divisor, pairs in steps:
+        col = lift[piv]
+        for c, ajp in pairs:
+            out = []
+            for x, y in zip(lift[c], col):
+                q, rem = divmod(app * x - ajp * y, divisor)
+                if rem:
+                    raise RuntimeError("fraction-free elimination left a remainder")
+                out.append(q)
+            lift[c] = out
+    direction = lift[i]
+    if j is not None:
+        direction = [x - sign * y for x, y in zip(direction, lift[j])]
+    # made primitive: divided by the gcd, which keeps the sign
+    g = gcd(*direction)
+    v = tuple(Fraction(x // g) for x in direction)
+    value = quadratic_form(m, v)
+    if value >= 0:
+        raise RuntimeError(f"PSD witness does not re-check: value {value}")
+    return PsdResult("not_psd", v, value)
+
+
+def _eliminate(n: int, flat) -> tuple | None:
+    """Pivoted symmetric elimination, in Bareiss' form, of the n x n
+    symmetric int matrix whose upper triangle, row by row, is ``flat``:
+    None when it is PSD, else (steps, i, j, sign), the negative direction
+    being current coordinate i, or i - sign * j when j is not None.
+
+    Eliminates on strictly positive diagonal pivots; a negative diagonal
+    entry yields a coordinate direction, and once every remaining diagonal
+    entry is zero the matrix is PSD iff the remainder vanishes (a surviving
+    off-diagonal entry gives a negative direction). Each step updates every
+    active entry on or above the diagonal as (a_pp x - a_jp y) // prev,
+    prev the previous pivot, an exact division by Sylvester's identity, and
+    copies the rest by symmetry. After a step every active entry is the
+    rational Schur complement times the leading principal minor of the
+    pivots so far, which is positive, so each sign test picks the pivot,
+    negative diagonal or off-diagonal entry that elimination over the
+    rationals picks, and each direction is a positive multiple of its
+    rational counterpart. ``steps`` holds (pivot, a_pp, prev, [(j, a_jp),
+    ...]) per step.
+    """
+    flat = iter(flat)
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         row = a[i]
         for j in range(i, n):
             row[j] = a[j][i] = next(flat)
     active = list(range(n))
-    steps = []  # (pivot, a_pp, prev, [(j, a_jp), ...]) per elimination step
+    steps = []
     prev = 1
-
-    def finish(i, j=None, sign=0):
-        # the recorded steps replayed on the identity: lift[c] expresses
-        # current coordinate c in the original basis
-        lift = [[int(r == c) for r in range(n)] for c in range(n)]
-        for piv, app, divisor, pairs in steps:
-            col = lift[piv]
-            for c, ajp in pairs:
-                out = []
-                for x, y in zip(lift[c], col):
-                    q, rem = divmod(app * x - ajp * y, divisor)
-                    if rem:
-                        raise RuntimeError("fraction-free elimination left a remainder")
-                    out.append(q)
-                lift[c] = out
-        direction = lift[i]
-        if j is not None:
-            direction = [x - sign * y for x, y in zip(direction, lift[j])]
-        # made primitive: divided by the gcd, which keeps the sign
-        g = gcd(*direction)
-        v = tuple(Fraction(x // g) for x in direction)
-        value = quadratic_form(m, v)
-        if value >= 0:
-            raise RuntimeError(f"PSD witness does not re-check: value {value}")
-        return PsdResult("not_psd", v, value)
-
     while active:
         for i in active:
             if a[i][i] < 0:
-                return finish(i)
+                return steps, i, None, 0
         piv = next((i for i in active if a[i][i] > 0), None)
         if piv is None:
             # all remaining diagonals are zero
@@ -211,8 +222,8 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
                 ai = a[i]
                 for j in active:
                     if i < j and ai[j]:
-                        return finish(i, j, 1 if ai[j] > 0 else -1)
-            return PsdResult("psd")
+                        return steps, i, j, 1 if ai[j] > 0 else -1
+            return None
         active.remove(piv)
         app = a[piv][piv]
         row = a[piv]
@@ -231,7 +242,7 @@ def psd_certify(m: SymRationalMatrix) -> PsdResult:
                 aj[k] = q
         steps.append((piv, app, prev, pairs))
         prev = app
-    return PsdResult("psd")
+    return None
 
 
 def allones_hessian(g: Graph, half: int) -> SymRationalMatrix:

@@ -82,6 +82,17 @@ the count collapses to colour multiplicities: kpm m = 7 tries 252 partial
 colourings, the plain search 3279. ``ProfileMap.visited`` counts the
 partial colourings tried.
 
+A template whose every cell is its own bare symbol, with no cap, over a
+graph with an edge (the witness search's, or a Hessian's with every pair
+selected and no zero cell) maps onto itself when the colours are
+relabelled: the maps that give the first cover vertex colour c are the
+image under the transposition (0 c) of those that give it 0, an image
+moving the exponent of cell {i, j} to cell {ti, tj}. For such a template
+``symbolic_profile`` has ``profile_map`` colour that vertex 0 alone and
+adds the n - 1 images, each a C-level gather of the exponent tuples: the
+Moebius ladder's search template at n = 3 tries 121 partial colourings,
+not 363.
+
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
 read off the edge list alone (so a graph claiming 10^12 mostly isolated
 vertices costs nothing to refuse). Before colouring anything,
@@ -102,11 +113,14 @@ at the same point.
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ENUMERATION_GUARD, Record, SizeGuardError, UsageError
 from .graphs import Graph, is_bipartite, is_eulerian
-from .matrices import SymRationalMatrix, block_pm_ones, cut_norm, pair_index, symmetric_cells
+from .matrices import (
+    SymRationalMatrix, block_pm_ones, cut_norm, pair_index, pair_list, symmetric_cells,
+)
 from .plans import _cover_plan, _memo_plan, _summing_entries
 from .polys import SparsePoly
 
@@ -240,7 +254,9 @@ def _steps(g: Graph, n: int, cells, caps):
     return width, step, split, capmask, bias, guard
 
 
-def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
+def profile_map(
+    g: Graph, n: int, cells, caps: dict[int, int], first_colour_only: bool = False
+) -> ProfileMap:
     """Sum the weights of the maps per profile, the edges on each field.
 
     ``cells[i]``, in ``pair_index`` order, is what an edge on cell i brings:
@@ -255,6 +271,8 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
     or the profile entries summing the independent set out touches per
     colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is priced as
     at least 2 colours, which also bounds the depth of the search at n = 1.
+    With ``first_colour_only`` the first cover vertex takes colour 0 alone,
+    and only the maps that colour it 0 are summed.
     """
     if any(cap < 0 for cap in caps.values()):
         raise UsageError("a field's cap must be at least 0")
@@ -289,6 +307,7 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
 
     colors = [0] * depth
     rng = range(n)
+    first = range(1) if first_colour_only else rng
     visited = summed = 0
     sides: dict[int, dict] = {}  # colour multiset of the neighbours -> side map
 
@@ -355,11 +374,12 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
             tkey = tuple(tkey)
             if tkey in table:
                 return table[tkey]
-        visited += n
+        choices = first if p == 0 else rng
+        visited += len(choices)
         out: dict[int, int] = {}
         rows = [step[colors[b]] for b in back[p]]
         splits = [r for r in (split[colors[b]] for b in back[p]) if r] if split else ()
-        for c in rng:
+        for c in choices:
             key, w = base, 1
             for row in rows:
                 s = row[c]
@@ -451,7 +471,13 @@ def symbolic_profile(
     for c, a in zip(t.cells, consts):
         b = a.numerator * (scale // a.denominator)
         cells.append((field[c.symbol], b, c.slope) if isinstance(c, Affine) else b)
-    pm = profile_map(g, t.n, cells, caps)
+    # every cell its own bare symbol, no cap and an edge: relabelling the
+    # colours permutes the symbols and keeps the polynomial, so only the maps
+    # colouring the first cover vertex 0 are enumerated
+    bare = g.edge_count > 0 and not caps and len(symbols) == len(t.cells) and all(
+        c == Affine(0, 1, c.symbol) for c in t.cells
+    )
+    pm = profile_map(g, t.n, cells, caps, bare)
     mask = (1 << pm.width) - 1
     shifts = [f * pm.width for f in range(pm.fields)]
     # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
@@ -461,6 +487,18 @@ def symbolic_profile(
         if cnt:
             exp = tuple([(key >> shift) & mask for shift in shifts])
             terms[exp] = cnt * scale_pow[sum(exp)]
+    if bare:
+        # the maps colouring it c are their image under t = (0 c), which
+        # moves the exponent of cell {i, j} to cell {ti, tj}
+        home = [field[c.symbol] for c in t.cells]
+        base, terms = terms, dict(terms)
+        for c in range(1, t.n):
+            swap = {0: c, c: 0}
+            src = [0] * len(home)
+            for (i, j), f in zip(pair_list(t.n), home):
+                src[home[pair_index(swap.get(i, i), swap.get(j, j), t.n)]] = f
+            for exp, cnt in zip(map(itemgetter(*src), base), base.values()):
+                terms[exp] = terms.get(exp, 0) + cnt
     return SparsePoly(symbols, terms, scale_pow[-1])
 
 

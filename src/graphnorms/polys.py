@@ -6,15 +6,17 @@ nonzero integer numerators in a hash map over one common denominator
 ``den``, the one its builder computes. Every pipeline only reads it, in
 two ways: a coefficient (``coefficient_of``, which also gives the kpm
 pipeline the least eps-degree of a part, degree by degree) and the second
-derivatives at a point (``hessian``). The hot read, ``hessian``, follows a
-plan made once per selection of symbols and kept on the polynomial: for
-each entry, the terms that reach it, grouped by their integer factor. A
-read values each term once at the point, on Python ints over ``den`` times
-a power of the point's denominator, sums each entry by factor (one
-addition per term, one multiplication per factor), and builds a
-``Fraction`` once per entry of the ``SymRationalMatrix`` it returns, so a
+derivatives at a point (``hessian``). The hot read follows a plan made
+once per selection of symbols and kept on the polynomial: for each entry,
+the terms that reach it, grouped by their integer factor. A read values
+each term once at the point, on Python ints over ``den`` times a power of
+the point's denominator, and sums each entry by factor (one addition per
+term, one multiplication per factor) into an integer total over a
+positive divisor. ``hessian`` makes one ``Fraction`` per entry of the
+``SymRationalMatrix`` it returns; the refutation loop reads the integer
+form (``_integer_hessian``) and decides PSD on the totals alone, so a
 witness search reads every trial's Hessian from one uncapped polynomial
-through one plan.
+through one plan and forms ``Fraction``s only at the point it refutes.
 """
 
 from collections import defaultdict, deque
@@ -57,19 +59,30 @@ class SparsePoly(Record):
         """Second partial derivatives in ``symbols`` at ``point``.
 
         A term c x^m adds c m_p (m_q - [p = q]) x^(m - e_p - e_q) to entry
-        (p, q), with 0^0 = 1; rows and columns follow ``symbols``. The read
-        runs on Python ints: the point is B/L with B integral and L the lcm
-        of its denominators, and a term of total degree d is brought to the
-        common denominator ``den`` L^(dmax - 2) by the factor L^(dmax - d).
-        The terms that reach each entry, grouped by their integer factor,
-        come from a plan made once per selection (``_plan``). A read values
-        every term once, c L^(dmax - d) times B_a^(m_a) over the coordinates
-        a that are not 0 at the point, and sums each entry by factor, the
-        sum over f of f times the sum of its terms with factor f: one
-        addition per term and one multiplication per factor. The entry is a
-        Fraction over ``den`` L^(dmax - 2) times the powers of B_p and B_q
-        it differentiated away. A coordinate z that is 0 at the point
-        instead keeps, in entry (p, q), exactly the terms with
+        (p, q), with 0^0 = 1; rows and columns follow ``symbols``. Each
+        entry is its integer total over its divisor (``_integer_hessian``).
+        """
+        k, totals, divisors = self._integer_hessian(symbols, point)
+        return SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
+
+    def _integer_hessian(self, symbols, point):
+        """The Hessian read on Python ints: (k, the totals, the divisors),
+        entry (p, q) of the upper triangle being total / divisor.
+
+        The point is B/L with B integral and L the lcm of its denominators,
+        and a term of total degree d is brought to the common denominator
+        ``den`` L^(dmax - 2) by the factor L^(dmax - d). The terms that
+        reach each entry, grouped by their integer factor, come from a plan
+        made once per selection (``_plan``). A read values every term once,
+        c L^(dmax - d) times B_a^(m_a) over the coordinates a that are not 0
+        at the point, and sums each entry by factor, the sum over f of f
+        times the sum of its terms with factor f: one addition per term and
+        one multiplication per factor. The divisor of entry (p, q) is
+        ``den`` L^(dmax - 2) beta_p beta_q, the powers of B_p and B_q it
+        differentiated away, with beta = B but 1 at a zero coordinate; so
+        the totals are the matrix c D H D with c > 0 and D = diag(beta)
+        nonsingular, PSD exactly when H is. A coordinate z that is 0 at the
+        point instead keeps, in entry (p, q), exactly the terms with
         m_z = [z = p] + [z = q]: the others vanish.
         """
         axes = tuple(self._axis(s) for s in symbols)
@@ -84,8 +97,8 @@ class SparsePoly(Record):
         lift, coeffs, gaps, columns, entries = plan
         k = len(axes)
         if not coeffs:
-            return SymRationalMatrix(k, (Fraction(0),) * (k * (k + 1) // 2))
-        values = [Fraction(point[s]) for s in self.symbols]
+            return k, (0,) * (k * (k + 1) // 2), (1,) * (k * (k + 1) // 2)
+        values = [x if type(x) is Fraction else Fraction(x) for x in map(point.get, self.symbols)]
         scale = lcm(*(v.denominator for v in values))
         lifted = [v.numerator * (scale // v.denominator) for v in values]
         pw = list(accumulate(repeat(scale, lift), mul, initial=1))
@@ -105,7 +118,7 @@ class SparsePoly(Record):
         # coordinate as those entries differentiate away
         keys = list(zip(*keys))
         kept = {}
-        tri = []
+        totals, divisors = [], []
         reads = terms
         for p, q, factors, groups in entries:
             if zeros:
@@ -114,9 +127,9 @@ class SparsePoly(Record):
                 if reads is None:
                     reads = kept[pattern] = list(map(mul, terms, map(pattern.__eq__, keys)))
             sums = map(sum, map(map, repeat(reads.__getitem__), groups))
-            total = sum(map(mul, factors, sums))
-            tri.append(Fraction(total, den * (lifted[p] or 1) * (lifted[q] or 1)))
-        return SymRationalMatrix(k, tuple(tri))
+            totals.append(sum(map(mul, factors, sums)))
+            divisors.append(den * (lifted[p] or 1) * (lifted[q] or 1))
+        return k, totals, divisors
 
     def _plan(self, axes):
         """The read plan of the selection ``axes``: (dmax - 2, the terms'

@@ -29,6 +29,7 @@ from graphnorms.certificates import SCREENS, _curvature_certificate
 from graphnorms.hessians import line_curvature
 from graphnorms.homs import Affine
 from oracles import brute_screen_failures, path_graph
+from test_certify_all import _load_script
 
 
 def test_screen_necessary():
@@ -246,8 +247,9 @@ def test_certificates_are_byte_identical_to_golden(family, k):
     assert verify_certificate(cert)
 
 
-# the same recipe for the witness search, at the benchmark's search panel:
-# a digest where a trial finds a certificate, None where the budget runs out
+# the same recipe for the witness search, at the benchmark's search panel
+# and the two edge-transitive rows of scripts/certify_all.py's panel: a
+# digest where a trial finds a certificate, None where the budget runs out
 SEARCH_GOLDEN = {
     ("mobius", "weakly_norming", 0, 60): "1d6537c92df202ffcc705e86dc33505c2633a25ab0a0a4686cece2cdca002341",
     ("mobius", "weakly_norming", 1, 60): "1103167f0c6f70bf5e817c9c682fa5549c31588d6d063b2adb59f3e00bfeeb5d",
@@ -259,6 +261,8 @@ SEARCH_GOLDEN = {
     ("k33", "weakly_norming", 2, 100): None,
     ("q3", "weakly_norming", 2, 50): None,
     ("c6", "norming", 2, 100): None,
+    ("heawood", "weakly_norming", 23, 30): "5a09defd82c7de9cde18ccfb995a10071ba4d0d749a63cc9718aca17d0751bae",
+    ("mkantor", "weakly_norming", 22, 10): "fc00db557ab6b00f8ae68d3ce260b68d0e53ab42fcab2f958feb09f75cffde78",
 }
 SEARCH_GRAPHS = {
     "mobius": lambda: bowtie_blowup(cycle_graph(5)),
@@ -266,6 +270,9 @@ SEARCH_GRAPHS = {
     "k33": lambda: complete_bipartite(3, 3),
     "q3": lambda: hypercube_graph(3),
     "c6": lambda: cycle_graph(6),
+    # the edge lists of scripts/certify_all.py
+    "heawood": lambda: _load_script().heawood_graph(),
+    "mkantor": lambda: _load_script().mobius_kantor_graph(),
 }
 
 
@@ -414,20 +421,41 @@ def test_search_enumerates_once_per_search(monkeypatch):
     }
     assert len(patterns) == 19
     # one uncapped enumeration with every cell a plain symbol, field f on
-    # cell f, read 19 ways
+    # cell f, of the maps that give the first cover vertex colour 0 (the
+    # template is symmetric under relabelling colours), read 19 ways
     assert len(calls) == 1
-    assert calls[0][1:] == (3, [(f, 0, 1) for f in range(6)], {})
+    assert calls[0][1:] == (3, [(f, 0, 1) for f in range(6)], {}, True)
     assert random_witness_search(g, 3, 0, "weakly_norming", seed=11) is None
     assert len(calls) == 1
 
 
+def test_psd_certify_runs_only_on_the_refuted_point(monkeypatch):
+    # a deterministic count: every point is decided on the read's integer
+    # totals, and only the one that is not PSD becomes a Fraction matrix
+    # for psd_certify, in all three walks
+    import graphnorms.certificates as certs
+
+    certified, decided = [], []
+    real_certify, real_eliminate = certs.psd_certify, certs._eliminate
+    monkeypatch.setattr(certs, "psd_certify", lambda m: certified.append(m) or real_certify(m))
+    monkeypatch.setattr(certs, "_eliminate", lambda *a: decided.append(a) or real_eliminate(*a))
+    cert = certs.random_witness_search(bowtie_blowup(cycle_graph(5)), 3, 60, "weakly_norming", seed=0)
+    trial = int(cert.theorem.rsplit("trial ", 1)[1].rstrip(")"))
+    assert trial > 0 and len(decided) == trial + 1 and len(certified) == 1
+    assert certs.random_witness_search(complete_bipartite(3, 3), 3, 100, "weakly_norming", seed=2) is None
+    assert len(decided) == trial + 101 and len(certified) == 1
+    for certify in (lambda: certify_bowtie_cycle(5), lambda: certify_kpm(5)):
+        certified.clear()
+        assert isinstance(certify(), Certificate) and len(certified) == 1
+
+
 def test_search_plans_its_hessian_read_once(monkeypatch):
     # a deterministic counter in place of a timing: every trial reads its
-    # Hessian through the plan the first trial made
+    # Hessian's integer totals through the plan the first trial made
     from graphnorms.polys import SparsePoly
 
     plans, reads = [], []
-    real_plan, real_hessian = SparsePoly._plan, SparsePoly.hessian
+    real_plan, real_read = SparsePoly._plan, SparsePoly._integer_hessian
 
     def planning(self, axes):
         plans.append(axes)
@@ -435,10 +463,10 @@ def test_search_plans_its_hessian_read_once(monkeypatch):
 
     def reading(self, symbols, point):
         reads.append(symbols)
-        return real_hessian(self, symbols, point)
+        return real_read(self, symbols, point)
 
     monkeypatch.setattr(SparsePoly, "_plan", planning)
-    monkeypatch.setattr(SparsePoly, "hessian", reading)
+    monkeypatch.setattr(SparsePoly, "_integer_hessian", reading)
     g = complete_bipartite(3, 3)  # weakly norming: every trial runs
     assert random_witness_search(g, 3, 100, "weakly_norming", seed=5) is None
     assert len(reads) == 100
@@ -453,13 +481,16 @@ def test_search_plans_its_hessian_read_once(monkeypatch):
 )
 def test_search_reads_the_hessian_matrix_on_every_zero_pattern(monkeypatch, g, n):
     """Every trial reads its Hessian from the one uncapped polynomial, and
-    the matrix it decides is the one hessian_matrix builds with the zero
-    cells capped, whatever the zero pattern."""
+    the integer matrix it decides is den beta_p beta_q H_pq exactly, H the
+    matrix hessian_matrix builds with the zero cells capped, beta the
+    cells times the lcm L of their denominators (1 at a zero cell) and
+    den = L^(e(H) - 2), whatever the zero pattern."""
     import itertools
+    from math import lcm
 
     import graphnorms.certificates as certs
-    from graphnorms.hessians import PsdResult, hessian_matrix
-    from graphnorms.matrices import SymRationalMatrix
+    from graphnorms.hessians import hessian_matrix
+    from graphnorms.matrices import SymRationalMatrix, pair_list
     from graphnorms.polys import SparsePoly
 
     ncells = n * (n + 1) // 2
@@ -471,21 +502,26 @@ def test_search_reads_the_hessian_matrix_on_every_zero_pattern(monkeypatch, g, n
     ]
     drawn = iter(matrices)
     read, decided = [], []
-    real_hessian = SparsePoly.hessian
+    real_read = SparsePoly._integer_hessian
 
     def recording(self, symbols, point):
         read.append(self)
-        return real_hessian(self, symbols, point)
+        return real_read(self, symbols, point)
 
-    def deciding(m):
-        decided.append(m)
-        return PsdResult("psd")
+    def deciding(k, totals):
+        decided.append((k, totals))
+        return None  # PSD: the search goes on
 
-    monkeypatch.setattr(SparsePoly, "hessian", recording)
+    monkeypatch.setattr(SparsePoly, "_integer_hessian", recording)
     monkeypatch.setattr(certs, "sample_matrix", lambda *args: next(drawn))
-    monkeypatch.setattr(certs, "psd_certify", deciding)
+    monkeypatch.setattr(certs, "_eliminate", deciding)
     assert certs.random_witness_search(g, n, len(matrices), "norming") is None
     assert len(decided) == len(read) == 2**ncells
     assert all(p is read[0] for p in read)
-    for a, got in zip(matrices, decided):
-        assert got == hessian_matrix(g, a).matrix
+    for a, (k, totals) in zip(matrices, decided):
+        scale = lcm(*(x.denominator for x in a.tri))
+        beta = [int(x * scale) or 1 for x in a.tri]
+        den = scale ** (g.edge_count - 2)
+        h = hessian_matrix(g, a).matrix
+        assert k == ncells and all(type(t) is int for t in totals)
+        assert list(totals) == [den * beta[p] * beta[q] * h.at(p, q) for p, q in pair_list(k)]

@@ -19,8 +19,8 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     args = ["--k-max", "5", "--m-max", "5"]
     assert script.main(["--out", str(tmp_path / "ok"), *args]) == 0
     out, err = capsys.readouterr()
-    # bowtie k=5, kpm m=4 and 5, and the search panel's seven finds
-    assert out.count("verified=True") == 10 and "verified=False" not in out
+    # bowtie k=5, kpm m=4 and 5, and the search panel's nine finds
+    assert out.count("verified=True") == 12 and "verified=False" not in out
     assert out.count(" NONE ") == 1  # K_{3,3} spends its budget
     assert err == ""
 
@@ -32,7 +32,7 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     )
     assert script.main(["--out", str(tmp_path / "bad"), *args]) == 1
     out, err = capsys.readouterr()
-    assert out.count("verified=True") == 5 and out.count("verified=False") == 5
+    assert out.count("verified=True") == 7 and out.count("verified=False") == 5
     assert "C_6 at half=1" in out
     kpm5_searches = ", ".join(f"search kpm5 seed={seed}" for seed in range(4))
     assert err == f"failed to verify: kpm m=5, {kpm5_searches}\n"

@@ -1,6 +1,7 @@
 import random as _random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from graphnorms import (
     quadratic_form,
     symbolic_profile,
 )
+from graphnorms.hessians import _eliminate
 from graphnorms.matrices import block_pm_ones, pair_list
 from oracles import (
     brute_hessian,
@@ -279,6 +281,46 @@ def test_psd_matches_the_fraction_reference():
     # the lift is replayed from the recorded steps: both witness kinds must
     # be reached after steps that changed it
     assert min(late.values()) > 50
+
+
+def _integer_verdict(rows, beta, c):
+    """Whether the elimination the refutation loop runs finds the integer
+    matrix c L D H D PSD: L the lcm of H's denominators, D = diag(beta)."""
+    k = len(rows)
+    scale = c * lcm(*(Fraction(x).denominator for row in rows for x in row))
+    totals = [scale * beta[p] * beta[q] * Fraction(rows[p][q]) for p, q in pair_list(k)]
+    assert all(t.denominator == 1 for t in totals)
+    return _eliminate(k, [int(t) for t in totals]) is None
+
+
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.integers(-9, 9).filter(bool), min_size=6, max_size=6),
+    st.integers(1, 30),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_verdict_matches_psd_certify(seed, beta, c):
+    # the loop decides c D H D on integers, D nonsingular and signed, c > 0:
+    # congruent to H, so PSD exactly when H is (Sylvester's law of inertia)
+    rows = _reference_cases(seed)
+    want = psd_certify(SymRationalMatrix.from_rows(rows)).is_psd
+    assert _integer_verdict(rows, beta[: len(rows)], c) == want
+
+
+@pytest.mark.parametrize("beta, c", [((1, 1, 1), 1), ((-3, 2, 5), 7), ((4, -1, -2), 2)])
+@pytest.mark.parametrize(
+    "rows, psd",
+    [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], True),
+        ([[0, Fraction(1, 3)], [Fraction(1, 3), 0]], False),  # zero diagonal, off-diagonal left
+        ([[Fraction(-1, 2)]], False),
+        ([[0]], True),
+    ],
+    ids=["zero", "zero-diagonal", "negative-1x1", "zero-1x1"],
+)
+def test_integer_verdict_on_degenerate_matrices(rows, psd, beta, c):
+    assert psd_certify(SymRationalMatrix.from_rows(rows)).is_psd is psd
+    assert _integer_verdict(rows, beta, c) is psd
 
 
 def test_non_psd_principal_submatrix_extends_by_zero_padding():

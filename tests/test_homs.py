@@ -691,6 +691,67 @@ def test_every_memo_table_has_a_key_that_repeats():
     assert tables >= 100
 
 
+def test_colour_class_build_matches_brute_force(monkeypatch):
+    # a template whose every cell is its own bare symbol, uncapped, over a
+    # graph with an edge is symmetric under relabelling colours: the build
+    # enumerates the maps giving the first cover vertex colour 0 and adds
+    # their images under the transpositions (0 c). Templates just off that
+    # condition take the full enumeration; both must equal the plain one
+    calls = []
+
+    def spy(*args):
+        pm = profile_map(*args)
+        calls.append((args[4:] == (True,), pm.visited))
+        return pm
+
+    monkeypatch.setattr(homs, "profile_map", spy)
+
+    def check(g, n, cells, caps, one_class):
+        poly = symbolic_profile(g, SymbolicTemplate(n, cells), caps)
+        assert calls[-1][0] is one_class, (g, cells, caps)
+        assert rational_terms(poly) == brute_count_polynomial(g, cells, caps), (g, cells, caps)
+
+    rng = _random.Random(20191024)
+    seen = {"isolated": 0, "n=1": 0, "n=2": 0, "n=3": 0, "n=4": 0}
+    for case in range(60):
+        n = rng.randint(1, 4)
+        g = random_graph(rng.randrange(10**6), rng.randint(2, 3 if n == 4 else 4), 0.6)
+        if not g.edges:
+            continue
+        # names that sort out of cell order, so a field is not its cell
+        ncells = n * (n + 1) // 2
+        names = rng.sample([f"s{i}" for i in range(ncells)], ncells)
+        check(g, n, tuple(names), {}, True)
+        seen["isolated"] += min(g.degrees()) == 0
+        seen[f"n={n}"] += 1
+        off = rng.randrange(ncells)
+        changed = [
+            (Fraction(2, 3), {}),  # a constant cell
+            (names[(off + 1) % ncells], {}),  # a shared symbol (unless n = 1)
+            (names[off], {names[off]: 1}),  # a binding cap
+            (names[off], {names[off]: g.edge_count}),  # a cap that never binds
+            (Affine(Fraction(1, 2), 1, names[off]), {}),  # a constant beside the symbol
+            (Affine(0, 2, names[off]), {}),  # a slope other than 1
+        ]
+        for cell, caps in changed:
+            cells = tuple(cell if i == off else name for i, name in enumerate(names))
+            check(g, n, cells, caps, cells == tuple(names) and not caps)
+    assert min(seen.values()) >= 3, seen
+    # an edgeless graph has no cover vertex to fix, so no images; a single
+    # edge, isolated vertices beside it or not, has one
+    for n in (1, 2, 3):
+        names = tuple(f"s{i}" for i in range(n * (n + 1) // 2))
+        check(Graph(3, ()), n, names, {}, False)
+        check(Graph(2, ((0, 1),)), n, names, {}, True)
+        check(Graph(4, ((1, 3),)), n, names, {}, True)
+    # the search template at n = 3 tries a third of the Moebius ladder's
+    # partial colourings
+    mobius = bowtie_blowup(cycle_graph(5))
+    symbolic_profile(mobius, SymbolicTemplate(3, tuple(f"c{i:02d}" for i in range(6))))
+    assert calls[-1] == (True, 121)
+    assert profile_map(mobius, 3, _plain(6), {}).visited == 363
+
+
 def test_visited_counts_pin_reuse(monkeypatch):
     # bowtie k = 7 reuses the subtrees under its last two cover positions,
     # and each further k adds 243 partial colourings; K_{m,m} minus a

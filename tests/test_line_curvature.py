@@ -145,7 +145,7 @@ def test_verifying_the_sweep_reads_one_small_map(monkeypatch, line_maps):
         return real_plan(self, axes)
 
     monkeypatch.setattr(SparsePoly, "_plan", planning)
-    assert len(SWEEP) == 12
+    assert len(SWEEP) == 14
     for cert in SWEEP:
         line_maps.clear()
         assert verify_certificate(cert)

@@ -192,10 +192,15 @@ def test_certificates_are_made_in_one_assembly_and_the_screens():
 def test_certificates_read_hessians_only_in_the_refutation_loop():
     # every curvature certificate is the first non-PSD Hessian that the one
     # loop finds; a Hessian read or PSD decision elsewhere in the pipelines
-    # would be a second refutation loop beside it
-    for name in ("psd_certify", "hessian"):
+    # would be a second refutation loop beside it. The loop reads each point
+    # once, in integers, and decides it by the elimination psd_certify runs
+    for name in ("psd_certify", "_integer_hessian", "_eliminate"):
         scopes = [s for s in _scopes_holding(_calls(name)) if s.startswith("certificates.")]
         assert scopes == ["certificates._first_non_psd"], name
+    assert not [s for s in _scopes_holding(_calls("hessian")) if s.startswith("certificates.")]
+    # the elimination is one routine: psd_certify runs it, no copy beside it
+    scopes = [s for s in _scopes_holding(_calls("_eliminate")) if s.startswith("hessians.")]
+    assert scopes == ["hessians.psd_certify"]
 
 
 def test_count_polynomial_denominator_is_chosen_once():
@@ -205,7 +210,7 @@ def test_count_polynomial_denominator_is_chosen_once():
     # format decision a second time
     assert "homs.symbolic_profile" not in _scopes_holding(_calls("Fraction"))
     lcms = [s for s in _scopes_holding(_calls("lcm")) if s.startswith("polys.")]
-    assert lcms == ["polys.SparsePoly.hessian"]  # the point's denominators
+    assert lcms == ["polys.SparsePoly._integer_hessian"]  # the point's denominators
     rewraps = set(_scopes_holding(_calls("from_rows")))
     assert not rewraps & {"certificates._first_non_psd", "hessians.hessian_matrix"}
 
