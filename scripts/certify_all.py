@@ -25,6 +25,7 @@ from graphnorms import (
     certify_kpm,
     complete_bipartite,
     cycle_graph,
+    hypercube_graph,
     kpm_graph,
     psd_certify,
     random_witness_search,
@@ -51,9 +52,10 @@ def mobius_kantor_graph():
 
 # the random witness search at n = 3: (label, graph, mode, seed, trials).
 # The Moebius ladder and K_{5,5} minus a matching find a certificate at
-# these seeds; K_{3,3} is weakly norming and spends its budget. The
-# edge-transitive Heawood and Moebius-Kantor graphs find one at trials 24
-# and 8 of these seeds.
+# these seeds. The edge-transitive Heawood and Moebius-Kantor graphs find
+# one at trials 24 and 8 of these seeds. K_{3,3}, K_{4,4}, Q_3, C_8 and
+# K_{4,4} minus a matching are weakly norming, so any certificate for them
+# would be a fault: each must spend its budget.
 SEARCH_PANEL = (
     *(
         (f"search mobius seed={seed}", bowtie_blowup(cycle_graph(5)), "weakly_norming", seed, 60)
@@ -63,6 +65,10 @@ SEARCH_PANEL = (
     ("search k33 seed=2", complete_bipartite(3, 3), "weakly_norming", 2, 100),
     ("search heawood seed=23", heawood_graph(), "weakly_norming", 23, 30),
     ("search mkantor seed=22", mobius_kantor_graph(), "weakly_norming", 22, 10),
+    ("search k44 seed=0", complete_bipartite(4, 4), "weakly_norming", 0, 300),
+    ("search q3 seed=0", hypercube_graph(3), "weakly_norming", 0, 300),
+    ("search c8 seed=0", cycle_graph(8), "weakly_norming", 0, 300),
+    ("search kpm4 seed=0", kpm_graph(4), "weakly_norming", 0, 300),
 )
 
 

@@ -174,12 +174,14 @@ def screen_necessary(g: Graph, mode: str) -> Certificate | None:
 def _first_non_psd(profile: SparsePoly, symbols, points):
     """The first of ``points`` at which the Hessian of ``profile`` in
     ``symbols`` is not PSD, as (index, point, PsdResult); None when there is
-    none. Each point is decided on the integer totals of the read, a
-    positive multiple of D H D with D diagonal and nonsingular, so PSD
-    exactly when H is; only the point that is not PSD becomes the
-    ``Fraction`` matrix whose ``psd_certify`` gives the certificate."""
+    none. Every point is read through one plan of the selection and decided
+    on the integer totals of the read, a positive multiple of D H D with D
+    diagonal and nonsingular, so PSD exactly when H is; only the point that
+    is not PSD becomes the ``Fraction`` matrix whose ``psd_certify`` gives
+    the certificate."""
+    plan = profile._plan(symbols)
     for index, point in enumerate(points):
-        k, totals, divisors = profile._integer_hessian(symbols, point)
+        k, totals, divisors = profile._integer_hessian(plan, point)
         if _eliminate(k, totals) is not None:
             hessian = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
             return index, point, psd_certify(hessian)
@@ -381,7 +383,7 @@ def random_witness_search(
     The graph is enumerated once, into the count polynomial with every
     cell a symbol and no caps (one colour class of its first cover vertex
     and that part's images), and each trial's Hessian is read from it at
-    the sampled matrix, through the read plan the first trial makes. At a
+    the sampled matrix, through the one read plan of its walk. At a
     zero cell an entry keeps only the terms with exactly as many edges on
     it as the entry differentiates away; the others vanish, among them the
     terms the caps of ``hessian_matrix`` leave out. With no trials nothing

@@ -28,10 +28,9 @@ _REQUIRED = object()  # stands for a field that has no default
 class Record:
     """An immutable record with named fields.
 
-    A subclass lists its fields in order in ``__slots__``; a slot whose
-    name starts with "_" (a cache) is no field, and the subclass's
-    ``__post_init__`` sets it. ``_defaults`` holds the defaults of the last
-    fields, a class standing for a fresh instance of it. A record is made
+    A subclass lists its fields in order in ``__slots__``, and every slot
+    is a field. ``_defaults`` holds the defaults of the last fields, a
+    class standing for a fresh instance of it. A record is made
     from positional or keyword arguments: each field is set once, then
     ``__post_init__`` checks them. It equals only a record of its own type
     with equal fields, hashes its fields (so one holding a dict is
@@ -43,7 +42,7 @@ class Record:
     _defaults = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = cls.__slots__
         # the fields in order, a tuple for two or more: what == and hash read
         cls._key = attrgetter(*cls._fields)
         # what a call that leaves a field out gets: its default, or _REQUIRED

@@ -6,13 +6,13 @@ nonzero integer numerators in a hash map over one common denominator
 ``den``, the one its builder computes. Every pipeline only reads it, in
 two ways: a coefficient (``coefficient_of``, which also gives the kpm
 pipeline the least eps-degree of a part, degree by degree) and the second
-derivatives at a point (``hessian``). The hot read follows a plan made
-once per selection of symbols and kept on the polynomial: for each entry,
-the terms that reach it, grouped by their integer factor. A read values
-each term once at the point, on Python ints over ``den`` times a power of
-the point's denominator, and sums each entry by factor (one addition per
-term, one multiplication per factor) into an integer total over a
-positive divisor. ``hessian`` makes one ``Fraction`` per entry of the
+derivatives at a point (``hessian``). The hot read follows the plan that
+``_plan`` makes for a selection of symbols and its caller holds: for each
+entry, the terms that reach it, grouped by their integer factor. A read
+values each term once at the point, on Python ints over ``den`` times a
+power of the point's denominator, and sums each entry by factor (one
+addition per term, one multiplication per factor) into an integer total
+over a positive divisor. ``hessian`` makes one ``Fraction`` per entry of the
 ``SymRationalMatrix`` it returns; the refutation loop reads the integer
 form (``_integer_hessian``) and decides PSD on the totals alone, so a
 witness search reads every trial's Hessian from one uncapped polynomial
@@ -30,9 +30,8 @@ from .matrices import SymRationalMatrix
 
 
 class SparsePoly(Record):
-    # symbols: tuple of str; terms: {exponent tuple: int numerator}; den: int;
-    # _plans: the read plans of ``hessian``, one per selection of axes
-    __slots__ = ("symbols", "terms", "den", "_plans")
+    # symbols: tuple of str; terms: {exponent tuple: int numerator}; den: int
+    __slots__ = ("symbols", "terms", "den")
     _defaults = (dict, 1)
 
     def __post_init__(self):
@@ -47,7 +46,6 @@ class SparsePoly(Record):
                 raise UsageError("exponent vector length mismatch")
             if type(c) is not int or c == 0:
                 raise UsageError("numerators must be nonzero ints")
-        object.__setattr__(self, "_plans", {})
 
     def _axis(self, symbol: str) -> int:
         try:
@@ -62,18 +60,18 @@ class SparsePoly(Record):
         (p, q), with 0^0 = 1; rows and columns follow ``symbols``. Each
         entry is its integer total over its divisor (``_integer_hessian``).
         """
-        k, totals, divisors = self._integer_hessian(symbols, point)
+        k, totals, divisors = self._integer_hessian(self._plan(symbols), point)
         return SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
 
-    def _integer_hessian(self, symbols, point):
-        """The Hessian read on Python ints: (k, the totals, the divisors),
-        entry (p, q) of the upper triangle being total / divisor.
+    def _integer_hessian(self, plan, point):
+        """The Hessian read through ``plan``, on ints: (k, the totals, the
+        divisors), entry (p, q) of the upper triangle being total / divisor.
 
         The point is B/L with B integral and L the lcm of its denominators,
         and a term of total degree d is brought to the common denominator
         ``den`` L^(dmax - 2) by the factor L^(dmax - d). The terms that
-        reach each entry, grouped by their integer factor, come from a plan
-        made once per selection (``_plan``). A read values every term once,
+        reach each entry, grouped by their integer factor, come from the
+        plan of the selection (``_plan``). A read values every term once,
         c L^(dmax - d) times B_a^(m_a) over the coordinates a that are not 0
         at the point, and sums each entry by factor, the sum over f of f
         times the sum of its terms with factor f: one addition per term and
@@ -85,17 +83,10 @@ class SparsePoly(Record):
         point instead keeps, in entry (p, q), exactly the terms with
         m_z = [z = p] + [z = q]: the others vanish.
         """
-        axes = tuple(self._axis(s) for s in symbols)
-        if len(set(axes)) != len(axes):
-            raise UsageError("duplicate symbol in Hessian selection")
         missing = set(self.symbols) - set(point)
         if missing:
             raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
-        plan = self._plans.get(axes)
-        if plan is None:
-            plan = self._plans[axes] = self._plan(axes)
-        lift, coeffs, gaps, columns, entries = plan
-        k = len(axes)
+        k, lift, coeffs, gaps, columns, entries = plan
         if not coeffs:
             return k, (0,) * (k * (k + 1) // 2), (1,) * (k * (k + 1) // 2)
         values = [x if type(x) is Fraction else Fraction(x) for x in map(point.get, self.symbols)]
@@ -131,16 +122,21 @@ class SparsePoly(Record):
             divisors.append(den * (lifted[p] or 1) * (lifted[q] or 1))
         return k, totals, divisors
 
-    def _plan(self, axes):
-        """The read plan of the selection ``axes``: (dmax - 2, the terms'
-        numerators, their degree gaps dmax - d, the columns (axis,
-        exponents, largest exponent) of the symbols they hold, and per
-        upper-triangle entry (p, q) its axes, the distinct factors
-        m_p (m_q - [p = q]) of the terms that reach it and, per factor, the
-        list of those terms' indices). It keeps the terms of degree at
-        least 2 in the selected symbols, the ones that reach some entry."""
+    def _plan(self, symbols):
+        """The read plan of the selection ``symbols``, which it checks:
+        (k, dmax - 2, the terms' numerators, their degree gaps dmax - d, the
+        columns (axis, exponents, largest exponent) of the symbols they
+        hold, and per upper-triangle entry (p, q) its axes, the distinct
+        factors m_p (m_q - [p = q]) of the terms that reach it and, per
+        factor, the list of those terms' indices). It keeps the terms of
+        degree at least 2 in the selected symbols, the ones that reach some
+        entry."""
+        axes = tuple(map(self._axis, symbols))
+        if len(set(axes)) != len(axes):
+            raise UsageError("duplicate symbol in Hessian selection")
+        k = len(axes)
         if not (axes and self.terms):
-            return 0, (), (), (), ()
+            return k, 0, (), (), (), ()
         exps = self.terms.keys()
         columns = [tuple(map(itemgetter(ax), exps)) for ax in range(len(self.symbols))]
         degrees = list(map(sum, exps))
@@ -153,7 +149,7 @@ class SparsePoly(Record):
             kept = list(map((2).__le__, reach))
             coeffs, degrees = list(compress(coeffs, kept)), list(compress(degrees, kept))
             if not degrees:
-                return 0, (), (), (), ()
+                return k, 0, (), (), (), ()
             columns = [tuple(compress(col, kept)) for col in columns]
         dmax = max(degrees)
         gaps = tuple(map(dmax.__sub__, degrees))
@@ -171,7 +167,7 @@ class SparsePoly(Record):
                 groups.pop(0, None)  # factor 0: the term does not reach the entry
                 entries.append((p, q, tuple(groups), tuple(groups.values())))
         held = tuple((ax, col, top) for ax, col in enumerate(columns) if (top := max(col)))
-        return dmax - 2, tuple(coeffs), gaps, held, tuple(entries)
+        return k, dmax - 2, tuple(coeffs), gaps, held, tuple(entries)
 
     def coefficient_of(self, **degrees) -> Fraction:
         """Coefficient lookup by symbol name; unnamed symbols default to 0."""

@@ -29,7 +29,7 @@ from graphnorms.certificates import SCREENS, _curvature_certificate
 from graphnorms.hessians import line_curvature
 from graphnorms.homs import Affine
 from oracles import brute_screen_failures, path_graph
-from test_certify_all import _load_script
+from test_certify_all import SCRIPT, _load_script
 
 
 def test_screen_necessary():
@@ -248,8 +248,9 @@ def test_certificates_are_byte_identical_to_golden(family, k):
 
 
 # the same recipe for the witness search, at the benchmark's search panel
-# and the two edge-transitive rows of scripts/certify_all.py's panel: a
-# digest where a trial finds a certificate, None where the budget runs out
+# and the two edge-transitive and four weakly norming rows of
+# scripts/certify_all.py's panel: a digest where a trial finds a
+# certificate, None where the budget runs out
 SEARCH_GOLDEN = {
     ("mobius", "weakly_norming", 0, 60): "1d6537c92df202ffcc705e86dc33505c2633a25ab0a0a4686cece2cdca002341",
     ("mobius", "weakly_norming", 1, 60): "1103167f0c6f70bf5e817c9c682fa5549c31588d6d063b2adb59f3e00bfeeb5d",
@@ -263,6 +264,10 @@ SEARCH_GOLDEN = {
     ("c6", "norming", 2, 100): None,
     ("heawood", "weakly_norming", 23, 30): "5a09defd82c7de9cde18ccfb995a10071ba4d0d749a63cc9718aca17d0751bae",
     ("mkantor", "weakly_norming", 22, 10): "fc00db557ab6b00f8ae68d3ce260b68d0e53ab42fcab2f958feb09f75cffde78",
+    ("k44", "weakly_norming", 0, 300): None,
+    ("q3", "weakly_norming", 0, 300): None,
+    ("c8", "weakly_norming", 0, 300): None,
+    ("kpm4", "weakly_norming", 0, 300): None,
 }
 SEARCH_GRAPHS = {
     "mobius": lambda: bowtie_blowup(cycle_graph(5)),
@@ -270,6 +275,9 @@ SEARCH_GRAPHS = {
     "k33": lambda: complete_bipartite(3, 3),
     "q3": lambda: hypercube_graph(3),
     "c6": lambda: cycle_graph(6),
+    "k44": lambda: complete_bipartite(4, 4),
+    "c8": lambda: cycle_graph(8),
+    "kpm4": lambda: kpm_graph(4),
     # the edge lists of scripts/certify_all.py
     "heawood": lambda: _load_script().heawood_graph(),
     "mkantor": lambda: _load_script().mobius_kantor_graph(),
@@ -291,6 +299,21 @@ def test_search_certificates_are_byte_identical_to_golden(name, mode, seed, tria
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == SEARCH_GOLDEN[name, mode, seed, trials]
     assert verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "name, seed, trials", [("heawood", 23, 30), ("mkantor", 22, 10)], ids=["heawood", "mkantor"]
+)
+def test_edge_transitive_finds_match_the_engine_free_oracle(name, seed, trials):
+    # bench/oracle.py imports no package code: it sums the count along the
+    # line from the witness in the direction over one independent set
+    oracle = _load_script(SCRIPT.parents[1] / "bench" / "oracle.py")
+    g = SEARCH_GRAPHS[name]()
+    cert = random_witness_search(g, 3, trials, "weakly_norming", seed=seed)
+    value = oracle.second_derivative(
+        g.n, list(g.edges), cert.witness.rows(), list(cert.pairs), list(cert.direction)
+    )
+    assert cert.value < 0 and value == cert.value
 
 
 def test_certify_kpm_refusals_and_screen():
@@ -450,27 +473,36 @@ def test_psd_certify_runs_only_on_the_refuted_point(monkeypatch):
 
 
 def test_search_plans_its_hessian_read_once(monkeypatch):
-    # a deterministic counter in place of a timing: every trial reads its
-    # Hessian's integer totals through the plan the first trial made
+    # a deterministic counter in place of a timing: each of the three walks
+    # plans its selection once and reads every point through that plan
     from graphnorms.polys import SparsePoly
 
-    plans, reads = [], []
+    plans, made, reads = [], [], []
     real_plan, real_read = SparsePoly._plan, SparsePoly._integer_hessian
 
-    def planning(self, axes):
-        plans.append(axes)
-        return real_plan(self, axes)
+    def planning(self, symbols):
+        plans.append(tuple(symbols))
+        made.append(real_plan(self, symbols))
+        return made[-1]
 
-    def reading(self, symbols, point):
-        reads.append(symbols)
-        return real_read(self, symbols, point)
+    def reading(self, plan, point):
+        reads.append(plan)
+        return real_read(self, plan, point)
 
     monkeypatch.setattr(SparsePoly, "_plan", planning)
     monkeypatch.setattr(SparsePoly, "_integer_hessian", reading)
     g = complete_bipartite(3, 3)  # weakly norming: every trial runs
     assert random_witness_search(g, 3, 100, "weakly_norming", seed=5) is None
-    assert len(reads) == 100
-    assert plans == [tuple(range(6))]
+    assert plans == [tuple(f"c{idx:02d}" for idx in range(6))]
+    assert len(reads) == 100 and all(plan is made[0] for plan in reads)
+    # bowtie 5 refutes at eta = 2^-11, kpm 5 at eps = 1/2
+    for certify, steps in ((lambda: certify_bowtie_cycle(5), 11), (lambda: certify_kpm(5), 1)):
+        plans.clear()
+        made.clear()
+        reads.clear()
+        assert isinstance(certify(), Certificate)
+        assert plans == [("x", "y")]
+        assert len(reads) == steps and all(plan is made[0] for plan in reads)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -504,9 +536,9 @@ def test_search_reads_the_hessian_matrix_on_every_zero_pattern(monkeypatch, g, n
     read, decided = [], []
     real_read = SparsePoly._integer_hessian
 
-    def recording(self, symbols, point):
+    def recording(self, plan, point):
         read.append(self)
-        return real_read(self, symbols, point)
+        return real_read(self, plan, point)
 
     def deciding(k, totals):
         decided.append((k, totals))

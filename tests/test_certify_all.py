@@ -7,8 +7,8 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("certify_all", SCRIPT)
+def _load_script(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,7 +21,9 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     out, err = capsys.readouterr()
     # bowtie k=5, kpm m=4 and 5, and the search panel's nine finds
     assert out.count("verified=True") == 12 and "verified=False" not in out
-    assert out.count(" NONE ") == 1  # K_{3,3} spends its budget
+    # K_{3,3}, K_{4,4}, Q_3, C_8 and kpm 4 are weakly norming: each spends
+    # its budget
+    assert out.count(" NONE ") == 5
     assert err == ""
 
     # one failing certificate is enough; the rest of the sweep still runs

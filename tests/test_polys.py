@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphnorms import SparsePoly, UsageError
+from graphnorms import SparsePoly, SymRationalMatrix, UsageError
 from oracles import evaluate_terms, formal_hessian, rational_terms, sparse_poly
 
 
@@ -141,18 +141,23 @@ def test_integer_hessian_read_matches_double_derivative(p, values, chosen):
 @given(mixed_polys, mixed_points.filter(lambda v: all(v)))
 @settings(max_examples=80, deadline=None)
 def test_one_plan_reads_every_zero_pattern(p, values):
-    # one polynomial read at a list of points, so the plan made at the
-    # first read serves them all: two zero selected coordinates, a zero
-    # unselected one, all zeros, and back to none
+    # one plan, as a refutation walk holds it, read at a list of points: two
+    # zero selected coordinates, a zero unselected one, all zeros, and back
+    # to none
     chosen = ("y", "x")
+    plan = p._plan(chosen)
     base = dict(zip(("e", "x", "y"), values))
     zeroed = [(), ("x",), ("x", "y"), ("e",), ("e", "y"), ("e", "x", "y"), ()]
     for names in zeroed:
         point = {**base, **dict.fromkeys(names, 0)}
-        assert p.hessian(chosen, point).rows() == formal_hessian(p, chosen, point), names
+        k, totals, divisors = p._integer_hessian(plan, point)
+        read = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
+        assert read.rows() == formal_hessian(p, chosen, point), names
 
 
-def test_interleaved_selections_keep_one_plan_each(monkeypatch):
+def test_interleaved_selections_plan_each_read(monkeypatch):
+    # the polynomial keeps no plan: each hessian() call plans its selection
+    # once, and reads the same values whatever was read before
     p = sparse_poly(
         ("e", "x", "y"),
         [((0, 2, 0), 3), ((1, 1, 1), Fraction(-5, 6)), ((2, 0, 3), 7),
@@ -161,9 +166,9 @@ def test_interleaved_selections_keep_one_plan_each(monkeypatch):
     plans = []
     real = SparsePoly._plan
 
-    def planning(self, axes):
-        plans.append(axes)
-        return real(self, axes)
+    def planning(self, symbols):
+        plans.append(symbols)
+        return real(self, symbols)
 
     monkeypatch.setattr(SparsePoly, "_plan", planning)
     points = [
@@ -174,7 +179,7 @@ def test_interleaved_selections_keep_one_plan_each(monkeypatch):
     for point in points * 2:
         for chosen in (("x", "y"), ("y", "e")):
             assert p.hessian(chosen, point).rows() == formal_hessian(p, chosen, point)
-    assert plans == [(1, 2), (2, 0)]
+    assert plans == [("x", "y"), ("y", "e")] * len(points * 2)
 
 
 def test_integer_hessian_read_low_degree_and_mixed_denominators():

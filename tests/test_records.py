@@ -64,6 +64,13 @@ def test_a_record_equals_no_tuple_and_no_other_record_type(name):
     assert record != Other(*values) and Other(*values) != record
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_slot_is_a_field(name):
+    # a record holds its fields and nothing else: no cache rides along
+    cls = RECORDS[name][0]
+    assert cls._fields == cls.__slots__
+
+
 def test_records_with_the_same_fields_and_different_types_differ():
     # both accept these values, and only their types tell them apart
     tri = (Fraction(1), HALF, Fraction(0))
@@ -188,7 +195,8 @@ def test_a_template_reads_its_cells_when_built():
     assert isinstance(t.cells[0].const, Fraction)
 
 
-def test_a_sparse_poly_equals_its_copy_after_a_cached_read():
+def test_a_sparse_poly_equals_its_copy_after_a_read():
+    assert SparsePoly.__slots__ == ("symbols", "terms", "den")
     p = SparsePoly(("x", "y"), {(2, 0): 3, (1, 1): -1}, 4)
     copy = SparsePoly(p.symbols, dict(p.terms), p.den)
     before = repr(p)
