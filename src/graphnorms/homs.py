@@ -47,17 +47,22 @@ for the next position, or, at the last position, added to its map as it is.
 An affine edge multiplies both of its options into the local map (an
 independent vertex's, into its shared map), and the next position's base
 takes the constant option, so a base is a lower bound on the prefix's
-fields: a cap tested against it drops only maps that must go, and the
-filter at each return, exact at the top, drops the rest. A template
-without affine cells costs the colouring loop one test per colour.
-Weight-zero cells kill a map outright, an independent vertex's entries
-whose signed weights cancel are dropped, and field caps are checked on
-each cover colour, local map and returned map, since fields only grow
-down the search. One test covers every cap, 0 included: with a binding
-cap, every field gets a spare top bit, and a capped field's bias carries
-into that bit exactly when the field passes its cap, so a key passes all
-its caps when (key + bias) & guard is 0; a map is filtered in one pass.
-A cap below 0 would carry past its field, so it is refused.
+fields. A template without affine cells costs the colouring loop one test
+per colour. Weight-zero cells kill a map outright, and an independent
+vertex's entries whose signed weights cancel are dropped. Fields only grow
+down the search, so a cap is tested where a key is made: on each cover
+colour's key, each affine increment and each product of a convolution, and
+on each shared map once, when it is made, in the pass that drops its
+cancelled weights. A shared map is tested from 0, which holds from every
+base, so the local map it starts is tested again only where the
+colouring's own key already counts in a capped field. Every local and
+returned map is then exact as it is made, and no map is filtered after;
+without a cap, a convolution takes its uncapped loop on one branch per
+call. One test covers every cap, 0 included: with a binding cap, every
+field gets a spare top bit, and a capped field's bias carries into that
+bit exactly when the field passes its cap, so a key passes all its caps
+when (key + bias) & guard is 0. A cap below 0 would carry past its field,
+so it is refused.
 
 Subtrees are reused by memoising that function, the bounded-width dynamic
 programme of Diaz-Serna-Thilikos (counting H-colourings of partial
@@ -336,30 +341,43 @@ def profile_map(
                         out[k] = out.get(k, 0) + v
                 else:
                     out[key] = out.get(key, 0) + w
-        # signed weights may cancel; an emptied map prunes the colouring
-        if not all(out.values()):
-            out = {k: v for k, v in out.items() if v}
+        # signed weights may cancel, and a key past a cap from 0 is past it
+        # from every base; an emptied map prunes the colouring
+        if guard or not all(out.values()):
+            out = {k: v for k, v in out.items() if v and not (k + bias) & guard}
         sides[code] = out
         return out
 
-    def convolve(out, a, b):
+    def convolve(out, a, b, off):
         """Add the product of two {key: weight} maps into ``out``; keys add
-        field by field, and the inner loop runs over the bigger map."""
+        field by field, a product whose key passes a cap ((key + off) &
+        guard) is not made, and the inner loop runs over the bigger map.
+        Without a cap the loops take no test, on one branch per call: the
+        test on every product would slow an uncapped build by 4 to 18 %."""
         if len(a) < len(b):
             a, b = b, a
         get = out.get
+        if not guard:
+            for k2, c2 in b.items():
+                for k, c in a.items():
+                    k += k2
+                    out[k] = get(k, 0) + c * c2
+            return out
         for k2, c2 in b.items():
             for k, c in a.items():
                 k += k2
-                out[k] = get(k, 0) + c * c2
+                if not (k + off) & guard:
+                    out[k] = get(k, 0) + c * c2
         return out
 
     def sub(p, base):
         """{key relative to base: weight} over the colourings of cover
         positions p.. and the independent vertices they close, ``base``
-        packing the edges inside the coloured prefix. Where p keeps a table,
-        the map is made once per key: the colour multisets its later
-        vertices read and the capped fields of base."""
+        packing the edges inside the coloured prefix. Every key passes its
+        caps, each tested against off = base + bias where it is made, so the
+        map is not filtered at its return. Where p keeps a table, the map is
+        made once per key: the colour multisets its later vertices read and
+        the capped fields of base."""
         nonlocal visited
         if p == depth:
             return {0: 1}
@@ -376,6 +394,7 @@ def profile_map(
                 return table[tkey]
         choices = first if p == 0 else rng
         visited += len(choices)
+        off = base + bias
         out: dict[int, int] = {}
         rows = [step[colors[b]] for b in back[p]]
         splits = [r for r in (split[colors[b]] for b in back[p]) if r] if split else ()
@@ -397,32 +416,30 @@ def profile_map(
                 shift = key - base
                 local = None
                 if splits:  # the affine back edges: base stays a lower bound
-                    local = _options({shift: w}, splits, c, base + bias, guard)
+                    local = _options({shift: w}, splits, c, off, guard)
                     if not local:
                         continue
                 for nbrs in closing[p]:
                     if local is not None:
-                        local = convolve({}, local, side(nbrs))
+                        local = convolve({}, local, side(nbrs), off)
+                    elif key & capmask:  # a side map passes its caps from 0 alone
+                        top = key + bias
+                        local = {k + shift: v * w for k, v in side(nbrs).items()
+                                 if not (k + top) & guard}
                     elif shift or w != 1:
                         local = {k + shift: v * w for k, v in side(nbrs).items()}
                     else:
                         local = side(nbrs)
-                    if guard:
-                        off = base + bias
-                        local = {k: v for k, v in local.items() if not (k + off) & guard}
                     if not local:
                         break
                 else:
                     if local is None:
                         local = {shift: w}
                     if p + 1 < depth:
-                        convolve(out, sub(p + 1, key), local)
-                    else:  # the leaf's map is {0: 1}: add local as it is
+                        convolve(out, sub(p + 1, key), local, off)
+                    else:  # the leaf's map is {0: 1}: add local, exact, as it is
                         for k, v in local.items():
                             out[k] = out.get(k, 0) + v
-        if guard:
-            off = base + bias
-            out = {k: v for k, v in out.items() if not (k + off) & guard}
         if table is not None:
             table[tkey] = out
         return out

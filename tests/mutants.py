@@ -123,6 +123,18 @@ MUTANTS = (
         "if cert.value > 0:",
         "tests/test_certificates.py::test_zero_value_certificate_does_not_verify",
     ),
+    (
+        "homs.py",
+        "if not (k + off) & guard:\n                    out[k] = get(k, 0) + c * c2",
+        "if True:\n                    out[k] = get(k, 0) + c * c2",
+        "tests/test_homs.py::test_shared_side_maps_match_brute_force",
+    ),
+    (
+        "homs.py",
+        "if v and not (k + bias) & guard}",
+        "if v}",
+        "tests/test_homs.py::test_capped_counts_pin_cap_sites",
+    ),
 )
 
 

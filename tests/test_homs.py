@@ -29,6 +29,7 @@ from graphnorms import (
     eulerian_indicator_check,
     hatami_box_check,
     hessian_matrix,
+    hypercube_graph,
     norm_powers,
     random_witness_search,
     sidorenko_check,
@@ -787,6 +788,44 @@ def test_summed_counts_pin_side_reuse():
         assert profile_map(bowtie_blowup(cycle_graph(k)), 3, _plain(6), {}).summed == 10
     for m, summed in ((5, 15), (7, 28)):
         assert profile_map(kpm_graph(m), 3, _plain(6), {}).summed == summed
+
+
+def test_capped_counts_pin_cap_sites(monkeypatch):
+    # every cap is tested where a key is made, and a side map is filtered
+    # once when it is made, so a capped read tries as many partial
+    # colourings and makes as many independent-vertex sums as a filter of
+    # each map would: the line read verifying a bowtie certificate, kpm's
+    # build at x, y <= 2 and its line read, and Hessians at zero cells
+    seen = []
+
+    def spy(g, n, cells, caps, *rest):
+        pm = profile_map(g, n, cells, caps, *rest)
+        if caps:
+            seen.append((pm.visited, pm.summed))
+        return pm
+
+    monkeypatch.setattr(homs, "profile_map", spy)
+    for k, pin in ((5, (363, 10)), (6, (474, 10)), (7, (708, 10))):
+        cert = certify_bowtie_cycle(k)
+        seen.clear()
+        assert verify_certificate(cert)
+        assert seen == [pin]
+    for m, pin in ((5, (102, 15)), (7, (246, 28))):
+        seen.clear()
+        assert verify_certificate(certify_kpm(m))
+        assert seen == [pin, pin]
+    a = SymRationalMatrix.from_rows(
+        [[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, Fraction(1, 3)], [1, Fraction(1, 3), 0]]
+    )
+    for g, pin in (
+        (complete_bipartite(3, 3), (30, 10)),
+        (hypercube_graph(3), (60, 10)),
+        (bowtie_blowup(cycle_graph(6)), (474, 10)),
+        (kpm_graph(5), (105, 15)),
+    ):
+        seen.clear()
+        hessian_matrix(g, a)
+        assert seen == [pin]
 
 
 def test_shared_side_maps_match_brute_force():
