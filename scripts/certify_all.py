@@ -3,8 +3,9 @@
 
 Certificates are written as JSON next to each other in --out (default
 ./certificates) and re-verified from those files, so the directory is a
-self-contained audit trail; two runs can be compared with `diff -r`. Exits
-1 when a written certificate fails to verify, 0 otherwise.
+self-contained audit trail; two runs can be compared with `diff -r`. A case
+past the enumeration or structure limits prints a REFUSED row and the sweep
+goes on. Exits 1 when a written certificate fails to verify, 0 otherwise.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from graphnorms import (
     Certificate,
     Graph,
     Refusal,
+    SizeGuardError,
     allones_hessian,
     annihilates_ones,
     bowtie_blowup,
@@ -75,9 +77,12 @@ SEARCH_PANEL = (
 def run_pipeline(label, fn, out_dir):
     """Run one pipeline; False only when its certificate fails to verify.
     A pipeline that returns None (a search that found nothing) writes no
-    file."""
+    file, and a size limit's refusal is a row like a pipeline's."""
     t0 = time.perf_counter()
-    result = fn()
+    try:
+        result = fn()
+    except SizeGuardError as exc:
+        result = Refusal(label, str(exc), {})
     elapsed = time.perf_counter() - t0
     if result is None:
         print(f"{label:24s} NONE     {elapsed:7.2f}s  no certificate within the budget")
@@ -127,7 +132,11 @@ def main(argv=None):
 
     print("\n== structural checks on blow-ups ==")
     for k in range(3, args.k_max + 1):
-        rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
+        try:
+            rep = verify_bowtie_structure(bowtie_blowup(cycle_graph(k)))
+        except SizeGuardError as exc:
+            print(f"blow-up k={k}: REFUSED  {exc}")
+            continue
         print(
             f"blow-up k={k}: unique-4-cycle edge={rep['edge_in_unique_4cycle']}  "
             f"two-edge sets ok={rep['two_edge_sets_ok']}"

@@ -178,13 +178,15 @@ def _first_non_psd(profile: SparsePoly, symbols, points):
     on the integer totals of the read, a positive multiple of D H D with D
     diagonal and nonsingular, so PSD exactly when H is; only the point that
     is not PSD becomes the ``Fraction`` matrix whose ``psd_certify`` gives
-    the certificate."""
+    the certificate (a ``RuntimeError`` if it says PSD: a fault)."""
     plan = profile._plan(symbols)
     for index, point in enumerate(points):
         k, totals, divisors = profile._integer_hessian(plan, point)
         if _eliminate(k, totals) is not None:
-            hessian = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
-            return index, point, psd_certify(hessian)
+            res = psd_certify(SymRationalMatrix(k, tuple(map(Fraction, totals, divisors))))
+            if res.is_psd:
+                raise RuntimeError(f"point {index}: not PSD on its totals, PSD as fractions")
+            return index, point, res
     return None
 
 
@@ -381,8 +383,9 @@ def random_witness_search(
     accepted and ignored.
 
     The graph is enumerated once, into the count polynomial with every
-    cell a symbol and no caps (one colour class of its first cover vertex
-    and that part's images), and each trial's Hessian is read from it at
+    cell a symbol and no caps (a template the engine maps onto itself by
+    relabelling colours, so it colours its first cover vertex 0 alone and
+    adds the images), and each trial's Hessian is read from it at
     the sampled matrix, through the one read plan of its walk. At a
     zero cell an entry keeps only the terms with exactly as many edges on
     it as the entry differentiates away; the others vanish, among them the

@@ -16,8 +16,8 @@ is twice the s^2 coefficient along the line A + sD, whose template sets
 each selected cell to the ``Affine`` cell a + v s. Every curvature
 certificate is the same Hessian read at a sequence of points: the bowtie
 positivization, the kpm boundary at x = y = 0 for each trial eps, and the
-witness search. Field f is the f-th symbol of the template, so a key's
-fields are the exponent vector in order; cells that share a symbol add
+witness search. Field f is the f-th symbol of the template, so a profile
+is the exponent vector in order; cells that share a symbol add
 into one field and a symbol's cap bounds its total degree. A constant cell
 b/L (L the lcm of the constant denominators) weighs b and is multiplied in
 as its edges land, as in Dechter's bucket elimination over a weighted
@@ -28,10 +28,10 @@ keeps an integer numerator per exponent vector over the one denominator
 L^e(H), the Hessian read brings the point to the same footing, and each
 entry of its matrix becomes a ``Fraction`` once, at the end.
 
-A profile is packed into one integer key, each field its own run of bits,
-so joining two partial maps is adding their keys; fields are wide enough
-for e(H) edges and never carry. The engine takes a maximal independent set
-I of H; its complement C is a vertex cover. Only C is coloured, depth-first,
+The engine packs a profile into one integer key, each field its own run
+of bits, so joining two partial maps is adding their keys (fields hold e(H)
+edges and never carry), and cuts keys into exponent tuples at its return.
+It takes a maximal independent set I of H; its complement C is a vertex cover. Only C is coloured, depth-first,
 by one recursive function: given the colours before cover position p and
 the packed edges among them (its base), it returns the subtree's map, a
 {key relative to base: weight} sum over the colourings of positions p, p+1,
@@ -78,25 +78,24 @@ position or swapping two prefix positions keeps every group's reads, so
 two prefix colourings share a key (where only a larger permutation keeps
 them, as at bowtie k = 5's position 4, keys repeat but no table is kept),
 and every table lives for the whole call (and is freed at
-its return, not left to the cyclic garbage collector). A cycle
-blow-up's later vertices read 4 positions, so bowtie k = 7 tries 708
-partial colourings where the plain search tries 3 + 9 + ... + 3^7 = 3279,
+its return, not left to the cyclic garbage collector). At n = 3, over an
+uncapped template with a shared symbol (no relabelling shortcut, below),
+a cycle blow-up's later vertices read 4 positions, so bowtie k = 7 tries
+708 partial colourings where the plain search tries 3 + ... + 3^7 = 3279,
 and each further k adds 243. K_{m,m} minus a matching reads its whole
 prefix at every depth, but symmetrically from the third position on, so
 the count collapses to colour multiplicities: kpm m = 7 tries 252 partial
-colourings, the plain search 3279. ``ProfileMap.visited`` counts the
-partial colourings tried.
+colourings. ``ProfileMap.visited`` counts the partial colourings tried.
 
-A template whose every cell is its own bare symbol, with no cap, over a
-graph with an edge (the witness search's, or a Hessian's with every pair
-selected and no zero cell) maps onto itself when the colours are
-relabelled: the maps that give the first cover vertex colour c are the
-image under the transposition (0 c) of those that give it 0, an image
-moving the exponent of cell {i, j} to cell {ti, tj}. For such a template
-``symbolic_profile`` has ``profile_map`` colour that vertex 0 alone and
-adds the n - 1 images, each a C-level gather of the exponent tuples: the
-Moebius ladder's search template at n = 3 tries 121 partial colourings,
-not 363.
+Cells each their own bare field (f, 0, 1), the fields a permutation of
+the cells, uncapped, over a graph with an edge (the witness search's
+template) map onto themselves when the colours are relabelled: the maps
+giving the first cover vertex colour c are the image under the
+transposition (0 c) of those giving it 0, which moves the exponent of
+cell {i, j} to cell {ti, tj}. ``profile_map`` sees this in its inputs
+(``_relabels``), colours that vertex 0 alone and adds the n - 1 images,
+each a gather of the exponent tuples: at n = 3 it tries 121 partial
+colourings of the Moebius ladder, not 363, and 169 of kpm m = 7.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
 read off the edge list alone (so a graph claiming 10^12 mostly isolated
@@ -190,11 +189,9 @@ def _cell(x) -> Fraction | Affine:
 
 
 class ProfileMap(NamedTuple):
-    """Packed edge-multiplicity profiles with assignment counts."""
+    """Edge-multiplicity profiles with their summed map weights."""
 
-    fields: int  # fields of the key, field f in bits f * width on
-    width: int
-    counts: dict  # packed key -> summed weight of its maps (unweighted: their number)
+    counts: dict  # exponent vector over the fields -> nonzero summed weight of its maps
     visited: int  # partial cover colourings tried; a reused subtree counts once
     summed: int  # independent-vertex sums made, one per colour multiset read
 
@@ -259,9 +256,15 @@ def _steps(g: Graph, n: int, cells, caps):
     return width, step, split, capmask, bias, guard
 
 
-def profile_map(
-    g: Graph, n: int, cells, caps: dict[int, int], first_colour_only: bool = False
-) -> ProfileMap:
+def _relabels(g: Graph, cells, caps) -> bool:
+    """Whether relabelling the colours permutes the profile map's fields:
+    every cell its own bare field (f, 0, 1), the fields a permutation of
+    the cells, no cap, and an edge to colour."""
+    bare = [c[0] for c in cells if isinstance(c, tuple) and c[1:] == (0, 1)]
+    return g.edge_count > 0 and not caps and sorted(bare) == list(range(len(cells)))
+
+
+def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
     """Sum the weights of the maps per profile, the edges on each field.
 
     ``cells[i]``, in ``pair_index`` order, is what an edge on cell i brings:
@@ -269,15 +272,16 @@ def profile_map(
     cell const + slope * s_field, whose edge either leaves the key unchanged
     and weighs const or adds one to the field and weighs slope (a plain
     symbol is (field, 0, 1)). A map weighs the product over its edges, and
-    field f of its key, bits f * width on, counts its slope options there.
-    ``caps`` maps a field to the most it may count: maps beyond a cap are
-    dropped, and a cap below 0 is a ``UsageError``. Refuses with
+    entry f of its profile counts its slope options on field f; ``counts``
+    maps each profile to its maps' summed weight, a weight that cancels to
+    0 left out. ``caps`` maps a field to the most it may count: maps beyond
+    a cap are dropped, and a cap below 0 is a ``UsageError``. Refuses with
     ``SizeGuardError`` before colouring when n^|C| + (isolated vertices),
     or the profile entries summing the independent set out touches per
     colouring, exceeds ``ENUMERATION_GUARD``; a cover vertex is priced as
     at least 2 colours, which also bounds the depth of the search at n = 1.
-    With ``first_colour_only`` the first cover vertex takes colour 0 alone,
-    and only the maps that colour it 0 are summed.
+    Where ``_relabels`` holds, the maps giving the first cover vertex
+    colour 0 are enumerated and the rest are their images.
     """
     if any(cap < 0 for cap in caps.values()):
         raise UsageError("a field's cap must be at least 0")
@@ -312,7 +316,8 @@ def profile_map(
 
     colors = [0] * depth
     rng = range(n)
-    first = range(1) if first_colour_only else rng
+    relabels = _relabels(g, cells, caps)
+    first = range(1) if relabels else rng
     visited = summed = 0
     sides: dict[int, dict] = {}  # colour multiset of the neighbours -> side map
 
@@ -444,12 +449,25 @@ def profile_map(
             table[tkey] = out
         return out
 
-    counts = sub(0, 0)
+    packed = sub(0, 0)
     del sub  # sub refers to itself: free its tables now, not at a GC pass
-    if isolated:
-        factor = n**isolated
-        counts = {k: c * factor for k, c in counts.items()}
-    return ProfileMap(fields, width, counts, visited, summed)
+    mask, shifts = (1 << width) - 1, range(0, fields * width, width)
+    factor = n**isolated
+    counts = {tuple([(key >> shift) & mask for shift in shifts]): w * factor
+              for key, w in packed.items() if w}
+    if relabels:
+        # the maps colouring it c are the image under t = (0 c) of those
+        # colouring it 0: exponent {i, j} moves to {ti, tj}, a tuple gather
+        home = [c[0] for c in cells]
+        base, counts = counts, dict(counts)
+        for c in range(1, n):
+            swap = {0: c, c: 0}
+            src = [0] * len(home)
+            for (i, j), f in zip(pair_list(n), home):
+                src[home[pair_index(swap.get(i, i), swap.get(j, j), n)]] = f
+            for exp, cnt in zip(map(itemgetter(*src), base), base.values()):
+                counts[exp] = counts.get(exp, 0) + cnt
+    return ProfileMap(counts, visited, summed)
 
 
 def symbolic_profile(
@@ -464,8 +482,8 @@ def symbolic_profile(
 
     The one place a profile map becomes power products, and the one writer
     of ``profile_map``'s cell encoding. Field f is ``t.symbols[f]``: the
-    edges on every cell of a symbol add into its field, so a key's fields
-    are the exponent vector in order, and a symbol in ``symbol_caps`` caps
+    edges on every cell of a symbol add into its field, so a profile is
+    the exponent vector in order, and a symbol in ``symbol_caps`` caps
     its field, dropping every map whose exponent of it passes the cap (a
     cap on a symbol not in the template is a ``UsageError``). A constant
     cell b/L, L the lcm of the denominators of the constants (an ``Affine``
@@ -488,34 +506,10 @@ def symbolic_profile(
     for c, a in zip(t.cells, consts):
         b = a.numerator * (scale // a.denominator)
         cells.append((field[c.symbol], b, c.slope) if isinstance(c, Affine) else b)
-    # every cell its own bare symbol, no cap and an edge: relabelling the
-    # colours permutes the symbols and keeps the polynomial, so only the maps
-    # colouring the first cover vertex 0 are enumerated
-    bare = g.edge_count > 0 and not caps and len(symbols) == len(t.cells) and all(
-        c == Affine(0, 1, c.symbol) for c in t.cells
-    )
-    pm = profile_map(g, t.n, cells, caps, bare)
-    mask = (1 << pm.width) - 1
-    shifts = [f * pm.width for f in range(pm.fields)]
+    counts = profile_map(g, t.n, cells, caps).counts
     # a map's weight carries L per edge on a constant cell: L^(e(H) - degree)
     scale_pow = [scale**e for e in range(g.edge_count + 1)]
-    terms = {}
-    for key, cnt in pm.counts.items():
-        if cnt:
-            exp = tuple([(key >> shift) & mask for shift in shifts])
-            terms[exp] = cnt * scale_pow[sum(exp)]
-    if bare:
-        # the maps colouring it c are their image under t = (0 c), which
-        # moves the exponent of cell {i, j} to cell {ti, tj}
-        home = [field[c.symbol] for c in t.cells]
-        base, terms = terms, dict(terms)
-        for c in range(1, t.n):
-            swap = {0: c, c: 0}
-            src = [0] * len(home)
-            for (i, j), f in zip(pair_list(t.n), home):
-                src[home[pair_index(swap.get(i, i), swap.get(j, j), t.n)]] = f
-            for exp, cnt in zip(map(itemgetter(*src), base), base.values()):
-                terms[exp] = terms.get(exp, 0) + cnt
+    terms = {exp: cnt * scale_pow[sum(exp)] for exp, cnt in counts.items()}
     return SparsePoly(symbols, terms, scale_pow[-1])
 
 

@@ -47,8 +47,8 @@ MUTANTS = (
     ),
     (
         "homs.py",
-        "terms[exp] = cnt * scale_pow[sum(exp)]",
-        "terms[exp] = cnt",
+        "terms = {exp: cnt * scale_pow[sum(exp)] for",
+        "terms = {exp: cnt for",
         "tests/test_homs.py::test_count_polynomial_matches_brute_force",
     ),
     (
@@ -60,7 +60,7 @@ MUTANTS = (
     (
         "homs.py",
         "factor = n**isolated",
-        "factor = n ** (isolated - 1)",
+        "factor = n ** max(isolated - 1, 0)",
         "tests/test_homs.py::test_colour_class_build_matches_brute_force",
     ),
     (
@@ -134,6 +134,24 @@ MUTANTS = (
         "if v and not (k + bias) & guard}",
         "if v}",
         "tests/test_homs.py::test_capped_counts_pin_cap_sites",
+    ),
+    (
+        "homs.py",
+        "sorted(bare) == list(range(len(cells)))",
+        "len(set(bare)) == len(cells)",
+        "tests/test_homs.py::test_relabelled_profile_map_matches_brute_force",
+    ),
+    (
+        "homs.py",
+        "return g.edge_count > 0 and not caps and",
+        "return not caps and",
+        "tests/test_homs.py::test_relabelled_profile_map_matches_brute_force",
+    ),
+    (
+        "certificates.py",
+        "if res.is_psd:",
+        "if False:",
+        "tests/test_certificates.py::test_disagreeing_psd_decisions_are_a_fault",
     ),
 )
 

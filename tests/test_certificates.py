@@ -444,10 +444,11 @@ def test_search_enumerates_once_per_search(monkeypatch):
     }
     assert len(patterns) == 19
     # one uncapped enumeration with every cell a plain symbol, field f on
-    # cell f, of the maps that give the first cover vertex colour 0 (the
-    # template is symmetric under relabelling colours), read 19 ways
+    # cell f, read 19 ways; the template is symmetric under relabelling
+    # colours, so the engine colours the first cover vertex 0 alone
     assert len(calls) == 1
-    assert calls[0][1:] == (3, [(f, 0, 1) for f in range(6)], {}, True)
+    assert calls[0][1:] == (3, [(f, 0, 1) for f in range(6)], {})
+    assert homs._relabels(g, *calls[0][2:])
     assert random_witness_search(g, 3, 0, "weakly_norming", seed=11) is None
     assert len(calls) == 1
 
@@ -470,6 +471,25 @@ def test_psd_certify_runs_only_on_the_refuted_point(monkeypatch):
     for certify in (lambda: certify_bowtie_cycle(5), lambda: certify_kpm(5)):
         certified.clear()
         assert isinstance(certify(), Certificate) and len(certified) == 1
+
+
+def test_disagreeing_psd_decisions_are_a_fault(monkeypatch, capsys, tmp_path):
+    # K_{3,3} is weakly norming, so every point of its search is PSD; an
+    # elimination that calls one not PSD disagrees with psd_certify on the
+    # same point, which is a fault in the toolkit, not a certificate
+    import graphnorms.certificates as certs
+    from graphnorms.cli import main
+
+    monkeypatch.setattr(certs, "_eliminate", lambda k, totals: ([], 0, None, 1))
+    g = complete_bipartite(3, 3)
+    with pytest.raises(RuntimeError, match="not PSD on its totals, PSD as fractions"):
+        certs.random_witness_search(g, 3, 5, "weakly_norming", seed=2)
+    path = tmp_path / "k33.json"
+    path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}))
+    code = main(["certify", "search", "-g", str(path), "--mode", "weak", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err)["kind"] == "internal"
 
 
 def test_search_plans_its_hessian_read_once(monkeypatch):

@@ -2,6 +2,7 @@
 exits 1."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
@@ -43,3 +44,22 @@ def test_certify_all_exits_1_when_a_certificate_fails_to_verify(tmp_path, monkey
     assert written == sorted(p.name for p in (tmp_path / "bad").iterdir())
     for name in written:
         assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+
+def test_certify_all_prints_a_row_for_each_case_past_its_limits(tmp_path, capsys):
+    # bowtie k = 9 and kpm m = 9 colour 3^9 cover colourings, past the
+    # enumeration limit, and the k = 9 blow-up has 18 vertices, past the
+    # structure limit of 16: each prints a REFUSED row, the sweep goes on,
+    # and nothing that was written fails to verify
+    script = _load_script()
+    assert script.main(["--out", str(tmp_path), "--k-max", "9", "--m-max", "9"]) == 0
+    out, err = capsys.readouterr()
+    guard = re.escape("enumeration guard: 3^9 = 19683 colourings > 10000")
+    for label in ("bowtie k=9", "kpm m=9"):
+        assert re.search(rf"^{label} +REFUSED +[0-9.]+s  {guard}$", out, re.M), label
+    assert "blow-up k=9: REFUSED  structure guard: 18 vertices > 16\n" in out
+    assert "blow-up k=8: unique-4-cycle edge=[0, 9]" in out
+    assert "C_6 at half=1" in out
+    assert "verified=False" not in out and err == ""
+    assert (tmp_path / "bowtie_k=8.json").exists() and (tmp_path / "kpm_m=8.json").exists()
+    assert not any("=9" in p.name for p in tmp_path.iterdir())

@@ -275,20 +275,17 @@ def test_all_ones_counts_everything(n_vertices, n):
     assert weighted_hom_count(g, ones) == Fraction(n) ** g.n
 
 
-def _profiles(pm):
-    """{profile: count} with each packed key cut into its fields; a profile
-    whose signed weights cancel is left out."""
-    mask = (1 << pm.width) - 1
-    return {
-        tuple((key >> (f * pm.width)) & mask for f in range(pm.fields)): count
-        for key, count in pm.counts.items()
-        if count
-    }
-
-
 def _plain(ncells):
-    """Every cell a plain symbol of its own: field f on cell f."""
+    """Every cell a plain symbol of its own: field f on cell f. Over a graph
+    with an edge, ``profile_map`` takes the colour-relabelling shortcut."""
     return [(f, 0, 1) for f in range(ncells)]
+
+
+def _shared(ncells):
+    """Field f on cell f, but the last cell shares field 0: no relabelling
+    shortcut, so ``visited`` and ``summed`` measure the memo alone (neither
+    depends on the fields)."""
+    return [(f, 0, 1) for f in range(ncells - 1)] + [(0, 0, 1)]
 
 
 def test_profile_map_matches_brute_force_on_random_cases():
@@ -324,7 +321,7 @@ def test_profile_map_matches_brute_force_on_random_cases():
                 cells.append((field, 0, w) if rng.random() < 0.25 else w)
             else:  # a weight-1 cell, free to take any edges
                 cells.append(1)
-        got = _profiles(profile_map(g, n, cells, caps))
+        got = profile_map(g, n, cells, caps).counts
         want = brute_profile_map(g, n, cells, caps)
         assert got == want, (case, g, n, cells, caps)
 
@@ -352,7 +349,7 @@ def test_affine_and_shared_fields_match_brute_force():
             else:
                 cells.append(rng.choice((0, 1, -1, 2, 5)))
         caps = {f: rng.choice((0, 0, 1, 2, 3)) for f in range(nfields) if rng.random() < 0.5}
-        got = _profiles(profile_map(g, n, cells, caps))
+        got = profile_map(g, n, cells, caps).counts
         assert got == brute_profile_map(g, n, cells, caps), (case, g, n, cells, caps)
         triples = [c for c in cells if isinstance(c, tuple)]
         for f, cap in caps.items():
@@ -463,10 +460,10 @@ def test_cap_on_a_symbol_not_in_the_template_is_refused():
     ids=[f"bowtie{k}" for k in (3, 4, 5, 6)] + [f"kpm{m}" for m in (3, 4, 5)],
 )
 def test_profile_map_matches_brute_force_on_certificate_graphs(g, caps):
-    # every cell a plain symbol, as verification enumerates; the kpm witness
-    # has two zero cells, capped at the two copies a second derivative can
-    # remove
-    got = _profiles(profile_map(g, 3, _plain(6), caps))
+    # every cell a plain symbol, as verification enumerates (uncapped, the
+    # relabelling shortcut); the kpm witness has two zero cells, capped at
+    # the two copies a second derivative can remove
+    got = profile_map(g, 3, _plain(6), caps).counts
     assert got == brute_profile_map(g, 3, _plain(6), caps)
 
 
@@ -587,15 +584,19 @@ def test_reused_subtrees_match_brute_force(g, n, caps):
     # each case has a cover position whose subtree reads only part of the
     # prefix, or reads two prefix positions alike, so its result is reused;
     # binding caps and fields capped at 0 change what a reused subtree may
-    # hold, and caps are part of its key
-    cells = _plain(n * (n + 1) // 2)
-    pm = profile_map(g, n, cells, {})
+    # hold, and caps are part of its key. The shared field keeps the
+    # relabelling shortcut out of the count of partial colourings
+    shared = _shared(n * (n + 1) // 2)
+    pm = profile_map(g, n, shared, {})
     assert pm.visited < _full_tree(g, n)
-    assert _profiles(pm) == brute_profile_map(g, n, cells, {})
+    assert pm.counts == brute_profile_map(g, n, shared, {})
+    cells = _plain(n * (n + 1) // 2)
+    uncapped = brute_profile_map(g, n, cells, {})
+    assert profile_map(g, n, cells, {}).counts == uncapped
     for cap in caps:
         expected = brute_profile_map(g, n, cells, cap)
-        assert expected != brute_profile_map(g, n, cells, {})  # the caps bind
-        assert _profiles(profile_map(g, n, cells, cap)) == expected
+        assert expected != uncapped  # the caps bind
+        assert profile_map(g, n, cells, cap).counts == expected
 
 
 @pytest.mark.parametrize(
@@ -621,12 +622,14 @@ def test_interchangeable_vertices_match_brute_force(g, visited):
     # binding caps (in the key as base's capped fields), signed weights that
     # cancel, weight-0 cells and a field capped at 0 change what a memoised
     # map may hold. K_{2,5} has two cover positions, too few to swap, so it
-    # keeps no table and tries the whole tree; the others reuse
+    # keeps no table and tries the whole tree; the others reuse. The pins
+    # are on a shared field, which the relabelling shortcut leaves alone
     n = 3
-    pm = profile_map(g, n, _plain(6), {})
+    pm = profile_map(g, n, _shared(6), {})
     assert pm.visited == visited
     assert (visited < _full_tree(g, n)) == (len(_cover_plan(g)[0]) > 2)
-    assert _profiles(pm) == brute_profile_map(g, n, _plain(6), {})
+    assert pm.counts == brute_profile_map(g, n, _shared(6), {})
+    assert profile_map(g, n, _plain(6), {}).counts == brute_profile_map(g, n, _plain(6), {})
     for cells, caps in (
         # a vertex next to colour 0 weighs 1 - 1 + 0: its own sum cancels
         ([1, -1, 0, (0, 0, 1), (1, 0, 1), 3], {0: 1, 1: 2}),
@@ -634,7 +637,7 @@ def test_interchangeable_vertices_match_brute_force(g, visited):
     ):
         expected = brute_profile_map(g, n, cells, caps)
         assert expected != brute_profile_map(g, n, cells, {})  # the caps bind
-        assert _profiles(profile_map(g, n, cells, caps)) == expected
+        assert profile_map(g, n, cells, caps).counts == expected
 
 
 def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
@@ -694,22 +697,22 @@ def test_every_memo_table_has_a_key_that_repeats():
 
 def test_colour_class_build_matches_brute_force(monkeypatch):
     # a template whose every cell is its own bare symbol, uncapped, over a
-    # graph with an edge is symmetric under relabelling colours: the build
+    # graph with an edge is symmetric under relabelling colours: the engine
     # enumerates the maps giving the first cover vertex colour 0 and adds
     # their images under the transpositions (0 c). Templates just off that
     # condition take the full enumeration; both must equal the plain one
     calls = []
+    relabels = homs._relabels
 
     def spy(*args):
-        pm = profile_map(*args)
-        calls.append((args[4:] == (True,), pm.visited))
-        return pm
+        calls.append(relabels(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(homs, "profile_map", spy)
+    monkeypatch.setattr(homs, "_relabels", spy)
 
     def check(g, n, cells, caps, one_class):
         poly = symbolic_profile(g, SymbolicTemplate(n, cells), caps)
-        assert calls[-1][0] is one_class, (g, cells, caps)
+        assert calls[-1] is one_class, (g, cells, caps)
         assert rational_terms(poly) == brute_count_polynomial(g, cells, caps), (g, cells, caps)
 
     rng = _random.Random(20191024)
@@ -749,15 +752,48 @@ def test_colour_class_build_matches_brute_force(monkeypatch):
     # partial colourings
     mobius = bowtie_blowup(cycle_graph(5))
     symbolic_profile(mobius, SymbolicTemplate(3, tuple(f"c{i:02d}" for i in range(6))))
-    assert calls[-1] == (True, 121)
-    assert profile_map(mobius, 3, _plain(6), {}).visited == 363
+    assert calls[-1] is True
+    assert profile_map(mobius, 3, _plain(6), {}).visited == 121
+    assert profile_map(mobius, 3, _shared(6), {}).visited == 363
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relabelled_profile_map_matches_brute_force(n):
+    # profile_map takes the relabelling shortcut from its own inputs: bare
+    # cells whose fields are a permutation of the cells, no cap, and an edge.
+    # Fields with gaps between them, an edgeless graph (no cover vertex to
+    # fix: every map would count n times) and a cap that never binds take
+    # the full enumeration; each must equal the plain count
+    rng = _random.Random(20191026 + n)
+    ncells = n * (n + 1) // 2
+    for case in range(12):
+        g = random_graph(rng.randrange(10**6), rng.randint(2, 5 if n < 4 else 4), 0.6)
+        fields = rng.sample(range(ncells), ncells)
+        for cells, caps, one_class in (
+            ([(f, 0, 1) for f in fields], {}, bool(g.edges)),
+            ([(2 * f + 1, 0, 1) for f in fields], {}, False),
+            ([(f, 0, 1) for f in fields], {0: g.edge_count}, False),
+        ):
+            assert homs._relabels(g, cells, caps) is one_class, (g, cells, caps)
+            got = profile_map(g, n, cells, caps).counts
+            assert got == brute_profile_map(g, n, cells, caps), (case, g, n, cells, caps)
+    edgeless = Graph(3, ())
+    assert not homs._relabels(edgeless, _plain(ncells), {})
+    assert profile_map(edgeless, n, _plain(ncells), {}).counts == {(0,) * ncells: n**3}
+    # C_4 at n = 2 with fields 0, 2 and 5: distinct, but no permutation
+    gaps = [(0, 0, 1), (2, 0, 1), (5, 0, 1)]
+    assert profile_map(cycle_graph(4), 2, gaps, {}).counts == brute_profile_map(
+        cycle_graph(4), 2, gaps, {}
+    )
 
 
 def test_visited_counts_pin_reuse(monkeypatch):
     # bowtie k = 7 reuses the subtrees under its last two cover positions,
     # and each further k adds 243 partial colourings; K_{m,m} minus a
     # matching reads its whole prefix, but its cover positions from 2 on
-    # are keyed on colour multiplicities
+    # are keyed on colour multiplicities. The memo is pinned on a shared
+    # field, which takes no relabelling shortcut; every cell its own field,
+    # the shortcut tries about a third as many
     seen = []
 
     def spy(*args):
@@ -772,22 +808,31 @@ def test_visited_counts_pin_reuse(monkeypatch):
         assert verify_certificate(cert)
         assert len(seen) == 2 and max(seen) <= bound
     kpm = kpm_graph(7)
-    assert profile_map(kpm, 3, _plain(6), {}).visited == 252 < _full_tree(kpm, 3) == 3279
-    for m, visited in zip(range(3, 8), (30, 60, 105, 168, 252)):
-        assert profile_map(kpm_graph(m), 3, _plain(6), {}).visited == visited
-    for k, visited in zip(range(3, 9), (30, 60, 363, 474, 708, 951)):
-        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, _plain(6), {}).visited == visited
+    assert profile_map(kpm, 3, _shared(6), {}).visited == 252 < _full_tree(kpm, 3) == 3279
+    for m, visited, relabelled in zip(
+        range(3, 8), (30, 60, 105, 168, 252), (13, 31, 61, 106, 169)
+    ):
+        assert profile_map(kpm_graph(m), 3, _shared(6), {}).visited == visited
+        assert profile_map(kpm_graph(m), 3, _plain(6), {}).visited == relabelled
+    for k, visited, relabelled in zip(
+        range(3, 9), (30, 60, 363, 474, 708, 951), (13, 31, 121, 184, 265, 346)
+    ):
+        g = bowtie_blowup(cycle_graph(k))
+        assert profile_map(g, 3, _shared(6), {}).visited == visited
+        assert profile_map(g, 3, _plain(6), {}).visited == relabelled
 
 
 def test_summed_counts_pin_side_reuse():
     # an independent vertex's sum depends only on the colour multiset its
     # neighbours read, so each is made once per call: bowtie k = 5 and 7
     # both read the 10 triples of 3 colours, and K_{m,m} minus a matching
-    # the multisets of m - 1 colours
-    for k in (5, 7):
-        assert profile_map(bowtie_blowup(cycle_graph(k)), 3, _plain(6), {}).summed == 10
-    for m, summed in ((5, 15), (7, 28)):
-        assert profile_map(kpm_graph(m), 3, _plain(6), {}).summed == summed
+    # the multisets of m - 1 colours, with or without the relabelling
+    # shortcut (colouring the first cover vertex 0 alone still reads them all)
+    for cells in (_shared(6), _plain(6)):
+        for k in (5, 7):
+            assert profile_map(bowtie_blowup(cycle_graph(k)), 3, cells, {}).summed == 10
+        for m, summed in ((5, 15), (7, 28)):
+            assert profile_map(kpm_graph(m), 3, cells, {}).summed == summed
 
 
 def test_capped_counts_pin_cap_sites(monkeypatch):
@@ -798,8 +843,8 @@ def test_capped_counts_pin_cap_sites(monkeypatch):
     # build at x, y <= 2 and its line read, and Hessians at zero cells
     seen = []
 
-    def spy(g, n, cells, caps, *rest):
-        pm = profile_map(g, n, cells, caps, *rest)
+    def spy(g, n, cells, caps):
+        pm = profile_map(g, n, cells, caps)
         if caps:
             seen.append((pm.visited, pm.summed))
         return pm
@@ -843,9 +888,12 @@ def test_shared_side_maps_match_brute_force():
     assert back == [(), (0,), (0, 1)]
     assert closing == [[(0,)], [(0, 1)], [(1, 2), (0, 2), (0, 1, 2)]]
     n, cells = 3, _plain(6)
-    pm = profile_map(g, n, cells, {})
-    assert _profiles(pm) == brute_profile_map(g, n, cells, {})
-    assert pm.summed == 3 + 6 + 10  # every multiset of 1, 2 and 3 colours, once
+    assert profile_map(g, n, cells, {}).counts == brute_profile_map(g, n, cells, {})
+    # on a shared field, with every colour tried at position 0, every
+    # multiset of 1, 2 and 3 colours is summed once
+    pm = profile_map(g, n, _shared(6), {})
+    assert pm.counts == brute_profile_map(g, n, _shared(6), {})
+    assert pm.summed == 3 + 6 + 10
     # cells 0, 1, 2 are {0, 0}, {0, 1}, {0, 2}: the pendant next to colour 0,
     # its cells constants, weighs 1 - 1 + 0 and its sum cancels
     cancel = [1, -1, 0]
@@ -860,14 +908,14 @@ def test_shared_side_maps_match_brute_force():
         (cancel + [(0, 0, 1), (1, 0, 1), (2, 0, 1)], {1: 2}),
     ):
         expected = brute_profile_map(g, n, weighted, caps)
-        assert _profiles(profile_map(g, n, weighted, caps)) == expected
+        assert profile_map(g, n, weighted, caps).counts == expected
     assert brute_profile_map(g, n, cells, {1: 1, 4: 2}) != brute_profile_map(g, n, cells, {})
     # one colour: a single cell, and one side map per neighbourhood size
     pm = profile_map(g, 1, [(0, 0, 1)], {})
-    assert _profiles(pm) == brute_profile_map(g, 1, [(0, 0, 1)], {}) == {(13,): 1}
+    assert pm.counts == brute_profile_map(g, 1, [(0, 0, 1)], {}) == {(13,): 1}
     assert pm.summed == 3
     for cap in (12, 13):
-        assert _profiles(profile_map(g, 1, [(0, 0, 1)], {0: cap})) == brute_profile_map(
+        assert profile_map(g, 1, [(0, 0, 1)], {0: cap}).counts == brute_profile_map(
             g, 1, [(0, 0, 1)], {0: cap}
         )
 

@@ -263,6 +263,32 @@ def test_sparse_poly_inherits_no_operator():
     }
 
 
+def test_profile_map_answers_for_every_map():
+    # the engine decides the colour-relabelling shortcut from its own
+    # inputs and returns every map, keyed by exponent tuples: no flag asks
+    # for one colour class, and no packed-key layout (a field width or
+    # count) leaves the one function that packs the keys
+    import inspect
+
+    from graphnorms.homs import ProfileMap, profile_map
+
+    assert list(inspect.signature(profile_map).parameters) == ["g", "n", "cells", "caps"]
+    assert not {"width", "fields"} & set(ProfileMap._fields)
+    path = Path(graphnorms.__file__).parent / "homs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (engine,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "profile_map"
+    ]
+    inside = {id(node) for node in ast.walk(engine)}
+    decoded_outside = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)
+        and id(node) not in inside
+    ]
+    assert decoded_outside == []
+
+
 def test_profile_map_has_one_recursion():
     # the search is one memoised function returning its subtree's map; a
     # second search convention (a map carried down and added into a sink)
