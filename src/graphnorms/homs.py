@@ -72,20 +72,30 @@ vertices closing there, each reading its neighbours before p. Edge keys add
 and weights multiply, so the subtree's map depends only on the multiset of
 colours each later vertex reads, and on the capped fields of its base;
 independent vertices with the same neighbours from p on are interchangeable,
-so their multisets are compared as one multiset. One rule places the
-tables: a position keeps one where the later vertices miss a prefix
-position or swapping two prefix positions keeps every group's reads, so
-two prefix colourings share a key (where only a larger permutation keeps
-them, as at bowtie k = 5's position 4, keys repeat but no table is kept),
-and every table lives for the whole call (and is freed at
-its return, not left to the cyclic garbage collector). At n = 3, over an
-uncapped template with a shared symbol (no relabelling shortcut, below),
-a cycle blow-up's later vertices read 4 positions, so bowtie k = 7 tries
-708 partial colourings where the plain search tries 3 + ... + 3^7 = 3279,
-and each further k adds 243. K_{m,m} minus a matching reads its whole
-prefix at every depth, but symmetrically from the third position on, so
-the count collapses to colour multiplicities: kpm m = 7 tries 252 partial
-colourings. ``ProfileMap.visited`` counts the partial colourings tried.
+so their multisets are compared as one multiset. A position keeps a table
+for the whole call where the later vertices miss a prefix position or
+swapping two prefix positions keeps every group's reads, so two prefix
+colourings share a key. A cycle's reflection is neither: where reversing
+the later cover positions maps the subtree's graph onto itself, and a
+permutation pi of the prefix carries each group's reads onto its image's,
+the subtree under c is the one under c o pi, so a key is folded with the
+key holding its groups in mirrored order (one ``itemgetter`` from
+``_memo_plan``) and the lesser is kept. A table kept for the mirror alone
+stores nothing for a key its mirror fixes and gives each entry up at its
+second read, and under the relabelling shortcut (below) a mirror whose pi
+moves position 0 is not used, since those partners are never tried. Where
+only another permutation keeps the reads, as at bowtie k = 5's position
+4, whose reflection (0 3)(1 2) fixes the suffix, keys repeat but no table
+is kept. Every table is freed at the call's return, not left to the
+cyclic garbage collector. At n = 3, over an uncapped template with a
+shared symbol (no relabelling shortcut), a cycle blow-up's later vertices
+read 4 positions and every position from 2 to |C| - 2 has its mirror, so
+bowtie k = 7 tries 348 partial colourings where the plain search tries
+3 + ... + 3^7 = 3279, and k = 7 and 8 each add 96. K_{m,m} minus a
+matching reads its whole prefix at every depth, but symmetrically from the
+third position on, so the count collapses to colour multiplicities: kpm
+m = 7 tries 252 partial colourings. ``ProfileMap.visited`` counts the
+partial colourings tried.
 
 Cells each their own bare field (f, 0, 1), the fields a permutation of
 the cells, uncapped, over a graph with an edge (the witness search's
@@ -95,7 +105,7 @@ transposition (0 c) of those giving it 0, which moves the exponent of
 cell {i, j} to cell {ti, tj}. ``profile_map`` sees this in its inputs
 (``_relabels``), colours that vertex 0 alone and adds the n - 1 images,
 each a gather of the exponent tuples: at n = 3 it tries 121 partial
-colourings of the Moebius ladder, not 363, and 169 of kpm m = 7.
+colourings of the Moebius ladder, not 198, and 169 of kpm m = 7, not 252.
 
 The engine has one work limit, ``ENUMERATION_GUARD``, and two estimates
 read off the edge list alone (so a graph claiming 10^12 mostly isolated
@@ -310,13 +320,13 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
     # multiset of colours c is one int, the sum of (depth + 1)^c, whose
     # digits never carry since a vertex reads fewer than depth positions,
     # and a group's ints are sorted
-    plan = _memo_plan(back, closing)
-    tables = [None if reads is None else {} for reads in plan]
+    relabels = _relabels(g, cells, caps)
+    plan = _memo_plan(back, closing, relabels)
+    tables = [None if memo is None else {} for memo in plan]
     power = [(depth + 1) ** c for c in range(n)]
 
     colors = [0] * depth
     rng = range(n)
-    relabels = _relabels(g, cells, caps)
     first = range(1) if relabels else rng
     visited = summed = 0
     sides: dict[int, dict] = {}  # colour multiset of the neighbours -> side map
@@ -388,15 +398,25 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
             return {0: 1}
         table = tables[p]
         if table is not None:
+            reads, mirror, whole = plan[p]
             tkey = [base & capmask]
-            for group in plan[p]:
+            for group in reads:
                 codes = [sum([power[colors[a]] for a in r]) for r in group]
                 if len(codes) > 1:
                     codes.sort()
                 tkey += codes
             tkey = tuple(tkey)
-            if tkey in table:
-                return table[tkey]
+            keep = whole
+            if mirror is not None:
+                other = mirror(tkey)
+                if other != tkey:
+                    keep = True
+                    if other < tkey:
+                        tkey = other
+            # a table for the mirror alone skips a key its mirror fixes and
+            # gives an entry up at its second read
+            if keep and tkey in table:
+                return table[tkey] if whole else table.pop(tkey)
         choices = first if p == 0 else rng
         visited += len(choices)
         off = base + bias
@@ -445,7 +465,7 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
                     else:  # the leaf's map is {0: 1}: add local, exact, as it is
                         for k, v in local.items():
                             out[k] = out.get(k, 0) + v
-        if table is not None:
+        if table is not None and keep:
             table[tkey] = out
         return out
 

@@ -1,14 +1,17 @@
 """How ``homs.profile_map`` searches a graph, read off its edge list alone
 before anything is coloured: the vertex cover it colours and the
 independent set it sums out (``_cover_plan``), the cover positions whose
-subtrees it memoises and the prefix reads their keys are made from
-(``_memo_plan``), and the profile entries summing the independent set out
-touches per colouring, one of its two work estimates (``_summing_entries``).
+subtrees it memoises, the prefix reads their keys are made from and the
+mirror each key is folded with (``_memo_plan``), and the profile entries
+summing the independent set out touches per colouring, one of its two work
+estimates (``_summing_entries``).
 """
 
 from bisect import bisect_left
 from itertools import combinations
 from math import comb
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ENUMERATION_GUARD
 from .graphs import Graph
@@ -80,9 +83,17 @@ def _summing_entries(closing, n: int, fields: int) -> int:
     return entries
 
 
-def _memo_plan(back, closing):
-    """Per cover position p, the prefix reads the key of its subtree's
-    table is made from, or None where that key cannot repeat.
+class Memo(NamedTuple):
+    """The table of one cover position's subtree."""
+
+    reads: tuple  # per group, the sorted prefix reads of its vertices
+    mirror: itemgetter | None  # a key to its mirror's key, or None
+    whole: bool  # kept for the whole call; else for the mirror alone
+
+
+def _memo_plan(back, closing, first_fixed: bool = False):
+    """Per cover position p, the ``Memo`` of its subtree's table, or None
+    where no table is kept.
 
     A later vertex, a cover position q >= p or an independent vertex
     closing at q >= p, reads its neighbours in [0, p); the subtree depends
@@ -90,10 +101,15 @@ def _memo_plan(back, closing):
     reads. Independent vertices with the same neighbours in [p, depth) are
     interchangeable, so they form one group whose reads are compared as a
     multiset; every other later vertex is a group of its own. A table is
-    kept where the reads miss a prefix position or two prefix positions are
-    interchangeable (swapping them maps every group's reads onto
-    themselves), so two prefix colourings share a key; where only a larger
-    permutation keeps the reads, keys repeat but no table is kept.
+    kept for the whole call where the reads miss a prefix position or two
+    prefix positions are interchangeable (swapping them maps every group's
+    reads onto themselves), so two prefix colourings share a key. Where
+    ``_mirror`` finds one, a key is folded with its mirror's, and a
+    position with no other reason keeps a table for the mirror alone. A
+    key that only another permutation keeps gets no table: bowtie k = 5's
+    position 4, whose reflection (0 3)(1 2) fixes the suffix, keeps none.
+    ``first_fixed``: only colour 0 is tried at position 0, so a mirror
+    moving it is not used.
     """
     depth = len(back)
     plan = []
@@ -108,16 +124,20 @@ def _memo_plan(back, closing):
                 if cut:
                     groups.setdefault(nbrs[cut:], []).append(nbrs[:cut])
         reads = tuple(tuple(sorted(group)) for group in groups.values())
-        read = {a for group in reads for r in group for a in r}
-        repeats = len(read) < p or _interchangeable(reads, p)
-        plan.append(reads if repeats else None)
+        alike = _alike(reads, p)
+        whole = () in alike or _interchangeable(reads, alike)
+        # pi is read off the positions' readers, so two read alike refuse a
+        # mirror; with one prefix position pi is the identity, and no key moves
+        mirror = None
+        if p > 1 and len(reads) > 1 and all(len(a) == 1 for w, a in alike.items() if w):
+            mirror = _mirror(back, closing, p, list(groups), reads, alike, first_fixed)
+        plan.append(Memo(reads, mirror, whole) if whole or mirror else None)
     return plan
 
 
-def _interchangeable(reads, p: int) -> bool:
-    """Whether swapping two positions of [0, p) maps every group of
-    ``reads`` onto itself; only positions that lie in as many reads of each
-    group are tried as a pair."""
+def _alike(reads, p: int) -> dict[tuple, list]:
+    """The positions of [0, p) by the groups reading them, one group index
+    per read, in order: unread positions under ()."""
     seen: list[list[int]] = [[] for _ in range(p)]
     for i, group in enumerate(reads):
         for r in group:
@@ -126,6 +146,13 @@ def _interchangeable(reads, p: int) -> bool:
     alike: dict[tuple, list] = {}
     for a, where in enumerate(seen):
         alike.setdefault(tuple(where), []).append(a)
+    return alike
+
+
+def _interchangeable(reads, alike) -> bool:
+    """Whether swapping two prefix positions maps every group of ``reads``
+    onto itself; only positions ``_alike`` puts together are tried as a
+    pair."""
     for positions in alike.values():
         for a, b in combinations(positions, 2):
             swap = {a: b, b: a}
@@ -136,3 +163,64 @@ def _interchangeable(reads, p: int) -> bool:
             ):
                 return True
     return False
+
+
+def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
+    """The mirror of cover position p's subtree: an ``itemgetter`` taking
+    a table key (base's capped fields, then each group's codes in order)
+    to the key with its groups in mirrored order, or None.
+
+    The reversal s(q) = p + depth - 1 - q of the later cover positions must
+    send every group to a group (``keys``, whose reads are ``reads``), and
+    map the edges among the later positions and the neighbourhoods of the
+    independent vertices reading no prefix position onto themselves. Then
+    the subtree's map, read off base's capped fields and the groups' colour
+    multisets, is unchanged when each group takes its image's multisets,
+    so a key and its mirror's share one entry. A permutation pi of the read
+    prefix positions makes the mirrored key that of a colouring tried, c o
+    pi: pi takes a position to the one that the image groups read as it is
+    read (``alike`` holds each read position alone), and it must carry each
+    group's reads onto its image's (so a group and its image are as large)
+    and the edges among the prefix onto themselves (so c o pi has c's
+    base), fix position 0 when ``first_fixed``, and move some key.
+    """
+    depth = len(back)
+    end = p + depth - 1
+    index = {key: i for i, key in enumerate(keys)}
+    image = []
+    for key in keys:
+        j = index.get(end - key if type(key) is int else tuple([end - q for q in reversed(key)]))
+        if j is None:
+            return None
+        image.append(j)
+    if all(reads[j] == group for j, group in zip(image, reads)):  # no key moves
+        return None
+    pi = {}
+    for where, positions in alike.items():
+        if where:
+            b = alike.get(tuple(sorted([image[i] for i in where])))
+            if b is None:
+                return None
+            pi[positions[0]] = b[0]
+    if first_fixed and pi.get(0, 0):
+        return None
+    for i, group in enumerate(reads):
+        if sorted(tuple(sorted([pi[a] for a in r])) for r in group) != list(reads[image[i]]):
+            return None
+    unread = [nbrs for q in range(p, depth) for nbrs in closing[q] if nbrs[0] >= p]
+    if sorted(unread) != sorted(tuple([end - q for q in reversed(nbrs)]) for nbrs in unread):
+        return None
+    for q in range(p, depth):
+        for b in back[q][bisect_left(back[q], p):]:
+            if end - q not in back[end - b]:
+                return None
+    for q in range(p):
+        for b in back[q]:
+            x, y = sorted((pi.get(b, b), pi.get(q, q)))
+            if x not in back[y]:
+                return None
+    start = [1]  # a group's first slot in the key, after base's
+    for group in reads:
+        start.append(start[-1] + len(group))
+    slots = [k for j, group in zip(image, reads) for k in range(start[j], start[j] + len(group))]
+    return itemgetter(0, *slots)

@@ -65,8 +65,8 @@ MUTANTS = (
     ),
     (
         "plans.py",
-        "    seen: list[list[int]] = [[] for _ in range(p)]",
-        "    if p >= 2:\n        return True\n    seen: list[list[int]] = [[] for _ in range(p)]",
+        "    for positions in alike.values():",
+        "    if sum(map(len, alike.values())) >= 2:\n        return True\n    for positions in alike.values():",
         "tests/test_homs.py::test_every_memo_table_has_a_key_that_repeats",
     ),
     (
@@ -152,6 +152,30 @@ MUTANTS = (
         "if res.is_psd:",
         "if False:",
         "tests/test_certificates.py::test_disagreeing_psd_decisions_are_a_fault",
+    ),
+    (
+        "plans.py",
+        "if end - q not in back[end - b]:",
+        "if False:",
+        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
+    ),
+    (
+        "plans.py",
+        "if sorted(unread) != sorted(",
+        "if False and sorted(unread) != sorted(",
+        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
+    ),
+    (
+        "plans.py",
+        "if sorted(tuple(sorted([pi[a] for a in r])) for r in group) != list(reads[image[i]]):",
+        "if False:",
+        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
+    ),
+    (
+        "plans.py",
+        "if x not in back[y]:",
+        "if False:",
+        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
     ),
 )
 

@@ -45,7 +45,7 @@ from graphnorms.homs import (
     profile_map,
 )
 from graphnorms.matrices import block_pm_ones
-from graphnorms.plans import _cover_plan, _interchangeable, _memo_plan
+from graphnorms.plans import _alike, _cover_plan, _interchangeable, _memo_plan
 from oracles import (
     brute_count_polynomial,
     brute_hom_count,
@@ -640,44 +640,66 @@ def test_interchangeable_vertices_match_brute_force(g, visited):
         assert profile_map(g, n, cells, caps).counts == expected
 
 
+def _swappable(reads, p):
+    """Whether two positions of [0, p) swap, every group of ``reads`` kept."""
+    return _interchangeable(reads, _alike(reads, p))
+
+
 def test_memo_plan_keeps_tables_where_prefix_positions_interchange():
     # K_{7,7} minus a matching reads its whole prefix at every cover
     # position; from position 2 on two prefix positions can be swapped, so
-    # positions 2..6 keep tables, and positions 0 and 1 have nothing to swap
+    # positions 2..6 keep tables for the whole call, and positions 0 and 1
+    # have nothing to swap. Its positions are all read alike: no mirror
     back, closing, _ = _cover_plan(kpm_graph(7))
     plan = _memo_plan(back, closing)
     assert [p for p, m in enumerate(plan) if m is not None] == [2, 3, 4, 5, 6]
-    # bowtie k = 7 keeps its frontier-gap tables at 5 and 6; positions 2..4
-    # close a vertex each but no two earlier positions can be swapped
+    assert all(m.whole and m.mirror is None for m in plan[2:])
+    # bowtie k = 7 keeps its frontier-gap tables at 5 and 6 for the whole
+    # call; positions 2..4 close a vertex each but no two earlier positions
+    # can be swapped, so they keep tables for the mirror alone, and 5 has
+    # both. Position 6, the last, has no suffix to reverse
     back, closing, _ = _cover_plan(bowtie_blowup(cycle_graph(7)))
     plan = _memo_plan(back, closing)
-    assert [p for p, m in enumerate(plan) if m is not None] == [5, 6]
+    assert [p for p, m in enumerate(plan) if m is not None] == [2, 3, 4, 5, 6]
+    assert [p for p, m in enumerate(plan) if m is not None and m.whole] == [5, 6]
+    assert [p for p, m in enumerate(plan) if m is not None and m.mirror] == [2, 3, 4, 5]
     assert all(closing[p] for p in (2, 3, 4))
+    # under the relabelling shortcut every one of those mirrors moves
+    # position 0, whose partner colourings are never tried
+    fixed = _memo_plan(back, closing, first_fixed=True)
+    assert [p for p, m in enumerate(fixed) if m is not None] == [5, 6]
+    assert all(m.mirror is None for m in fixed[5:])
     # one vertex reading both positions lets them swap; a second vertex
     # reading only one of them, or a cover position apart from a group,
     # tells them apart
-    assert _interchangeable((((0, 1),),), 2)
-    assert _interchangeable((((0, 1), (0, 1)), ((0, 1, 2),)), 3)
-    assert not _interchangeable((((0, 1),), ((0,),)), 2)
-    assert not _interchangeable((((0,), (1,)), ((0,),)), 2)
-    assert _interchangeable((((0,), (1,)),), 2)
+    assert _swappable((((0, 1),),), 2)
+    assert _swappable((((0, 1), (0, 1)), ((0, 1, 2),)), 3)
+    assert not _swappable((((0, 1),), ((0,),)), 2)
+    assert not _swappable((((0,), (1,)), ((0,),)), 2)
+    assert _swappable((((0,), (1,)),), 2)
 
 
-def _prefix_keys(reads, p, n):
+def _prefix_keys(memo, p, n):
     """The table keys of the n^p colourings of a position p's prefix,
-    without caps: per group, the sorted colour multisets its reads give."""
-    return [
-        tuple(tuple(sorted(tuple(sorted(c[a] for a in r)) for r in group)) for group in reads)
-        for c in product(range(n), repeat=p)
-    ]
+    without caps: base's 0, then per group the sorted colour multisets its
+    reads give; where the table has a mirror, the key and its mirror's."""
+    keys = []
+    for c in product(range(n), repeat=p):
+        key = (0,) + tuple(
+            m for group in memo.reads for m in sorted(tuple(sorted(c[a] for a in r)) for r in group)
+        )
+        keys.append(key if memo.mirror is None else frozenset((key, memo.mirror(key))))
+    return keys
 
 
 def test_every_memo_table_has_a_key_that_repeats():
-    # the rule keeps a table where a prefix position is unread or where two
-    # prefix positions interchange; either way two prefix colourings share
-    # a key once there are two colours. The converse fails: at n = 3
-    # bowtie k = 5 has 37 keys for the 81 colourings of its position 4
-    # (the reflection (0 3)(1 2) is no single swap), and keeps no table
+    # the rule keeps a table where a prefix position is unread, where two
+    # prefix positions interchange, or where a mirror's pi moves a
+    # colouring to another one with the mirrored key; either way two
+    # prefix colourings share a key, the lesser of it and its mirror's,
+    # once there are two colours. The converse fails: at n = 3 bowtie
+    # k = 5 has 37 keys for the 81 colourings of its position 4 (the
+    # reflection (0 3)(1 2) fixes the suffix), and keeps no table
     rng = _random.Random(20191019)
     graphs = [bowtie_blowup(cycle_graph(k)) for k in range(3, 8)]
     graphs += [kpm_graph(m) for m in range(3, 8)]
@@ -685,14 +707,128 @@ def test_every_memo_table_has_a_key_that_repeats():
         random_graph(rng.randrange(10**6), rng.randint(3, 10), rng.choice((0.3, 0.5, 0.8)))
         for _ in range(150)
     ]
-    tables = 0
+    tables = mirrors = 0
     for g in graphs:
         back, closing, _ = _cover_plan(g)
-        for p, reads in enumerate(_memo_plan(back, closing)):
-            if reads is not None:
+        for p, memo in enumerate(_memo_plan(back, closing)):
+            if memo is not None:
                 tables += 1
-                assert len(set(_prefix_keys(reads, p, 2))) < 2**p, (g, p)
-    assert tables >= 100
+                mirrors += memo.mirror is not None
+                assert len(set(_prefix_keys(memo, p, 2))) < 2**p, (g, p)
+    assert tables >= 100 and mirrors >= 9
+
+
+def _mirrors(g, first_fixed=False):
+    """The cover positions whose tables ``_memo_plan`` gives a mirror."""
+    back, closing, _ = _cover_plan(g)
+    plan = _memo_plan(back, closing, first_fixed)
+    return [p for p, m in enumerate(plan) if m is not None and m.mirror is not None]
+
+
+def _without_mirror(g, n):
+    """A vertex-relabelled copy of g whose cover order has no mirror and
+    whose n^|C| is at most 3^7, or None when 200 tries find none (the
+    7-vertex covers of bowtie k = 7 all have a mirror, and its other
+    covers are longer)."""
+    rng = _random.Random(20191027 + g.n)
+    for _ in range(200):
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        if n ** len(_cover_plan(h)[0]) <= 3**7 and not _mirrors(h):
+            return h
+    return None
+
+
+def _plan_without_mirrors(back, closing, first_fixed=False):
+    """``_memo_plan`` with every mirror taken out."""
+    plan = _memo_plan(back, closing, first_fixed)
+    return [m._replace(mirror=None) if m is not None and m.whole else None for m in plan]
+
+
+def _mobius_ladder(m):
+    """The cycle C_2m with its m long diagonals."""
+    return Graph.from_edges(
+        2 * m, [(i, (i + 1) % (2 * m)) for i in range(2 * m)] + [(i, i + m) for i in range(m)]
+    )
+
+
+def _mirror_cells(n):
+    """A shared field; bare fields under caps, one of them 0; signed
+    constants beside affine cells, under a cap."""
+    ncells = n * (n + 1) // 2
+    yield _shared(ncells), {}
+    yield _plain(ncells), {0: 0, ncells - 1: 2}
+    yield [(0, 2, -1), -3, (1, 0, 2), 2, (0, -1, 1), (2, 1, 3)][:ncells], {0: 3}
+
+
+@pytest.mark.parametrize(
+    "g, mirrored",
+    [(bowtie_blowup(cycle_graph(k)), k >= 5) for k in range(3, 9)]
+    + [(cartesian_k2(cycle_graph(k)), k == 6) for k in range(4, 7)]
+    + [(cycle_graph(k), k >= 7) for k in range(6, 13)]
+    + [(_mobius_ladder(m), m >= 5) for m in range(4, 8)],
+    ids=[f"bowtie{k}" for k in range(3, 9)] + [f"c{k}k2" for k in range(4, 7)]
+    + [f"c{k}" for k in range(6, 13)] + [f"mobius{m}" for m in range(4, 8)],
+)
+def test_mirror_tables_match_a_copy_without_mirror(g, mirrored, monkeypatch):
+    # where the reversal of a cover position's suffix maps it onto itself,
+    # and a permutation pi of the prefix carries each group's reads onto
+    # its image's, the subtrees under c and c o pi share one entry. A copy
+    # of the graph under another vertex numbering, with no mirror in its
+    # cover order, must give the same maps at n = 2 and 3, under caps (0
+    # included), signed weights and affine cells; where no copy is that
+    # cheap, the graph's own plan with its mirrors taken out stands in.
+    # Every case is also checked against brute force at n = 2 on graphs of
+    # at most 10 vertices, and at n = 3 on those of at most 8
+    assert bool(_mirrors(g)) is mirrored
+    for n in (2, 3):
+        h = _without_mirror(g, n)
+        assert h is not None or n == 3
+        for cells, caps in _mirror_cells(n):
+            got = profile_map(g, n, cells, caps).counts
+            if h is not None:
+                assert got == profile_map(h, n, cells, caps).counts, (n, cells, caps)
+            else:
+                with monkeypatch.context() as m:
+                    m.setattr(homs, "_memo_plan", _plan_without_mirrors)
+                    assert got == profile_map(g, n, cells, caps).counts, (n, cells, caps)
+            if g.n <= (10 if n == 2 else 8):
+                assert got == brute_profile_map(g, n, cells, caps), (n, cells, caps)
+
+
+def test_memo_plan_refuses_near_mirrors():
+    # each graph breaks one thing a mirror needs at a position where the
+    # graph it comes from has one, and _memo_plan must refuse it there:
+    # - chords on bowtie k = 6's cover positions 0-1 and 2-3 (their
+    #   degrees rise together, so the cover order stays): position 2's
+    #   reversal takes the edge 2-3 among its later positions to 4-5;
+    # - bowtie k = 6 less the edge 1-8: position 2's independent vertices
+    #   reading no prefix position are no longer mapped onto themselves;
+    # - bowtie k = 5 with the edge 1-6 moved to 4-6: position 3's pi, read
+    #   off which groups read each position, would take one group's reads
+    #   {0 1, 2} to {1 2, 0};
+    # - C_10 with the chord 3-5: position 3's pi would move the chord among
+    #   the prefix.
+    # The first two would give wrong maps; under the last two the key of
+    # c o pi would miss the mirrored one (other reads, or another base),
+    # so the table would keep entries it never reads
+    b5, b6, c10 = bowtie_blowup(cycle_graph(5)), bowtie_blowup(cycle_graph(6)), cycle_graph(10)
+    controls = [
+        (b6, Graph.from_edges(12, b6.edges + ((6, 7), (8, 9))), 2),
+        (b6, Graph.from_edges(12, [e for e in b6.edges if e != (1, 8)]), 2),
+        (b5, Graph.from_edges(10, [e for e in b5.edges if e != (1, 6)] + [(4, 6)]), 3),
+        (c10, Graph.from_edges(10, c10.edges + ((3, 5),)), 3),
+    ]
+    for origin, g, p in controls:
+        assert p in _mirrors(origin) and p not in _mirrors(g), (g, p)
+        for cells, caps in _mirror_cells(2):
+            assert profile_map(g, 2, cells, caps).counts == brute_profile_map(g, 2, cells, caps)
+    # a relabelled build keeps a mirror whose pi fixes position 0
+    g = Graph.from_edges(8, [
+        (0, 1), (0, 2), (0, 3), (0, 5), (0, 7), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4),
+        (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (4, 6), (6, 7),
+    ])
+    assert homs._relabels(g, _plain(6), {}) and _mirrors(g, first_fixed=True) == [3]
+    assert profile_map(g, 3, _plain(6), {}).counts == brute_profile_map(g, 3, _plain(6), {})
 
 
 def test_colour_class_build_matches_brute_force(monkeypatch):
@@ -748,13 +884,13 @@ def test_colour_class_build_matches_brute_force(monkeypatch):
         check(Graph(3, ()), n, names, {}, False)
         check(Graph(2, ((0, 1),)), n, names, {}, True)
         check(Graph(4, ((1, 3),)), n, names, {}, True)
-    # the search template at n = 3 tries a third of the Moebius ladder's
-    # partial colourings
+    # the search template at n = 3 tries 121 partial colourings of the
+    # Moebius ladder, the full enumeration 198 with its mirror tables
     mobius = bowtie_blowup(cycle_graph(5))
     symbolic_profile(mobius, SymbolicTemplate(3, tuple(f"c{i:02d}" for i in range(6))))
     assert calls[-1] is True
     assert profile_map(mobius, 3, _plain(6), {}).visited == 121
-    assert profile_map(mobius, 3, _shared(6), {}).visited == 363
+    assert profile_map(mobius, 3, _shared(6), {}).visited == 198
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -788,12 +924,13 @@ def test_relabelled_profile_map_matches_brute_force(n):
 
 
 def test_visited_counts_pin_reuse(monkeypatch):
-    # bowtie k = 7 reuses the subtrees under its last two cover positions,
-    # and each further k adds 243 partial colourings; K_{m,m} minus a
+    # bowtie k = 7 reuses the subtrees under its last two cover positions
+    # for the whole call, and those under positions 2..5 for their mirrors,
+    # and k = 7 and 8 each add 96 partial colourings; K_{m,m} minus a
     # matching reads its whole prefix, but its cover positions from 2 on
     # are keyed on colour multiplicities. The memo is pinned on a shared
     # field, which takes no relabelling shortcut; every cell its own field,
-    # the shortcut tries about a third as many
+    # the shortcut tries fewer, with no mirror (each moves position 0)
     seen = []
 
     def spy(*args):
@@ -802,7 +939,7 @@ def test_visited_counts_pin_reuse(monkeypatch):
         return pm
 
     monkeypatch.setattr(homs, "profile_map", spy)
-    for k, bound in ((7, 708), (8, 951)):
+    for k, bound in ((7, 348), (8, 444)):
         seen.clear()
         cert = certify_bowtie_cycle(k)
         assert verify_certificate(cert)
@@ -815,7 +952,7 @@ def test_visited_counts_pin_reuse(monkeypatch):
         assert profile_map(kpm_graph(m), 3, _shared(6), {}).visited == visited
         assert profile_map(kpm_graph(m), 3, _plain(6), {}).visited == relabelled
     for k, visited, relabelled in zip(
-        range(3, 9), (30, 60, 363, 474, 708, 951), (13, 31, 121, 184, 265, 346)
+        range(3, 9), (30, 60, 198, 252, 348, 444), (13, 31, 121, 184, 265, 346)
     ):
         g = bowtie_blowup(cycle_graph(k))
         assert profile_map(g, 3, _shared(6), {}).visited == visited
@@ -850,7 +987,7 @@ def test_capped_counts_pin_cap_sites(monkeypatch):
         return pm
 
     monkeypatch.setattr(homs, "profile_map", spy)
-    for k, pin in ((5, (363, 10)), (6, (474, 10)), (7, (708, 10))):
+    for k, pin in ((5, (198, 10)), (6, (252, 10)), (7, (348, 10))):
         cert = certify_bowtie_cycle(k)
         seen.clear()
         assert verify_certificate(cert)
@@ -865,7 +1002,7 @@ def test_capped_counts_pin_cap_sites(monkeypatch):
     for g, pin in (
         (complete_bipartite(3, 3), (30, 10)),
         (hypercube_graph(3), (60, 10)),
-        (bowtie_blowup(cycle_graph(6)), (474, 10)),
+        (bowtie_blowup(cycle_graph(6)), (252, 10)),
         (kpm_graph(5), (105, 15)),
     ):
         seen.clear()
