@@ -386,11 +386,13 @@ def random_witness_search(
     cell a symbol and no caps (a template the engine maps onto itself by
     relabelling colours, so it colours its first cover vertex 0 alone and
     adds the images), and each trial's Hessian is read from it at
-    the sampled matrix, through the one read plan of its walk. At a
-    zero cell an entry keeps only the terms with exactly as many edges on
-    it as the entry differentiates away; the others vanish, among them the
-    terms the caps of ``hessian_matrix`` leave out. With no trials nothing
-    is enumerated.
+    the sampled matrix, through the one read plan of its walk: a term is
+    valued with one multiplication per pair of cells, off a table of the
+    pair's distinct exponent pairs at the matrix. At the zero cells an
+    entry keeps only the terms whose grade, their number of edges on those
+    cells, is the number of the entry's own two cells among them (0, 1 or
+    2); the others vanish, among them the terms the caps of
+    ``hessian_matrix`` leave out. With no trials nothing is enumerated.
     """
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}")

@@ -182,7 +182,8 @@ def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
     read (``alike`` holds each read position alone), and it must carry each
     group's reads onto its image's (so a group and its image are as large)
     and the edges among the prefix onto themselves (so c o pi has c's
-    base), fix position 0 when ``first_fixed``, and move some key.
+    base), fix position 0 when ``first_fixed`` (tried first, before the
+    rest of pi is built), and move some key.
     """
     depth = len(back)
     end = p + depth - 1
@@ -195,6 +196,10 @@ def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
         image.append(j)
     if all(reads[j] == group for j, group in zip(image, reads)):  # no key moves
         return None
+    if first_fixed:
+        where = next(iter(alike))  # position 0's readers: alike is in position order
+        if where and alike.get(tuple(sorted([image[i] for i in where]))) != [0]:
+            return None
     pi = {}
     for where, positions in alike.items():
         if where:
@@ -202,8 +207,6 @@ def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
             if b is None:
                 return None
             pi[positions[0]] = b[0]
-    if first_fixed and pi.get(0, 0):
-        return None
     for i, group in enumerate(reads):
         if sorted(tuple(sorted([pi[a] for a in r])) for r in group) != list(reads[image[i]]):
             return None

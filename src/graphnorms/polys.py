@@ -8,11 +8,17 @@ two ways: a coefficient (``coefficient_of``, which also gives the kpm
 pipeline the least eps-degree of a part, degree by degree) and the second
 derivatives at a point (``hessian``). The hot read follows the plan that
 ``_plan`` makes for a selection of symbols and its caller holds: for each
-entry, the terms that reach it, grouped by their integer factor. A read
-values each term once at the point, on Python ints over ``den`` times a
-power of the point's denominator, and sums each entry by factor (one
-addition per term, one multiplication per factor) into an integer total
-over a positive divisor. ``hessian`` makes one ``Fraction`` per entry of the
+entry, the terms that reach it, grouped by their integer factor, and the
+pair tables of the exponent columns, which give each term the index of
+its exponent pair among a pair of columns' distinct ones. A read values
+each term once at the point, on Python ints over ``den`` times a power of
+the point's denominator, with one multiplication per pair of columns off a
+table made for the point, and sums each entry by factor (one addition per
+term, one multiplication per factor) into an integer total over a
+positive divisor. At zero coordinates an entry keeps the terms whose total
+degree in them, their grade, is the number of the entry's two axes among
+them, so a read makes at most three graded copies of its values, one per
+grade 0, 1 and 2. ``hessian`` makes one ``Fraction`` per entry of the
 ``SymRationalMatrix`` it returns; the refutation loop reads the integer
 form (``_integer_hessian``) and decides PSD on the totals alone, so a
 witness search reads every trial's Hessian from one uncapped polynomial
@@ -23,7 +29,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from math import lcm
-from operator import itemgetter, mul, sub
+from operator import add, mul, sub
 
 from .errors import Record, UsageError
 from .matrices import SymRationalMatrix
@@ -69,54 +75,65 @@ class SparsePoly(Record):
 
         The point is B/L with B integral and L the lcm of its denominators,
         and a term of total degree d is brought to the common denominator
-        ``den`` L^(dmax - 2) by the factor L^(dmax - d). The terms that
-        reach each entry, grouped by their integer factor, come from the
-        plan of the selection (``_plan``). A read values every term once,
-        c L^(dmax - d) times B_a^(m_a) over the coordinates a that are not 0
-        at the point, and sums each entry by factor, the sum over f of f
-        times the sum of its terms with factor f: one addition per term and
-        one multiplication per factor. The divisor of entry (p, q) is
-        ``den`` L^(dmax - 2) beta_p beta_q, the powers of B_p and B_q it
-        differentiated away, with beta = B but 1 at a zero coordinate; so
-        the totals are the matrix c D H D with c > 0 and D = diag(beta)
-        nonsingular, PSD exactly when H is. A coordinate z that is 0 at the
-        point instead keeps, in entry (p, q), exactly the terms with
-        m_z = [z = p] + [z = q]: the others vanish.
+        ``den`` L^(dmax - 2) by the factor L^(dmax - d), a pass the read
+        skips when every gap dmax - d is 0. The terms that reach each entry,
+        grouped by their integer factor, come from the plan of the
+        selection (``_plan``). A read values every term once, c L^(dmax - d)
+        times B_a^(m_a) over the coordinates a that are not 0 at the point:
+        one multiplication per term and pair of columns, read off a table
+        of the pair's distinct exponent pairs made for the point. It sums
+        each entry by factor, the sum over f of f times the sum of its terms
+        with factor f: one addition per term and one multiplication per
+        factor. The divisor of entry (p, q) is ``den`` L^(dmax - 2) beta_p
+        beta_q, the powers of B_p and B_q it differentiated away, with beta
+        = B but 1 at a zero coordinate; so the totals are the matrix c D H D
+        with c > 0 and D = diag(beta) nonsingular, PSD exactly when H is.
+        At a point with zero coordinates Z, entry (p, q) instead keeps
+        exactly the terms whose grade, their total degree in Z, is
+        [p in Z] + [q in Z]: the others vanish. A term that reaches (p, q)
+        has m_z >= [z = p] + [z = q] for every z, so this is the term with
+        m_z = [z = p] + [z = q] at each zero coordinate z, and a read makes
+        at most three graded copies of the values, grades 0, 1 and 2.
         """
         missing = set(self.symbols) - set(point)
         if missing:
             raise UsageError(f"missing symbols in assignment: {sorted(missing)}")
-        k, lift, coeffs, gaps, columns, entries = plan
+        k, lift, coeffs, gaps, columns, pairs, entries = plan
         if not coeffs:
             return k, (0,) * (k * (k + 1) // 2), (1,) * (k * (k + 1) // 2)
         values = [x if type(x) is Fraction else Fraction(x) for x in map(point.get, self.symbols)]
         scale = lcm(*(v.denominator for v in values))
         lifted = [v.numerator * (scale // v.denominator) for v in values]
-        pw = list(accumulate(repeat(scale, lift), mul, initial=1))
-        terms = list(map(mul, coeffs, map(pw.__getitem__, gaps)))
-        den = self.den * pw[lift]
-        zeros, keys = [], []
-        for ax, col, top in columns:
-            b = lifted[ax]
-            if not b:
-                zeros.append(ax)
-                keys.append(col)
-            elif b != 1:  # b = 1 changes nothing; every positivization step has it
-                pw = list(accumulate(repeat(b, top), mul, initial=1))
-                terms = list(map(mul, terms, map(pw.__getitem__, col)))
-        # the entries with one zero pattern share one masked copy of the
-        # values: the terms with exactly as many factors of each zero
-        # coordinate as those entries differentiate away
-        keys = list(zip(*keys))
-        kept = {}
+        den = self.den * scale**lift
+        terms = coeffs
+        if gaps:
+            pw = list(accumulate(repeat(scale, lift), mul, initial=1))
+            terms = list(map(mul, coeffs, map(pw.__getitem__, gaps)))
+        for index, held in pairs:
+            table = None
+            for ax, exps, top in held:
+                b = lifted[ax]
+                # b = 1 changes nothing, and a zero coordinate is left to the
+                # grades; every positivization step has b = 1
+                if b and b != 1:
+                    pw = list(accumulate(repeat(b, top), mul, initial=1))
+                    col = map(pw.__getitem__, exps)
+                    table = list(col) if table is None else list(map(mul, table, col))
+            if table is not None:
+                terms = list(map(mul, terms, map(table.__getitem__, index)))
+        off = [not b for b in lifted]
+        zeros = [col for col, z in zip(columns, off) if z and col]
+        if zeros:
+            grade = list(map(sum, zip(*zeros)))
+            graded = {}
         totals, divisors = [], []
         reads = terms
         for p, q, factors, groups in entries:
             if zeros:
-                pattern = tuple((z == p) + (z == q) for z in zeros)
-                reads = kept.get(pattern)
+                g = off[p] + off[q]
+                reads = graded.get(g)
                 if reads is None:
-                    reads = kept[pattern] = list(map(mul, terms, map(pattern.__eq__, keys)))
+                    reads = graded[g] = list(map(mul, terms, map(g.__eq__, grade)))
             sums = map(sum, map(map, repeat(reads.__getitem__), groups))
             totals.append(sum(map(mul, factors, sums)))
             divisors.append(den * (lifted[p] or 1) * (lifted[q] or 1))
@@ -124,21 +141,25 @@ class SparsePoly(Record):
 
     def _plan(self, symbols):
         """The read plan of the selection ``symbols``, which it checks:
-        (k, dmax - 2, the terms' numerators, their degree gaps dmax - d, the
-        columns (axis, exponents, largest exponent) of the symbols they
-        hold, and per upper-triangle entry (p, q) its axes, the distinct
-        factors m_p (m_q - [p = q]) of the terms that reach it and, per
-        factor, the list of those terms' indices). It keeps the terms of
-        degree at least 2 in the selected symbols, the ones that reach some
-        entry."""
+        (k, dmax - 2, the terms' numerators, their degree gaps dmax - d or
+        () when every gap is 0, each symbol's exponent column (None where
+        every exponent is 0), the pair tables of the held columns, and per
+        upper-triangle entry (p, q) its axes, the distinct factors m_p (m_q
+        - [p = q]) of the terms that reach it and, per factor, the list of
+        those terms' indices). The held columns are taken two by two (the
+        last alone when they are odd in number); a pair table gives each
+        term the index of its exponent pair among the pair's distinct ones,
+        and per column those distinct exponents and the largest. It keeps
+        the terms of degree at least 2 in the selected symbols, the ones
+        that reach some entry."""
         axes = tuple(map(self._axis, symbols))
         if len(set(axes)) != len(axes):
             raise UsageError("duplicate symbol in Hessian selection")
         k = len(axes)
         if not (axes and self.terms):
-            return k, 0, (), (), (), ()
+            return k, 0, (), (), (), (), ()
         exps = self.terms.keys()
-        columns = [tuple(map(itemgetter(ax), exps)) for ax in range(len(self.symbols))]
+        columns = list(zip(*exps))
         degrees = list(map(sum, exps))
         coeffs = self.terms.values()
         if len(axes) == len(columns):  # every symbol selected
@@ -149,7 +170,7 @@ class SparsePoly(Record):
             kept = list(map((2).__le__, reach))
             coeffs, degrees = list(compress(coeffs, kept)), list(compress(degrees, kept))
             if not degrees:
-                return k, 0, (), (), (), ()
+                return k, 0, (), (), (), (), ()
             columns = [tuple(compress(col, kept)) for col in columns]
         dmax = max(degrees)
         gaps = tuple(map(dmax.__sub__, degrees))
@@ -158,16 +179,34 @@ class SparsePoly(Record):
         entries = []
         for i, p in enumerate(axes):
             mp = columns[p]
+            # only the terms with m_p > 0 reach row p
+            at = list(compress(positions, mp))
+            first = list(compress(mp, mp))
             for q in axes[i:]:
-                second = map(sub, mp, repeat(1)) if p == q else columns[q]
+                second = map(sub, first, repeat(1)) if p == q else compress(columns[q], mp)
                 # one C-level pass files each term's index under its factor
                 groups = defaultdict(list)
-                filing = map(groups.__getitem__, map(mul, mp, second))
-                deque(map(list.append, filing, positions), maxlen=0)
+                filing = map(groups.__getitem__, map(mul, first, second))
+                deque(map(list.append, filing, at), maxlen=0)
                 groups.pop(0, None)  # factor 0: the term does not reach the entry
                 entries.append((p, q, tuple(groups), tuple(groups.values())))
-        held = tuple((ax, col, top) for ax, col in enumerate(columns) if (top := max(col)))
-        return k, dmax - 2, tuple(coeffs), gaps, held, tuple(entries)
+        tops = list(map(max, columns))
+        held = [ax for ax, top in enumerate(tops) if top]
+        pairs = []
+        for a, b in zip(held[::2], held[1::2]):
+            # a term's exponent pair (m_a, m_b) as the int m_a w + m_b
+            w = tops[b] + 1
+            codes = list(map(add, map(mul, columns[a], repeat(w)), columns[b]))
+            distinct = dict.fromkeys(codes)
+            index = dict(zip(distinct, positions))
+            ea, eb = zip(*map(divmod, distinct, repeat(w)))
+            pairs.append((list(map(index.__getitem__, codes)),
+                          ((a, ea, tops[a]), (b, eb, tops[b]))))
+        if len(held) % 2:
+            a = held[-1]
+            pairs.append((columns[a], ((a, range(tops[a] + 1), tops[a]),)))
+        columns = tuple(col if top else None for col, top in zip(columns, tops))
+        return k, dmax - 2, tuple(coeffs), gaps if any(gaps) else (), columns, tuple(pairs), tuple(entries)
 
     def coefficient_of(self, **degrees) -> Fraction:
         """Coefficient lookup by symbol name; unnamed symbols default to 0."""

@@ -71,14 +71,14 @@ MUTANTS = (
     ),
     (
         "polys.py",
-        "second = map(sub, mp, repeat(1)) if p == q else columns[q]",
-        "second = mp if p == q else columns[q]",
+        "second = map(sub, first, repeat(1)) if p == q else compress(columns[q], mp)",
+        "second = first if p == q else compress(columns[q], mp)",
         "tests/test_polys.py::test_derivative_examples",
     ),
     (
         "polys.py",
-        "pattern = tuple((z == p) + (z == q) for z in zeros)",
-        "pattern = tuple((z == p) | (z == q) for z in zeros)",
+        "g = off[p] + off[q]",
+        "g = off[p] | off[q]",
         "tests/test_hessians.py::test_hessian_zero_cells_follow_formal_derivative",
     ),
     (
@@ -176,6 +176,24 @@ MUTANTS = (
         "if x not in back[y]:",
         "if False:",
         "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
+    ),
+    (
+        "polys.py",
+        "map(g.__eq__, grade)",
+        "map(g.__le__, grade)",
+        "tests/test_polys.py::test_zero_grade_splits_by_entry",
+    ),
+    (
+        "polys.py",
+        "ea, eb = zip(*map(divmod, distinct, repeat(w)))",
+        "eb, ea = zip(*map(divmod, distinct, repeat(w)))",
+        "tests/test_polys.py::test_derivative_examples",
+    ),
+    (
+        "polys.py",
+        "gaps if any(gaps) else ()",
+        "gaps if all(gaps) else ()",
+        "tests/test_polys.py::test_integer_hessian_read_low_degree_and_mixed_denominators",
     ),
 )
 

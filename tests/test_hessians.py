@@ -427,9 +427,10 @@ def test_c4_hessian_psd_on_signed_matrices():
 def test_single_read_stays_within_memory():
     # one read of the count polynomial of the C_6 blow-up (53766 terms) at
     # the +/- block matrix, as hessian_matrix makes it: the plan it builds
-    # holds one index list per factor of each of the 55 entries and no
-    # per-term factors. Traced peak of the read: 21.0 MiB; per-term factor
-    # tuples took it to 33.8 MiB
+    # holds one index list per factor of each of the 55 entries, one
+    # index list per pair table and no per-term factors. Traced peak of the
+    # read: 22.8 MiB (21.0 MiB without pair tables); per-term factor tuples
+    # took it to 33.8 MiB
     a = block_pm_ones(2)
     names = tuple(f"c{idx:02d}" for idx in range(len(a.tri)))
     poly = symbolic_profile(bowtie_blowup(cycle_graph(6)), SymbolicTemplate(a.n, names))

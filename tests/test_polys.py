@@ -90,7 +90,7 @@ def test_derivative_matches_finite_difference(p, ax, ay):
 @given(small_polys, rationals, rationals)
 @settings(max_examples=60, deadline=None)
 def test_hessian_matches_double_derivative(p, ax, ay):
-    # zero point values exercise 0^0 = 1 and the zero masks of the read
+    # zero point values exercise 0^0 = 1 and the graded copies of the read
     for point in ({"x": ax, "y": ay}, {"x": 0, "y": ay}, {"x": 0, "y": 0}):
         assert p.hessian(("y", "x"), point).rows() == formal_hessian(p, ("y", "x"), point)
 
@@ -153,6 +153,60 @@ def test_one_plan_reads_every_zero_pattern(p, values):
         k, totals, divisors = p._integer_hessian(plan, point)
         read = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
         assert read.rows() == formal_hessian(p, chosen, point), names
+
+
+# five or six symbols, one of whose columns is all zero, and exponents up to
+# 4: the held columns make two or three pair tables, the last one alone
+# when they are odd in number. A homogeneous polynomial has every degree gap
+# 0 and skips the gap pass, as the search's count polynomial does
+@st.composite
+def wide_polys(draw):
+    symbols = ("a", "b", "c", "d", "e", "f")[: draw(st.sampled_from([5, 6]))]
+    idle = draw(st.sampled_from(range(len(symbols))))
+    free = st.lists(st.integers(0, 4), min_size=len(symbols) - 1, max_size=len(symbols) - 1)
+    if draw(st.booleans()):
+        degree = draw(st.integers(2, 8))
+        free = free.filter(lambda e: sum(e) == degree)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    items = draw(st.lists(st.tuples(free, coeffs), max_size=8))
+    return sparse_poly(symbols, [(e[:idle] + [0] + e[idle:], c) for e, c in items])
+
+
+@given(wide_polys(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_plan_reads_wide_polynomials(p, data):
+    # one plan read at points with 0 to 4 zero coordinates, selected or
+    # not, and +/- 1 coordinates, which leave a column out of its table
+    chosen = tuple(data.draw(st.lists(st.sampled_from(p.symbols), min_size=1, unique=True)))
+    plan = p._plan(chosen)
+    nonzero = st.sampled_from([1, -1]) | st.fractions(-2, 2, max_denominator=9).filter(bool)
+    base = dict(zip(p.symbols, data.draw(st.tuples(*[nonzero] * len(p.symbols)))))
+    for _ in range(4):
+        names = data.draw(st.lists(st.sampled_from(p.symbols), max_size=4, unique=True))
+        point = {**base, **dict.fromkeys(names, 0)}
+        k, totals, divisors = p._integer_hessian(plan, point)
+        read = SymRationalMatrix(k, tuple(map(Fraction, totals, divisors)))
+        assert read.rows() == formal_hessian(p, chosen, point), names
+
+
+def test_zero_grade_splits_by_entry():
+    # at x = y = 0 the terms x^2 w, x y w and y^2 w all have grade 2 in the
+    # zero coordinates, the grade of entries (x, x), (x, y) and (y, y), and
+    # each entry takes exactly the one of them it files: 3 x^2 w gives
+    # (x, x) 6 w, 5 x y w gives (x, y) 5 w and 7 y^2 w gives (y, y) 14 w.
+    # The grade-3 terms x^2 y w, x y^2 w and x^3 reach the same entries
+    # and vanish, and so do the terms of grade 1, x w^2 and y w^3
+    p = sparse_poly(
+        ("w", "x", "y"),
+        [((1, 2, 0), 3), ((1, 1, 1), 5), ((1, 0, 2), 7), ((1, 2, 1), 11),
+         ((1, 1, 2), 13), ((0, 3, 0), 17), ((2, 1, 0), 19), ((3, 0, 1), 23)],
+    )
+    for w in (2, Fraction(-3, 4)):
+        point = {"w": w, "x": 0, "y": 0}
+        assert p.hessian(("x", "y"), point).rows() == [[6 * w, 5 * w], [5 * w, 14 * w]]
+        assert p.hessian(("y", "x"), point).rows() == [[14 * w, 5 * w], [5 * w, 6 * w]]
+        # the w-row: (w, w) has grade 0, (w, x) and (w, y) grade 1
+        assert p.hessian(("w", "x", "y"), point).rows() == formal_hessian(p, ("w", "x", "y"), point)
 
 
 def test_interleaved_selections_plan_each_read(monkeypatch):
