@@ -73,7 +73,13 @@ class Certificate(Record):
         "kind", "graph", "n", "witness", "pairs", "direction", "value", "reason",
         "theorem", "degree_evidence", "seed",
     )
-    _defaults = (None, None, None, None, None, None, "", None, None)
+
+    def __init__(
+        self, kind, graph, n=None, witness=None, pairs=None, direction=None, value=None,
+        reason=None, theorem="", degree_evidence=None, seed=None,
+    ):
+        self._fill(kind, graph, n, witness, pairs, direction, value, reason, theorem,
+                   degree_evidence, seed)
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +155,9 @@ class Refusal(Record):
     proof of) the graph having the property."""
 
     __slots__ = ("operation", "reason", "evidence")  # str; str; dict
+
+    def __init__(self, operation, reason, evidence):
+        self._fill(operation, reason, evidence)
 
     def to_json(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from .certificates import (
     random_witness_search,
     verify_certificate,
 )
-from .errors import SizeGuardError, UsageError
+from .errors import SizeGuardError, UsageError, load_json
 from .graphs import (
     bowtie_blowup,
     cartesian_k2,
@@ -57,11 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_certificate(text: str) -> Certificate:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
-        raise UsageError(f"bad certificate JSON: {exc}") from exc
-    return Certificate.from_json(data)
+    return Certificate.from_json(load_json(text, "certificate"))
 
 
 # input -> (its flags, the reader of its text), in the order main reads them

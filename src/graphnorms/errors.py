@@ -1,6 +1,7 @@
-"""Exceptions shared across the toolkit, its size limits, and the base of its
-immutable records."""
+"""Exceptions shared across the toolkit, its size limits, its JSON reader,
+and the base of its immutable records."""
 
+import json
 from operator import attrgetter
 
 # the enumeration engine's work limit (see homs.profile_map), also the most
@@ -21,64 +22,41 @@ class SizeGuardError(Exception):
     """An enumeration guard was exceeded; the computation is inconclusive, not wrong."""
 
 
+def load_json(text: str, what: str):
+    """The value of the JSON ``text``; malformed input, an over-long integer
+    and deep nesting raise ``UsageError("bad <what> JSON: ...")``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"bad {what} JSON: {exc}") from exc
+
+
 _set = object.__setattr__  # sets a slot past a record's own __setattr__
-_REQUIRED = object()  # stands for a field that has no default
 
 
 class Record:
     """An immutable record with named fields.
 
     A subclass lists its fields in order in ``__slots__``, and every slot
-    is a field. ``_defaults`` holds the defaults of the last fields, a
-    class standing for a fresh instance of it. A record is made
-    from positional or keyword arguments: each field is set once, then
-    ``__post_init__`` checks them. It equals only a record of its own type
-    with equal fields, hashes its fields (so one holding a dict is
-    unhashable), prints as ``Name(field=value, ...)``, and pickles as the
-    call that makes it. Assignment and deletion raise ``AttributeError``.
+    is a field. Its ``__init__`` takes the fields as parameters in that
+    order, with their defaults, checks them and hands them to ``_fill``.
+    A record equals only a record of its own type with equal fields, hashes
+    its fields (so one holding a dict is unhashable), prints as
+    ``Name(field=value, ...)``, and pickles as the call that makes it.
+    Assignment and deletion raise ``AttributeError``.
     """
 
     __slots__ = ()
-    _defaults = ()
 
     def __init_subclass__(cls):
         cls._fields = cls.__slots__
         # the fields in order, a tuple for two or more: what == and hash read
         cls._key = attrgetter(*cls._fields)
-        # what a call that leaves a field out gets: its default, or _REQUIRED
-        cls._padding = (_REQUIRED,) * (len(cls._fields) - len(cls._defaults)) + cls._defaults
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
+    def _fill(self, *values):
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self._fields, values):
             _set(self, name, value)
-        self.__post_init__()
-
-    def _bind(self, args, kwargs):
-        """The field values of a call that does not give every field by
-        position, bound as Python binds a signature with the fields as
-        parameters and ``_defaults`` on the last of them."""
-        fields, name = self._fields, type(self).__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = list(args)
-        for field, default in zip(fields[len(args):], self._padding[len(args):]):
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif default is _REQUIRED:
-                raise TypeError(f"{name}() missing required argument {field!r}")
-            else:
-                values.append(default() if isinstance(default, type) else default)
-        for field in kwargs:
-            if field in fields:
-                raise TypeError(f"{name}() got multiple values for argument {field!r}")
-            raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-        return values
-
-    def __post_init__(self):
-        pass
 
     def __eq__(self, other):
         if type(other) is not type(self):

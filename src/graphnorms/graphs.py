@@ -15,9 +15,9 @@ The two structure reports, ``structural_report`` and
 ``verify_bowtie_structure``, return the JSON the CLI prints.
 """
 
-import json
-
-from .errors import ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError
+from .errors import (
+    ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError, load_json,
+)
 
 
 class Graph(Record):
@@ -25,24 +25,25 @@ class Graph(Record):
 
     __slots__ = ("n", "edges")  # int; tuple of (int, int) pairs
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, edges):
+        if n < 1:
             raise UsageError("graph needs at least one vertex")
         seen = set()
-        for (u, v) in self.edges:
+        for (u, v) in edges:
             if not (type(u) is int and type(v) is int):  # JSON true/false too
                 raise UsageError(f"edge ({u},{v}) has a non-integer endpoint")
             if u == v:
                 raise UsageError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise UsageError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise UsageError(f"edge ({u},{v}) out of range for n={n}")
             if u > v:
                 raise UsageError(f"edge ({u},{v}) not in canonical (min,max) order")
             if (u, v) in seen:
                 raise UsageError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
+        if list(edges) != sorted(edges):
             raise UsageError("edge list not sorted")
+        self._fill(n, edges)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -293,11 +294,7 @@ def load_graph_text(text: str) -> Graph:
     if not text:
         raise UsageError("empty graph input")
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
-            raise UsageError(f"bad graph JSON: {exc}") from exc
-        return Graph.from_json(data)
+        return Graph.from_json(load_json(text, "graph"))
     edges = []
     for line in text.splitlines():
         line = line.strip()

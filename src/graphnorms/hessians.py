@@ -37,6 +37,9 @@ class HessianMatrix(Record):
     # tuple of (i, j) pairs; SymRationalMatrix, len(pairs) x len(pairs)
     __slots__ = ("pairs", "matrix")
 
+    def __init__(self, pairs, matrix):
+        self._fill(pairs, matrix)
+
 
 def _selected_pairs(n: int, pairs) -> list[tuple[int, int]]:
     """The pair selection (every pair when None) with i <= j, checked in
@@ -118,7 +121,9 @@ class PsdResult(Record):
     # "psd" | "not_psd"; a direction (tuple of Fractions) and its negative
     # quadratic form, or None, None
     __slots__ = ("verdict", "witness", "value")
-    _defaults = (None, None)
+
+    def __init__(self, verdict, witness=None, value=None):
+        self._fill(verdict, witness, value)
 
     @property
     def is_psd(self) -> bool:

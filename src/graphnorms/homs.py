@@ -157,10 +157,10 @@ class SymbolicTemplate(Record):
 
     __slots__ = ("n", "cells")  # int; Fraction | Affine per unordered pair, pair_index order
 
-    def __post_init__(self):
-        if len(self.cells) != self.n * (self.n + 1) // 2:
+    def __init__(self, n, cells):
+        if len(cells) != n * (n + 1) // 2:
             raise UsageError("wrong template cell count")
-        object.__setattr__(self, "cells", tuple(map(_cell, self.cells)))
+        self._fill(n, tuple(map(_cell, cells)))
 
     @classmethod
     def from_rows(cls, rows) -> "SymbolicTemplate":

@@ -5,12 +5,13 @@ index pair, row-major over the upper triangle: (0,0), (0,1), ..., (0,n-1),
 (1,1), ... This pair order is also the coordinate order used for Hessians.
 """
 
-import json
 import random
 from fractions import Fraction
 from math import lcm
 
-from .errors import ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError
+from .errors import (
+    ENUMERATION_GUARD, SWEEP_GUARD, Record, SizeGuardError, UsageError, load_json,
+)
 from .rationals import format_rational, parse_rational
 
 MATRIX_CLASSES = ("nonnegative", "signed")
@@ -54,11 +55,12 @@ class SymRationalMatrix(Record):
 
     __slots__ = ("n", "tri")  # int; tuple of Fractions in pair_index order
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, tri):
+        if n < 1:
             raise UsageError("matrix needs n >= 1")
-        if len(self.tri) != self.n * (self.n + 1) // 2:
+        if len(tri) != n * (n + 1) // 2:
             raise UsageError("wrong upper-triangle length")
+        self._fill(n, tri)
 
     @classmethod
     def from_rows(cls, rows) -> "SymRationalMatrix":
@@ -116,11 +118,7 @@ def load_matrix_text(text: str) -> SymRationalMatrix:
     text = text.strip()
     if not text:
         raise UsageError("empty matrix input")
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
-        raise UsageError(f"bad matrix JSON: {exc}") from exc
-    return SymRationalMatrix.from_json(data)
+    return SymRationalMatrix.from_json(load_json(text, "matrix"))
 
 
 def block_pm_ones(n: int) -> SymRationalMatrix:

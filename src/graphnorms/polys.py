@@ -38,20 +38,22 @@ from .matrices import SymRationalMatrix
 class SparsePoly(Record):
     # symbols: tuple of str; terms: {exponent tuple: int numerator}; den: int
     __slots__ = ("symbols", "terms", "den")
-    _defaults = (dict, 1)
 
-    def __post_init__(self):
-        if type(self.den) is not int or self.den < 1:
+    def __init__(self, symbols, terms=None, den=1):
+        if terms is None:
+            terms = {}
+        if type(den) is not int or den < 1:
             raise UsageError("denominator must be a positive int")
-        if tuple(sorted(self.symbols)) != self.symbols:
+        if tuple(sorted(symbols)) != symbols:
             raise UsageError("symbols must be sorted by name")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise UsageError("duplicate symbol")
-        for exp, c in self.terms.items():
-            if len(exp) != len(self.symbols):
+        for exp, c in terms.items():
+            if len(exp) != len(symbols):
                 raise UsageError("exponent vector length mismatch")
             if type(c) is not int or c == 0:
                 raise UsageError("numerators must be nonzero ints")
+        self._fill(symbols, terms, den)
 
     def _axis(self, symbol: str) -> int:
         try:

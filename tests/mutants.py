@@ -195,6 +195,24 @@ MUTANTS = (
         "gaps if all(gaps) else ()",
         "tests/test_polys.py::test_integer_hessian_read_low_degree_and_mixed_denominators",
     ),
+    (
+        "errors.py",
+        "if type(other) is not type(self):",
+        "if not isinstance(other, Record):",
+        "tests/test_records.py::test_records_with_the_same_fields_and_different_types_differ",
+    ),
+    (
+        "certificates.py",
+        'theorem="",',
+        "theorem=None,",
+        "tests/test_records.py::test_keyword_construction_takes_the_defaults",
+    ),
+    (
+        "homs.py",
+        "self._fill(n, tuple(map(_cell, cells)))",
+        "self._fill(n, tuple(cells))",
+        "tests/test_records.py::test_a_template_reads_its_cells_when_built",
+    ),
 )
 
 

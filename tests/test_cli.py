@@ -390,6 +390,31 @@ def test_inputs_are_read_in_order_and_the_first_error_is_reported(capsys, tmp_pa
     assert data["error"].startswith(f"cannot read {missing}: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"n": ' + "[" * 100000 + "]" * 100000 + "}", '{"n": ' + "1" * 5000 + "}"],
+    ids=["deep-nesting", "long-integer"],
+)
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("construct", "bowtie", "-g"), "graph"),
+        (("cutnorm", "-m"), "matrix"),
+        (("verify", "-c"), "certificate"),
+    ],
+    ids=["graph", "matrix", "certificate"],
+)
+def test_unparsable_json_names_its_input(capsys, tmp_path, content, argv, what):
+    # the message is the input's name and json's own reason, whatever the input
+    with pytest.raises((ValueError, RecursionError)) as info:
+        json.loads(content)
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, data = run_json(capsys, *argv, str(path))
+    assert code == 3
+    assert data == {"error": f"bad {what} JSON: {info.value}", "kind": "usage"}
+
+
 def test_usage_and_guard_exit_codes(capsys, tmp_path, pm_file):
     code, data = run_json(capsys, "nonsense")
     assert code == 3

@@ -2,6 +2,7 @@
 hashing, immutability, repr, keyword construction with defaults, pickling,
 and the checks made when a record is built."""
 
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from graphnorms import (
     SymRationalMatrix,
     UsageError,
 )
+from graphnorms.errors import Record
 from graphnorms.homs import Affine
 
 HALF = Fraction(1, 2)
@@ -205,3 +207,14 @@ def test_a_sparse_poly_equals_its_copy_after_a_read():
     assert p == copy and copy == p
     assert repr(p) == before
     assert pickle.loads(pickle.dumps(p)) == copy
+
+
+def test_every_record_type_is_on_the_panel():
+    assert {cls.__qualname__ for cls in Record.__subclasses__()} == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", Record.__subclasses__(), ids=lambda cls: cls.__qualname__)
+def test_init_parameters_are_the_slots_in_order(cls):
+    # Record._fill sets the fields by position, so the parameters of each
+    # record's __init__ must name its slots in slot order
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__

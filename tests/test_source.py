@@ -235,7 +235,7 @@ def test_sparse_poly_is_read_only():
     defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert {name for name in defined if not name.startswith("_")} == reads
     # dunders such as __add__ or __mul__ would bring operators back
-    assert {name for name in defined if name.startswith("__")} == {"__post_init__"}
+    assert {name for name in defined if name.startswith("__")} == {"__init__"}
 
 
 def test_sparse_poly_inherits_no_operator():
@@ -251,7 +251,6 @@ def test_sparse_poly_inherits_no_operator():
         if name.startswith("__") and (callable(value) or isinstance(value, classmethod))
     }
     assert methods == {
-        "__post_init__",
         "__init__",
         "__init_subclass__",
         "__eq__",
@@ -261,6 +260,29 @@ def test_sparse_poly_inherits_no_operator():
         "__setattr__",
         "__delattr__",
     }
+
+
+def test_records_bind_their_arguments_in_their_own_init():
+    # each record declares its __init__ and sets its fields through
+    # Record._fill: no post-init hook, no table of defaults, and no
+    # object.__setattr__ past a record's read-only fields but errors._set
+    root = Path(graphnorms.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = (
+                getattr(node, "name", None)
+                or getattr(node, "id", None)
+                or getattr(node, "attr", None)
+            )
+            if name in ("__post_init__", "_defaults"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__":
+                found.append(f"{path.name}:{node.lineno} object.__setattr__")
+    source = (root / "errors.py").read_text(encoding="utf-8")
+    line = source[: source.index("\n_set = object.__setattr__")].count("\n") + 2
+    assert found == [f"errors.py:{line} object.__setattr__"]
 
 
 def test_profile_map_answers_for_every_map():
