@@ -21,12 +21,12 @@ is the exponent vector in order; cells that share a symbol add
 into one field and a symbol's cap bounds its total degree. A constant cell
 b/L (L the lcm of the constant denominators) weighs b and is multiplied in
 as its edges land, as in Dechter's bucket elimination over a weighted
-semiring, and an edge on an affine cell a + v s, (field, aL, v), takes
-one of two options, the constant's weight with the key unchanged or the
-slope's with the field's increment (a symbol s is 0 + 1 s). The builder
-keeps an integer numerator per exponent vector over the one denominator
-L^e(H), the Hessian read brings the point to the same footing, and each
-entry of its matrix becomes a ``Fraction`` once, at the end.
+semiring, and an edge on an affine cell a + v s, (field, aL, v), is the
+two-entry map {0: aL, increment: v}: the key unchanged at the constant's
+weight or the field's increment at the slope's (a symbol s is 0 + 1 s).
+The builder keeps an integer numerator per exponent vector over the one
+denominator L^e(H), the Hessian read brings the point to the same footing,
+and each entry of its matrix becomes a ``Fraction`` once, at the end.
 
 The engine packs a profile into one integer key, each field its own run
 of bits, so joining two partial maps is adding their keys (fields hold e(H)
@@ -44,14 +44,14 @@ the position of its last neighbour the first such map, shifted by the back
 edges' key and scaled by their weight, is the local map, the others are
 multiplied into it, and the local map is convolved with the map returned
 for the next position, or, at the last position, added to its map as it is.
-An affine edge multiplies both of its options into the local map (an
-independent vertex's, into its shared map), and the next position's base
-takes the constant option, so a base is a lower bound on the prefix's
+An affine edge's two-entry map is multiplied by ``convolve`` into the
+local map (an independent vertex's, into its shared map), and the next
+base takes the constant's key, so a base is a lower bound on the prefix's
 fields. A template without affine cells costs the colouring loop one test
 per colour. Weight-zero cells kill a map outright, and an independent
 vertex's entries whose signed weights cancel are dropped. Fields only grow
 down the search, so a cap is tested where a key is made: on each cover
-colour's key, each affine increment and each product of a convolution, and
+colour's key and each product of a convolution, an affine edge's too, and
 on each shared map once, when it is made, in the pass that drops its
 cancelled weights. A shared map is tested from 0, which holds from every
 base, so the local map it starts is tested again only where the
@@ -75,9 +75,9 @@ independent vertices with the same neighbours from p on are interchangeable,
 so their multisets are compared as one multiset. A position keeps a table
 for the whole call where the later vertices miss a prefix position or
 swapping two prefix positions keeps every group's reads, so two prefix
-colourings share a key. A cycle's reflection is neither: where reversing
-the later cover positions maps the subtree's graph onto itself, and a
-permutation pi of the prefix carries each group's reads onto its image's,
+colourings share a key. A cycle's reflection is neither: where a prefix
+permutation pi, joined to the reversal of the later cover positions, maps
+the cover's edges and later independent neighbourhoods onto themselves,
 the subtree under c is the one under c o pi, so a key is folded with the
 key holding its groups in mirrored order (one ``itemgetter`` from
 ``_memo_plan``) and the lesser is kept. A table kept for the mirror alone
@@ -206,34 +206,14 @@ class ProfileMap(NamedTuple):
     summed: int  # independent-vertex sums made, one per colour multiset read
 
 
-def _options(terms, rows, x, off, guard):
-    """``terms`` ({key: weight}) times the two options of each affine edge
-    that ``rows`` give colour x: the key unchanged at the constant's weight,
-    or the field's increment at the slope's. An increment whose key passes a
-    cap ((key + off) & guard) is not made, and weights that cancel are
-    dropped."""
-    for row in rows:
-        option = row[x]
-        if option is None:
-            continue
-        inc, stay, move = option
-        out: dict[int, int] = {}
-        for k, v in terms.items():
-            out[k] = out.get(k, 0) + v * stay
-            k += inc
-            if not (k + off) & guard:
-                out[k] = out.get(k, 0) + v * move
-        terms = out
-    return {k: v for k, v in terms.items() if v}
-
-
 def _steps(g: Graph, n: int, cells, caps):
     """The per-colour-pair steps of ``profile_map``'s search: (field width,
     step, split, capmask, bias, guard). ``step`` is None where the cell
     kills a map, else the key increment and weight of one edge landing
     there; a cell with both a constant and a slope steps by (0, 1) and
-    keeps its two options, (increment, constant, slope), in ``split``,
-    which is None without one. An int cell is the constant alone."""
+    keeps its edge in ``split`` as the two-entry map {0: constant,
+    increment: slope} for ``convolve``, None without one. An int cell is
+    the constant alone."""
     binding = {f: cap for f, cap in caps.items() if cap < g.edge_count}
     # a field counts up to e(H) < 2^bits edges; with a binding cap every
     # field gets a spare top bit, and a capped field's bias 2^bits - 1 - cap
@@ -251,7 +231,7 @@ def _steps(g: Graph, n: int, cells, caps):
     for cell in cells:
         f, const, slope = cell if isinstance(cell, tuple) else (0, cell, 0)
         inc = 1 << (f * width)
-        options.append((inc, const, slope) if const and slope else None)
+        options.append({0: const, inc: slope} if const and slope else None)
         if const and slope:
             edge.append((0, 1))
         elif slope:
@@ -352,7 +332,11 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
                 w *= s[1]
             else:
                 if splits:
-                    for k, v in _options({key: w}, splits, x, bias, guard).items():
+                    local = {key: w}
+                    for row in splits:
+                        if row[x]:
+                            local = convolve({}, local, row[x], bias)
+                    for k, v in local.items():
                         out[k] = out.get(k, 0) + v
                 else:
                     out[key] = out.get(key, 0) + w
@@ -441,9 +425,10 @@ def profile_map(g: Graph, n: int, cells, caps: dict[int, int]) -> ProfileMap:
                 shift = key - base
                 local = None
                 if splits:  # the affine back edges: base stays a lower bound
-                    local = _options({shift: w}, splits, c, off, guard)
-                    if not local:
-                        continue
+                    local = {shift: w}
+                    for row in splits:
+                        if row[c]:
+                            local = convolve({}, local, row[c], off)
                 for nbrs in closing[p]:
                     if local is not None:
                         local = convolve({}, local, side(nbrs), off)

@@ -170,20 +170,21 @@ def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
     a table key (base's capped fields, then each group's codes in order)
     to the key with its groups in mirrored order, or None.
 
-    The reversal s(q) = p + depth - 1 - q of the later cover positions must
-    send every group to a group (``keys``, whose reads are ``reads``), and
-    map the edges among the later positions and the neighbourhoods of the
-    independent vertices reading no prefix position onto themselves. Then
-    the subtree's map, read off base's capped fields and the groups' colour
-    multisets, is unchanged when each group takes its image's multisets,
-    so a key and its mirror's share one entry. A permutation pi of the read
-    prefix positions makes the mirrored key that of a colouring tried, c o
-    pi: pi takes a position to the one that the image groups read as it is
-    read (``alike`` holds each read position alone), and it must carry each
-    group's reads onto its image's (so a group and its image are as large)
-    and the edges among the prefix onto themselves (so c o pi has c's
-    base), fix position 0 when ``first_fixed`` (tried first, before the
-    rest of pi is built), and move some key.
+    The reversal q -> end - q of the later cover positions, end = p +
+    depth - 1, must send every group to a group (``keys``, whose reads are
+    ``reads``) and move some key. A permutation pi of the prefix takes a
+    read position to the one that the image groups read as it is read
+    (``alike`` holds each read position alone) and fixes the unread ones;
+    it must fix position 0 when ``first_fixed`` (tried first, before the
+    rest of pi is built). The one permutation sigma, pi on the prefix and
+    the reversal on the later positions, must map onto themselves the
+    cover's edge set and the multiset of neighbourhoods of the independent
+    vertices closing at or after p. A neighbourhood splits into its prefix
+    reads and its later part, so then sigma carries each group's reads onto
+    its image's and keeps the edges among the prefix (c o pi has c's base),
+    and the subtree's map, read off base's capped fields and the groups'
+    colour multisets, is unchanged when each group takes its image's
+    multisets: a key and its mirror's share one entry.
     """
     depth = len(back)
     end = p + depth - 1
@@ -200,28 +201,19 @@ def _mirror(back, closing, p: int, keys, reads, alike, first_fixed: bool):
         where = next(iter(alike))  # position 0's readers: alike is in position order
         if where and alike.get(tuple(sorted([image[i] for i in where]))) != [0]:
             return None
-    pi = {}
+    sigma = list(range(p)) + [end - q for q in range(p, depth)]
     for where, positions in alike.items():
         if where:
             b = alike.get(tuple(sorted([image[i] for i in where])))
             if b is None:
                 return None
-            pi[positions[0]] = b[0]
-    for i, group in enumerate(reads):
-        if sorted(tuple(sorted([pi[a] for a in r])) for r in group) != list(reads[image[i]]):
-            return None
-    unread = [nbrs for q in range(p, depth) for nbrs in closing[q] if nbrs[0] >= p]
-    if sorted(unread) != sorted(tuple([end - q for q in reversed(nbrs)]) for nbrs in unread):
+            sigma[positions[0]] = b[0]
+    edges = {(b, q) for q in range(depth) for b in back[q]}
+    if {tuple(sorted((sigma[b], sigma[q]))) for b, q in edges} != edges:
         return None
-    for q in range(p, depth):
-        for b in back[q][bisect_left(back[q], p):]:
-            if end - q not in back[end - b]:
-                return None
-    for q in range(p):
-        for b in back[q]:
-            x, y = sorted((pi.get(b, b), pi.get(q, q)))
-            if x not in back[y]:
-                return None
+    later = [nbrs for q in range(p, depth) for nbrs in closing[q]]
+    if sorted(later) != sorted(tuple(sorted([sigma[a] for a in nbrs])) for nbrs in later):
+        return None
     start = [1]  # a group's first slot in the key, after base's
     for group in reads:
         start.append(start[-1] + len(group))

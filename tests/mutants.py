@@ -29,8 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = (
     (
         "homs.py",
-        "out[k] = out.get(k, 0) + v * move",
-        "out[k] = out.get(k, 0) + v * stay",
+        "{0: const, inc: slope}",
+        "{0: const, inc: const}",
         "tests/test_homs.py::test_affine_cells_match_brute_force",
     ),
     (
@@ -155,26 +155,26 @@ MUTANTS = (
     ),
     (
         "plans.py",
-        "if end - q not in back[end - b]:",
+        "if {tuple(sorted((sigma[b], sigma[q]))) for b, q in edges} != edges:",
         "if False:",
         "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
     ),
     (
         "plans.py",
-        "if sorted(unread) != sorted(",
-        "if False and sorted(unread) != sorted(",
-        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
-    ),
-    (
-        "plans.py",
-        "if sorted(tuple(sorted([pi[a] for a in r])) for r in group) != list(reads[image[i]]):",
+        "if sorted(later) != sorted(tuple(sorted([sigma[a] for a in nbrs])) for nbrs in later):",
         "if False:",
         "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
     ),
     (
         "plans.py",
-        "if x not in back[y]:",
-        "if False:",
+        "sigma[positions[0]] = b[0]",
+        "sigma[positions[0]] = positions[0]",
+        "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
+    ),
+    (
+        "plans.py",
+        "for nbrs in closing[q]]",
+        "for nbrs in closing[q] if nbrs[0] >= p]",
         "tests/test_homs.py::test_memo_plan_refuses_near_mirrors",
     ),
     (

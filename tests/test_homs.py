@@ -1058,21 +1058,26 @@ def test_shared_side_maps_match_brute_force():
 
 
 @pytest.mark.parametrize(
-    "g, mib",
+    "g, cells, mib",
     [
-        (bowtie_blowup(cycle_graph(8)), 15),  # traced peak 7.6 MiB
-        (kpm_graph(7), 12.5),  # 6.3 MiB
-        (kpm_graph(8), 35),  # 17.3 MiB
+        (bowtie_blowup(cycle_graph(8)), _plain(6), 15),  # traced peak 7.6 MiB
+        (kpm_graph(7), _plain(6), 12.5),  # 6.3 MiB
+        (kpm_graph(8), _plain(6), 35),  # 17.3 MiB
+        (bowtie_blowup(cycle_graph(8)), _shared(6), 11),  # 5.37 MiB
+        (cartesian_k2(cycle_graph(6)), _shared(6), 2.5),  # 1.24 MiB
+        (hypercube_graph(4), _shared(6), 22),  # 11.03 MiB
     ],
-    ids=["bowtie8", "kpm7", "kpm8"],
+    ids=["bowtie8", "kpm7", "kpm8", "bowtie8-mirror", "c6k2-mirror", "q4-mirror"],
 )
-def test_memo_tables_stay_within_memory(g, mib):
+def test_memo_tables_stay_within_memory(g, cells, mib):
     # every table lives for the whole call, so the largest inputs the limit
     # admits, every cell a field, hold the most; the bounds leave about 2x
-    # headroom over the traced peak, so keeping more tables shows here
+    # headroom over the traced peak, so keeping more tables shows here. The
+    # relabelling shortcut refuses every cycle blow-up mirror, so a shared
+    # field bounds what the mirror tables hold
     tracemalloc.start()
     try:
-        profile_map(g, 3, _plain(6), {})
+        profile_map(g, 3, cells, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
